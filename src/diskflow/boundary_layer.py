@@ -16,10 +16,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import ScalarField, VectorField, norm_l2, perp_grad, seminorm_hk
-from .ratefit import RateFit, fit_rate
+from .ratefit import RateFit, check_geometric, fit_rate
 
-_TRACE_TOL = 1e-10
-_MIN_CELLS = 4
+# a stream function counts as vanishing on the ring below this share of
+# its maximum
+TRACE_TOL = 1e-10
+# collars narrower than this many radial cells are reported but not fitted
+MIN_CELLS = 4
 
 
 def eta(x):
@@ -50,7 +53,7 @@ def build_corrector(psi_bar: ScalarField, delta: float) -> VectorField:
     g = psi_bar.grid
     scale = max(float(np.max(np.abs(psi_bar.values))), 1.0)
     trace = float(np.max(np.abs(psi_bar.values[0])))
-    if trace > _TRACE_TOL * scale:
+    if trace > TRACE_TOL * scale:
         raise ConfigError(
             "psi_bar has boundary trace %.3e; the corrector construction "
             "requires a stream function vanishing on the ring" % trace,
@@ -61,8 +64,16 @@ def build_corrector(psi_bar: ScalarField, delta: float) -> VectorField:
 
 
 def collar_cells(grid, delta: float) -> int:
-    """Number of radial cells inside the layer rho < delta."""
+    """Number of radial cells inside the layer rho < delta.
+
+    grid is an ExteriorGrid or a GridSpec; both carry the spacing ds.
+    """
     return int(np.log1p(delta) / grid.ds)
+
+
+def collar_resolved(grid, delta: float) -> bool:
+    """True when the layer rho < delta spans at least MIN_CELLS cells."""
+    return collar_cells(grid, delta) >= MIN_CELLS
 
 
 @dataclass(frozen=True)
@@ -89,9 +100,7 @@ def corrector_scaling_report(psi_bar: ScalarField, deltas) -> CorrectorReport:
     ds = [float(d) for d in deltas]
     if len(ds) < 3:
         raise ConfigError("need at least 3 delta values", key="deltas")
-    ratios = np.diff(np.log(ds))
-    if np.max(np.abs(ratios - ratios[0])) > 1e-6 * abs(ratios[0]):
-        raise ConfigError("delta sweep must be geometric", key="deltas")
+    check_geometric(ds, "deltas")
     rows = []
     for d in ds:
         ub = build_corrector(psi_bar, d)
@@ -99,16 +108,9 @@ def corrector_scaling_report(psi_bar: ScalarField, deltas) -> CorrectorReport:
             delta=d,
             norm_ub=norm_l2(ub),
             seminorm_ub=seminorm_hk(ub, 1),
-            resolved=collar_cells(psi_bar.grid, d) >= _MIN_CELLS))
+            resolved=collar_resolved(psi_bar.grid, d)))
     fitted = [r for r in rows if r.resolved]
     l2_fit = fit_rate([r.delta for r in fitted], [r.norm_ub for r in fitted])
     h1_fit = fit_rate([r.delta for r in fitted], [r.seminorm_ub for r in fitted])
     return CorrectorReport(rows=tuple(rows), l2_fit=l2_fit, h1_fit=h1_fit)
 
-
-def write_report_csv(report: CorrectorReport, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("delta,norm_ub,seminorm_ub,resolved_flag\n")
-        for r in report.rows:
-            fh.write("%.17g,%.17g,%.17g,%d\n"
-                     % (r.delta, r.norm_ub, r.seminorm_ub, int(r.resolved)))

@@ -12,13 +12,14 @@ output bytes apart from the runtime_s column of sweep records.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .dynamics import KINDS, ModelParams
 from .dynamics import RunConfig as SolverConfig
@@ -27,81 +28,87 @@ from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      NumericalFailure)
 from .fields import write_snapshot
 from .grid import GridSpec, build_grid
-from .harness import (SweepConfig, euler_reference_state, fit_rate,
-                      rate_entry, run_sweep, write_sweep_csv)
+from .harness import (SweepConfig, SweepSettings, euler_run, rate_entry,
+                      run_sweep, write_sweep_csv)
 from .initial_data import InitialCase, canonical_psi, make_initial
-from .verify import (energy_audit_study, report_dict, verify_corrector,
-                     verify_elliptic, verify_initial_data)
+from .ratefit import fit_rate
+from .verify import (Tolerances, energy_audit_study, report_dict,
+                     verify_corrector, verify_elliptic, verify_initial_data)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
-_MISSING = object()
-
 
 # ------------------------------------------------------------ config schema
 
 @dataclass(frozen=True)
-class SweepSettings:
-    """Sweep-only keys; the rest of the sweep reuses the top-level config."""
+class AuditSettings:
+    """The energy-audit section."""
 
-    alphas: tuple
-    nu_c: float = 0.0
-    nu_gamma: float = 2.0
-    delta_rule: float = 4.0 / 3.0
+    delta: float | None = None       # corrector width; None = alpha**(4/3)
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Acceptance windows of the verify-* subcommands."""
-
-    order_window: float = 0.2        # |fitted order - 2| for the Poisson solve
-    chain_rel: float = 1e-9          # fourth-order inverse consistency
-    probe_floor: float = -2.1        # slope floor of |D^3 u| vs alpha
-    corrector_window: float = 0.05   # both corrector slopes, about +-1/2
-    hypothesis_window: float = 0.1   # family rates, about +-1/2
-    audit_rel: float = 1e-3          # energy-budget residual, relative
+    def __post_init__(self):
+        if self.delta is not None and not self.delta > 0.0:
+            raise ConfigError("delta=%r must be positive" % (self.delta,),
+                              key="delta")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    """Fully validated configuration for any subcommand."""
+    """Fully validated configuration for any subcommand.
+
+    The JSON document mirrors these fields, nested sections included; each
+    section's dataclass holds its own defaults and range checks.
+    """
 
     model: str
     alpha: float
-    nu: float
+    nu: float = 0.0
     grid: GridSpec
     t_final: float
-    cfl: float = 0.5
-    dt: float | None = None
-    dt_max: float = 0.05
-    snapshot_dt: float | None = None
-    tail_threshold: float = 1e-8
+    cfl: float = SolverConfig.cfl
+    dt: float | None = SolverConfig.dt
+    dt_max: float = SolverConfig.dt_max
+    snapshot_dt: float | None = SolverConfig.snapshot_dt
+    tail_threshold: float = SolverConfig.tail_threshold
     output_dir: str = "."
     case: InitialCase = InitialCase()
     sweep: SweepSettings | None = None
-    audit_delta: float | None = None
+    audit: AuditSettings | None = None
     tolerances: Tolerances = Tolerances()
+
+    def __post_init__(self):
+        if self.model not in KINDS:
+            raise ConfigError("model=%r not one of %r" % (self.model, KINDS),
+                              key="model")
+        if not 0.0 < self.alpha <= 0.5:
+            raise ConfigError("alpha=%r outside (0, 0.5]" % (self.alpha,),
+                              key="alpha")
+        viscous = self.model == "second_grade"
+        if self.nu < 0.0 or viscous != (self.nu > 0.0):
+            raise ConfigError("nu=%r: model %r requires nu %s" % (
+                self.nu, self.model, "> 0" if viscous else "= 0"), key="nu")
+        if not self.t_final > 0.0:
+            raise ConfigError("t_final=%r must be positive" % (self.t_final,),
+                              key="t_final")
+        self.solver_config()   # range-checks the solver keys
+        if self.sweep is not None:
+            _sweep_config(self)  # fail fast: validates alphas against the grid
+
+    @property
+    def audit_delta(self) -> float | None:
+        return None if self.audit is None else self.audit.delta
+
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(cfl=self.cfl, dt=self.dt, dt_max=self.dt_max,
+                            snapshot_dt=self.snapshot_dt,
+                            tail_threshold=self.tail_threshold)
 
 
 def _type_name(v) -> str:
     return "null" if v is None else type(v).__name__
-
-
-def _as_object(v, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise ConfigError("%s must be an object, got %s"
-                          % (path, _type_name(v)), key=path)
-    return dict(v)
-
-
-def _as_str(v, path: str) -> str:
-    if not isinstance(v, str):
-        raise ConfigError("%s must be a string, got %s"
-                          % (path, _type_name(v)), key=path)
-    return v
 
 
 def _as_number(v, path: str) -> float:
@@ -109,208 +116,89 @@ def _as_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("%s must be a number, got %s"
                           % (path, _type_name(v)), key=path)
-    out = float(v)
+    try:
+        out = float(v)
+    except OverflowError:       # an integer literal beyond float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError("%s must be finite" % path, key=path)
     return out
 
 
-def _as_int(v, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError("%s must be an integer, got %s"
-                          % (path, _type_name(v)), key=path)
-    return v
+def _coerce(v, hint, path: str, strict: bool):
+    """The value v at dotted key path, checked against annotation hint."""
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, v, path, strict)
+    if isinstance(hint, types.UnionType):       # X | None
+        inner, = (a for a in typing.get_args(hint) if a is not type(None))
+        return None if v is None else _coerce(v, inner, path, strict)
+    if typing.get_origin(hint) is tuple:        # tuple[float, ...]
+        if not isinstance(v, list) or not v:
+            raise ConfigError("%s must be a nonempty array" % path, key=path)
+        return tuple(_as_number(x, path) for x in v)
+    if hint is float:
+        return _as_number(v, path)
+    if hint is int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError("%s must be an integer, got %s"
+                              % (path, _type_name(v)), key=path)
+        _as_number(v, path)    # rejects integers beyond float range
+        return v
+    if hint is str:
+        if not isinstance(v, str):
+            raise ConfigError("%s must be a string, got %s"
+                              % (path, _type_name(v)), key=path)
+        return v
+    raise TypeError("no JSON coercion for annotation %r" % (hint,))
 
 
-def _as_positive(v, path: str) -> float:
-    out = _as_number(v, path)
-    if not out > 0.0:
-        raise ConfigError("%s=%r must be positive" % (path, out), key=path)
-    return out
+def _build(cls, raw, path: str, strict: bool):
+    """An instance of the dataclass cls from the JSON object raw at path.
 
-
-def _as_positive_or_null(v, path: str):
-    return None if v is None else _as_positive(v, path)
-
-
-def _pop(obj: dict, key: str, path: str, default=_MISSING):
-    if key in obj:
-        return obj.pop(key)
-    if default is _MISSING:
-        raise ConfigError("missing required key %r" % path, key=path)
-    return default
-
-
-def _reject_unknown(obj: dict, prefix: str, strict: bool) -> None:
-    if strict and obj:
-        path = prefix + sorted(obj)[0]
-        raise ConfigError("unknown key %r" % path, key=path)
-
-
-def _rekey(exc: ConfigError, prefix: str) -> ConfigError:
-    key = prefix + exc.key if exc.key else prefix.rstrip(".")
-    return ConfigError(str(exc), key=key)
-
-
-def _parse_grid(raw, strict: bool) -> GridSpec:
-    obj = _as_object(raw, "grid")
-    n_r = _as_int(_pop(obj, "n_r", "grid.n_r"), "grid.n_r")
-    n_theta = _as_int(_pop(obj, "n_theta", "grid.n_theta", 128),
-                      "grid.n_theta")
-    r_max = _as_number(_pop(obj, "r_max", "grid.r_max", 8.0), "grid.r_max")
-    _reject_unknown(obj, "grid.", strict)
-    try:
-        return GridSpec(n_r=n_r, n_theta=n_theta, r_max=r_max)
-    except ConfigError as exc:
-        raise _rekey(exc, "grid.") from exc
-
-
-def _parse_case(raw, strict: bool) -> InitialCase:
-    obj = _as_object(raw, "case")
+    Missing keys take the field default; a ConfigError raised by the
+    dataclass itself is re-keyed to its dotted path.
+    """
+    where = path or "document"
+    if not isinstance(raw, dict):
+        raise ConfigError("%s must be an object, got %s"
+                          % (where, _type_name(raw)), key=where)
+    prefix = path + "." if path else ""
+    hints = typing.get_type_hints(cls)
     kw = {}
-    if "name" in obj:
-        kw["name"] = _as_str(obj.pop("name"), "case.name")
-    for key in ("amplitude", "r0", "sigma", "eps"):
-        if key in obj:
-            kw[key] = _as_number(obj.pop(key), "case.%s" % key)
-    if "mode" in obj:
-        kw["mode"] = _as_int(obj.pop("mode"), "case.mode")
-    if "boundary_profile" in obj:
-        kw["boundary_profile"] = _as_str(obj.pop("boundary_profile"),
-                                         "case.boundary_profile")
-    if "path" in obj:
-        v = obj.pop("path")
-        kw["path"] = None if v is None else _as_str(v, "case.path")
-    _reject_unknown(obj, "case.", strict)
+    for f in dataclasses.fields(cls):
+        key = prefix + f.name
+        if f.name in raw:
+            kw[f.name] = _coerce(raw[f.name], hints[f.name], key, strict)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError("missing required key %r" % key, key=key)
+    unknown = sorted(set(raw) - set(kw))
+    if strict and unknown:
+        key = prefix + unknown[0] if unknown[0] else where
+        raise ConfigError("unknown key %r" % (prefix + unknown[0]), key=key)
     try:
-        return InitialCase(**kw)
+        return cls(**kw)
     except ConfigError as exc:
-        raise _rekey(exc, "case.") from exc
-
-
-def _parse_sweep(raw, strict: bool) -> SweepSettings | None:
-    if raw is None:
-        return None
-    obj = _as_object(raw, "sweep")
-    alphas_raw = _pop(obj, "alphas", "sweep.alphas")
-    if not isinstance(alphas_raw, list) or not alphas_raw:
-        raise ConfigError("sweep.alphas must be a nonempty array",
-                          key="sweep.alphas")
-    alphas = tuple(_as_number(a, "sweep.alphas") for a in alphas_raw)
-    nu_c = _as_number(_pop(obj, "nu_c", "sweep.nu_c", 0.0), "sweep.nu_c")
-    nu_gamma = _as_number(_pop(obj, "nu_gamma", "sweep.nu_gamma", 2.0),
-                          "sweep.nu_gamma")
-    delta_rule = _as_number(
-        _pop(obj, "delta_rule", "sweep.delta_rule", 4.0 / 3.0),
-        "sweep.delta_rule")
-    _reject_unknown(obj, "sweep.", strict)
-    return SweepSettings(alphas=alphas, nu_c=nu_c, nu_gamma=nu_gamma,
-                         delta_rule=delta_rule)
-
-
-def _parse_audit(raw, strict: bool):
-    if raw is None:
-        return None
-    obj = _as_object(raw, "audit")
-    delta = _as_positive_or_null(_pop(obj, "delta", "audit.delta", None),
-                                 "audit.delta")
-    _reject_unknown(obj, "audit.", strict)
-    return delta
-
-
-def _parse_tolerances(raw, strict: bool) -> Tolerances:
-    obj = _as_object(raw, "tolerances")
-    kw = {}
-    for key in ("order_window", "chain_rel", "corrector_window",
-                "hypothesis_window", "audit_rel"):
-        if key in obj:
-            kw[key] = _as_positive(obj.pop(key), "tolerances.%s" % key)
-    if "probe_floor" in obj:
-        kw["probe_floor"] = _as_number(obj.pop("probe_floor"),
-                                       "tolerances.probe_floor")
-    _reject_unknown(obj, "tolerances.", strict)
-    return Tolerances(**kw)
+        if not path:
+            raise
+        key = prefix + exc.key if exc.key else path
+        raise ConfigError(str(exc), key=key) from exc
 
 
 def parse_config(text: str, strict: bool = True) -> RunConfig:
     """Validate a JSON config document; errors carry the dotted key path."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("config is not valid JSON: %s" % exc,
                           key="document") from exc
-    obj = _as_object(doc, "document")
-
-    model = _as_str(_pop(obj, "model", "model"), "model")
-    if model not in KINDS:
-        raise ConfigError("model=%r not one of %r" % (model, KINDS),
-                          key="model")
-    alpha = _as_number(_pop(obj, "alpha", "alpha"), "alpha")
-    if not 0.0 < alpha <= 0.5:
-        raise ConfigError("alpha=%r outside (0, 0.5]" % alpha, key="alpha")
-    nu = _as_number(_pop(obj, "nu", "nu", 0.0), "nu")
-    if nu < 0.0:
-        raise ConfigError("nu=%r must be nonnegative" % nu, key="nu")
-    if model == "second_grade" and not nu > 0.0:
-        raise ConfigError("model 'second_grade' requires nu > 0", key="nu")
-    if model != "second_grade" and nu != 0.0:
-        raise ConfigError("model %r requires nu = 0" % model, key="nu")
-
-    grid = _parse_grid(_pop(obj, "grid", "grid"), strict)
-    t_final = _as_positive(_pop(obj, "t_final", "t_final"), "t_final")
-    cfl = _as_number(_pop(obj, "cfl", "cfl", 0.5), "cfl")
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError("cfl=%r outside (0, 1]" % cfl, key="cfl")
-    dt = _as_positive_or_null(_pop(obj, "dt", "dt", None), "dt")
-    dt_max = _as_positive(_pop(obj, "dt_max", "dt_max", 0.05), "dt_max")
-    snapshot_dt = _as_positive_or_null(
-        _pop(obj, "snapshot_dt", "snapshot_dt", None), "snapshot_dt")
-    tail_threshold = _as_positive(
-        _pop(obj, "tail_threshold", "tail_threshold", 1e-8), "tail_threshold")
-    output_dir = _as_str(_pop(obj, "output_dir", "output_dir", "."),
-                         "output_dir")
-    case = _parse_case(_pop(obj, "case", "case", {}), strict)
-    sweep = _parse_sweep(_pop(obj, "sweep", "sweep", None), strict)
-    audit_delta = _parse_audit(_pop(obj, "audit", "audit", None), strict)
-    tolerances = _parse_tolerances(_pop(obj, "tolerances", "tolerances", {}),
-                                   strict)
-    _reject_unknown(obj, "", strict)
-
-    cfg = RunConfig(model=model, alpha=alpha, nu=nu, grid=grid,
-                    t_final=t_final, cfl=cfl, dt=dt, dt_max=dt_max,
-                    snapshot_dt=snapshot_dt, tail_threshold=tail_threshold,
-                    output_dir=output_dir, case=case, sweep=sweep,
-                    audit_delta=audit_delta, tolerances=tolerances)
-    if sweep is not None:
-        _sweep_config(cfg)  # fail fast: validates alphas against the grid
-    return cfg
+    return _build(RunConfig, doc, "", strict)
 
 
 def config_document(cfg: RunConfig) -> dict:
     """Plain-dict form of a config; parse(serialize(...)) round-trips."""
-    c = cfg.case
-    doc = {
-        "model": cfg.model, "alpha": cfg.alpha, "nu": cfg.nu,
-        "grid": {"n_r": cfg.grid.n_r, "n_theta": cfg.grid.n_theta,
-                 "r_max": cfg.grid.r_max},
-        "t_final": cfg.t_final, "cfl": cfg.cfl, "dt": cfg.dt,
-        "dt_max": cfg.dt_max, "snapshot_dt": cfg.snapshot_dt,
-        "tail_threshold": cfg.tail_threshold, "output_dir": cfg.output_dir,
-        "case": {"name": c.name, "amplitude": c.amplitude, "r0": c.r0,
-                 "sigma": c.sigma, "mode": c.mode, "eps": c.eps,
-                 "boundary_profile": c.boundary_profile, "path": c.path},
-        "sweep": None, "audit": None,
-        "tolerances": {k: getattr(cfg.tolerances, k)
-                       for k in ("order_window", "chain_rel", "probe_floor",
-                                 "corrector_window", "hypothesis_window",
-                                 "audit_rel")},
-    }
+    doc = dataclasses.asdict(cfg)
     if cfg.sweep is not None:
-        s = cfg.sweep
-        doc["sweep"] = {"alphas": list(s.alphas), "nu_c": s.nu_c,
-                        "nu_gamma": s.nu_gamma, "delta_rule": s.delta_rule}
-    if cfg.audit_delta is not None:
-        doc["audit"] = {"delta": cfg.audit_delta}
+        doc["sweep"]["alphas"] = list(cfg.sweep.alphas)
     return doc
 
 
@@ -326,62 +214,40 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _solver_config(cfg: RunConfig, mass_tol: float = 1e-6) -> SolverConfig:
-    return SolverConfig(cfl=cfg.cfl, dt=cfg.dt, dt_max=cfg.dt_max,
-                        snapshot_dt=cfg.snapshot_dt,
-                        tail_threshold=cfg.tail_threshold, mass_tol=mass_tol)
-
-
-_DIAG_COLUMNS = ("t", "dt", "energy", "enstrophy", "tail_mass",
-                 "norm_u_sq", "grad_u_sq")
-
-
-def _write_diagnostics_csv(diagnostics: dict, path) -> None:
-    cols = [np.asarray(diagnostics[k], dtype=float) for k in _DIAG_COLUMNS]
-    with open(path, "w") as fh:
-        fh.write(",".join(_DIAG_COLUMNS) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
-
-
 def _cmd_simulate(cfg: RunConfig, args, out: str) -> int:
     grid = build_grid(cfg.grid)
     psi = canonical_psi(cfg.case, grid)
+    solver = replace(cfg.solver_config(),
+                     diagnostics_path=os.path.join(out, "diagnostics.csv"))
     if cfg.model == "euler":
-        params = ModelParams(kind="euler")
-        u0 = euler_reference_state(psi).u
-        # grid-level vorticity mass is O(h^2), never exactly zero
-        solver = _solver_config(cfg, mass_tol=1e-3)
+        traj = euler_run(psi, cfg.t_final, solver)
     else:
         params = ModelParams(kind=cfg.model, alpha=cfg.alpha, nu=cfg.nu)
-        u0 = make_initial(psi, cfg.alpha)
-        solver = _solver_config(cfg)
-    traj = run(params, u0, cfg.t_final, solver)
-    _write_diagnostics_csv(traj.diagnostics, os.path.join(out,
-                                                          "diagnostics.csv"))
+        traj = run(params, make_initial(psi, cfg.alpha), cfg.t_final, solver)
     for i, s in enumerate(traj.snapshots):
         write_snapshot(s.q, os.path.join(out, "snapshot_%04d.csv" % i),
-                       time=s.time, alpha=params.alpha, nu=params.nu)
+                       time=s.time, alpha=s.params.alpha, nu=s.params.nu)
     n_steps = len(traj.diagnostics["t"]) - 1
     print("simulate: %s to t=%g in %d steps, %d snapshots -> %s"
           % (cfg.model, cfg.t_final, n_steps, len(traj.snapshots), out))
     return EXIT_OK
 
 
-def _sweep_config(cfg: RunConfig) -> SweepConfig:
-    s = cfg.sweep
-    if s is None:
+def _sweep_config(cfg: RunConfig, **overrides) -> SweepConfig:
+    """The sweep of cfg, with command-line overrides of its section keys."""
+    if cfg.sweep is None and not overrides:
         raise ConfigError("the sweep subcommand needs a 'sweep' section",
                           key="sweep")
+    section = dataclasses.asdict(cfg.sweep) if cfg.sweep is not None \
+        else {"alphas": (cfg.alpha,)}
+    section.update(overrides)
     try:
-        return SweepConfig(alphas=s.alphas, grid=cfg.grid, nu_c=s.nu_c,
-                           nu_gamma=s.nu_gamma, t_final=cfg.t_final,
-                           case=cfg.case, delta_rule=s.delta_rule,
-                           snapshot_dt=cfg.snapshot_dt, dt=cfg.dt,
-                           tail_threshold=cfg.tail_threshold)
+        return SweepConfig(**section, grid=cfg.grid, t_final=cfg.t_final,
+                           case=cfg.case, snapshot_dt=cfg.snapshot_dt,
+                           dt=cfg.dt, tail_threshold=cfg.tail_threshold)
     except ConfigError as exc:
-        if exc.key in ("alphas", "nu_c", "nu_gamma", "delta_rule"):
-            raise _rekey(exc, "sweep.") from exc
+        if exc.key in section:
+            raise ConfigError(str(exc), key="sweep." + exc.key) from exc
         raise
 
 
@@ -398,11 +264,7 @@ def _cmd_sweep(cfg: RunConfig, args, out: str) -> int:
         overrides["nu_c"] = args.nu_c
     if args.nu_gamma is not None:
         overrides["nu_gamma"] = args.nu_gamma
-    if overrides:
-        base = cfg.sweep if cfg.sweep is not None \
-            else SweepSettings(alphas=(cfg.alpha,))
-        cfg = replace(cfg, sweep=replace(base, **overrides))
-    sweep_cfg = _sweep_config(cfg)
+    sweep_cfg = _sweep_config(cfg, **overrides)
     records = run_sweep(sweep_cfg, threads=args.threads)
     write_sweep_csv(records, os.path.join(out, "sweep.csv"))
     entries = []
@@ -486,7 +348,7 @@ def _cmd_energy_audit(cfg: RunConfig, args, out: str) -> int:
         else cfg.t_final / 8.0
     audit = energy_audit_study(cfg.case, cfg.grid, cfg.alpha, cfg.nu,
                                cfg.t_final, snap_dt, delta=cfg.audit_delta,
-                               run_config=_solver_config(cfg))
+                               run_config=cfg.solver_config())
     passed = audit.rel_residual <= cfg.tolerances.audit_rel
     doc = report_dict(audit)
     doc["passed"] = passed
@@ -555,7 +417,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("cannot read config %r: %s"
                               % (args.config, exc), key="config") from exc
         cfg = parse_config(text, strict=args.strict)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .fields import (ScalarField, VectorField, advect, dealias_23,
-                     grad_norm_l2, laplacian, norm_l2, perp_grad)
+from .fields import (ScalarField, VectorField, advect, grad_norm_l2,
+                     laplacian, norm_l2, perp_grad)
 from .elliptic import recover_q, solve_poisson, solve_stream_helmholtz
-from .grid import ExteriorGrid
+from .grid import ExteriorGrid, tail_weights
 
 KINDS = ("second_grade", "euler_alpha", "euler")
 
@@ -46,6 +46,12 @@ class ModelParams:
                               key="kind")
         if self.kind == "euler" and not (self.alpha == 0.0 and self.nu == 0.0):
             raise ConfigError("euler requires alpha = 0 and nu = 0", key="kind")
+
+    @classmethod
+    def regularized(cls, alpha: float, nu: float) -> ModelParams:
+        """The filtered model at (alpha, nu): second_grade iff nu > 0."""
+        kind = "second_grade" if nu > 0.0 else "euler_alpha"
+        return cls(kind=kind, alpha=alpha, nu=nu)
 
     @property
     def boundary_tag(self) -> str:
@@ -74,14 +80,16 @@ class RunConfig:
     tail_threshold: float = 1e-8     # relative to the initial |q|
     mass_tol: float = 1e-6           # mode-0 guard for the Poisson solve
     circulation_tol: float = 1e-8    # outer-ring witness, relative
-    dealias: bool = False
-    diagnostics_path: str | None = None
+    diagnostics_path: str | None = None  # streams one CSV row per step
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError("cfl=%r outside (0, 1]" % (self.cfl,), key="cfl")
-        if self.dt is not None and not self.dt > 0.0:
-            raise ConfigError("dt=%r must be positive" % (self.dt,), key="dt")
+        for name in ("dt", "dt_max", "snapshot_dt", "tail_threshold"):
+            v = getattr(self, name)
+            if v is not None and not v > 0.0:
+                raise ConfigError("%s=%r must be positive" % (name, v),
+                                  key=name)
 
 
 @dataclass
@@ -117,12 +125,10 @@ def initial_state(params: ModelParams, u0: VectorField,
     return make_state(params, q0, 0.0, mass_tol=mass_tol)
 
 
-def rhs(state: FlowState, dealias: bool = False) -> ScalarField:
+def rhs(state: FlowState) -> ScalarField:
     """-u . grad q + nu Delta w (q and w coincide for plain vorticity)."""
     g = state.q.grid
     conv = advect(state.u, state.q)
-    if dealias:
-        conv = dealias_23(conv)
     vals = -conv.values
     if state.params.nu > 0.0:
         vals = vals + state.params.nu * laplacian(state.w).values
@@ -130,13 +136,13 @@ def rhs(state: FlowState, dealias: bool = False) -> ScalarField:
 
 
 def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
-               time: float, stage: str, mass_tol: float, dealias: bool) -> np.ndarray:
+               time: float, stage: str, mass_tol: float) -> np.ndarray:
     if not np.isfinite(q_values).all():
         raise NumericalFailure("non-finite q entering stage %s" % stage,
                                kind="nan", time=time, detail=stage)
     try:
         state = make_state(params, ScalarField(grid, q_values), time, mass_tol)
-        k = rhs(state, dealias=dealias).values
+        k = rhs(state).values
     except ConfigError:
         raise
     except ValueError as exc:  # field constructors reject NaN/Inf overflow
@@ -149,18 +155,16 @@ def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
 
 
 def step(state: FlowState, dt: float, mass_tol: float = 1e-6,
-         dealias: bool = False, end_time: float | None = None) -> FlowState:
+         end_time: float | None = None) -> FlowState:
     """Classical RK4 update of q; returns a consistent new state."""
     params = state.params
     g = state.q.grid
     q = state.q.values
     t = state.time
-    k1 = _stage_rhs(params, g, q, t, "k1", mass_tol, dealias)
-    k2 = _stage_rhs(params, g, q + 0.5 * dt * k1, t + 0.5 * dt, "k2",
-                    mass_tol, dealias)
-    k3 = _stage_rhs(params, g, q + 0.5 * dt * k2, t + 0.5 * dt, "k3",
-                    mass_tol, dealias)
-    k4 = _stage_rhs(params, g, q + dt * k3, t + dt, "k4", mass_tol, dealias)
+    k1 = _stage_rhs(params, g, q, t, "k1", mass_tol)
+    k2 = _stage_rhs(params, g, q + 0.5 * dt * k1, t + 0.5 * dt, "k2", mass_tol)
+    k3 = _stage_rhs(params, g, q + 0.5 * dt * k2, t + 0.5 * dt, "k3", mass_tol)
+    k4 = _stage_rhs(params, g, q + dt * k3, t + dt, "k4", mass_tol)
     q_new = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.isfinite(q_new).all():
         raise NumericalFailure("non-finite q after step", kind="nan",
@@ -175,7 +179,8 @@ def step(state: FlowState, dt: float, mass_tol: float = 1e-6,
                                time=t, detail="update") from exc
 
 
-def cfl_dt(state: FlowState, cfl: float, dt_max: float = 0.05) -> float:
+def cfl_dt(state: FlowState, cfl: float,
+           dt_max: float = RunConfig.dt_max) -> float:
     """Advective bound over both directions, capped by diffusion and dt_max."""
     if not 0.0 < cfl <= 1.0:
         raise ConfigError("cfl=%r outside (0, 1]" % (cfl,), key="cfl")
@@ -239,7 +244,7 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
             key="u0")
     state = initial_state(params, u0, mass_tol=config.mass_tol)
 
-    tail_w = g.weights * (g.r_nodes[:, None] > 0.9 * g.spec.r_max)
+    tail_w = tail_weights(g)
     q0_norm = max(norm_l2(state.q), 1e-30)
     tail_abs = config.tail_threshold * q0_norm
 
@@ -247,15 +252,14 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
     stream = None
     if config.diagnostics_path is not None:
         stream = open(config.diagnostics_path, "w")
-        stream.write("t,dt,energy,enstrophy,tail_mass\n")
+        stream.write(",".join(_DIAG_KEYS) + "\n")
 
     def record(row):
         for k in _DIAG_KEYS:
             diags[k].append(row[k])
         if stream is not None:
-            stream.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % (
-                row["t"], row["dt"], row["energy"], row["enstrophy"],
-                row["tail_mass"]))
+            stream.write(",".join("%.17g" % row[k] for k in _DIAG_KEYS)
+                         + "\n")
 
     try:
         row = _diag_row(state, 0.0, tail_w)
@@ -279,8 +283,7 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
                 target = t_final
             if target is not None:
                 dt = target - state.time
-            state = step(state, dt, mass_tol=config.mass_tol,
-                         dealias=config.dealias, end_time=target)
+            state = step(state, dt, mass_tol=config.mass_tol, end_time=target)
             row = _diag_row(state, dt, tail_w)
             record(row)
             if row["tail_mass"] > tail_abs:

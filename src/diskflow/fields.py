@@ -274,22 +274,6 @@ def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
     return VectorField(u.grid, out_r, out_t)
 
 
-def dealias_23(f):
-    """Zero angular modes above 2/3 of the Nyquist index."""
-    g = f.grid
-    n = g.spec.n_theta
-    cut = n // 3
-
-    def trunc(a):
-        coeff = np.fft.rfft(a, axis=1)
-        coeff[:, cut + 1:] = 0.0
-        return np.fft.irfft(coeff, n=n, axis=1)
-
-    if isinstance(f, ScalarField):
-        return ScalarField(g, trunc(f.values))
-    return VectorField(g, trunc(f.u_r), trunc(f.u_theta))
-
-
 # ---------------------------------------------------------------------------
 # snapshot files
 
@@ -299,8 +283,14 @@ def snapshot_meta(grid: ExteriorGrid, time: float, alpha: float, nu: float) -> d
 
 
 def write_snapshot(f: ScalarField, path, *, time, alpha, nu, fmt="csv"):
-    """One header line (json) then the values, one row per radial node."""
+    """One JSON header line, then the values, one row per radial node.
+
+    Binary files name their format in the header; a header without a
+    format is CSV, so CSV files look as they always did.
+    """
     meta = snapshot_meta(f.grid, time, alpha, nu)
+    if fmt == "binary":
+        meta["format"] = "binary"
     header = json.dumps(meta)
     if fmt == "csv":
         with open(path, "w") as fh:
@@ -316,22 +306,33 @@ def write_snapshot(f: ScalarField, path, *, time, alpha, nu, fmt="csv"):
 
 
 def read_snapshot(path, grid: ExteriorGrid | None = None):
-    """Returns (values, meta); wraps into a ScalarField when grid is given."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii")
-        meta = json.loads(header)
-        rest = fh.read()
-    shape = (int(meta["n_r"]), int(meta["n_theta"]))
-    expected = shape[0] * shape[1] * 8
-    if len(rest) == expected:
-        vals = np.frombuffer(rest, dtype="<f8").reshape(shape).copy()
-    else:
-        vals = np.loadtxt(rest.decode("ascii").splitlines(), delimiter=",")
-        vals = vals.reshape(shape)
+    """Returns (values, meta); wraps into a ScalarField when grid is given.
+
+    A file that cannot be read as a snapshot is a ConfigError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            meta = json.loads(fh.readline().decode("ascii"))
+            rest = fh.read()
+        shape = (int(meta["n_r"]), int(meta["n_theta"]))
+        fmt = meta.get("format", "csv")
+        if fmt == "binary":
+            vals = np.frombuffer(rest, dtype="<f8").reshape(shape).copy()
+        elif fmt == "csv":
+            vals = np.loadtxt(rest.decode("ascii").splitlines(),
+                              delimiter=",").reshape(shape)
+        else:
+            raise ValueError("unknown format %r" % (fmt,))
+    except (OSError, ValueError, OverflowError, KeyError, TypeError) as exc:
+        raise ConfigError("cannot read snapshot %r: %s" % (str(path), exc),
+                          key="snapshot") from exc
+    if not np.isfinite(vals).all():
+        raise ConfigError("snapshot %r holds non-finite values" % (str(path),),
+                          key="snapshot")
     if grid is None:
         return vals, meta
     if (grid.spec.n_r, grid.spec.n_theta) != shape \
-            or grid.spec.r_max != meta["r_max"]:
+            or grid.spec.r_max != meta.get("r_max"):
         raise ConfigError("snapshot grid %r does not match the target grid"
                           % (meta,), key="snapshot")
     return ScalarField(grid, vals), meta

@@ -24,8 +24,8 @@ class GridSpec:
     """Resolution and truncation radius for the annulus 1 <= r <= r_max."""
 
     n_r: int
-    n_theta: int
-    r_max: float
+    n_theta: int = 128
+    r_max: float = 8.0
 
     def __post_init__(self):
         if self.n_r < 8:
@@ -38,6 +38,11 @@ class GridSpec:
         if not self.r_max > 1.0:
             raise GridError("r_max=%r must exceed 1" % (self.r_max,),
                             key="r_max")
+
+    @property
+    def ds(self) -> float:
+        """Radial node spacing in s = ln r."""
+        return math.log(self.r_max) / (self.n_r - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +62,7 @@ class ExteriorGrid:
 
     @property
     def ds(self) -> float:
-        return self.s_nodes[1] - self.s_nodes[0]
+        return self.spec.ds
 
     @property
     def dtheta(self) -> float:
@@ -102,6 +107,15 @@ def build_grid(spec: GridSpec) -> ExteriorGrid:
         arr.flags.writeable = False
     return ExteriorGrid(spec=spec, s_nodes=s_nodes, theta_nodes=theta_nodes,
                         r_nodes=r_nodes, weights=weights)
+
+
+def tail_weights(grid: ExteriorGrid) -> np.ndarray:
+    """Quadrature weights of the outer 10 percent of radii, zero inside.
+
+    Every tail-mass guard integrates against these: vorticity or stream
+    mass there sits too close to the truncated far-field closure.
+    """
+    return grid.weights * (grid.r_nodes[:, None] > 0.9 * grid.spec.r_max)
 
 
 def rho_field(grid: ExteriorGrid):

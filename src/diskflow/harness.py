@@ -28,36 +28,32 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory, energy,
-                       run)
+from .boundary_layer import MIN_CELLS, collar_resolved
+from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
+                       _diag_row, energy, run)
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      NumericalFailure)
-from .fields import (VectorField, advect_vector, curl_perp, grad_norm_l2,
+from .fields import (VectorField, advect_vector, curl_perp,
                      grad_transpose_apply, inner_l2, norm_l2, perp_grad,
                      seminorm_hk, vector_laplacian)
-from .grid import GridSpec, build_grid
+from .grid import GridSpec, build_grid, tail_weights
 from .initial_data import InitialCase, canonical_psi, make_initial
-from .ratefit import RateFit, fit_rate  # noqa: F401  (harness-level API)
+from .ratefit import RateFit, check_geometric
 
-_MIN_CELLS = 4
-# discrete vorticity mass of grid data is O(h^2), not zero; the Euler
-# reference run needs that much slack in the mode-0 guard
+# discrete vorticity mass of grid data is O(h^2), not zero; every Euler run
+# from a stream function needs that much slack in the mode-0 guard
 _EULER_MASS_TOL = 1e-3
 _TIME_MATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    alphas: tuple
-    grid: GridSpec
+class SweepSettings:
+    """The alpha list and the scaling laws nu(alpha) and delta(alpha)."""
+
+    alphas: tuple[float, ...]
     nu_c: float = 0.0                # nu = nu_c * alpha**nu_gamma
     nu_gamma: float = 2.0
-    t_final: float = 1.0
-    case: InitialCase = InitialCase()
     delta_rule: float = 4.0 / 3.0    # delta = alpha**delta_rule
-    snapshot_dt: float | None = None  # default t_final / 8
-    dt: float | None = None          # fixed step override for the runs
-    tail_threshold: float = 1e-8     # outer-ring guard, relative to |q0|
 
     def __post_init__(self):
         avals = tuple(float(a) for a in self.alphas)
@@ -71,37 +67,47 @@ class SweepConfig:
         if any(b >= a for a, b in zip(avals, avals[1:])):
             raise ConfigError("alphas must be strictly decreasing",
                               key="alphas")
-        if len(avals) >= 3:
-            steps = np.diff(np.log(avals))
-            if np.max(np.abs(steps - steps[0])) > 1e-6 * abs(steps[0]):
-                raise ConfigError("alpha sweep must be geometric",
-                                  key="alphas")
-        ds = math.log(self.grid.r_max) / (self.grid.n_r - 1)
-        for a in avals:
-            if int(math.log1p(a) / ds) < _MIN_CELLS:
-                raise ConfigError(
-                    "collar of alpha=%r spans fewer than %d radial cells on "
-                    "this grid" % (a, _MIN_CELLS), key="alphas")
+        check_geometric(avals, "alphas")
         if self.nu_c < 0.0:
             raise ConfigError("nu_c=%r must be nonnegative" % (self.nu_c,),
                               key="nu_c")
-        if not self.t_final > 0.0:
-            raise ConfigError("t_final=%r must be positive" % (self.t_final,),
-                              key="t_final")
         if not self.delta_rule > 0.0:
             raise ConfigError("delta_rule=%r must be positive"
                               % (self.delta_rule,), key="delta_rule")
-        for name in ("snapshot_dt", "dt"):
-            v = getattr(self, name)
-            if v is not None and not v > 0.0:
-                raise ConfigError("%s=%r must be positive" % (name, v),
-                                  key=name)
-        if not self.tail_threshold > 0.0:
-            raise ConfigError("tail_threshold=%r must be positive"
-                              % (self.tail_threshold,), key="tail_threshold")
 
     def nu_of(self, alpha: float) -> float:
         return self.nu_c * alpha ** self.nu_gamma
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepConfig(SweepSettings):
+    """A sweep's settings plus the grid, case and solver keys of its runs."""
+
+    grid: GridSpec
+    t_final: float = 1.0
+    case: InitialCase = InitialCase()
+    snapshot_dt: float | None = None  # default t_final / 8
+    dt: float | None = None           # fixed step override for the runs
+    tail_threshold: float = RunConfig.tail_threshold
+
+    def __post_init__(self):
+        super().__post_init__()
+        for a in self.alphas:
+            if not collar_resolved(self.grid, a):
+                raise ConfigError(
+                    "collar of alpha=%r spans fewer than %d radial cells on "
+                    "this grid" % (a, MIN_CELLS), key="alphas")
+        if not self.t_final > 0.0:
+            raise ConfigError("t_final=%r must be positive" % (self.t_final,),
+                              key="t_final")
+        self.run_config()   # range-checks the solver keys
+
+    def run_config(self) -> RunConfig:
+        """Solver settings of every regularized run in the sweep."""
+        snap_dt = self.snapshot_dt if self.snapshot_dt is not None \
+            else self.t_final / 8.0
+        return RunConfig(snapshot_dt=snap_dt, dt=self.dt,
+                         tail_threshold=self.tail_threshold)
 
 
 @dataclass(frozen=True)
@@ -189,21 +195,10 @@ def _snapshot_errors(traj_a: Trajectory, traj_b: Trajectory):
 
 def frozen_trajectory(state: FlowState, times) -> Trajectory:
     """A steady reference: the same state stamped at each snapshot time."""
-    g = state.u.grid
-    tail_w = g.weights * (g.r_nodes[:, None] > 0.9 * g.spec.r_max)
-    nusq = norm_l2(state.u) ** 2
-    gusq = grad_norm_l2(state.u) ** 2
     tvals = np.asarray(times, dtype=float)
-    const = {
-        "dt": 0.0,
-        "energy": energy(state),
-        "enstrophy": norm_l2(state.w) ** 2,
-        "tail_mass": float(np.sqrt(np.sum(tail_w * state.q.values ** 2))),
-        "norm_u_sq": nusq,
-        "grad_u_sq": gusq,
-    }
-    diag = {"t": tvals.copy()}
-    diag.update({k: np.full(tvals.shape, v) for k, v in const.items()})
+    row = _diag_row(state, 0.0, tail_weights(state.u.grid))
+    diag = {k: np.full(tvals.shape, v) for k, v in row.items()}
+    diag["t"] = tvals.copy()
     return Trajectory(snapshots=[replace(state, time=float(t)) for t in tvals],
                       diagnostics=diag)
 
@@ -215,6 +210,27 @@ def euler_reference_state(psi0) -> FlowState:
     u = VectorField(psi0.grid, u.u_r, u.u_theta, tag="non-penetration")
     w = curl_perp(u)
     return FlowState(time=0.0, q=w, w=w, phi=psi0, u=u, params=params)
+
+
+def euler_run(psi0, t_final: float, config: RunConfig) -> Trajectory:
+    """Plain Euler from the stream function, with the Euler mass slack."""
+    return run(ModelParams(kind="euler"), euler_reference_state(psi0).u,
+               t_final, replace(config, mass_tol=_EULER_MASS_TOL))
+
+
+def euler_reference(case: InitialCase, psi0, t_final: float,
+                    config: RunConfig):
+    """The Euler solution that regularized runs from psi0 are measured by.
+
+    Returns a function from a trajectory to the reference on its snapshot
+    times.  Radial cases freeze the initial state (any radial vorticity is
+    discretely steady); other cases run Euler once, with config.
+    """
+    if case.name == "radial_vortex":
+        state = euler_reference_state(psi0)
+        return lambda traj: frozen_trajectory(state, _times(traj))
+    ref = euler_run(psi0, t_final, config)
+    return lambda traj: ref
 
 
 def _energy_drift(traj: Trajectory, nu: float) -> float:
@@ -232,18 +248,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
     grid = build_grid(cfg.grid)
     psi0 = canonical_psi(cfg.case, grid)
     u0 = perp_grad(psi0)
-    snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None \
-        else cfg.t_final / 8.0
-    frozen = cfg.case.name == "radial_vortex"
-    if frozen:
-        ref_state = euler_reference_state(psi0)
-        ref_traj = None
-    else:
-        ref_state = None
-        euler_u0 = VectorField(grid, u0.u_r, u0.u_theta, tag="non-penetration")
-        ref_traj = run(ModelParams(kind="euler"), euler_u0, cfg.t_final,
-                       RunConfig(snapshot_dt=snap_dt,
-                                 mass_tol=_EULER_MASS_TOL))
+    run_cfg = cfg.run_config()
+    reference = euler_reference(
+        cfg.case, psi0, cfg.t_final,
+        RunConfig(snapshot_dt=run_cfg.snapshot_dt))
 
     def one(alpha: float) -> SweepRecord:
         start = _time.perf_counter()
@@ -253,13 +261,10 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
         d0 = VectorField(grid, u0a.u_r - u0.u_r, u0a.u_theta - u0.u_theta)
         err0 = norm_l2(d0)
         agrad0 = alpha * seminorm_hk(u0a, 1)
-        kind = "second_grade" if nu > 0.0 else "euler_alpha"
-        params = ModelParams(kind=kind, alpha=alpha, nu=nu)
+        params = ModelParams.regularized(alpha, nu)
         nan3 = (math.nan,) * 3
         try:
-            traj = run(params, u0a, cfg.t_final,
-                       RunConfig(snapshot_dt=snap_dt, dt=cfg.dt,
-                                 tail_threshold=cfg.tail_threshold))
+            traj = run(params, u0a, cfg.t_final, run_cfg)
         except NumericalFailure as exc:
             return SweepRecord(alpha=alpha, nu=nu, delta=delta,
                                sup_err_l2=math.nan, final_err_l2=math.nan,
@@ -267,7 +272,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
                                apriori_max=nan3, energy_drift=math.nan,
                                runtime_s=_time.perf_counter() - start,
                                status=exc.kind)
-        ref = frozen_trajectory(ref_state, _times(traj)) if frozen else ref_traj
+        ref = reference(traj)
         _check_pair(traj, ref)
         errs = _snapshot_errors(traj, ref)
         apriori = tuple(

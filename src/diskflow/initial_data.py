@@ -1,9 +1,9 @@
 """Approximating initial-data family u0^a = perp-grad(phi(rho/a) psi0).
 
 psi0 is a smooth vortex stream supported away from the ring; phi is the
-reversed quintic smoothstep (0 inside rho < a, 1 past 2a), so every family
+C^3 ramp cut_profile (0 for rho <= 1.5a, 1 for rho >= 4.5a), so every family
 member is divergence-free, no-slip, and collapses onto the reference
-velocity outside a collar of width 2a.
+velocity outside a collar of width 4.5a.
 
 Two boundary profiles are available.  The default squares the wall factor
 (1 - e^{1-r})^2, making the reference velocity itself no-slip: its family
@@ -18,17 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_layer import collar_cells
+from .boundary_layer import TRACE_TOL, collar_resolved
 from .errors import ConfigError
 from .fields import (ScalarField, VectorField, norm_l2, perp_grad,
                      read_snapshot, seminorm_hk)
-from .ratefit import RateFit, fit_rate
+from .grid import tail_weights
+from .ratefit import RateFit, check_geometric, fit_rate
 
 _NAMES = ("radial_vortex", "perturbed_vortex", "file")
 _PROFILES = ("squared", "linear")
-_TRACE_TOL = 1e-10
 _TAIL_TOL = 1e-10
-_MIN_CELLS = 4
 
 
 @dataclass(frozen=True)
@@ -90,11 +89,10 @@ def canonical_psi(case: InitialCase, grid) -> ScalarField:
         psi = ScalarField(grid, vals)
     scale = max(float(np.max(np.abs(psi.values))), 1e-30)
     trace = float(np.max(np.abs(psi.values[0])))
-    if trace > _TRACE_TOL * scale:
+    if trace > TRACE_TOL * scale:
         raise ConfigError("psi0 has boundary trace %.3e" % trace, key="case")
     total = norm_l2(psi)
-    outer = grid.r_nodes[:, None] > 0.9 * grid.spec.r_max
-    tail = float(np.sqrt(np.sum(grid.weights * outer * psi.values ** 2)))
+    tail = float(np.sqrt(np.sum(tail_weights(grid) * psi.values ** 2)))
     if tail > _TAIL_TOL * max(total, 1e-30):
         raise ConfigError(
             "psi0 tail beyond 0.9 r_max is %.3e of its norm; support sits "
@@ -129,7 +127,7 @@ def make_initial(psi0: ScalarField, alpha: float) -> VectorField:
         raise ConfigError("alpha=%r outside (0, 0.5]" % (alpha,), key="alpha")
     g = psi0.grid
     scale = max(float(np.max(np.abs(psi0.values))), 1e-30)
-    if float(np.max(np.abs(psi0.values[0]))) > _TRACE_TOL * scale:
+    if float(np.max(np.abs(psi0.values[0]))) > TRACE_TOL * scale:
         raise ConfigError("psi0 must vanish on the ring", key="psi0")
     cut = cut_profile((g.r_nodes - 1.0) / alpha)
     u = perp_grad(ScalarField(g, cut[:, None] * psi0.values))
@@ -156,9 +154,7 @@ def hypothesis_report(psi0: ScalarField, alphas) -> HypothesisReport:
     avals = [float(a) for a in alphas]
     if len(avals) < 3:
         raise ConfigError("need at least 3 alpha values", key="alphas")
-    steps = np.diff(np.log(avals))
-    if np.max(np.abs(steps - steps[0])) > 1e-6 * abs(steps[0]):
-        raise ConfigError("alpha sweep must be geometric", key="alphas")
+    check_geometric(avals, "alphas")
     g = psi0.grid
     u0 = perp_grad(psi0)
     rows = []
@@ -169,7 +165,7 @@ def hypothesis_report(psi0: ScalarField, alphas) -> HypothesisReport:
             alpha=a,
             err0=norm_l2(diff),
             dk_norms=tuple(seminorm_hk(ua, k) for k in (1, 2, 3)),
-            resolved=collar_cells(g, a) >= _MIN_CELLS))
+            resolved=collar_resolved(g, a)))
     fitted = [r for r in rows if r.resolved]
     xs = [r.alpha for r in fitted]
     e0_fit = fit_rate(xs, [r.err0 for r in fitted])

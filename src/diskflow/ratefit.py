@@ -20,6 +20,14 @@ class RateFit:
         return self.constant * np.asarray(x, dtype=float) ** self.slope
 
 
+def check_geometric(values, key: str) -> None:
+    """Reject a sweep whose log-steps stray from the first by 1e-6 of it."""
+    steps = np.diff(np.log(values))
+    if steps.size > 1 and \
+            np.max(np.abs(steps - steps[0])) > 1e-6 * abs(steps[0]):
+        raise ConfigError("%s must form a geometric sweep" % key, key=key)
+
+
 def fit_rate(xs, ys) -> RateFit:
     """Fit a power law through (xs, ys); both must be positive."""
     x = np.asarray(xs, dtype=float)

@@ -9,32 +9,50 @@ verification-failure exit code.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .boundary_layer import CorrectorReport, corrector_scaling_report
 from .dynamics import ModelParams, RunConfig, run
 from .elliptic import solve_poisson, solve_stream_helmholtz
+from .errors import ConfigError
 from .fields import ScalarField, laplacian, seminorm_hk
 from .grid import GridSpec, build_grid
-from .harness import (EnergyAudit, energy_audit, euler_reference_state,
-                      frozen_trajectory)
+from .harness import (EnergyAudit, SweepSettings, energy_audit,
+                      euler_reference)
 from .initial_data import (HypothesisReport, InitialCase, canonical_psi,
-                           hypothesis_report)
+                           hypothesis_report, make_initial)
 from .ratefit import RateFit, fit_rate
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Acceptance windows of the verify-* subcommands."""
+
+    order_window: float = 0.2        # |fitted order - 2| for the Poisson solve
+    chain_rel: float = 1e-9          # fourth-order inverse consistency
+    probe_floor: float = -2.1        # slope floor of |D^3 u| vs alpha
+    corrector_window: float = 0.05   # both corrector slopes, about +-1/2
+    hypothesis_window: float = 0.1   # family rates, about +-1/2
+    audit_rel: float = 1e-3          # energy-budget residual, relative
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.name != "probe_floor" and not getattr(self, f.name) > 0.0:
+                raise ConfigError("%s=%r must be positive"
+                                  % (f.name, getattr(self, f.name)),
+                                  key=f.name)
+
 
 # ------------------------------------------------------------------ elliptic
 
 # second-order stencils; the fitted order may wobble by the curvature of
 # the coarsest grids but must stay near 2
 _ORDER_TARGET = 2.0
-_ORDER_WINDOW = 0.2
 _ORDER_NS = (32, 64, 128, 256)
 _CHAIN_ALPHAS = (0.05, 0.2)
-_CHAIN_TOL = 1e-9
 _PROBE_ALPHAS = (0.4, 0.2, 0.1, 0.05)
-_PROBE_FLOOR = -2.1
 
 
 @dataclass(frozen=True)
@@ -62,9 +80,10 @@ def _manufactured_phi(grid) -> ScalarField:
     return ScalarField(grid, bump[:, None] * ang[None, :])
 
 
-def verify_elliptic(order_window: float = _ORDER_WINDOW,
-                    chain_tol: float = _CHAIN_TOL,
-                    probe_floor: float = _PROBE_FLOOR) -> EllipticVerification:
+def verify_elliptic(order_window: float = Tolerances.order_window,
+                    chain_tol: float = Tolerances.chain_rel,
+                    probe_floor: float = Tolerances.probe_floor
+                    ) -> EllipticVerification:
     """Order study, fourth-order inverse consistency, and the D^3 probe."""
     errs = []
     for n_r in _ORDER_NS:
@@ -111,7 +130,6 @@ def verify_elliptic(order_window: float = _ORDER_WINDOW,
 
 _CORRECTOR_GRID = GridSpec(512, 16, 8.0)
 _CORRECTOR_DELTAS = (0.4, 0.2, 0.1, 0.05)
-_CORRECTOR_WINDOW = 0.05
 
 
 @dataclass(frozen=True)
@@ -122,7 +140,8 @@ class CorrectorVerification:
     passed: bool
 
 
-def verify_corrector(window: float = _CORRECTOR_WINDOW) -> CorrectorVerification:
+def verify_corrector(window: float = Tolerances.corrector_window
+                     ) -> CorrectorVerification:
     """Layer-width scalings of the wall corrector on a slip profile."""
     g = build_grid(_CORRECTOR_GRID)
     # unit wall slip, single angular mode; vanishes on the ring
@@ -140,7 +159,6 @@ _HYPOTHESIS_CASE = InitialCase(name="radial_vortex", amplitude=1.0, r0=1.0,
                                sigma=1.5, boundary_profile="linear")
 _HYPOTHESIS_GRID = GridSpec(1024, 16, 10.0)
 _HYPOTHESIS_ALPHAS = (0.2, 0.1, 0.05, 0.025)
-_HYPOTHESIS_WINDOW = 0.1
 
 
 @dataclass(frozen=True)
@@ -152,7 +170,7 @@ class InitialDataVerification:
     passed: bool
 
 
-def verify_initial_data(window: float = _HYPOTHESIS_WINDOW
+def verify_initial_data(window: float = Tolerances.hypothesis_window
                         ) -> InitialDataVerification:
     """Collar rates of the saturating no-slip family."""
     g = build_grid(_HYPOTHESIS_GRID)
@@ -177,7 +195,6 @@ _AUDIT_ALPHA = 0.2
 _AUDIT_NU = 1e-4
 _AUDIT_T_FINAL = 0.5
 _AUDIT_SNAPSHOT_DT = 0.01
-_AUDIT_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -196,29 +213,20 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
     vorticity is discretely steady); other cases run Euler at the same
     resolution and snapshot cadence.
     """
-    from .initial_data import make_initial
     g = build_grid(grid_spec)
     psi = canonical_psi(case, g)
     u0a = make_initial(psi, alpha)
-    kind = "second_grade" if nu > 0.0 else "euler_alpha"
-    params = ModelParams(kind=kind, alpha=alpha, nu=nu)
     cfg = run_config if run_config is not None else RunConfig()
     cfg = replace(cfg, snapshot_dt=snapshot_dt)
-    traj = run(params, u0a, t_final, cfg)
-    if case.name == "radial_vortex":
-        ref = frozen_trajectory(euler_reference_state(psi),
-                                [s.time for s in traj.snapshots])
-    else:
-        u0 = euler_reference_state(psi).u
-        # grid-level vorticity mass is O(h^2), never exactly zero
-        ref = run(ModelParams(kind="euler"), u0, t_final,
-                  replace(cfg, mass_tol=1e-3))
+    traj = run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg)
+    ref = euler_reference(case, psi, t_final, cfg)(traj)
     if delta is None:
-        delta = alpha ** (4.0 / 3.0)
+        delta = alpha ** SweepSettings.delta_rule
     return energy_audit(traj, ref, delta)
 
 
-def verify_energy_audit(tol: float = _AUDIT_TOL) -> EnergyAuditVerification:
+def verify_energy_audit(tol: float = Tolerances.audit_rel
+                        ) -> EnergyAuditVerification:
     """Error-energy budget of a slow second-grade run against frozen Euler."""
     audit = energy_audit_study(InitialCase(), _AUDIT_GRID, _AUDIT_ALPHA,
                                _AUDIT_NU, _AUDIT_T_FINAL, _AUDIT_SNAPSHOT_DT)

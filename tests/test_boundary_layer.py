@@ -7,7 +7,7 @@ from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import ScalarField, norm_l2, perp_grad, seminorm_hk
 from diskflow.boundary_layer import (CorrectorReport, build_corrector,
                                      collar_cells, corrector_scaling_report,
-                                     eta, write_report_csv)
+                                     eta)
 from diskflow.errors import ConfigError, DegenerateFitError
 
 
@@ -208,20 +208,6 @@ def test_report_rejects_non_geometric_deltas():
         corrector_scaling_report(log_stream(g), [0.4, 0.3, 0.1])
     with pytest.raises(ConfigError):
         corrector_scaling_report(log_stream(g), [0.4, 0.2])
-
-
-def test_report_csv_roundtrip(tmp_path):
-    g = build_grid(GridSpec(n_r=256, n_theta=16, r_max=8.0))
-    rep = corrector_scaling_report(log_stream(g), [0.4, 0.2, 0.1])
-    path = tmp_path / "collar.csv"
-    write_report_csv(rep, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "delta,norm_ub,seminorm_ub,resolved_flag"
-    data = np.loadtxt(str(path), delimiter=",", skiprows=1)
-    assert data.shape == (3, 4)
-    assert data[:, 0] == pytest.approx([0.4, 0.2, 0.1])
-    assert data[0, 1] == pytest.approx(rep.rows[0].norm_ub, rel=1e-15)
-    assert data[:, 3] == pytest.approx([1, 1, 1])
 
 
 def test_time_derivative_streams_share_the_scalings():

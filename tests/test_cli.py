@@ -102,6 +102,10 @@ def test_alpha_validation_names_the_key(mutate, key):
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
      '"t_final": 1, "tolerances": {"audit_rel": 0}}',
      "tolerances.audit_rel"),
+    ('{"model": "euler_alpha", "alpha": 1%s, "grid": {"n_r": 64}, '
+     '"t_final": 1}' % ("0" * 400), "alpha"),
+    ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
+     '"t_final": 1%s}' % ("0" * 400), "t_final"),
 ])
 def test_range_and_schema_errors_carry_key_paths(text, key):
     with pytest.raises(ConfigError) as err:

@@ -419,8 +419,8 @@ def test_snapshots_land_on_exact_times(tmp_path):
 
     rows = np.loadtxt(str(csv), delimiter=",", skiprows=1)
     header = csv.read_text().splitlines()[0]
-    assert header == "t,dt,energy,enstrophy,tail_mass"
-    assert rows.shape == (len(t), 5)
+    assert header == "t,dt,energy,enstrophy,tail_mass,norm_u_sq,grad_u_sq"
+    assert rows.shape == (len(t), 7)
     assert rows[:, 2] == pytest.approx(traj.diagnostics["energy"], rel=1e-15)
 
 

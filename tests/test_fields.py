@@ -8,7 +8,7 @@ from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import (ScalarField, VectorField, perp_grad, curl_perp,
                              laplacian, advect, norm_l2, seminorm_hk,
                              inner_l2, grad_norm_l2, vector_laplacian,
-                             advect_vector, grad_transpose_apply, dealias_23,
+                             advect_vector, grad_transpose_apply,
                              write_snapshot, read_snapshot)
 
 
@@ -392,17 +392,6 @@ def test_inner_product_polarization():
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
-def test_dealias_projection():
-    g = grid(33, 24, 4.0)
-    rng = np.random.default_rng(5)
-    f = ScalarField(g, rng.normal(size=(33, 24)))
-    once = dealias_23(f)
-    twice = dealias_23(once)
-    assert np.allclose(once.values, twice.values, rtol=0, atol=1e-13)
-    coeff = np.fft.rfft(once.values, axis=1)
-    assert np.abs(coeff[:, 24 // 3 + 1:]).max() <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # snapshots
 
@@ -436,3 +425,34 @@ def test_snapshot_bad_format(tmp_path):
     with pytest.raises(ConfigError):
         write_snapshot(f, tmp_path / "x", time=0.0, alpha=0.1, nu=0.0,
                        fmt="hdf5")
+
+
+def test_csv_snapshot_of_binary_length_reads_as_csv(tmp_path):
+    # 64 values of "0.03125" plus separators are exactly 8*8*8 bytes, the
+    # length of a binary body; the header, not the length, names the format
+    g = grid(8, 8, 4.0)
+    f = ScalarField(g, np.full((8, 8), 0.03125))
+    path = tmp_path / "snap.csv"
+    write_snapshot(f, path, time=0.0, alpha=0.1, nu=0.0)
+    back, meta = read_snapshot(path, g)
+    assert np.array_equal(back.values, f.values)
+    assert "format" not in meta
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # the empty body
+@pytest.mark.parametrize("content", [
+    b'{"n_r": 8, "n_theta": 8, "r_max": 4.0}\n1,2,3\n',
+    b'{"n_r": 8, "n_theta": 8, "r_max": 4.0}\n',
+    b'{"n_r": 8, "n_theta": 8, "r_max": 4.0, "format": "binary"}\n\0\0\0',
+    b'{"n_r": 8, "n_theta": 8, "r_max": 4.0, "format": "hdf5"}\n',
+    b'{"n_r": 8, "r_max": 4.0}\n1\n',
+    b'[8, 8]\n1\n',
+    b'not json\n1\n',
+    b'{"n_r": 1, "n_theta": 2, "r_max": 4.0}\nnan,1\n',
+])
+def test_malformed_snapshot_is_a_config_error(content, tmp_path):
+    path = tmp_path / "bad.snap"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError) as err:
+        read_snapshot(path)
+    assert err.value.key == "snapshot"
