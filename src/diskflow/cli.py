@@ -29,8 +29,9 @@ from .errors import (ConfigError, DegenerateFitError, DiskflowError,
 from .fields import write_snapshot
 from .grid import GridSpec, build_grid
 from .harness import (SweepConfig, SweepSettings, euler_run, rate_entry,
-                      run_sweep, write_sweep_csv)
-from .initial_data import InitialCase, canonical_psi, make_initial
+                      run_sweep, snapshot_interval, write_sweep_csv)
+from .initial_data import (InitialCase, canonical_psi, check_alpha,
+                           make_initial)
 from .ratefit import fit_rate
 from .verify import (Tolerances, energy_audit_study, report_dict,
                      verify_corrector, verify_elliptic, verify_initial_data)
@@ -83,9 +84,7 @@ class RunConfig:
         if self.model not in KINDS:
             raise ConfigError("model=%r not one of %r" % (self.model, KINDS),
                               key="model")
-        if not 0.0 < self.alpha <= 0.5:
-            raise ConfigError("alpha=%r outside (0, 0.5]" % (self.alpha,),
-                              key="alpha")
+        check_alpha(self.alpha)
         viscous = self.model == "second_grade"
         if self.nu < 0.0 or viscous != (self.nu > 0.0):
             raise ConfigError("nu=%r: model %r requires nu %s" % (
@@ -344,8 +343,7 @@ def _cmd_energy_audit(cfg: RunConfig, args, out: str) -> int:
         raise ConfigError("energy-audit compares a regularized run against "
                           "Euler; model must be euler_alpha or second_grade",
                           key="model")
-    snap_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None \
-        else cfg.t_final / 8.0
+    snap_dt = snapshot_interval(cfg.snapshot_dt, cfg.t_final)
     audit = energy_audit_study(cfg.case, cfg.grid, cfg.alpha, cfg.nu,
                                cfg.t_final, snap_dt, delta=cfg.audit_delta,
                                run_config=cfg.solver_config())

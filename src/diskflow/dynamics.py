@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, NonFiniteFieldError, NumericalFailure
 from .fields import (ScalarField, VectorField, advect, grad_norm_l2,
                      laplacian, norm_l2, perp_grad)
 from .elliptic import recover_q, solve_poisson, solve_stream_helmholtz
@@ -143,9 +143,7 @@ def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
     try:
         state = make_state(params, ScalarField(grid, q_values), time, mass_tol)
         k = rhs(state).values
-    except ConfigError:
-        raise
-    except ValueError as exc:  # field constructors reject NaN/Inf overflow
+    except NonFiniteFieldError as exc:  # overflow inside the stage
         raise NumericalFailure("non-finite field at stage %s" % stage,
                                kind="nan", time=time, detail=stage) from exc
     if not np.isfinite(k).all():
@@ -172,9 +170,7 @@ def step(state: FlowState, dt: float, mass_tol: float = 1e-6,
     t_new = t + dt if end_time is None else end_time
     try:
         return make_state(params, ScalarField(g, q_new), t_new, mass_tol)
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except NonFiniteFieldError as exc:
         raise NumericalFailure("non-finite field after step", kind="nan",
                                time=t, detail="update") from exc
 

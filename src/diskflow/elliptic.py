@@ -1,6 +1,7 @@
-"""Per-angular-mode elliptic inversions on the log-radial grid.
+"""Elliptic inversions on the log-radial grid, all angular modes at once.
 
-Two problems, both reduced to banded radial systems after the angular FFT:
+Two problems, both reduced to one banded radial system per angular mode
+after the angular FFT:
 
 * Poisson: Delta phi = w with phi = 0 on the boundary ring and decay-matched
   far conditions (Robin d_r phi + (m/r) phi = 0 for m >= 1, Neumann for the
@@ -14,9 +15,14 @@ Two problems, both reduced to banded radial systems after the angular FFT:
 
 The no-slip Neumann rows reuse the exact one-sided stencil of perp_grad, so
 returned velocities satisfy the no-slip ring check to roundoff.  Every solve
-re-evaluates its PDE residual with the 2D operators and rejects the result
-if it exceeds 1e-10 relative.  Factorizations are cached on the grid, keyed
-by (kind, mode, alpha).
+re-evaluates its residual and rejects the result if it exceeds 1e-10
+relative, summed over all modes.
+
+Only the modes whose coefficients carry data are solved: their radial
+matrices are stacked into one block-diagonal matrix, factored once by a
+sparse LU, and solved with one two-column call (real and imaginary parts).
+The grid caches one (matrix, LU) pair per key (kind, alpha, modes), so
+radial data factors and solves mode 0 alone.
 """
 
 from __future__ import annotations
@@ -32,20 +38,7 @@ from .grid import ExteriorGrid
 _RESIDUAL_TOL = 1e-10
 
 
-def _factorize(mat, m: int):
-    """Returns (matrix, LU); the matrix is kept for residual checks."""
-    try:
-        return mat, spla.splu(mat)
-    except RuntimeError as exc:
-        raise EllipticSolveError("singular radial operator at mode %d: %s"
-                                 % (m, exc), mode=m)
-
-
-def _poisson_factor(grid: ExteriorGrid, m: int):
-    key = ("poisson", m)
-    cached = grid.solver_cache.get(key)
-    if cached is not None:
-        return cached
+def _poisson_matrix(grid: ExteriorGrid, m: int):
     n = grid.spec.n_r
     h = grid.ds
     inv_h2 = 1.0 / (h * h)
@@ -60,17 +53,10 @@ def _poisson_factor(grid: ExteriorGrid, m: int):
         # far edge: one-sided d/ds + m, matching r^-m decay (Neumann at m=0)
         [1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h) + m],
     ])
-    lu = _factorize(sp.csc_matrix((vals, (rows, cols)), shape=(n, n)), m)
-    with grid.cache_lock:
-        grid.solver_cache[key] = lu
-    return lu
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _stream_factor(grid: ExteriorGrid, m: int, alpha: float):
-    key = ("stream", m, alpha)
-    cached = grid.solver_cache.get(key)
-    if cached is not None:
-        return cached
+def _stream_matrix(grid: ExteriorGrid, m: int, alpha: float):
     n = grid.spec.n_r
     h = grid.ds
     inv_h2 = 1.0 / (h * h)
@@ -99,24 +85,59 @@ def _stream_factor(grid: ExteriorGrid, m: int, alpha: float):
         [1.0, -3.0 * od, 4.0 * od, -1.0 * od],
         [1.0, 3.0 * od, -4.0 * od, 1.0 * od],
     ])
-    lu = _factorize(sp.csc_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n)), m)
+    return sp.csc_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+
+
+def _block_factor(grid: ExteriorGrid, kind: str, alpha, modes: tuple):
+    """(matrix, LU) of the block-diagonal operator over the given modes.
+
+    Returns the cached pair when the grid already holds one for the key
+    (kind, alpha, modes); the matrix is kept for residual checks.
+    """
+    key = (kind, alpha, modes)
+    cached = grid.solver_cache.get(key)
+    if cached is not None:
+        return cached
+    if kind == "poisson":
+        blocks = [_poisson_matrix(grid, m) for m in modes]
+    else:
+        blocks = [_stream_matrix(grid, m, alpha) for m in modes]
+    mat = sp.block_diag(blocks, format="csc")
+    try:
+        factor = mat.tocsr(), spla.splu(mat)
+    except RuntimeError as exc:
+        raise EllipticSolveError("singular %s operator over modes %s: %s"
+                                 % (kind, list(modes), exc))
     with grid.cache_lock:
-        grid.solver_cache[key] = lu
-    return lu
+        grid.solver_cache[key] = factor
+    return factor
 
 
-def _solve_modes(factor, rhs_mode: np.ndarray):
-    """Complex solve through a real factorization via stacked columns.
+def _solve_modes(factor, rhs: np.ndarray):
+    """Complex solve of every mode through one real factorization.
 
-    Returns (solution, residual^2, rhs^2) so callers can enforce the
-    relative residual bound across all modes of one inversion.
+    rhs holds one row per active mode; its real and imaginary parts go
+    through the block LU as two columns.  Returns (solution, residual^2,
+    rhs^2), the squares summed over all modes, so callers can enforce the
+    relative residual bound of the whole inversion.
     """
     mat, lu = factor
-    stacked = np.column_stack([rhs_mode.real, rhs_mode.imag])
-    out = lu.solve(stacked)
-    res = mat @ out - stacked
-    return (out[:, 0] + 1j * out[:, 1],
-            float(np.sum(res * res)), float(np.sum(stacked * stacked)))
+    parts = np.stack([rhs.real.ravel(), rhs.imag.ravel()])
+    out = lu.solve(parts.T).T
+    # one CSR matvec per part: about three times faster than one product
+    # with the two-column block.  np.sum rather than a BLAS dot, which
+    # OpenBLAS spreads over threads at this length and which then stalls
+    # when two sweep workers call it at once
+    r0 = mat @ out[0] - parts[0]
+    r1 = mat @ out[1] - parts[1]
+    return ((out[0] + 1j * out[1]).reshape(rhs.shape),
+            float(np.sum(r0 * r0) + np.sum(r1 * r1)),
+            float(np.sum(parts * parts)))
+
+
+def _active_modes(coeff: np.ndarray) -> tuple:
+    """Angular modes whose interior coefficients carry data."""
+    return tuple(int(m) for m in np.flatnonzero(coeff[1:-1].any(axis=0)))
 
 
 def total_mass(w: ScalarField) -> float:
@@ -136,14 +157,14 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
 
     n_theta = g.spec.n_theta
     coeff = np.fft.rfft(w.values, axis=1)
-    e2s = np.exp(2.0 * g.s_nodes)
     phi_hat = np.zeros_like(coeff)
-    for m in range(n_theta // 2 + 1):
-        rhs = np.zeros(g.spec.n_r, dtype=complex)
-        rhs[1:-1] = e2s[1:-1] * coeff[1:-1, m]
-        if not rhs.any():
-            continue
-        phi_hat[:, m], _, _ = _solve_modes(_poisson_factor(g, m), rhs)
+    modes = _active_modes(coeff)
+    if modes:
+        e2s = np.exp(2.0 * g.s_nodes)
+        rhs = np.zeros((len(modes), g.spec.n_r), dtype=complex)
+        rhs[:, 1:-1] = (e2s[1:-1, None] * coeff[1:-1, modes]).T
+        x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes), rhs)
+        phi_hat[:, modes] = x.T
     phi = ScalarField(g, np.fft.irfft(phi_hat, n=n_theta, axis=1))
 
     res = laplacian(phi).values - w.values
@@ -171,15 +192,13 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float):
     phi_hat = np.zeros_like(coeff)
     res2 = 0.0
     rhs2 = 0.0
-    for m in range(n_theta // 2 + 1):
-        rhs = np.zeros(2 * n, dtype=complex)
-        rhs[3:-2:2] = coeff[1:-1, m]
-        if not rhs.any():
-            continue
-        x, r2, b2 = _solve_modes(_stream_factor(g, m, alpha), rhs)
-        phi_hat[:, m] = x[0::2]
-        res2 += r2
-        rhs2 += b2
+    modes = _active_modes(coeff)
+    if modes:
+        rhs = np.zeros((len(modes), 2 * n), dtype=complex)
+        rhs[:, 3:-2:2] = coeff[1:-1, modes].T
+        x, res2, rhs2 = _solve_modes(_block_factor(g, "stream", alpha, modes),
+                                     rhs)
+        phi_hat[:, modes] = x[:, 0::2].T
     phi = ScalarField(g, np.fft.irfft(phi_hat, n=n_theta, axis=1))
     w = laplacian(phi)
 

@@ -32,6 +32,10 @@ class CirculationError(EllipticSolveError):
     """Mode-0 problem is ill-posed: net vorticity mass exceeds tolerance."""
 
 
+class NonFiniteFieldError(ValueError):
+    """A field constructor was handed NaN or Inf values."""
+
+
 class NumericalFailure(DiskflowError):
     """Time integration aborted.
 

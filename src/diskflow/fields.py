@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteFieldError
 from .grid import ExteriorGrid
 
 
@@ -27,7 +27,7 @@ def _owned(values, shape):
         raise ValueError("field shape %r does not match grid %r"
                          % (vals.shape, shape))
     if not np.isfinite(vals).all():
-        raise ValueError("field contains NaN or Inf")
+        raise NonFiniteFieldError("field contains NaN or Inf")
     if vals.flags.writeable:
         vals = vals.copy()
         vals.flags.writeable = False
@@ -52,7 +52,9 @@ class VectorField:
     """Polar velocity components (u_r, u_theta) on every grid node.
 
     tag='no-slip' asserts both components vanish on the r=1 ring,
-    tag='non-penetration' asserts u_r alone vanishes there.
+    tag='non-penetration' asserts u_r alone vanishes there.  "Vanish" means
+    below _RING_TOL times the largest component, or times 1 for fields no
+    larger than that: solver roundoff on the ring scales with the field.
     """
 
     __slots__ = ("grid", "u_r", "u_theta", "tag")
@@ -68,16 +70,22 @@ class VectorField:
         if tag == "no-slip":
             worst = max(np.abs(self.u_r[0]).max(),
                         np.abs(self.u_theta[0]).max())
-            if worst > self._RING_TOL:
+            if self._off_ring(worst):
                 raise ValueError("no-slip tag violated on the boundary ring: "
                                  "max |u| = %.3e" % worst)
         elif tag == "non-penetration":
             worst = np.abs(self.u_r[0]).max()
-            if worst > self._RING_TOL:
+            if self._off_ring(worst):
                 raise ValueError("non-penetration tag violated: "
                                  "max |u_r| = %.3e" % worst)
         elif tag is not None:
             raise ValueError("unknown tag %r" % (tag,))
+
+    def _off_ring(self, worst: float) -> bool:
+        tol = self._RING_TOL
+        # the first test spares the whole-field scan in the common case
+        return worst > tol and worst > tol * max(
+            1.0, np.abs(self.u_r).max(), np.abs(self.u_theta).max())
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorField is immutable")

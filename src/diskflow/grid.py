@@ -19,6 +19,11 @@ import numpy as np
 from .errors import GridError
 
 
+# Node-count cap: the block factor of the elliptic solves and every field
+# scale with n_r * n_theta, and 2**24 nodes already hold 128 MB per field.
+MAX_NODES = 2 ** 24
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Resolution and truncation radius for the annulus 1 <= r <= r_max."""
@@ -35,6 +40,9 @@ class GridSpec:
             raise GridError(
                 "n_theta=%r must be even and at least 8" % (self.n_theta,),
                 key="n_theta")
+        if self.n_r * self.n_theta > MAX_NODES:
+            raise GridError("n_r * n_theta = %d nodes exceeds the cap of %d"
+                            % (self.n_r * self.n_theta, MAX_NODES), key="n_r")
         if not self.r_max > 1.0:
             raise GridError("r_max=%r must exceed 1" % (self.r_max,),
                             key="r_max")
@@ -55,7 +63,8 @@ class ExteriorGrid:
     r_nodes: np.ndarray      # (n_r,), e^s with exact endpoints
     weights: np.ndarray      # (n_r, n_theta), sum = annulus area
 
-    # Per-mode factorizations are cached here by the elliptic module.
+    # The elliptic module caches one (matrix, LU) pair here per
+    # (kind, alpha, active modes): one block-diagonal factor for all modes.
     solver_cache: dict = field(default_factory=dict, repr=False)
     cache_lock: threading.Lock = field(default_factory=threading.Lock,
                                        repr=False)

@@ -121,10 +121,15 @@ def cut_profile(x):
     return out
 
 
+def check_alpha(alpha: float, key: str = "alpha") -> None:
+    """The family, and every run built on it, takes alpha in (0, 0.5]."""
+    if not 0.0 < alpha <= 0.5:
+        raise ConfigError("alpha=%r outside (0, 0.5]" % (alpha,), key=key)
+
+
 def make_initial(psi0: ScalarField, alpha: float) -> VectorField:
     """No-slip family member: perp-grad of the collar-cut stream."""
-    if not 0.0 < alpha <= 0.5:
-        raise ConfigError("alpha=%r outside (0, 0.5]" % (alpha,), key="alpha")
+    check_alpha(alpha)
     g = psi0.grid
     scale = max(float(np.max(np.abs(psi0.values))), 1e-30)
     if float(np.max(np.abs(psi0.values[0]))) > TRACE_TOL * scale:

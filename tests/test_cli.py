@@ -83,6 +83,8 @@ def test_alpha_validation_names_the_key(mutate, key):
      '"t_final": 1}', "grid.n_r"),
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64.5}, '
      '"t_final": 1}', "grid.n_r"),
+    ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 1%s}, '
+     '"t_final": 1}' % ("0" * 21), "grid.n_r"),
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
      '"t_final": 0}', "t_final"),
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '

@@ -367,6 +367,42 @@ def test_nan_failure_carries_time_and_stage():
     assert exc.value.detail in {"k1", "k2", "k3", "k4", "update"}
 
 
+def _broken_make_state(values_of):
+    """A make_state whose q field is built from values_of(q.values)."""
+    def broken(params, q, time, mass_tol=1e-6):
+        return make_state(params, ScalarField(q.grid, values_of(q.values)),
+                          time, mass_tol)
+    return broken
+
+
+def test_only_non_finite_fields_map_to_nan(monkeypatch):
+    import diskflow.dynamics as dynamics
+    g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
+    u0 = velocity_from_stream(radial_stream(g, moded=(0.3, 2)))
+    state = initial_state(ModelParams("euler_alpha", alpha=0.3), u0)
+
+    # a shape mismatch is a bug, not a numerical failure
+    monkeypatch.setattr(dynamics, "make_state",
+                        _broken_make_state(lambda v: v[:, :-1]))
+    with pytest.raises(ValueError, match="shape"):
+        step(state, 1e-3)
+
+    # so is a velocity that slips on the ring
+    def slipping(params, q, time, mass_tol=1e-6):
+        ut = np.ones((g.spec.n_r, g.spec.n_theta))
+        VectorField(g, np.zeros_like(ut), ut, tag="no-slip")
+    monkeypatch.setattr(dynamics, "make_state", slipping)
+    with pytest.raises(ValueError, match="no-slip"):
+        step(state, 1e-3)
+
+    monkeypatch.setattr(dynamics, "make_state",
+                        _broken_make_state(lambda v: v * np.nan))
+    with pytest.raises(NumericalFailure) as exc:
+        step(state, 1e-3)
+    assert exc.value.kind == "nan"
+    assert exc.value.detail == "k1"
+
+
 def test_tail_mass_abort():
     g = build_grid(GridSpec(n_r=129, n_theta=16, r_max=8.0))
     u0 = velocity_from_stream(radial_stream(g, lo=6.4, hi=7.5, moded=(0.2, 2)))

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
+import scipy.sparse.linalg
 
-from diskflow.errors import CirculationError, ConfigError
+from diskflow import elliptic
+from diskflow.errors import CirculationError, ConfigError, EllipticSolveError
 from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import ScalarField, laplacian, norm_l2, seminorm_hk
 from diskflow.elliptic import (solve_poisson, solve_stream_helmholtz,
@@ -239,6 +242,88 @@ def test_mode_solvers_cached_and_pure():
     assert any(k[0] == "stream" for k in g.solver_cache)
     second = solve_stream_helmholtz(q, 0.1)[0].values
     assert first.tobytes() == second.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one block solve over the active modes
+
+def _per_mode_reference(g, values, rhs_of, matrix_of, pick):
+    """irfft of independent per-mode spsolve solutions."""
+    coeff = np.fft.rfft(values, axis=1)
+    out = np.zeros_like(coeff)
+    for m in range(coeff.shape[1]):
+        x = scipy.sparse.linalg.spsolve(matrix_of(m), rhs_of(coeff[:, m]))
+        out[:, m] = pick(x)
+    return np.fft.irfft(out, n=g.spec.n_theta, axis=1)
+
+
+def _random_interior(g, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.zeros((g.spec.n_r, g.spec.n_theta))
+    vals[4:-4] = rng.normal(size=(g.spec.n_r - 8, g.spec.n_theta))
+    return vals
+
+
+def test_block_stream_solve_matches_per_mode_spsolve():
+    g = grid(65, 16, 8.0)
+    q = _random_interior(g, 7)
+    assert np.all(np.abs(np.fft.rfft(q, axis=1)[1:-1]).max(axis=0) > 0.0)
+    n = g.spec.n_r
+
+    def rhs_of(c):
+        rhs = np.zeros(2 * n, dtype=complex)
+        rhs[3:-2:2] = c[1:-1]
+        return rhs
+
+    ref = _per_mode_reference(
+        g, q, rhs_of, lambda m: elliptic._stream_matrix(g, m, 0.1),
+        lambda x: x[0::2])
+    phi = solve_stream_helmholtz(ScalarField(g, q), 0.1)[0].values
+    assert np.abs(phi - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_block_poisson_solve_matches_per_mode_spsolve():
+    g = grid(65, 16, 8.0)
+    w = _random_interior(g, 8)
+    w[4:-4] -= np.sum(g.weights * w) / np.sum(g.weights[4:-4])  # no mass
+    e2s = np.exp(2.0 * g.s_nodes)
+
+    def rhs_of(c):
+        rhs = np.zeros(g.spec.n_r, dtype=complex)
+        rhs[1:-1] = e2s[1:-1] * c[1:-1]
+        return rhs
+
+    ref = _per_mode_reference(
+        g, w, rhs_of, lambda m: elliptic._poisson_matrix(g, m), lambda x: x)
+    phi = solve_poisson(ScalarField(g, w)).values
+    assert np.abs(phi - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_one_factor_per_alpha_and_mode_set():
+    g = grid(65, 16, 8.0)
+    q = ScalarField(g, _random_interior(g, 9))
+    for alpha in (0.1, 0.2, 0.1, 0.2):
+        solve_stream_helmholtz(q, alpha)
+    all_modes = tuple(range(9))
+    assert sorted(g.solver_cache, key=repr) == [
+        ("stream", 0.1, all_modes), ("stream", 0.2, all_modes)]
+
+    radial = grid(65, 16, 8.0)
+    q0 = np.repeat(smooth_bump(radial.r_nodes)[:, None], 16, axis=1)
+    for _ in range(3):
+        solve_stream_helmholtz(ScalarField(radial, q0), 0.1)
+    assert list(radial.solver_cache) == [("stream", 0.1, (0,))]
+
+
+def test_singular_block_names_the_mode_set(monkeypatch):
+    g = grid(33, 8, 4.0)
+    n = 2 * g.spec.n_r
+    monkeypatch.setattr(elliptic, "_stream_matrix",
+                        lambda grid, m, alpha: scipy.sparse.csc_matrix((n, n)))
+    q = ScalarField(g, _random_interior(g, 10))
+    with pytest.raises(EllipticSolveError, match=r"modes \[0, 1, 2, 3, 4\]"):
+        solve_stream_helmholtz(q, 0.1)
+    assert not g.solver_cache
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,16 @@ def test_no_slip_tag_enforced():
         VectorField(g, ok, bad, tag="no-slip")
 
 
+def test_ring_tolerance_scales_with_large_fields():
+    g = grid(16, 8, 4.0)
+    big = np.full((16, 8), 1e5)
+    big[0, :] = 5e-12          # roundoff of a field of size 1e5
+    VectorField(g, big, big, tag="no-slip")
+    big[0, :] = 1e-6
+    with pytest.raises(ValueError):
+        VectorField(g, big, big, tag="no-slip")
+
+
 def test_non_penetration_tag_checks_radial_component_only():
     g = grid(16, 8, 4.0)
     u_r = np.zeros((16, 8))

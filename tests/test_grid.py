@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diskflow.errors import GridError
-from diskflow.grid import GridSpec, build_grid, rho_field
+from diskflow.grid import MAX_NODES, GridSpec, build_grid, rho_field
 
 
 def test_uniform_log_spacing_small_grid():
@@ -32,6 +32,13 @@ def test_endpoints_exact():
 def test_invalid_specs_rejected(n_r, n_theta, r_max):
     with pytest.raises(GridError):
         GridSpec(n_r, n_theta, r_max)
+
+
+def test_node_count_capped():
+    GridSpec(MAX_NODES // 128, 128, 8.0)
+    with pytest.raises(GridError) as err:
+        GridSpec(MAX_NODES // 128 + 1, 128, 8.0)
+    assert err.value.key == "n_r"
 
 
 def test_grid_error_is_value_error():
