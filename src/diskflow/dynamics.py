@@ -1,9 +1,11 @@
 """Time evolution of the filtered vorticity q = w - alpha^2 Delta w.
 
 The prognostic equation is dq/dt + u . grad q = nu Delta w, stepped with
-classical four-stage Runge-Kutta; every stage recovers (phi, w, u) from q
-through the elliptic module.  Diffusion is explicit: the regimes of interest
-have nu far below alpha^{4/3}, and the diffusive dt bound guards the rest.
+classical four-stage Runge-Kutta.  Stages k2-k4 and the update recover
+(phi, w, u) from q through the elliptic module; stage k1 uses the fields the
+incoming state already holds, so a step costs four inversions, not five.
+Diffusion is explicit: the regimes of interest have nu far below
+alpha^{4/3}, and the diffusive dt bound guards the rest.
 The inviscid filtered model sets nu = 0; the plain vorticity equation
 (kind 'euler') identifies q with w and uses the Poisson solve instead.
 
@@ -136,12 +138,19 @@ def rhs(state: FlowState) -> ScalarField:
 
 
 def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
-               time: float, stage: str, mass_tol: float) -> np.ndarray:
+               time: float, stage: str, mass_tol: float,
+               state: FlowState | None = None) -> np.ndarray:
+    """Tendency of q at one stage; a non-finite value fails the step as nan.
+
+    The state of q_values is built by make_state unless it is given.
+    """
     if not np.isfinite(q_values).all():
         raise NumericalFailure("non-finite q entering stage %s" % stage,
                                kind="nan", time=time, detail=stage)
     try:
-        state = make_state(params, ScalarField(grid, q_values), time, mass_tol)
+        if state is None:
+            state = make_state(params, ScalarField(grid, q_values), time,
+                               mass_tol)
         k = rhs(state).values
     except NonFiniteFieldError as exc:  # overflow inside the stage
         raise NumericalFailure("non-finite field at stage %s" % stage,
@@ -154,12 +163,17 @@ def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
 
 def step(state: FlowState, dt: float, mass_tol: float = 1e-6,
          end_time: float | None = None) -> FlowState:
-    """Classical RK4 update of q; returns a consistent new state."""
+    """Classical RK4 update of q; returns a consistent new state.
+
+    The state must come from initial_state, make_state or step with the
+    same mass_tol: stage k1 takes its (phi, w, u) as they are instead of
+    recovering them from q again.
+    """
     params = state.params
     g = state.q.grid
     q = state.q.values
     t = state.time
-    k1 = _stage_rhs(params, g, q, t, "k1", mass_tol)
+    k1 = _stage_rhs(params, g, q, t, "k1", mass_tol, state=state)
     k2 = _stage_rhs(params, g, q + 0.5 * dt * k1, t + 0.5 * dt, "k2", mass_tol)
     k3 = _stage_rhs(params, g, q + 0.5 * dt * k2, t + 0.5 * dt, "k3", mass_tol)
     k4 = _stage_rhs(params, g, q + dt * k3, t + dt, "k4", mass_tol)

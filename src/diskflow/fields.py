@@ -202,22 +202,35 @@ def inner_l2(f, g_field) -> float:
     return float(total)
 
 
-def seminorm_hk(f, k: int) -> float:
-    """k nested applications of [d/dr, (1/r) d/dtheta] to every component."""
-    if k not in (1, 2, 3):
-        raise ConfigError("seminorm order k=%r outside 1..3" % (k,), key="k")
+def seminorms_hk(f, k_max: int) -> tuple:
+    """The seminorms of orders 1..k_max of f from one nested pass.
+
+    Order k applies k nested [d/dr, (1/r) d/dtheta] to every component;
+    each level is summed as it is reached, so the derivatives of level k
+    are taken once for all orders above it.
+    """
+    if k_max not in (1, 2, 3):
+        raise ConfigError("seminorm order k=%r outside 1..3" % (k_max,),
+                          key="k")
     g = f.grid
     comps = _components(f)
-    for _ in range(k):
+    norms = []
+    for _ in range(k_max):
         nxt = []
         for c in comps:
             nxt.append(_dr(c, g))
             nxt.append(_inv_r(g) * _dtheta(c))
         comps = nxt
-    total = 0.0
-    for c in comps:
-        total += float(np.sum(g.weights * c * c))
-    return float(np.sqrt(total))
+        total = 0.0
+        for c in comps:
+            total += float(np.sum(g.weights * c * c))
+        norms.append(float(np.sqrt(total)))
+    return tuple(norms)
+
+
+def seminorm_hk(f, k: int) -> float:
+    """k nested applications of [d/dr, (1/r) d/dtheta] to every component."""
+    return seminorms_hk(f, k)[-1]
 
 
 def grad_norm_l2(u: VectorField) -> float:

@@ -35,7 +35,7 @@ from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      NumericalFailure)
 from .fields import (VectorField, advect_vector, curl_perp,
                      grad_transpose_apply, inner_l2, norm_l2, perp_grad,
-                     seminorm_hk, vector_laplacian)
+                     seminorm_hk, seminorms_hk, vector_laplacian)
 from .grid import GridSpec, build_grid, tail_weights
 from .initial_data import (InitialCase, canonical_psi, check_alpha,
                            make_initial)
@@ -280,9 +280,9 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
         ref = reference(traj)
         _check_pair(traj, ref)
         errs = _snapshot_errors(traj, ref)
-        apriori = tuple(
-            max(alpha ** k * seminorm_hk(s.u, k) for s in traj.snapshots)
-            for k in (1, 2, 3))
+        norms = [seminorms_hk(s.u, 3) for s in traj.snapshots]
+        apriori = tuple(max(alpha ** k * n[k - 1] for n in norms)
+                        for k in (1, 2, 3))
         return SweepRecord(alpha=alpha, nu=nu, delta=delta,
                            sup_err_l2=max(errs), final_err_l2=errs[-1],
                            err0=err0, alpha_grad_u0=agrad0,

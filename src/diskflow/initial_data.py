@@ -21,7 +21,7 @@ import numpy as np
 from .boundary_layer import TRACE_TOL, collar_resolved
 from .errors import ConfigError
 from .fields import (ScalarField, VectorField, norm_l2, perp_grad,
-                     read_snapshot, seminorm_hk)
+                     read_snapshot, seminorms_hk)
 from .grid import tail_weights
 from .ratefit import RateFit, check_geometric, fit_rate
 
@@ -169,7 +169,7 @@ def hypothesis_report(psi0: ScalarField, alphas) -> HypothesisReport:
         rows.append(HypothesisRow(
             alpha=a,
             err0=norm_l2(diff),
-            dk_norms=tuple(seminorm_hk(ua, k) for k in (1, 2, 3)),
+            dk_norms=seminorms_hk(ua, 3),
             resolved=collar_resolved(g, a)))
     fitted = [r for r in rows if r.resolved]
     xs = [r.alpha for r in fitted]

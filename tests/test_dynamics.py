@@ -1,5 +1,7 @@
 """Time-stepping tests: steady states, diffusion oracle, order, guards."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -395,12 +397,88 @@ def test_only_non_finite_fields_map_to_nan(monkeypatch):
     with pytest.raises(ValueError, match="no-slip"):
         step(state, 1e-3)
 
+    # stage k1 builds no state: a broken make_state first fires at k2
     monkeypatch.setattr(dynamics, "make_state",
                         _broken_make_state(lambda v: v * np.nan))
     with pytest.raises(NumericalFailure) as exc:
         step(state, 1e-3)
     assert exc.value.kind == "nan"
+    assert exc.value.detail == "k2"
+
+
+def test_non_finite_tendency_of_the_given_state_fails_at_k1(monkeypatch):
+    import diskflow.dynamics as dynamics
+    g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
+    u0 = velocity_from_stream(radial_stream(g, moded=(0.3, 2)))
+    state = initial_state(ModelParams("euler_alpha", alpha=0.3), u0)
+    monkeypatch.setattr(dynamics, "rhs", lambda s: SimpleNamespace(
+        values=np.full((g.spec.n_r, g.spec.n_theta), np.nan)))
+    with pytest.raises(NumericalFailure) as exc:
+        step(state, 1e-3)
+    assert exc.value.kind == "nan"
     assert exc.value.detail == "k1"
+    assert exc.value.time == state.time
+
+
+def test_step_builds_four_states(monkeypatch):
+    import diskflow.dynamics as dynamics
+    g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
+    u0 = velocity_from_stream(radial_stream(g, moded=(0.3, 2)))
+    state = initial_state(ModelParams("euler_alpha", alpha=0.3), u0)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[2])
+        return make_state(*args, **kwargs)
+    monkeypatch.setattr(dynamics, "make_state", counted)
+    step(state, 1e-2)
+    # k2, k3, k4 and the update; k1 reuses the given state's fields
+    assert built == pytest.approx([0.005, 0.005, 0.01, 0.01])
+
+
+def _rebuilding_step(state, dt, mass_tol=1e-6, end_time=None):
+    """Textbook RK4 that recovers (phi, w, u) from q at every stage."""
+    params, g, q, t = state.params, state.q.grid, state.q.values, state.time
+
+    def k(values, time):
+        return rhs(make_state(params, ScalarField(g, values), time,
+                              mass_tol)).values
+    k1 = k(q, t)
+    k2 = k(q + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = k(q + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = k(q + dt * k3, t + dt)
+    q_new = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    t_new = t + dt if end_time is None else end_time
+    return make_state(params, ScalarField(g, q_new), t_new, mass_tol)
+
+
+@pytest.mark.parametrize("params, mass_tol", [
+    (ModelParams("euler_alpha", alpha=0.3), 1e-6),
+    (ModelParams("second_grade", alpha=0.3, nu=1e-3), 1e-6),
+    (ModelParams("euler"), 1e-3),
+], ids=["euler_alpha", "second_grade", "euler"])
+def test_reused_k1_state_matches_rebuilt_bit_for_bit(monkeypatch, params,
+                                                      mass_tol):
+    import diskflow.dynamics as dynamics
+    g = build_grid(GridSpec(n_r=49, n_theta=16, r_max=8.0))
+    u = perp_grad(radial_stream(g, lo=1.8, hi=6.0, moded=(0.3, 2)))
+    u0 = VectorField(g, u.u_r, u.u_theta, tag=params.boundary_tag)
+    # the tail guard is lifted: the far-field closure at r_max makes viscous
+    # runs feed vorticity at the truncation ring, and this test compares two
+    # step paths, not the far field
+    config = RunConfig(cfl=0.4, snapshot_dt=0.02, mass_tol=mass_tol,
+                       tail_threshold=1.0)
+    got = run(params, u0, 0.06, config)
+    monkeypatch.setattr(dynamics, "step", _rebuilding_step)
+    want = run(params, u0, 0.06, config)
+    assert len(got.snapshots) == len(want.snapshots) > 2
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert a.time == b.time
+        assert np.array_equal(a.q.values, b.q.values)
+        assert np.array_equal(a.u.u_r, b.u.u_r)
+        assert np.array_equal(a.u.u_theta, b.u.u_theta)
+    for key in got.diagnostics:
+        assert np.array_equal(got.diagnostics[key], want.diagnostics[key]), key
 
 
 def test_tail_mass_abort():

@@ -1,15 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from diskflow import fields
 from diskflow.errors import ConfigError
 from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import (ScalarField, VectorField, perp_grad, curl_perp,
                              laplacian, advect, norm_l2, seminorm_hk,
-                             inner_l2, grad_norm_l2, vector_laplacian,
-                             advect_vector, grad_transpose_apply,
-                             write_snapshot, read_snapshot)
+                             seminorms_hk, inner_l2, grad_norm_l2,
+                             vector_laplacian, advect_vector,
+                             grad_transpose_apply, write_snapshot,
+                             read_snapshot)
 
 
 def grid(n_r=129, n_theta=32, r_max=8.0):
@@ -268,8 +271,40 @@ def test_seminorm_rejects_bad_order():
     g = grid(16, 8, 4.0)
     f = ScalarField(g, np.zeros((16, 8)))
     for k in (0, 4, -1):
-        with pytest.raises(ConfigError):
-            seminorm_hk(f, k)
+        for norms in (seminorm_hk, seminorms_hk):
+            with pytest.raises(ConfigError) as exc:
+                norms(f, k)
+            assert exc.value.key == "k"
+
+
+def _seminorm_by_words(f, k):
+    """Every word in {d/dr, (1/r) d/dtheta}^k applied to every component."""
+    g = f.grid
+    comps = [f.values] if isinstance(f, ScalarField) else [f.u_r, f.u_theta]
+    total = 0.0
+    for comp in comps:
+        for word in itertools.product("rt", repeat=k):
+            c = comp
+            for d in word:
+                c = fields._dr(c, g) if d == "r" \
+                    else fields._inv_r(g) * fields._dtheta(c)
+            total += float(np.sum(g.weights * c * c))
+    return float(np.sqrt(total))
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_seminorms_of_every_order_from_one_pass(vector):
+    g = grid(65, 32, 8.0)
+    rng = np.random.default_rng(11)
+    f = ScalarField(g, rng.normal(size=(65, 32)))
+    if vector:
+        f = VectorField(g, f.values, rng.normal(size=(65, 32)))
+    got = seminorms_hk(f, 3)
+    assert len(got) == 3
+    for k in (1, 2, 3):
+        assert got[k - 1] == _seminorm_by_words(f, k)
+        assert seminorms_hk(f, k) == got[:k]
+        assert seminorm_hk(f, k) == got[k - 1]
 
 
 def test_seminorm_h1_matches_radial_oracle():

@@ -237,15 +237,46 @@ def test_fit_constant_needs_a_successful_record():
         fit_theorem_constant([rec])
 
 
-def test_sweep_records_independent_of_thread_count():
-    cfg = SweepConfig(alphas=(0.4, 0.2, 0.1), grid=GRID_H, case=H_CASE,
-                      t_final=0.1)
+@pytest.mark.parametrize("cfg, threads", [
+    (SweepConfig(alphas=(0.4, 0.2, 0.1), grid=GRID_H, case=H_CASE,
+                 t_final=0.1), 3),
+    # a numerical Euler reference, shared by the pooled runs
+    (SweepConfig(alphas=(0.4, 0.2), grid=GridSpec(65, 32, 8.0),
+                 case=InitialCase(name="perturbed_vortex"), t_final=0.05,
+                 snapshot_dt=0.025), 2),
+], ids=["radial", "perturbed"])
+def test_sweep_records_independent_of_thread_count(cfg, threads):
     seq = run_sweep(cfg, threads=1)
-    par = run_sweep(cfg, threads=3)
+    par = run_sweep(cfg, threads=threads)
+    assert len(par) == len(seq) == len(cfg.alphas)
     for a, b in zip(seq, par):
         da, db = dataclasses.asdict(a), dataclasses.asdict(b)
         da.pop("runtime_s"), db.pop("runtime_s")
         assert da == db
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_euler_reference_fails_the_sweep(monkeypatch, threads):
+    import diskflow.harness as hz
+    started = []
+
+    def failing(psi0, t_final, config):
+        raise NumericalFailure("synthetic reference blow-up",
+                               kind="tail_mass", time=0.01)
+
+    def counted(params, u0, t_final, config=RunConfig(), observers=()):
+        started.append(params.alpha)
+        return Trajectory(snapshots=[], diagnostics={})
+
+    monkeypatch.setattr(hz, "euler_run", failing)
+    monkeypatch.setattr(hz, "run", counted)
+    cfg = SweepConfig(alphas=(0.4, 0.2), grid=GridSpec(65, 32, 8.0),
+                      case=InitialCase(name="perturbed_vortex"),
+                      t_final=0.05, snapshot_dt=0.025)
+    with pytest.raises(NumericalFailure, match="synthetic reference") as exc:
+        run_sweep(cfg, threads=threads)
+    assert exc.value.kind == "tail_mass"
+    assert started == []    # the reference runs before any alpha
 
 
 # ---------------------------------------------------------------- audit
