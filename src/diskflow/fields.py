@@ -303,6 +303,24 @@ def snapshot_meta(grid: ExteriorGrid, time: float, alpha: float, nu: float) -> d
             "r_max": grid.spec.r_max, "time": time, "alpha": alpha, "nu": nu}
 
 
+def _write_csv_body(fh, values: np.ndarray):
+    """Writes exactly what np.savetxt(fh, values, fmt="%.17g", delimiter=",")
+    writes, formatting a row that holds one bit pattern (a θ-constant row)
+    once.  Bits, not float ==, so a row of -0.0 and 0.0 keeps both signs.
+    """
+    n_theta = values.shape[1]
+    row_fmt = ",".join(["%.17g"] * n_theta) + "\n"
+    bits = values.view(np.int64)
+    constant = (bits == bits[:, :1]).all(axis=1).tolist()
+    lines = []
+    for row, const in zip(values, constant):
+        if const:
+            lines.append(",".join(["%.17g" % row[0]] * n_theta) + "\n")
+        else:
+            lines.append(row_fmt % tuple(row.tolist()))
+    fh.write("".join(lines))
+
+
 def write_snapshot(f: ScalarField, path, *, time, alpha, nu, fmt="csv"):
     """One JSON header line, then the values, one row per radial node.
 
@@ -316,7 +334,7 @@ def write_snapshot(f: ScalarField, path, *, time, alpha, nu, fmt="csv"):
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            np.savetxt(fh, f.values, fmt="%.17g", delimiter=",")
+            _write_csv_body(fh, f.values)
     elif fmt == "binary":
         with open(path, "wb") as fh:
             fh.write((header + "\n").encode("ascii"))
@@ -341,7 +359,10 @@ def read_snapshot(path, grid: ExteriorGrid | None = None):
             vals = np.frombuffer(rest, dtype="<f8").reshape(shape).copy()
         elif fmt == "csv":
             vals = np.loadtxt(rest.decode("ascii").splitlines(),
-                              delimiter=",").reshape(shape)
+                              delimiter=",", ndmin=2)
+            if vals.shape != shape:
+                raise ValueError("body of %d x %d values, header says %d x %d"
+                                 % (vals.shape + shape))
         else:
             raise ValueError("unknown format %r" % (fmt,))
     except (OSError, ValueError, OverflowError, KeyError, TypeError) as exc:

@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .boundary_layer import MIN_CELLS, collar_resolved
 from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
@@ -242,7 +241,11 @@ def _energy_drift(traj: Trajectory, nu: float) -> float:
     if nu > 0.0:
         gusq = np.asarray(d["grad_u_sq"], dtype=float)
         t = np.asarray(d["t"], dtype=float)
-        e = e + 2.0 * nu * cumulative_trapezoid(gusq, t, initial=0.0)
+        # scipy's cumulative_trapezoid(gusq, t, initial=0.0), same operation
+        # order; scipy.integrate would add about 0.3 s to every CLI start
+        dissipated = np.concatenate(
+            ([0.0], np.cumsum(np.diff(t) * (gusq[1:] + gusq[:-1]) / 2.0)))
+        e = e + 2.0 * nu * dissipated
     return float(np.max(np.abs(e - e[0])) / max(e[0], 1e-300))
 
 

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import diskflow
 from diskflow.cli import (RunConfig, SweepSettings, Tolerances,
                           config_document, main, parse_config,
                           serialize_config)
@@ -295,3 +298,14 @@ def test_energy_audit_subcommand(tmp_path, capsys):
 def test_threads_flag_must_be_nonnegative(tmp_path):
     cfg = write_config(tmp_path, MINIMAL)
     assert main(["simulate", "--config", cfg, "--threads", "-1"]) == 2
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # scipy.integrate pulls in scipy.optimize, about 0.3 s of every start
+    src = os.path.dirname(os.path.dirname(diskflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, diskflow.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,12 @@
+import functools
+import io
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diskflow import fields
 from diskflow.errors import ConfigError
@@ -484,6 +488,67 @@ def test_csv_snapshot_of_binary_length_reads_as_csv(tmp_path):
     assert "format" not in meta
 
 
+def savetxt_body(values):
+    buf = io.StringIO()
+    np.savetxt(buf, values, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+def csv_body(f, path):
+    write_snapshot(f, path, time=0.0, alpha=0.1, nu=0.0)
+    with open(path) as fh:
+        fh.readline()
+        return fh.read()
+
+
+def test_csv_row_of_signed_zeros_keeps_each_sign(tmp_path):
+    # the rows compare equal as floats but hold two bit patterns
+    g = grid(8, 8, 4.0)
+    vals = np.full((8, 8), 0.25)
+    vals[0] = [-0.0] + [0.0] * 7
+    vals[1] = [0.0] + [-0.0] * 7
+    body = csv_body(ScalarField(g, vals), tmp_path / "snap.csv")
+    assert body.splitlines()[:2] == ["-0" + ",0" * 7, "0" + ",-0" * 7]
+    assert body == savetxt_body(vals)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_grid(n_r, n_theta):
+    return grid(n_r, n_theta, 4.0)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+           1e308, -1e308, 1.0, 0.1]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def snapshot_values(draw):
+    n_r, n_theta = draw(st.integers(8, 12)), draw(st.sampled_from([8, 10]))
+    rows = []
+    for _ in range(n_r):
+        kind = draw(st.sampled_from(["constant", "zeros", "special",
+                                     "random"]))
+        if kind == "constant":
+            rows.append([draw(FINITE | st.sampled_from(SPECIAL))] * n_theta)
+        else:
+            cell = {"zeros": st.sampled_from([0.0, -0.0]),
+                    "special": st.sampled_from(SPECIAL),
+                    "random": FINITE}[kind]
+            rows.append(draw(st.lists(cell, min_size=n_theta,
+                                      max_size=n_theta)))
+    return np.array(rows, dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vals=snapshot_values())
+def test_csv_body_is_savetxt_output(vals, tmp_path):
+    g = cached_grid(*vals.shape)
+    assert csv_body(ScalarField(g, vals), tmp_path / "snap.csv") \
+        == savetxt_body(vals)
+
+
 @pytest.mark.filterwarnings("ignore:loadtxt")  # the empty body
 @pytest.mark.parametrize("content", [
     b'{"n_r": 8, "n_theta": 8, "r_max": 4.0}\n1,2,3\n',
@@ -494,6 +559,12 @@ def test_csv_snapshot_of_binary_length_reads_as_csv(tmp_path):
     b'[8, 8]\n1\n',
     b'not json\n1\n',
     b'{"n_r": 1, "n_theta": 2, "r_max": 4.0}\nnan,1\n',
+    # the header's n_r x n_theta transposed: as many values, wrong layout
+    pytest.param(
+        b'{"n_r": 16, "n_theta": 8, "r_max": 4.0}\n'
+        + b"".join(b",".join(b"%d" % (16 * i + j) for j in range(16)) + b"\n"
+                   for i in range(8)),
+        id="transposed-body"),
 ])
 def test_malformed_snapshot_is_a_config_error(content, tmp_path):
     path = tmp_path / "bad.snap"

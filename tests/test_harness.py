@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from diskflow.dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
                                run)
@@ -14,7 +15,7 @@ from diskflow.errors import (ConfigError, DegenerateFitError, DiskflowError,
 from diskflow.fields import VectorField, norm_l2
 from diskflow.grid import GridSpec, build_grid
 from diskflow.harness import (EnergyAudit, SweepConfig, SweepRecord,
-                              bound_margins, energy_audit,
+                              _energy_drift, bound_margins, energy_audit,
                               euler_reference_state, fit_theorem_constant,
                               frozen_trajectory, rate_entry, run_sweep,
                               sup_error, theorem_rhs, write_sweep_csv)
@@ -360,6 +361,35 @@ def test_energy_audit_second_grade_budget_closes():
     assert abs(audit.lhs) > 0.0
     assert audit.rel_residual <= 1e-3
     assert audit.n_times == 21
+
+
+def test_energy_drift_matches_scipy_cumulative_trapezoid():
+    # the drift integrates grad_u_sq with numpy in scipy's own operation
+    # order, so the result is bit-identical to cumulative_trapezoid; the
+    # random cases give the dissipation term weight against the energy, so
+    # a last-bit difference in the integral shows in the drift
+    def scipy_drift(d, nu):
+        t = np.asarray(d["t"], dtype=float)
+        e = np.asarray(d["energy"], dtype=float) + 2.0 * nu * \
+            cumulative_trapezoid(np.asarray(d["grad_u_sq"], dtype=float), t,
+                                 initial=0.0)
+        return float(np.max(np.abs(e - e[0])) / max(e[0], 1e-300))
+
+    g = build_grid(GridSpec(n_r=65, n_theta=16, r_max=8.0))
+    u0a = make_initial(canonical_psi(InitialCase(), g), 0.2)
+    params = ModelParams(kind="second_grade", alpha=0.2, nu=1e-4)
+    traj = run(params, u0a, 0.05, RunConfig(snapshot_dt=0.01))
+    assert len(set(np.diff(traj.diagnostics["t"]).tolist())) > 1
+    cases = [(traj, 1e-4)]
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        d = {"t": np.cumsum(rng.uniform(1e-3, 1.0, n)),
+             "energy": rng.uniform(1.0, 2.0, n),
+             "grad_u_sq": rng.uniform(0.0, 10.0, n)}
+        cases.append((Trajectory([], d), float(rng.uniform(0.01, 1.0))))
+    for tr, nu in cases:
+        assert _energy_drift(tr, nu) == scipy_drift(tr.diagnostics, nu)
 
 
 # ---------------------------------------------------------------- files
