@@ -16,17 +16,16 @@ from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      GridError, NumericalFailure)
 from .fields import (ScalarField, VectorField, advect, curl_perp, laplacian,
                      norm_l2, perp_grad, seminorm_hk)
-from .grid import ExteriorGrid, GridSpec, build_grid, rho_field
+from .grid import ExteriorGrid, GridSpec, build_grid
 from .harness import (SweepConfig, SweepRecord, bound_margins, energy_audit,
                       fit_theorem_constant, run_sweep, write_sweep_csv)
 from .initial_data import (InitialCase, canonical_psi, cut_profile,
                            hypothesis_report, make_initial)
 from .ratefit import RateFit, fit_rate
-from .verify import (verify_corrector, verify_elliptic, verify_energy_audit,
-                     verify_initial_data)
+from .verify import verify_corrector, verify_elliptic, verify_initial_data
 
 __all__ = [
-    "GridSpec", "ExteriorGrid", "build_grid", "rho_field",
+    "GridSpec", "ExteriorGrid", "build_grid",
     "ScalarField", "VectorField", "perp_grad", "curl_perp",
     "laplacian", "advect", "norm_l2", "seminorm_hk",
     "total_mass", "solve_poisson", "solve_stream_helmholtz", "recover_q",
@@ -39,7 +38,6 @@ __all__ = [
     "fit_theorem_constant", "bound_margins", "energy_audit",
     "RateFit", "fit_rate",
     "verify_elliptic", "verify_corrector", "verify_initial_data",
-    "verify_energy_audit",
     "DiskflowError", "ConfigError", "GridError", "NumericalFailure",
     "DegenerateFitError",
     "__version__",

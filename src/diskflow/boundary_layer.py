@@ -37,19 +37,16 @@ def eta(x):
     return out
 
 
-def _eta_prime(x):
-    arr = np.asarray(x, dtype=float)
-    y = 2.0 - arr
-    inside = (arr > 1.0) & (arr < 2.0)
-    return np.where(inside, -(30.0 * y ** 4 - 60.0 * y ** 3 + 30.0 * y ** 2),
-                    0.0)
+def check_delta(delta: float) -> None:
+    """Corrector widths, and the energy audits built on them, lie in (0, 1)."""
+    if not 0.0 < delta < 1.0:
+        raise ConfigError("corrector width delta=%r outside (0, 1)" % (delta,),
+                          key="delta")
 
 
 def build_corrector(psi_bar: ScalarField, delta: float) -> VectorField:
     """perp-grad of eta(rho/delta) * psi_bar; psi_bar must vanish on the ring."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("corrector width delta=%r outside (0, 1)" % (delta,),
-                          key="delta")
+    check_delta(delta)
     g = psi_bar.grid
     scale = max(float(np.max(np.abs(psi_bar.values))), 1.0)
     trace = float(np.max(np.abs(psi_bar.values[0])))

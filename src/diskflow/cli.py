@@ -21,6 +21,7 @@ import types
 import typing
 from dataclasses import dataclass, replace
 
+from .boundary_layer import check_delta
 from .dynamics import KINDS, ModelParams
 from .dynamics import RunConfig as SolverConfig
 from .dynamics import run
@@ -51,9 +52,8 @@ class AuditSettings:
     delta: float | None = None       # corrector width; None = alpha**(4/3)
 
     def __post_init__(self):
-        if self.delta is not None and not self.delta > 0.0:
-            raise ConfigError("delta=%r must be positive" % (self.delta,),
-                              key="delta")
+        if self.delta is not None:
+            check_delta(self.delta)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -243,7 +243,8 @@ def _sweep_config(cfg: RunConfig, **overrides) -> SweepConfig:
     try:
         return SweepConfig(**section, grid=cfg.grid, t_final=cfg.t_final,
                            case=cfg.case, snapshot_dt=cfg.snapshot_dt,
-                           dt=cfg.dt, tail_threshold=cfg.tail_threshold)
+                           cfl=cfg.cfl, dt=cfg.dt, dt_max=cfg.dt_max,
+                           tail_threshold=cfg.tail_threshold)
     except ConfigError as exc:
         if exc.key in section:
             raise ConfigError(str(exc), key="sweep." + exc.key) from exc

@@ -125,11 +125,3 @@ def tail_weights(grid: ExteriorGrid) -> np.ndarray:
     mass there sits too close to the truncated far-field closure.
     """
     return grid.weights * (grid.r_nodes[:, None] > 0.9 * grid.spec.r_max)
-
-
-def rho_field(grid: ExteriorGrid):
-    """Distance to the boundary ring: rho = r - 1 at every node."""
-    from .fields import ScalarField
-
-    vals = np.repeat((grid.r_nodes - 1.0)[:, None], grid.spec.n_theta, axis=1)
-    return ScalarField(grid, vals)

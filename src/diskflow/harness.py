@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boundary_layer import MIN_CELLS, collar_resolved
+from .boundary_layer import MIN_CELLS, check_delta, collar_resolved
 from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
                        _diag_row, energy, run)
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
@@ -90,7 +90,9 @@ class SweepConfig(SweepSettings):
     t_final: float = 1.0
     case: InitialCase = InitialCase()
     snapshot_dt: float | None = None  # default t_final / 8
+    cfl: float = RunConfig.cfl
     dt: float | None = None           # fixed step override for the runs
+    dt_max: float = RunConfig.dt_max
     tail_threshold: float = RunConfig.tail_threshold
 
     def __post_init__(self):
@@ -108,7 +110,8 @@ class SweepConfig(SweepSettings):
     def run_config(self) -> RunConfig:
         """Solver settings of every regularized run in the sweep."""
         snap_dt = snapshot_interval(self.snapshot_dt, self.t_final)
-        return RunConfig(snapshot_dt=snap_dt, dt=self.dt,
+        return RunConfig(cfl=self.cfl, dt=self.dt, dt_max=self.dt_max,
+                         snapshot_dt=snap_dt,
                          tail_threshold=self.tail_threshold)
 
 
@@ -178,12 +181,6 @@ def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
     if ta.size != tb.size or np.max(np.abs(ta - tb)) > _TIME_MATCH_TOL * scale:
         raise ConfigError("snapshot time grids do not match", key="trajectories")
     return ta
-
-
-def sup_error(traj_a: Trajectory, traj_b: Trajectory) -> float:
-    """max over shared snapshot times of |u_a(t) - u_b(t)| in L2."""
-    _check_pair(traj_a, traj_b)
-    return max(_snapshot_errors(traj_a, traj_b))
 
 
 def _snapshot_errors(traj_a: Trajectory, traj_b: Trajectory):
@@ -343,8 +340,7 @@ class EnergyAudit:
 def energy_audit(traj_sg: Trajectory, traj_euler: Trajectory,
                  delta: float) -> EnergyAudit:
     """Evaluate the four-term budget of the error energy between two runs."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("delta=%r outside (0, 1)" % (delta,), key="delta")
+    check_delta(delta)
     t = _check_pair(traj_sg, traj_euler)
     if t.size < 3:
         raise ConfigError("need at least 3 snapshots to estimate the time "

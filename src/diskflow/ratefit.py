@@ -16,9 +16,6 @@ class RateFit:
     residual: float          # max absolute log-space deviation
     points: tuple            # ((x, y), ...) as fitted
 
-    def evaluate(self, x):
-        return self.constant * np.asarray(x, dtype=float) ** self.slope
-
 
 def check_geometric(values, key: str) -> None:
     """Reject a sweep whose log-steps stray from the first by 1e-6 of it."""

@@ -190,19 +190,6 @@ def verify_initial_data(window: float = Tolerances.hypothesis_window
 
 # -------------------------------------------------------------- energy audit
 
-_AUDIT_GRID = GridSpec(129, 16, 8.0)
-_AUDIT_ALPHA = 0.2
-_AUDIT_NU = 1e-4
-_AUDIT_T_FINAL = 0.5
-_AUDIT_SNAPSHOT_DT = 0.01
-
-
-@dataclass(frozen=True)
-class EnergyAuditVerification:
-    audit: EnergyAudit
-    passed: bool                  # rel residual of the budget within tol
-
-
 def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
                        nu: float, t_final: float, snapshot_dt: float,
                        delta: float | None = None,
@@ -223,15 +210,6 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
     if delta is None:
         delta = alpha ** SweepSettings.delta_rule
     return energy_audit(traj, ref, delta)
-
-
-def verify_energy_audit(tol: float = Tolerances.audit_rel
-                        ) -> EnergyAuditVerification:
-    """Error-energy budget of a slow second-grade run against frozen Euler."""
-    audit = energy_audit_study(InitialCase(), _AUDIT_GRID, _AUDIT_ALPHA,
-                               _AUDIT_NU, _AUDIT_T_FINAL, _AUDIT_SNAPSHOT_DT)
-    return EnergyAuditVerification(audit=audit,
-                                   passed=audit.rel_residual <= tol)
 
 
 # ------------------------------------------------------------------- reports

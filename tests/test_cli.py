@@ -9,8 +9,8 @@ import pytest
 
 import diskflow
 from diskflow.cli import (RunConfig, SweepSettings, Tolerances,
-                          config_document, main, parse_config,
-                          serialize_config)
+                          _sweep_config, config_document, main,
+                          parse_config, serialize_config)
 from diskflow.errors import ConfigError
 
 MINIMAL = ('{"model": "euler_alpha", "alpha": 0.2, '
@@ -105,6 +105,8 @@ def test_alpha_validation_names_the_key(mutate, key):
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
      '"t_final": 1, "audit": {"delta": 0}}', "audit.delta"),
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
+     '"t_final": 1, "audit": {"delta": 1.5}}', "audit.delta"),
+    ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
      '"t_final": 1, "tolerances": {"audit_rel": 0}}',
      "tolerances.audit_rel"),
     ('{"model": "euler_alpha", "alpha": 1%s, "grid": {"n_r": 64}, '
@@ -151,6 +153,16 @@ def test_sweep_alphas_checked_against_the_grid_at_parse_time():
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key == "sweep.alphas"
+
+
+def test_sweep_runs_take_the_solver_keys():
+    text = MINIMAL[:-1] + (', "cfl": 0.1, "dt_max": 0.001, '
+                           '"tail_threshold": 1e-5, '
+                           '"sweep": {"alphas": [0.4, 0.2]}}')
+    cfg = parse_config(text)
+    solver = _sweep_config(cfg).run_config()
+    assert (solver.cfl, solver.dt_max, solver.tail_threshold) == \
+        (0.1, 0.001, 1e-5)
 
 
 def test_round_trip_minimal_and_full():

