@@ -21,6 +21,13 @@ def test_endpoints_exact():
     assert g.r_nodes[-1] == 8.0
 
 
+def test_odd_node_count_puts_a_node_at_the_log_midpoint():
+    # 17 nodes on [0, ln 4] put node 8 at s = ln(4)/2, i.e. r = 2
+    g = build_grid(GridSpec(17, 8, 4.0))
+    assert abs(g.r_nodes[8] - 2.0) <= 4e-16
+    assert abs(g.s_nodes[8] - math.log(4.0) / 2.0) <= 4e-16
+
+
 @pytest.mark.parametrize("n_r,n_theta,r_max", [
     (2, 8, 8.0),      # radial count below minimum
     (7, 8, 8.0),

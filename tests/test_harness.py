@@ -166,6 +166,47 @@ def test_sweep_with_numerical_euler_reference():
         assert (r.sup_err_l2, r.final_err_l2) == (max(errs), errs[-1])
 
 
+def test_radial_sweep_errors_are_gaps_to_the_frozen_initial_state():
+    cfg = SweepConfig(alphas=(0.4, 0.2), grid=GridSpec(65, 16, 10.0),
+                      case=H_CASE, t_final=0.1, snapshot_dt=0.05)
+    recs = run_sweep(cfg, threads=1)
+    g = build_grid(cfg.grid)
+    psi0 = canonical_psi(cfg.case, g)
+    ref = euler_reference_state(psi0).u
+    for r in recs:
+        assert r.status == "ok"
+        traj = run(ModelParams.regularized(r.alpha, r.nu),
+                   make_initial(psi0, r.alpha), cfg.t_final, cfg.run_config())
+        errs = [norm_l2(VectorField(g, s.u.u_r - ref.u_r,
+                                    s.u.u_theta - ref.u_theta))
+                for s in traj.snapshots]
+        assert len(errs) == 3
+        assert (r.sup_err_l2, r.final_err_l2) == (max(errs), errs[-1])
+        assert r.sup_err_l2 > 0.0
+
+
+@pytest.mark.parametrize("mismatch, message", [
+    ("times", "snapshot time grids do not match"),
+    ("grid", "different grids"),
+], ids=["times", "grid"])
+def test_sweep_rejects_a_reference_it_cannot_compare(monkeypatch, mismatch,
+                                                     message):
+    import diskflow.harness as hz
+    cfg = SweepConfig(alphas=(0.4,), grid=GridSpec(65, 32, 8.0),
+                      case=InitialCase(name="perturbed_vortex"),
+                      t_final=0.05, snapshot_dt=0.025)
+    spec = cfg.grid if mismatch == "times" else GridSpec(33, 32, 8.0)
+    times = [0.0, 0.02, 0.05] if mismatch == "times" else [0.0, 0.025, 0.05]
+
+    def misaligned(psi0, t_final, config):
+        psi = canonical_psi(cfg.case, build_grid(spec))
+        return frozen_trajectory(euler_reference_state(psi), times)
+
+    monkeypatch.setattr(hz, "euler_run", misaligned)
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(cfg, threads=1)
+
+
 def test_sweep_isolates_per_alpha_failures(monkeypatch):
     import diskflow.harness as hz
     real_run = hz.run
