@@ -22,15 +22,13 @@ import typing
 from dataclasses import dataclass, replace
 
 from .boundary_layer import check_delta
-from .dynamics import KINDS, ModelParams
-from .dynamics import RunConfig as SolverConfig
-from .dynamics import run
+from .dynamics import KINDS, ModelParams, SolverSettings, run
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      NumericalFailure)
 from .fields import write_snapshot
 from .grid import GridSpec, build_grid
 from .harness import (SweepConfig, SweepSettings, euler_run, rate_entry,
-                      run_sweep, snapshot_interval, write_sweep_csv)
+                      run_sweep, write_sweep_csv)
 from .initial_data import (InitialCase, canonical_psi, check_alpha,
                            make_initial)
 from .ratefit import fit_rate
@@ -57,7 +55,7 @@ class AuditSettings:
 
 
 @dataclass(frozen=True, kw_only=True)
-class RunConfig:
+class RunConfig(SolverSettings):
     """Fully validated configuration for any subcommand.
 
     The JSON document mirrors these fields, nested sections included; each
@@ -69,11 +67,6 @@ class RunConfig:
     nu: float = 0.0
     grid: GridSpec
     t_final: float
-    cfl: float = SolverConfig.cfl
-    dt: float | None = SolverConfig.dt
-    dt_max: float = SolverConfig.dt_max
-    snapshot_dt: float | None = SolverConfig.snapshot_dt
-    tail_threshold: float = SolverConfig.tail_threshold
     output_dir: str = "."
     case: InitialCase = InitialCase()
     sweep: SweepSettings | None = None
@@ -92,18 +85,13 @@ class RunConfig:
         if not self.t_final > 0.0:
             raise ConfigError("t_final=%r must be positive" % (self.t_final,),
                               key="t_final")
-        self.solver_config()   # range-checks the solver keys
+        super().__post_init__()
         if self.sweep is not None:
             _sweep_config(self)  # fail fast: validates alphas against the grid
 
     @property
     def audit_delta(self) -> float | None:
         return None if self.audit is None else self.audit.delta
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(cfl=self.cfl, dt=self.dt, dt_max=self.dt_max,
-                            snapshot_dt=self.snapshot_dt,
-                            tail_threshold=self.tail_threshold)
 
 
 def _type_name(v) -> str:
@@ -216,8 +204,8 @@ def _write_json(path, obj) -> None:
 def _cmd_simulate(cfg: RunConfig, args, out: str) -> int:
     grid = build_grid(cfg.grid)
     psi = canonical_psi(cfg.case, grid)
-    solver = replace(cfg.solver_config(),
-                     diagnostics_path=os.path.join(out, "diagnostics.csv"))
+    solver = cfg.run_config(
+        diagnostics_path=os.path.join(out, "diagnostics.csv"))
     if cfg.model == "euler":
         traj = euler_run(psi, cfg.t_final, solver)
     else:
@@ -240,11 +228,11 @@ def _sweep_config(cfg: RunConfig, **overrides) -> SweepConfig:
     section = dataclasses.asdict(cfg.sweep) if cfg.sweep is not None \
         else {"alphas": (cfg.alpha,)}
     section.update(overrides)
+    solver = {f.name: getattr(cfg, f.name)
+              for f in dataclasses.fields(SolverSettings)}
     try:
-        return SweepConfig(**section, grid=cfg.grid, t_final=cfg.t_final,
-                           case=cfg.case, snapshot_dt=cfg.snapshot_dt,
-                           cfl=cfg.cfl, dt=cfg.dt, dt_max=cfg.dt_max,
-                           tail_threshold=cfg.tail_threshold)
+        return SweepConfig(**section, **solver, grid=cfg.grid,
+                           t_final=cfg.t_final, case=cfg.case)
     except ConfigError as exc:
         if exc.key in section:
             raise ConfigError(str(exc), key="sweep." + exc.key) from exc
@@ -252,6 +240,9 @@ def _sweep_config(cfg: RunConfig, **overrides) -> SweepConfig:
 
 
 def _cmd_sweep(cfg: RunConfig, args, out: str) -> int:
+    if args.threads < 0:
+        raise ConfigError("threads=%r must be >= 0" % args.threads,
+                          key="threads")
     overrides = {}
     if args.alphas is not None:
         try:
@@ -298,9 +289,7 @@ def _finish_verify(name: str, report, out: str) -> int:
 
 def _cmd_verify_elliptic(cfg: RunConfig, args, out: str) -> int:
     tol = cfg.tolerances
-    rep = verify_elliptic(order_window=tol.order_window,
-                          chain_tol=tol.chain_rel,
-                          probe_floor=tol.probe_floor)
+    rep = verify_elliptic(tol)
     print("poisson order: %.4f (2 +- %g) %s"
           % (-rep.order_fit.slope, tol.order_window,
              "ok" if rep.order_ok else "FAIL"))
@@ -315,7 +304,7 @@ def _cmd_verify_elliptic(cfg: RunConfig, args, out: str) -> int:
 
 def _cmd_verify_corrector(cfg: RunConfig, args, out: str) -> int:
     tol = cfg.tolerances
-    rep = verify_corrector(window=tol.corrector_window)
+    rep = verify_corrector(tol)
     print("corrector |u_b| slope: %.4f (0.5 +- %g) %s"
           % (rep.report.l2_fit.slope, tol.corrector_window,
              "ok" if rep.l2_ok else "FAIL"))
@@ -327,7 +316,7 @@ def _cmd_verify_corrector(cfg: RunConfig, args, out: str) -> int:
 
 def _cmd_verify_initial_data(cfg: RunConfig, args, out: str) -> int:
     tol = cfg.tolerances
-    rep = verify_initial_data(window=tol.hypothesis_window)
+    rep = verify_initial_data(tol)
     print("family |u0^a - u0| slope: %.4f (0.5 +- %g) %s"
           % (rep.report.e0_fit.slope, tol.hypothesis_window,
              "ok" if rep.e0_ok else "FAIL"))
@@ -344,10 +333,9 @@ def _cmd_energy_audit(cfg: RunConfig, args, out: str) -> int:
         raise ConfigError("energy-audit compares a regularized run against "
                           "Euler; model must be euler_alpha or second_grade",
                           key="model")
-    snap_dt = snapshot_interval(cfg.snapshot_dt, cfg.t_final)
     audit = energy_audit_study(cfg.case, cfg.grid, cfg.alpha, cfg.nu,
-                               cfg.t_final, snap_dt, delta=cfg.audit_delta,
-                               run_config=cfg.solver_config())
+                               cfg.t_final, cfg.run_config(),
+                               delta=cfg.audit_delta)
     passed = audit.rel_residual <= cfg.tolerances.audit_rel
     doc = report_dict(audit)
     doc["passed"] = passed
@@ -390,8 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON config document")
         p.add_argument("--output-dir", default=None, metavar="PATH",
                        help="overrides output_dir from the config")
-        p.add_argument("--threads", type=int, default=0, metavar="N",
-                       help="worker threads for sweeps; 0 = auto")
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--strict", dest="strict", action="store_true",
                           default=True, help="reject unknown config keys")
@@ -404,15 +390,14 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="overrides sweep.nu_c")
             p.add_argument("--nu-gamma", type=float, default=None,
                            dest="nu_gamma", help="overrides sweep.nu_gamma")
+            p.add_argument("--threads", type=int, default=0, metavar="N",
+                           help="worker threads; 0 = auto")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 0:
-            raise ConfigError("threads=%r must be >= 0" % args.threads,
-                              key="threads")
         try:
             with open(args.config) as fh:
                 text = fh.read()

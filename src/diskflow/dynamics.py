@@ -15,7 +15,7 @@ when vorticity mass reaches the outer 10 percent of the annulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,17 +72,15 @@ class FlowState:
     params: ModelParams
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class SolverSettings:
+    """The solver keys every run config shares, with their range checks."""
+
     cfl: float = 0.5
     dt: float | None = None          # fixed step; None = adaptive
     dt_max: float = 0.05
-    min_dt: float = 1e-10
     snapshot_dt: float | None = None
     tail_threshold: float = 1e-8     # relative to the initial |q|
-    mass_tol: float = 1e-6           # mode-0 guard for the Poisson solve
-    circulation_tol: float = 1e-8    # outer-ring witness, relative
-    diagnostics_path: str | None = None  # streams one CSV row per step
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
@@ -92,6 +90,20 @@ class RunConfig:
             if v is not None and not v > 0.0:
                 raise ConfigError("%s=%r must be positive" % (name, v),
                                   key=name)
+
+    def run_config(self, **overrides) -> RunConfig:
+        """A RunConfig with every RunConfig key self holds, then overrides."""
+        keys = {f.name: getattr(self, f.name) for f in fields(RunConfig)
+                if hasattr(self, f.name)}
+        return RunConfig(**{**keys, **overrides})
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(SolverSettings):
+    min_dt: float = 1e-10
+    mass_tol: float = 1e-6           # mode-0 guard for the Poisson solve
+    circulation_tol: float = 1e-8    # outer-ring witness, relative
+    diagnostics_path: str | None = None  # streams one CSV row per step
 
 
 @dataclass
@@ -107,7 +119,7 @@ _DIAG_KEYS = ("t", "dt", "energy", "enstrophy", "tail_mass",
 
 
 def make_state(params: ModelParams, q: ScalarField, time: float,
-               mass_tol: float = 1e-6) -> FlowState:
+               mass_tol: float = RunConfig.mass_tol) -> FlowState:
     """Derive (phi, w, u) from q for the given model kind."""
     if params.kind == "euler":
         w = q
@@ -120,7 +132,7 @@ def make_state(params: ModelParams, q: ScalarField, time: float,
 
 
 def initial_state(params: ModelParams, u0: VectorField,
-                  mass_tol: float = 1e-6) -> FlowState:
+                  mass_tol: float = RunConfig.mass_tol) -> FlowState:
     """State at t=0 from a velocity field satisfying the boundary tag."""
     VectorField(u0.grid, u0.u_r, u0.u_theta, tag=params.boundary_tag)
     q0 = recover_q(u0, params.alpha)
@@ -161,7 +173,7 @@ def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
     return k
 
 
-def step(state: FlowState, dt: float, mass_tol: float = 1e-6,
+def step(state: FlowState, dt: float, mass_tol: float = RunConfig.mass_tol,
          end_time: float | None = None) -> FlowState:
     """Classical RK4 update of q; returns a consistent new state.
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boundary_layer import MIN_CELLS, check_delta, collar_resolved
-from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
-                       _diag_row, energy, run)
+from .dynamics import (FlowState, ModelParams, RunConfig, SolverSettings,
+                       Trajectory, _diag_row, energy, run)
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      NumericalFailure)
 from .fields import (VectorField, advect_vector, curl_perp,
@@ -83,17 +83,12 @@ class SweepSettings:
 
 
 @dataclass(frozen=True, kw_only=True)
-class SweepConfig(SweepSettings):
+class SweepConfig(SweepSettings, SolverSettings):
     """A sweep's settings plus the grid, case and solver keys of its runs."""
 
     grid: GridSpec
     t_final: float = 1.0
     case: InitialCase = InitialCase()
-    snapshot_dt: float | None = None  # default t_final / 8
-    cfl: float = RunConfig.cfl
-    dt: float | None = None           # fixed step override for the runs
-    dt_max: float = RunConfig.dt_max
-    tail_threshold: float = RunConfig.tail_threshold
 
     def __post_init__(self):
         super().__post_init__()
@@ -105,14 +100,15 @@ class SweepConfig(SweepSettings):
         if not self.t_final > 0.0:
             raise ConfigError("t_final=%r must be positive" % (self.t_final,),
                               key="t_final")
-        self.run_config()   # range-checks the solver keys
+        SolverSettings.__post_init__(self)  # super() stops at SweepSettings
 
     def run_config(self) -> RunConfig:
-        """Solver settings of every regularized run in the sweep."""
-        snap_dt = snapshot_interval(self.snapshot_dt, self.t_final)
-        return RunConfig(cfl=self.cfl, dt=self.dt, dt_max=self.dt_max,
-                         snapshot_dt=snap_dt,
-                         tail_threshold=self.tail_threshold)
+        """Solver settings of the sweep's runs and of its Euler reference.
+
+        snapshot_dt defaults to t_final / 8.
+        """
+        return super().run_config(
+            snapshot_dt=snapshot_interval(self.snapshot_dt, self.t_final))
 
 
 @dataclass(frozen=True)
@@ -252,9 +248,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
     psi0 = canonical_psi(cfg.case, grid)
     u0 = perp_grad(psi0)
     run_cfg = cfg.run_config()
-    reference = euler_reference(
-        cfg.case, psi0, cfg.t_final,
-        RunConfig(snapshot_dt=run_cfg.snapshot_dt))
+    reference = euler_reference(cfg.case, psi0, cfg.t_final, run_cfg)
 
     def one(alpha: float) -> SweepRecord:
         # CPU time of this run's thread: unlike wall time it does not grow

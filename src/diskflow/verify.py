@@ -9,7 +9,7 @@ verification-failure exit code.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .fields import ScalarField, laplacian, seminorm_hk
 from .grid import GridSpec, build_grid
 from .harness import (EnergyAudit, SweepSettings, energy_audit,
-                      euler_reference)
+                      euler_reference, snapshot_interval)
 from .initial_data import (HypothesisReport, InitialCase, canonical_psi,
                            hypothesis_report, make_initial)
 from .ratefit import RateFit, fit_rate
@@ -80,10 +80,7 @@ def _manufactured_phi(grid) -> ScalarField:
     return ScalarField(grid, bump[:, None] * ang[None, :])
 
 
-def verify_elliptic(order_window: float = Tolerances.order_window,
-                    chain_tol: float = Tolerances.chain_rel,
-                    probe_floor: float = Tolerances.probe_floor
-                    ) -> EllipticVerification:
+def verify_elliptic(tol: Tolerances = Tolerances()) -> EllipticVerification:
     """Order study, fourth-order inverse consistency, and the D^3 probe."""
     errs = []
     for n_r in _ORDER_NS:
@@ -98,7 +95,7 @@ def verify_elliptic(order_window: float = Tolerances.order_window,
         exact = (-r ** -3.0 + b / r + a * r) * np.cos(g.theta_nodes)
         errs.append(_weighted_l2(g, phi.values - exact))
     order_fit = fit_rate(_ORDER_NS, errs)
-    order_ok = abs(-order_fit.slope - _ORDER_TARGET) <= order_window
+    order_ok = abs(-order_fit.slope - _ORDER_TARGET) <= tol.order_window
 
     g = build_grid(GridSpec(128, 16, 8.0))
     phi_star = _manufactured_phi(g)
@@ -109,7 +106,7 @@ def verify_elliptic(order_window: float = Tolerances.order_window,
         phi, _w, _u = solve_stream_helmholtz(q, alpha)
         rels.append((alpha, _weighted_l2(g, phi.values - phi_star.values)
                      / _weighted_l2(g, phi_star.values)))
-    chain_ok = all(rel <= chain_tol for _, rel in rels)
+    chain_ok = all(rel <= tol.chain_rel for _, rel in rels)
 
     g = build_grid(GridSpec(129, 16, 8.0))
     q = laplacian(_manufactured_phi(g))
@@ -118,7 +115,7 @@ def verify_elliptic(order_window: float = Tolerances.order_window,
         _phi, _w, u = solve_stream_helmholtz(q, alpha)
         norms.append(seminorm_hk(u, 3))
     probe_slope = fit_rate(_PROBE_ALPHAS, norms).slope
-    probe_ok = probe_slope >= probe_floor
+    probe_ok = probe_slope >= tol.probe_floor
 
     return EllipticVerification(
         order_fit=order_fit, order_ok=order_ok, chain_rels=tuple(rels),
@@ -140,15 +137,14 @@ class CorrectorVerification:
     passed: bool
 
 
-def verify_corrector(window: float = Tolerances.corrector_window
-                     ) -> CorrectorVerification:
+def verify_corrector(tol: Tolerances = Tolerances()) -> CorrectorVerification:
     """Layer-width scalings of the wall corrector on a slip profile."""
     g = build_grid(_CORRECTOR_GRID)
     # unit wall slip, single angular mode; vanishes on the ring
     vals = (1.0 - np.exp(1.0 - g.r_nodes[:, None])) * np.cos(g.theta_nodes)
     report = corrector_scaling_report(ScalarField(g, vals), _CORRECTOR_DELTAS)
-    l2_ok = abs(report.l2_fit.slope - 0.5) <= window
-    h1_ok = abs(report.h1_fit.slope + 0.5) <= window
+    l2_ok = abs(report.l2_fit.slope - 0.5) <= tol.corrector_window
+    h1_ok = abs(report.h1_fit.slope + 0.5) <= tol.corrector_window
     return CorrectorVerification(report=report, l2_ok=l2_ok, h1_ok=h1_ok,
                                  passed=l2_ok and h1_ok)
 
@@ -170,14 +166,14 @@ class InitialDataVerification:
     passed: bool
 
 
-def verify_initial_data(window: float = Tolerances.hypothesis_window
+def verify_initial_data(tol: Tolerances = Tolerances()
                         ) -> InitialDataVerification:
     """Collar rates of the saturating no-slip family."""
     g = build_grid(_HYPOTHESIS_GRID)
     psi = canonical_psi(_HYPOTHESIS_CASE, g)
     report = hypothesis_report(psi, _HYPOTHESIS_ALPHAS)
-    e0_ok = abs(report.e0_fit.slope - 0.5) <= window
-    d1_ok = abs(report.dk_fits[1].slope + 0.5) <= window
+    e0_ok = abs(report.e0_fit.slope - 0.5) <= tol.hypothesis_window
+    d1_ok = abs(report.dk_fits[1].slope + 0.5) <= tol.hypothesis_window
     products_ok = True
     for k in (1, 2, 3):
         probe = [r.alpha ** k * r.dk_norms[k - 1] for r in report.rows[-3:]]
@@ -191,20 +187,20 @@ def verify_initial_data(window: float = Tolerances.hypothesis_window
 # -------------------------------------------------------------- energy audit
 
 def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
-                       nu: float, t_final: float, snapshot_dt: float,
-                       delta: float | None = None,
-                       run_config: RunConfig | None = None) -> EnergyAudit:
+                       nu: float, t_final: float,
+                       run_config: RunConfig = RunConfig(),
+                       delta: float | None = None) -> EnergyAudit:
     """Run a regularized trajectory and audit it against its Euler twin.
 
     Radial cases reuse the frozen initial state as the reference (any radial
     vorticity is discretely steady); other cases run Euler at the same
-    resolution and snapshot cadence.
+    resolution with run_config.  Snapshots default to t_final / 8.
     """
     g = build_grid(grid_spec)
     psi = canonical_psi(case, g)
     u0a = make_initial(psi, alpha)
-    cfg = run_config if run_config is not None else RunConfig()
-    cfg = replace(cfg, snapshot_dt=snapshot_dt)
+    cfg = run_config.run_config(
+        snapshot_dt=snapshot_interval(run_config.snapshot_dt, t_final))
     traj = run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg)
     ref = euler_reference(case, psi, t_final, cfg)(traj)
     if delta is None:

@@ -174,6 +174,15 @@ def test_round_trip_minimal_and_full():
     assert doc["sweep"]["alphas"] == [0.4, 0.2, 0.1]
 
 
+def test_document_keys_are_the_schema_keys():
+    # internal RunConfig fields (min_dt, mass_tol, ...) stay out of the JSON
+    doc = config_document(parse_config(FULL))
+    assert set(doc) == {"model", "alpha", "nu", "grid", "t_final", "cfl",
+                        "dt", "dt_max", "snapshot_dt", "tail_threshold",
+                        "output_dir", "case", "sweep", "audit",
+                        "tolerances"}
+
+
 def test_config_type_is_value_comparable():
     a = parse_config(MINIMAL)
     b = parse_config(MINIMAL)
@@ -307,9 +316,17 @@ def test_energy_audit_subcommand(tmp_path, capsys):
                  "--output-dir", str(out)]) == 2
 
 
-def test_threads_flag_must_be_nonnegative(tmp_path):
+def test_threads_flag_must_be_nonnegative(tmp_path, capsys):
     cfg = write_config(tmp_path, MINIMAL)
-    assert main(["simulate", "--config", cfg, "--threads", "-1"]) == 2
+    assert main(["sweep", "--config", cfg, "--threads", "-1"]) == 2
+    assert "config error (threads)" in capsys.readouterr().err
+
+
+def test_threads_flag_is_offered_by_sweep_only(tmp_path):
+    cfg = write_config(tmp_path, MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", cfg, "--threads", "1"])
+    assert exc.value.code == 2      # argparse usage error
 
 
 def test_cli_import_leaves_scipy_integrate_out():

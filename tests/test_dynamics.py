@@ -88,6 +88,15 @@ def test_run_config_rejects_bad_values(kw):
         RunConfig(**kw)
 
 
+def test_run_config_of_a_run_config_keeps_every_key():
+    cfg = RunConfig(cfl=0.2, mass_tol=1e-3, min_dt=1e-12,
+                    diagnostics_path="d.csv")
+    assert cfg.run_config() == cfg
+    assert cfg.run_config(dt=0.01) == RunConfig(
+        cfl=0.2, dt=0.01, mass_tol=1e-3, min_dt=1e-12,
+        diagnostics_path="d.csv")
+
+
 def test_initial_state_enforces_boundary_tag():
     g = GRID64
     # 1/r swirl slips on the ring: fine for euler, rejected for alpha kinds

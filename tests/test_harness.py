@@ -281,6 +281,33 @@ def test_failing_euler_reference_fails_the_sweep(monkeypatch, threads):
     assert started == []    # the reference runs before any alpha
 
 
+def test_euler_reference_takes_the_solver_keys_of_the_alpha_runs(
+        monkeypatch):
+    import diskflow.harness as hz
+    real_euler_run, real_run = hz.euler_run, hz.run
+    seen = {"euler": [], "alpha": []}
+    keys = ("cfl", "dt", "dt_max", "snapshot_dt", "tail_threshold")
+
+    def euler_spy(psi0, t_final, config):
+        seen["euler"].append(tuple(getattr(config, k) for k in keys))
+        return real_euler_run(psi0, t_final, config)
+
+    def run_spy(params, u0, t_final, config=RunConfig(), observers=()):
+        if params.kind != "euler":
+            seen["alpha"].append(tuple(getattr(config, k) for k in keys))
+        return real_run(params, u0, t_final, config, observers)
+
+    monkeypatch.setattr(hz, "euler_run", euler_spy)
+    monkeypatch.setattr(hz, "run", run_spy)
+    cfg = SweepConfig(alphas=(0.4, 0.2), grid=GridSpec(65, 32, 8.0),
+                      case=InitialCase(name="perturbed_vortex"),
+                      t_final=0.004, cfl=0.1, dt_max=0.001)
+    recs = run_sweep(cfg, threads=1)
+    assert [r.status for r in recs] == ["ok", "ok"]
+    assert seen["euler"] == [(0.1, None, 0.001, 0.0005, 1e-8)]
+    assert seen["alpha"] == seen["euler"] * 2
+
+
 # ---------------------------------------------------------------- audit
 
 def test_energy_audit_identical_steady_trajectories():

@@ -2,7 +2,8 @@
 
 import json
 
-from diskflow.verify import (energy_audit_study, report_dict,
+from diskflow.dynamics import RunConfig
+from diskflow.verify import (Tolerances, energy_audit_study, report_dict,
                              verify_corrector, verify_elliptic,
                              verify_initial_data)
 from diskflow.grid import GridSpec
@@ -19,7 +20,7 @@ def test_elliptic_verification_passes_and_serializes():
 
 
 def test_elliptic_windows_are_overridable():
-    rep = verify_elliptic(order_window=1e-6)
+    rep = verify_elliptic(Tolerances(order_window=1e-6))
     assert not rep.order_ok and not rep.passed
     assert rep.chain_ok  # other checks unaffected
 
@@ -29,7 +30,7 @@ def test_corrector_verification_passes():
     assert rep.passed
     assert abs(rep.report.l2_fit.slope - 0.5) <= 0.05
     assert abs(rep.report.h1_fit.slope + 0.5) <= 0.05
-    assert not verify_corrector(window=1e-4).passed
+    assert not verify_corrector(Tolerances(corrector_window=1e-4)).passed
     json.dumps(report_dict(rep))
 
 
@@ -45,7 +46,8 @@ def test_audit_study_with_numerical_euler_reference():
     # must line up exactly for the budget to be evaluated at all
     audit = energy_audit_study(InitialCase(name="perturbed_vortex"),
                                GridSpec(65, 32, 8.0), alpha=0.3, nu=0.0,
-                               t_final=0.05, snapshot_dt=0.01)
+                               t_final=0.05,
+                               run_config=RunConfig(snapshot_dt=0.01))
     assert audit.n_times == 6
     assert audit.nu == 0.0 and audit.i1 == 0.0
     assert audit.i2 != 0.0  # genuine advective transfer between the runs
