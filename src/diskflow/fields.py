@@ -1,11 +1,13 @@
 """Fields on the exterior grid and log-polar differential operators.
 
 Angular derivatives are spectral (real FFT, exact for resolved modes, the
-odd-derivative Nyquist coefficient dropped); radial derivatives are 2nd-order
-centered differences in s = ln r with one-sided 2nd-order closures at r = 1
-and r = r_max.  Norms use the grid quadrature.  H^k seminorms apply k nested
-first-derivative stencils [d/dr, (1/r) d/dtheta] to every component, trading
-sharp constants for code reuse; scaling exponents are what the harness needs.
+odd-derivative Nyquist coefficient dropped); an array whose every row is
+finite and holds one value (radial data) gets exact zeros with no transform.
+Radial derivatives are 2nd-order centered differences in s = ln r with
+one-sided 2nd-order closures at r = 1 and r = r_max.  Norms use the grid
+quadrature.  H^k seminorms apply k nested first-derivative stencils
+[d/dr, (1/r) d/dtheta] to every component, trading sharp constants for code
+reuse; scaling exponents are what the harness needs.
 
 Fields are immutable: constructors copy and freeze their arrays, operators
 are pure functions returning new fields.
@@ -111,7 +113,22 @@ def _dss(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _theta_constant(a: np.ndarray) -> bool:
+    """True when every row of a is finite and holds one value.
+
+    One middle column is compared with column 0 first, so an array that
+    varies in angle is usually rejected without a whole-array scan.  Float
+    ==, so NaN rows fail it; Inf rows fail the finite check.
+    """
+    first = a[:, 0]
+    if not (a[:, a.shape[1] // 2] == first).all():
+        return False
+    return bool((a == first[:, None]).all() and np.isfinite(first).all())
+
+
 def _dtheta(a: np.ndarray) -> np.ndarray:
+    if _theta_constant(a):
+        return np.zeros_like(a)
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
     k = np.arange(n // 2 + 1)
@@ -121,6 +138,8 @@ def _dtheta(a: np.ndarray) -> np.ndarray:
 
 
 def _dtheta2(a: np.ndarray) -> np.ndarray:
+    if _theta_constant(a):
+        return np.zeros_like(a)
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
     k = np.arange(n // 2 + 1)

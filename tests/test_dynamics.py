@@ -9,12 +9,13 @@ import scipy.sparse.linalg
 
 from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import (ScalarField, VectorField, advect, norm_l2,
-                             perp_grad, seminorm_hk)
+                             perp_grad, seminorm_hk, write_snapshot)
 from diskflow.elliptic import recover_q
 from diskflow.dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
                                cfl_dt, energy, initial_state, make_state,
                                outer_circulation, rhs, run, step)
 from diskflow.errors import ConfigError, NumericalFailure
+from diskflow.initial_data import InitialCase, canonical_psi, make_initial
 
 
 # ---------------------------------------------------------------- helpers
@@ -584,3 +585,66 @@ def test_energy_reduces_to_plain_l2_for_euler():
     u0 = velocity_from_stream(radial_stream(g))
     st = initial_state(ModelParams("euler"), u0, mass_tol=1e-3)
     assert energy(st) == pytest.approx(norm_l2(st.u) ** 2, rel=1e-14)
+
+
+# ------------------------------------------------------- angular transforms
+
+def _vortex_state(kind, case_name):
+    g = build_grid(GridSpec(n_r=65, n_theta=16, r_max=10.0))
+    psi = canonical_psi(InitialCase(case_name), g)
+    nu = 1e-3 if kind == "second_grade" else 0.0
+    params = ModelParams(kind, alpha=0.2, nu=nu)
+    return params, make_initial(psi, params.alpha)
+
+
+@pytest.mark.parametrize("kind, case_name, calls", [
+    ("euler_alpha", "radial_vortex", 4),
+    ("second_grade", "radial_vortex", 4),
+    ("euler_alpha", "perturbed_vortex", 16),
+    ("second_grade", "perturbed_vortex", 20),
+])
+def test_step_transforms_only_what_varies_in_angle(monkeypatch, kind,
+                                                   case_name, calls):
+    params, u0 = _vortex_state(kind, case_name)
+    state = initial_state(params, u0)
+    counts = {"rfft": 0, "irfft": 0}
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in counts:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    step(state, 1e-3)
+    # radial data: one transform pair per elliptic inversion, none in fields
+    assert counts == {"rfft": calls, "irfft": calls}
+
+
+@pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
+def test_radial_run_matches_the_fft_path(monkeypatch, tmp_path, kind):
+    import diskflow.fields as fields
+    params, u0 = _vortex_state(kind, "radial_vortex")
+    config = RunConfig(snapshot_dt=0.05)
+    got = run(params, u0, 0.2, config)
+    monkeypatch.setattr(fields, "_theta_constant", lambda a: False)
+    want = run(params, u0, 0.2, config)
+    assert len(got.snapshots) == len(want.snapshots) == 5
+
+    def arrays(s):
+        return (s.q.values, s.w.values, s.phi.values, s.u.u_r, s.u.u_theta)
+    for i, (a, b) in enumerate(zip(got.snapshots, want.snapshots)):
+        assert a.time == b.time
+        for x, y in zip(arrays(a), arrays(b), strict=True):
+            assert np.array_equal(x, y)
+        for s, side in ((a, "got"), (b, "want")):
+            write_snapshot(s.q, tmp_path / ("%s_%d.csv" % (side, i)),
+                           time=s.time, alpha=params.alpha, nu=params.nu)
+        assert (tmp_path / ("got_%d.csv" % i)).read_bytes() \
+            == (tmp_path / ("want_%d.csv" % i)).read_bytes()
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key in got.diagnostics:
+        assert got.diagnostics[key].tobytes() \
+            == want.diagnostics[key].tobytes(), key

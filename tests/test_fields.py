@@ -258,6 +258,86 @@ def test_advect_grid_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# angular derivatives of θ-constant arrays
+
+ANGULAR = (fields._dtheta, fields._dtheta2)
+
+
+def fft_path(monkeypatch, dtheta, a):
+    """dtheta(a) with the θ-constant shortcut switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(fields, "_theta_constant", lambda a: False)
+        return dtheta(a)
+
+
+def constant_rows(n_theta, seed=0):
+    rng = np.random.default_rng(seed)
+    mags = 10.0 ** rng.uniform(-8.0, 8.0, 40) * rng.choice([-1.0, 1.0], 40)
+    col = np.concatenate([mags, [5e-324, -5e-324, 0.0, -0.0, 1e300, -1e300]])
+    rows = np.repeat(col[:, None], n_theta, axis=1)
+    signed = np.zeros((2, n_theta))
+    signed[0, ::2] = -0.0   # rows mixing 0.0 and -0.0
+    signed[1, 1::3] = -0.0
+    return np.vstack([rows, signed])
+
+
+@pytest.mark.parametrize("dtheta", ANGULAR)
+@pytest.mark.parametrize("n_theta", [8, 16, 32, 48, 96, 128])
+def test_theta_constant_rows_match_the_fft_path(monkeypatch, dtheta, n_theta):
+    a = constant_rows(n_theta, seed=n_theta)
+    assert fields._theta_constant(a)
+    got = dtheta(a)
+    assert np.array_equal(got, fft_path(monkeypatch, dtheta, a))
+    assert not got.any()
+
+
+@pytest.mark.parametrize("dtheta", ANGULAR)
+@pytest.mark.parametrize("order", [np.ascontiguousarray, np.asfortranarray])
+def test_theta_constant_shortcut_ignores_memory_order(monkeypatch, dtheta,
+                                                       order):
+    a = order(constant_rows(32))
+    assert fields._theta_constant(a)
+    assert np.array_equal(dtheta(a), fft_path(monkeypatch, dtheta, a))
+
+
+@pytest.mark.parametrize("dtheta", ANGULAR)
+@pytest.mark.parametrize("column", [0, 16, 31])
+def test_one_off_constant_entry_takes_the_fft_path(monkeypatch, dtheta,
+                                                    column):
+    a = constant_rows(32)
+    a[5, column] *= 1.0 + 1e-12
+    assert not fields._theta_constant(a)
+    got = dtheta(a)
+    assert np.array_equal(got, fft_path(monkeypatch, dtheta, a))
+    assert got[5].any()
+
+
+@pytest.mark.parametrize("dtheta", ANGULAR)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_take_the_fft_path(monkeypatch, dtheta, bad):
+    a = constant_rows(16)
+    a[3] = bad
+    assert not fields._theta_constant(a)
+    with np.errstate(invalid="ignore"):
+        got = dtheta(a)
+        want = fft_path(monkeypatch, dtheta, a)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[3]).all()
+
+
+@pytest.mark.parametrize("dtheta", ANGULAR)
+def test_theta_constant_rows_near_overflow_give_exact_zeros(monkeypatch,
+                                                             dtheta):
+    # the FFT's mode-0 sum 128 x 1e308 overflows, so the transform path
+    # reads NaN on a finite field; the shortcut never forms that sum
+    a = np.repeat(np.array([[1e308], [-1e308]]), 128, axis=1)
+    got = dtheta(a)
+    assert np.array_equal(got, np.zeros_like(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(fft_path(monkeypatch, dtheta, a)).all()
+
+
+# ---------------------------------------------------------------------------
 # norms
 
 def test_norm_zero():
