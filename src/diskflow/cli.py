@@ -206,17 +206,23 @@ def _cmd_simulate(cfg: RunConfig, args, out: str) -> int:
     psi = canonical_psi(cfg.case, grid)
     solver = cfg.run_config(
         diagnostics_path=os.path.join(out, "diagnostics.csv"))
+    written = []
+
+    def write(s):   # as each snapshot is taken: a failed run keeps them
+        write_snapshot(s.q, os.path.join(out, "snapshot_%04d.csv"
+                                         % len(written)),
+                       time=s.time, alpha=s.params.alpha, nu=s.params.nu)
+        written.append(s.time)
+
     if cfg.model == "euler":
-        traj = euler_run(psi, cfg.t_final, solver)
+        traj = euler_run(psi, cfg.t_final, solver, on_snapshot=write)
     else:
         params = ModelParams(kind=cfg.model, alpha=cfg.alpha, nu=cfg.nu)
-        traj = run(params, make_initial(psi, cfg.alpha), cfg.t_final, solver)
-    for i, s in enumerate(traj.snapshots):
-        write_snapshot(s.q, os.path.join(out, "snapshot_%04d.csv" % i),
-                       time=s.time, alpha=s.params.alpha, nu=s.params.nu)
+        traj = run(params, make_initial(psi, cfg.alpha), cfg.t_final, solver,
+                   on_snapshot=write)
     n_steps = len(traj.diagnostics["t"]) - 1
     print("simulate: %s to t=%g in %d steps, %d snapshots -> %s"
-          % (cfg.model, cfg.t_final, n_steps, len(traj.snapshots), out))
+          % (cfg.model, cfg.t_final, n_steps, len(written), out))
     return EXIT_OK
 
 

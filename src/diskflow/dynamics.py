@@ -108,7 +108,10 @@ class RunConfig(SolverSettings):
 
 @dataclass
 class Trajectory:
-    """Strided snapshots plus per-step diagnostics arrays."""
+    """Strided snapshots plus per-step diagnostics arrays.
+
+    snapshots is empty when run handed them to an on_snapshot callback.
+    """
 
     snapshots: list
     diagnostics: dict
@@ -251,8 +254,17 @@ def _diag_row(state: FlowState, dt: float, tail_w: np.ndarray) -> dict:
 
 
 def run(params: ModelParams, u0: VectorField, t_final: float,
-        config: RunConfig = RunConfig(), observers=()) -> Trajectory:
-    """Integrate to t_final with snapshots and per-step diagnostics."""
+        config: RunConfig = RunConfig(), observers=(),
+        on_snapshot=None) -> Trajectory:
+    """Integrate to t_final with snapshots and per-step diagnostics.
+
+    Snapshots are the initial state, one state per snapshot_dt before
+    t_final, and the final state.  Each observer is called as
+    obs(state, row) after every step.  When on_snapshot is given, it is
+    called with each snapshot as it is taken and the returned snapshots
+    list stays empty, so a caller can write or reduce snapshots without
+    holding them; those taken before a failure have then been handed over.
+    """
     if not t_final > 0.0:
         raise ConfigError("t_final=%r must be positive" % (t_final,),
                           key="t_final")
@@ -286,7 +298,10 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
     try:
         row = _diag_row(state, 0.0, tail_w)
         record(row)
-        snapshots = [state]
+        snapshots = []
+        keep = snapshots.append if on_snapshot is None else on_snapshot
+        keep(state)
+        kept_time = state.time
         snap_idx = 1
         eps = 1e-9 * max(1.0, t_final)
         while state.time < t_final - eps:
@@ -316,12 +331,13 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
             hit_snap = (config.snapshot_dt is not None and target is not None
                         and target != t_final)
             if hit_snap:
-                snapshots.append(state)
+                keep(state)
+                kept_time = state.time
                 snap_idx += 1
             for obs in observers:
                 obs(state, row)
-        if snapshots[-1].time != state.time:
-            snapshots.append(state)
+        if kept_time != state.time:
+            keep(state)
     finally:
         if stream is not None:
             stream.close()

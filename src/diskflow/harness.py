@@ -11,8 +11,9 @@ grid are meaningful.
 
 Also here: the error-energy audit, which re-evaluates the budget
   1/2 |w(T)|^2 - 1/2 |w(0)|^2 = I1 + I2 + I3 + I4,   w = u - u_euler,
-from snapshots with the same discrete operators the solver uses, and the
-bound-shape helpers for the convergence theorem
+from snapshots with the same discrete operators the solver uses, one
+snapshot at a time over a three-snapshot window, and the bound-shape
+helpers for the convergence theorem
   sup_t |u - u_euler| <= K * (err0 + alpha*grad0 + alpha^(1/3)
                               + nu^(1/2) alpha^(-2/3)).
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import time as _time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -166,16 +168,23 @@ def _times(traj: Trajectory) -> np.ndarray:
     return np.array([s.time for s in traj.snapshots], dtype=float)
 
 
-def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
-    ga = traj_a.snapshots[0].u.grid.spec
-    gb = traj_b.snapshots[0].u.grid.spec
+def _check_grids(ga: GridSpec, gb: GridSpec) -> None:
     if ga != gb:
         raise ConfigError("trajectories live on different grids: %r vs %r"
                           % (ga, gb), key="trajectories")
-    ta, tb = _times(traj_a), _times(traj_b)
+
+
+def _check_times(ta: np.ndarray, tb: np.ndarray) -> None:
     scale = max(1.0, float(ta[-1]) if ta.size else 1.0)
     if ta.size != tb.size or np.max(np.abs(ta - tb)) > _TIME_MATCH_TOL * scale:
         raise ConfigError("snapshot time grids do not match", key="trajectories")
+
+
+def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
+    _check_grids(traj_a.snapshots[0].u.grid.spec,
+                 traj_b.snapshots[0].u.grid.spec)
+    ta = _times(traj_a)
+    _check_times(ta, _times(traj_b))
     return ta
 
 
@@ -207,10 +216,22 @@ def euler_reference_state(psi0) -> FlowState:
     return FlowState(time=0.0, q=w, w=w, phi=psi0, u=u, params=params)
 
 
-def euler_run(psi0, t_final: float, config: RunConfig) -> Trajectory:
-    """Plain Euler from the stream function, with the Euler mass slack."""
+def euler_run(psi0, t_final: float, config: RunConfig, **hooks) -> Trajectory:
+    """Plain Euler from the stream function, with the Euler mass slack.
+
+    hooks (observers, on_snapshot) are passed to run as given.
+    """
     return run(ModelParams(kind="euler"), euler_reference_state(psi0).u,
-               t_final, replace(config, mass_tol=_EULER_MASS_TOL))
+               t_final, replace(config, mass_tol=_EULER_MASS_TOL), **hooks)
+
+
+def reference_is_frozen(case: InitialCase) -> bool:
+    """Whether runs of case are measured against the frozen initial state.
+
+    That is so for radial cases: any radial vorticity is discretely steady.
+    Other cases are measured against a numerical Euler run.
+    """
+    return case.name == "radial_vortex"
 
 
 def euler_reference(case: InitialCase, psi0, t_final: float,
@@ -218,10 +239,10 @@ def euler_reference(case: InitialCase, psi0, t_final: float,
     """The Euler solution that regularized runs from psi0 are measured by.
 
     Returns a function from a trajectory to the reference on its snapshot
-    times.  Radial cases freeze the initial state (any radial vorticity is
-    discretely steady); other cases run Euler once, with config.
+    times: the frozen initial state, or one Euler run with config
+    (reference_is_frozen).
     """
-    if case.name == "radial_vortex":
+    if reference_is_frozen(case):
         state = euler_reference_state(psi0)
         return lambda traj: frozen_trajectory(state, _times(traj))
     ref = euler_run(psi0, t_final, config)
@@ -331,51 +352,116 @@ class EnergyAudit:
     n_times: int
 
 
+class EnergyBudget:
+    """The error-energy budget of one run, fed one snapshot at a time.
+
+    add() takes each snapshot of the regularized run with the Euler
+    velocity and time it is measured against; finish() returns the
+    EnergyAudit.  Only the Laplacian and w of the last three snapshots are
+    held, because d_t of the Laplacian is np.gradient's three-point stencil
+    with edge_order=2.  Each slice of it is evaluated with numpy's own
+    coefficients and operation order, so every term equals the batch
+    formula bit for bit.  numpy takes its uniform-spacing formulas iff every
+    time step equals the first, which is known only at the end, so f3 is
+    kept under both rules.
+    """
+
+    def __init__(self, delta: float):
+        check_delta(delta)
+        self.delta = delta
+        self._snap_times, self._ref_times = [], []
+        self._f1, self._f2, self._f4 = [], [], []
+        self._f3 = {True: [], False: []}     # keyed by "times are uniform"
+        self._window = deque(maxlen=3)       # (lap, w) of the last snapshots
+
+    def add(self, state: FlowState, u_ref: VectorField, t_ref: float) -> None:
+        u, g = state.u, state.u.grid
+        _check_grids(g.spec, u_ref.grid.spec)
+        w = VectorField(g, u.u_r - u_ref.u_r, u.u_theta - u_ref.u_theta)
+        if not self._snap_times:
+            self._params, self._grid = state.params, g
+            self._e0 = energy(state)
+            self._w0_norm = norm_l2(w)
+        lap = vector_laplacian(u)
+        self._f1.append(inner_l2(lap, w))
+        self._f2.append(inner_l2(advect_vector(w, u_ref), w))
+        self._f4.append(inner_l2(advect_vector(u, lap), w)
+                        + inner_l2(grad_transpose_apply(u, lap), w))
+        self._snap_times.append(state.time)
+        self._ref_times.append(t_ref)
+        self._window.append((lap, w))
+        if len(self._snap_times) == 3:
+            self._slope(0)
+        if len(self._snap_times) >= 3:
+            self._slope(1)
+
+    def _slope(self, k: int) -> None:
+        """f3 of window slice k (0 first, 1 interior, 2 last), both rules."""
+        (l0, _), (l1, _), (l2, _) = self._window
+        t0, t1, t2 = self._snap_times[-3:]
+        dx1, dx2 = t1 - t0, t2 - t1
+        h = self._snap_times[1] - self._snap_times[0]  # numpy's uniform step
+        if k == 0:
+            uniform = (-1.5 / h, 2. / h, -0.5 / h)
+            general = (-(2. * dx1 + dx2) / (dx1 * (dx1 + dx2)),
+                       (dx1 + dx2) / (dx1 * dx2),
+                       - dx1 / (dx2 * (dx1 + dx2)))
+        elif k == 1:
+            uniform = None                    # (f[i+1] - f[i-1]) / (2 h)
+            general = (-(dx2) / (dx1 * (dx1 + dx2)),
+                       (dx2 - dx1) / (dx1 * dx2),
+                       dx1 / (dx2 * (dx1 + dx2)))
+        else:
+            uniform = (0.5 / h, -2. / h, 1.5 / h)
+            general = (dx2 / (dx1 * (dx1 + dx2)),
+                       - (dx2 + dx1) / (dx1 * dx2),
+                       (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
+        w = self._window[k][1]
+        for key, coef in ((True, uniform), (False, general)):
+            if coef is None:
+                dl_r = (l2.u_r - l0.u_r) / (2. * h)
+                dl_t = (l2.u_theta - l0.u_theta) / (2. * h)
+            else:
+                a, b, c = coef
+                dl_r = a * l0.u_r + b * l1.u_r + c * l2.u_r
+                dl_t = a * l0.u_theta + b * l1.u_theta + c * l2.u_theta
+            self._f3[key].append(float(np.sum(
+                self._grid.weights * (dl_r * w.u_r + dl_t * w.u_theta))))
+
+    def finish(self) -> EnergyAudit:
+        t = np.array(self._snap_times, dtype=float)
+        _check_times(t, np.array(self._ref_times, dtype=float))
+        if t.size < 3:
+            raise ConfigError("need at least 3 snapshots to estimate the time "
+                              "derivative", key="trajectories")
+        self._slope(2)
+        steps = np.diff(t)
+        f3 = np.array(self._f3[bool((steps == steps[0]).all())])
+        a, nu, delta = self._params.alpha, self._params.nu, self.delta
+        i1 = nu * float(np.trapezoid(np.array(self._f1), t))
+        i2 = -float(np.trapezoid(np.array(self._f2), t))
+        i3 = a * a * float(np.trapezoid(f3, t))
+        i4 = a * a * float(np.trapezoid(np.array(self._f4), t))
+        lhs = 0.5 * (norm_l2(self._window[-1][1]) ** 2 - self._w0_norm ** 2)
+        residual = abs(lhs - (i1 + i2 + i3 + i4))
+        g_shape = ((nu + a * a) * (delta ** 0.5 / (a * a) + 1.0 / delta)
+                   + a * a)
+        return EnergyAudit(i1=i1, i2=i2, i3=i3, i4=i4, lhs=lhs,
+                           residual=residual,
+                           rel_residual=residual / max(abs(lhs), self._e0),
+                           g_shape=g_shape, alpha=a, nu=nu, delta=delta,
+                           n_times=int(t.size))
+
+
 def energy_audit(traj_sg: Trajectory, traj_euler: Trajectory,
                  delta: float) -> EnergyAudit:
-    """Evaluate the four-term budget of the error energy between two runs."""
-    check_delta(delta)
-    t = _check_pair(traj_sg, traj_euler)
-    if t.size < 3:
-        raise ConfigError("need at least 3 snapshots to estimate the time "
-                          "derivative", key="trajectories")
-    params = traj_sg.snapshots[0].params
-    a, nu = params.alpha, params.nu
-    g = traj_sg.snapshots[0].u.grid
+    """Evaluate the four-term budget of the error energy between two runs.
 
-    ws, laps = [], []
-    f1 = np.empty(t.size)
-    f2 = np.empty(t.size)
-    f4 = np.empty(t.size)
-    for i, (s, sref) in enumerate(zip(traj_sg.snapshots, traj_euler.snapshots)):
-        w = VectorField(g, s.u.u_r - sref.u.u_r, s.u.u_theta - sref.u.u_theta)
-        lap = vector_laplacian(s.u)
-        ws.append(w)
-        laps.append(lap)
-        f1[i] = inner_l2(lap, w)
-        f2[i] = inner_l2(advect_vector(w, sref.u), w)
-        f4[i] = inner_l2(advect_vector(s.u, lap), w) \
-            + inner_l2(grad_transpose_apply(s.u, lap), w)
-
-    # d_t of the Laplacian snapshots: second order inside and at the ends
-    dl_r = np.gradient(np.stack([l.u_r for l in laps]), t, axis=0,
-                       edge_order=2)
-    dl_t = np.gradient(np.stack([l.u_theta for l in laps]), t, axis=0,
-                       edge_order=2)
-    f3 = np.array([float(np.sum(g.weights * (dl_r[i] * ws[i].u_r
-                                             + dl_t[i] * ws[i].u_theta)))
-                   for i in range(t.size)])
-
-    i1 = nu * float(np.trapezoid(f1, t))
-    i2 = -float(np.trapezoid(f2, t))
-    i3 = a * a * float(np.trapezoid(f3, t))
-    i4 = a * a * float(np.trapezoid(f4, t))
-    lhs = 0.5 * (norm_l2(ws[-1]) ** 2 - norm_l2(ws[0]) ** 2)
-    residual = abs(lhs - (i1 + i2 + i3 + i4))
-    e0 = energy(traj_sg.snapshots[0])
-    g_shape = ((nu + a * a) * (delta ** 0.5 / (a * a) + 1.0 / delta)
-               + a * a)
-    return EnergyAudit(i1=i1, i2=i2, i3=i3, i4=i4, lhs=lhs, residual=residual,
-                       rel_residual=residual / max(abs(lhs), e0),
-                       g_shape=g_shape, alpha=a, nu=nu, delta=delta,
-                       n_times=int(t.size))
+    The trajectories must share their grid and snapshot times, with at
+    least 3 snapshots; EnergyBudget does the sums.
+    """
+    budget = EnergyBudget(delta)
+    _check_pair(traj_sg, traj_euler)
+    for s, sref in zip(traj_sg.snapshots, traj_euler.snapshots):
+        budget.add(s, sref.u, sref.time)
+    return budget.finish()

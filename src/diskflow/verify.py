@@ -19,8 +19,9 @@ from .elliptic import solve_poisson, solve_stream_helmholtz
 from .errors import ConfigError
 from .fields import ScalarField, laplacian, seminorm_hk
 from .grid import GridSpec, build_grid
-from .harness import (EnergyAudit, SweepSettings, energy_audit,
-                      euler_reference, snapshot_interval)
+from .harness import (EnergyAudit, EnergyBudget, SweepSettings, _check_times,
+                      euler_reference_state, euler_run, reference_is_frozen,
+                      snapshot_interval)
 from .initial_data import (HypothesisReport, InitialCase, canonical_psi,
                            hypothesis_report, make_initial)
 from .ratefit import RateFit, fit_rate
@@ -193,19 +194,40 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
     """Run a regularized trajectory and audit it against its Euler twin.
 
     Radial cases reuse the frozen initial state as the reference (any radial
-    vorticity is discretely steady); other cases run Euler at the same
-    resolution with run_config.  Snapshots default to t_final / 8.
+    vorticity is discretely steady); other cases first run Euler at the same
+    resolution with run_config and keep only its velocity per snapshot.
+    The regularized run streams its snapshots into an EnergyBudget, so the
+    audit holds three snapshots' worth of fields, not the trajectory.
+    Snapshots default to t_final / 8.
     """
     g = build_grid(grid_spec)
     psi = canonical_psi(case, g)
     u0a = make_initial(psi, alpha)
     cfg = run_config.run_config(
         snapshot_dt=snapshot_interval(run_config.snapshot_dt, t_final))
-    traj = run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg)
-    ref = euler_reference(case, psi, t_final, cfg)(traj)
-    if delta is None:
-        delta = alpha ** SweepSettings.delta_rule
-    return energy_audit(traj, ref, delta)
+    budget = EnergyBudget(alpha ** SweepSettings.delta_rule
+                          if delta is None else delta)
+    frozen = reference_is_frozen(case)
+    ref, taken = [], []
+    if frozen:
+        u_frozen = euler_reference_state(psi).u
+    else:
+        euler_run(psi, t_final, cfg,
+                  on_snapshot=lambda s: ref.append((s.time, s.u)))
+
+    def feed(state):
+        taken.append(state.time)
+        if frozen:
+            budget.add(state, u_frozen, state.time)
+        elif len(taken) <= len(ref):
+            t_ref, u_ref = ref[len(taken) - 1]
+            budget.add(state, u_ref, t_ref)
+
+    run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg,
+        on_snapshot=feed)
+    if not frozen:
+        _check_times(np.array(taken), np.array([t for t, _ in ref]))
+    return budget.finish()
 
 
 # ------------------------------------------------------------------- reports

@@ -1,6 +1,7 @@
 """Config schema, exit codes, and file emission of the command line."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from diskflow.cli import (RunConfig, SweepSettings, Tolerances,
                           _sweep_config, config_document, main,
                           parse_config, serialize_config)
 from diskflow.errors import ConfigError
+from diskflow.fields import read_snapshot
+from diskflow.grid import GridSpec, build_grid
 
 MINIMAL = ('{"model": "euler_alpha", "alpha": 0.2, '
            '"grid": {"n_r": 64}, "t_final": 0.1}')
@@ -231,6 +234,36 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
                  "--output-dir", str(tmp_path / "o")])
     assert code == 3
     assert "cfl" in capsys.readouterr().err
+
+
+def test_failed_simulate_keeps_its_snapshots(tmp_path, capsys):
+    # the stream solve's far-field closure trips tail_mass at t ~ 0.2
+    doc = {"model": "second_grade", "alpha": 0.2, "nu": 1e-4,
+           "grid": {"n_r": 65, "n_theta": 16}, "t_final": 0.5, "dt": 0.005,
+           "snapshot_dt": 0.01,
+           "case": {"name": "perturbed_vortex", "r0": 2.0, "sigma": 0.4,
+                    "mode": 2, "eps": 0.1}}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 3
+    assert "tail_mass" in capsys.readouterr().err
+    t_fail = float((out / "diagnostics.csv").read_text().splitlines()[-1]
+                   .split(",")[0])
+    names = sorted(n for n in os.listdir(out) if n.startswith("snapshot_"))
+    assert len(names) == math.floor(t_fail / 0.01 - 1e-9) + 1 > 3
+    grid = build_grid(GridSpec(65, 16))
+    for i, name in enumerate(names):
+        assert name == "snapshot_%04d.csv" % i
+        field, meta = read_snapshot(out / name, grid)
+        assert meta["time"] == pytest.approx(0.01 * i, abs=1e-12)
+    # the same bytes as a run that stops before the failure
+    doc["t_final"] = meta["time"]
+    ok = write_config(tmp_path, json.dumps(doc), "ok.json")
+    assert main(["simulate", "--config", ok, "--output-dir",
+                 str(tmp_path / "ok")]) == 0
+    for name in names:
+        assert (out / name).read_bytes() \
+            == (tmp_path / "ok" / name).read_bytes()
 
 
 def test_sweep_requires_sweep_section(tmp_path, capsys):

@@ -568,6 +568,41 @@ def test_observers_called_each_step():
     assert seen == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05])
 
 
+@pytest.mark.parametrize("snapshot_dt", [None, 0.015],
+                         ids=["ends-only", "strided"])
+def test_on_snapshot_receives_what_snapshots_would_hold(snapshot_dt):
+    g = GRID64
+    u0 = velocity_from_stream(radial_stream(g, moded=(0.1, 2)))
+    params = ModelParams("euler_alpha", alpha=0.25)
+    config = RunConfig(cfl=0.4, snapshot_dt=snapshot_dt)
+    want = run(params, u0, 0.05, config)
+    got = []
+    traj = run(params, u0, 0.05, config, on_snapshot=got.append)
+    assert traj.snapshots == []
+    assert len(want.snapshots) == (2 if snapshot_dt is None else 5)
+    assert [s.time for s in got] == [s.time for s in want.snapshots]
+    assert got[0].time == 0.0 and got[-1].time == 0.05
+    for a, b in zip(got, want.snapshots, strict=True):
+        for x, y in ((a.q.values, b.q.values), (a.w.values, b.w.values),
+                     (a.phi.values, b.phi.values), (a.u.u_r, b.u.u_r),
+                     (a.u.u_theta, b.u.u_theta)):
+            assert np.array_equal(x, y)
+    for key in want.diagnostics:
+        assert np.array_equal(traj.diagnostics[key], want.diagnostics[key])
+
+
+def test_on_snapshot_has_every_snapshot_before_a_failure():
+    g = build_grid(GridSpec(n_r=129, n_theta=16, r_max=8.0))
+    u0 = velocity_from_stream(radial_stream(g, lo=6.4, hi=7.5, moded=(0.2, 2)))
+    got = []
+    with pytest.raises(NumericalFailure) as exc:
+        run(ModelParams("euler_alpha", alpha=0.2), u0, 0.5,
+            RunConfig(dt=0.01, snapshot_dt=0.01), on_snapshot=got.append)
+    assert exc.value.kind == "tail_mass"
+    assert got and got[0].time == 0.0
+    assert got[-1].time == pytest.approx(exc.value.time - 0.01)
+
+
 def test_rhs_matches_hand_assembly():
     g = build_grid(GridSpec(n_r=65, n_theta=16, r_max=8.0))
     u0 = velocity_from_stream(radial_stream(g, moded=(0.2, 2)))

@@ -9,10 +9,11 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from diskflow.dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
-                               run)
+                               energy, run)
 from diskflow.errors import (ConfigError, DegenerateFitError, DiskflowError,
                              NumericalFailure)
-from diskflow.fields import VectorField, norm_l2
+from diskflow.fields import (VectorField, advect_vector, grad_transpose_apply,
+                             inner_l2, norm_l2, vector_laplacian)
 from diskflow.grid import GridSpec, build_grid
 from diskflow.harness import (EnergyAudit, SweepConfig, SweepRecord,
                               _energy_drift, bound_margins, energy_audit,
@@ -22,6 +23,7 @@ from diskflow.harness import (EnergyAudit, SweepConfig, SweepRecord,
                               write_sweep_csv)
 from diskflow.initial_data import InitialCase, canonical_psi, make_initial
 from diskflow.ratefit import fit_rate
+from diskflow.verify import energy_audit_study
 
 H_CASE = InitialCase(name="radial_vortex", amplitude=0.4, r0=1.0, sigma=1.5,
                      boundary_profile="linear")
@@ -367,10 +369,15 @@ def test_energy_audit_rejects_bad_inputs():
     two = frozen_trajectory(st, [0.0, 0.1])
     three = frozen_trajectory(st, [0.0, 0.1, 0.2])
     other = frozen_trajectory(st, [0.0, 0.1, 0.3])
-    with pytest.raises(ConfigError):
+    four = frozen_trajectory(st, [0.0, 0.1, 0.2, 0.3])
+    with pytest.raises(ConfigError, match="at least 3 snapshots") as exc:
         energy_audit(two, two, delta=0.1)
-    with pytest.raises(ConfigError):
-        energy_audit(three, other, delta=0.1)
+    assert exc.value.key == "trajectories"
+    for ref in (two, four, other):
+        with pytest.raises(ConfigError, match="time grids do not match") \
+                as exc:
+            energy_audit(three, ref, delta=0.1)
+        assert exc.value.key == "trajectories"
     with pytest.raises(ConfigError):
         energy_audit(three, three, delta=0.0)
     g2 = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
@@ -394,6 +401,126 @@ def test_energy_audit_second_grade_budget_closes():
     assert abs(audit.lhs) > 0.0
     assert audit.rel_residual <= 1e-3
     assert audit.n_times == 21
+
+
+def batch_energy_audit(traj_sg, traj_euler, delta):
+    """The audit's batch formula: every snapshot held, w and the vector
+    Laplacian kept per snapshot, then stacked for np.gradient."""
+    t = np.array([s.time for s in traj_sg.snapshots])
+    params = traj_sg.snapshots[0].params
+    a, nu = params.alpha, params.nu
+    g = traj_sg.snapshots[0].u.grid
+    ws, laps, f1, f2, f4 = [], [], [], [], []
+    for s, sref in zip(traj_sg.snapshots, traj_euler.snapshots, strict=True):
+        w = VectorField(g, s.u.u_r - sref.u.u_r, s.u.u_theta - sref.u.u_theta)
+        lap = vector_laplacian(s.u)
+        ws.append(w)
+        laps.append(lap)
+        f1.append(inner_l2(lap, w))
+        f2.append(inner_l2(advect_vector(w, sref.u), w))
+        f4.append(inner_l2(advect_vector(s.u, lap), w)
+                  + inner_l2(grad_transpose_apply(s.u, lap), w))
+    dl_r = np.gradient(np.stack([l.u_r for l in laps]), t, axis=0,
+                       edge_order=2)
+    dl_t = np.gradient(np.stack([l.u_theta for l in laps]), t, axis=0,
+                       edge_order=2)
+    f3 = [float(np.sum(g.weights * (dl_r[i] * ws[i].u_r
+                                    + dl_t[i] * ws[i].u_theta)))
+          for i in range(t.size)]
+    i1 = nu * float(np.trapezoid(np.array(f1), t))
+    i2 = -float(np.trapezoid(np.array(f2), t))
+    i3 = a * a * float(np.trapezoid(np.array(f3), t))
+    i4 = a * a * float(np.trapezoid(np.array(f4), t))
+    lhs = 0.5 * (norm_l2(ws[-1]) ** 2 - norm_l2(ws[0]) ** 2)
+    residual = abs(lhs - (i1 + i2 + i3 + i4))
+    e0 = energy(traj_sg.snapshots[0])
+    g_shape = ((nu + a * a) * (delta ** 0.5 / (a * a) + 1.0 / delta)
+               + a * a)
+    return EnergyAudit(i1=i1, i2=i2, i3=i3, i4=i4, lhs=lhs, residual=residual,
+                       rel_residual=residual / max(abs(lhs), e0),
+                       g_shape=g_shape, alpha=a, nu=nu, delta=delta,
+                       n_times=int(t.size))
+
+
+PERTURBED = InitialCase(name="perturbed_vortex")
+
+
+# (case, grid, alpha, nu, t_final, snapshot_dt, times uniform in numpy's
+# sense): multiples of T/8 = 3/64 and 3/256 are exact and equally spaced,
+# multiples of 0.01 are not; a step of 3/2^k, unlike 2^-k, makes numpy's
+# uniform and non-uniform formulas round differently
+@pytest.mark.parametrize("case, spec, alpha, nu, t_final, snapshot_dt, uniform", [
+    (InitialCase(), GridSpec(65, 16, 8.0), 0.2, 1e-4, 0.375, None, True),
+    (InitialCase(), GridSpec(65, 16, 8.0), 0.2, 1e-4, 0.1, 0.01, False),
+    (PERTURBED, GridSpec(65, 32, 8.0), 0.3, 0.0, 0.09375, None, True),
+    (PERTURBED, GridSpec(65, 32, 8.0), 0.3, 0.0, 0.05, 0.01, False),
+], ids=["frozen-uniform", "frozen-nonuniform", "euler-uniform",
+        "euler-nonuniform"])
+def test_streamed_audit_equals_the_batch_formula(case, spec, alpha, nu,
+                                                 t_final, snapshot_dt,
+                                                 uniform):
+    g = build_grid(spec)
+    psi0 = canonical_psi(case, g)
+    cfg = RunConfig(snapshot_dt=t_final / 8.0 if snapshot_dt is None
+                    else snapshot_dt)
+    traj = run(ModelParams.regularized(alpha, nu), make_initial(psi0, alpha),
+               t_final, cfg)
+    if case.name == "radial_vortex":
+        ref = frozen_trajectory(euler_reference_state(psi0),
+                                [s.time for s in traj.snapshots])
+    else:
+        ref = euler_run(psi0, t_final, cfg)
+    steps = np.diff([s.time for s in traj.snapshots])
+    assert bool((steps == steps[0]).all()) is uniform
+    delta = alpha ** (4.0 / 3.0)
+    want = dataclasses.asdict(batch_energy_audit(traj, ref, delta))
+    assert dataclasses.asdict(energy_audit(traj, ref, delta)) == want
+    study = energy_audit_study(case, spec, alpha, nu, t_final,
+                               RunConfig(snapshot_dt=snapshot_dt))
+    assert dataclasses.asdict(study) == want
+
+
+@pytest.mark.parametrize("change, message", [
+    ("fewer", "time grids do not match"),
+    ("more", "time grids do not match"),
+    ("shifted", "time grids do not match"),
+    ("grid", "different grids"),
+])
+def test_audit_study_names_a_reference_it_cannot_compare(monkeypatch, change,
+                                                         message):
+    import diskflow.verify as vf
+    real_euler_run = vf.euler_run
+
+    def altered(psi0, t_final, config, on_snapshot):
+        if change == "grid":
+            psi0 = canonical_psi(PERTURBED, build_grid(GridSpec(33, 32, 8.0)))
+        taken = []
+        real_euler_run(psi0, t_final, config, on_snapshot=taken.append)
+        if change == "fewer":
+            taken.pop()
+        elif change == "more":
+            taken.append(dataclasses.replace(taken[-1], time=2.0 * t_final))
+        elif change == "shifted":
+            taken[1] = dataclasses.replace(taken[1], time=taken[1].time + 1e-3)
+        for s in taken:
+            on_snapshot(s)
+
+    monkeypatch.setattr(vf, "euler_run", altered)
+    with pytest.raises(ConfigError, match=message) as exc:
+        energy_audit_study(PERTURBED, GridSpec(65, 32, 8.0), alpha=0.3,
+                           nu=0.0, t_final=0.02,
+                           run_config=RunConfig(snapshot_dt=0.01))
+    assert exc.value.key == "trajectories"
+
+
+@pytest.mark.parametrize("case", [InitialCase(), PERTURBED],
+                         ids=["frozen", "euler"])
+def test_audit_study_needs_three_snapshots(case):
+    with pytest.raises(ConfigError, match="at least 3 snapshots") as exc:
+        energy_audit_study(case, GridSpec(65, 32, 8.0), alpha=0.3, nu=0.0,
+                           t_final=0.01,
+                           run_config=RunConfig(snapshot_dt=0.01))
+    assert exc.value.key == "trajectories"
 
 
 def test_energy_drift_matches_scipy_cumulative_trapezoid():

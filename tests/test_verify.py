@@ -1,6 +1,7 @@
 """The pinned verification studies behind the verify-* subcommands."""
 
 import json
+import tracemalloc
 
 from diskflow.dynamics import RunConfig
 from diskflow.verify import (Tolerances, energy_audit_study, report_dict,
@@ -51,3 +52,22 @@ def test_audit_study_with_numerical_euler_reference():
     assert audit.n_times == 6
     assert audit.nu == 0.0 and audit.i1 == 0.0
     assert audit.i2 != 0.0  # genuine advective transfer between the runs
+
+
+def test_audit_study_holds_a_window_not_the_trajectory():
+    # 41 snapshots stream through a three-snapshot window; holding the
+    # trajectory, with a w and a vector Laplacian per snapshot, peaked at
+    # over 100 snapshots' worth of arrays on this grid
+    spec = GridSpec(129, 32, 8.0)
+    snapshot_bytes = 5 * spec.n_r * spec.n_theta * 8   # q, w, phi, u
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        audit = energy_audit_study(InitialCase(), spec, alpha=0.2, nu=1e-4,
+                                   t_final=0.4,
+                                   run_config=RunConfig(snapshot_dt=0.01))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert audit.n_times == 41
+    assert peak < 12 * snapshot_bytes
