@@ -22,7 +22,8 @@ Only the modes whose coefficients carry data are solved: their radial
 matrices are stacked into one block-diagonal matrix, factored once by a
 sparse LU, and solved with one two-column call (real and imaginary parts).
 The grid caches one (matrix, LU) pair per key (kind, alpha, modes), so
-radial data factors and solves mode 0 alone.
+radial data factors and solves mode 0 alone; release_factors drops the
+pairs of one kind and alpha once no later solve needs them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CirculationError, ConfigError, EllipticSolveError
-from .fields import ScalarField, VectorField, laplacian, perp_grad, curl_perp, norm_l2
+from .fields import (ScalarField, VectorField, _theta_constant, curl_perp,
+                     laplacian, norm_l2, perp_grad)
 from .grid import ExteriorGrid
 
 _RESIDUAL_TOL = 1e-10
@@ -113,6 +115,17 @@ def _block_factor(grid: ExteriorGrid, kind: str, alpha, modes: tuple):
     return factor
 
 
+def release_factors(grid: ExteriorGrid, kind: str, alpha=None) -> None:
+    """Drop the grid's cached factors of kind and alpha, for any modes.
+
+    alpha is None for the Poisson factor.  A later solve with the same key
+    factors again.
+    """
+    with grid.cache_lock:
+        for key in [k for k in grid.solver_cache if k[:2] == (kind, alpha)]:
+            del grid.solver_cache[key]
+
+
 def _solve_modes(factor, rhs: np.ndarray):
     """Complex solve of every mode through one real factorization.
 
@@ -133,6 +146,20 @@ def _solve_modes(factor, rhs: np.ndarray):
     return ((out[0] + 1j * out[1]).reshape(rhs.shape),
             float(np.sum(r0 * r0) + np.sum(r1 * r1)),
             float(np.sum(parts * parts)))
+
+
+def _spectrum(values: np.ndarray) -> np.ndarray:
+    """Angular rfft of values, with only mode 0 kept on theta-constant rows.
+
+    There the m >= 1 coefficients are roundoff (exact zeros only when
+    n_theta has no prime factor other than 2 and 3), and dropping them keeps
+    radial data radial: an irfft of mode 0 alone gives exactly constant
+    rows.
+    """
+    coeff = np.fft.rfft(values, axis=1)
+    if _theta_constant(values):
+        coeff[:, 1:] = 0.0
+    return coeff
 
 
 def _active_modes(coeff: np.ndarray) -> tuple:
@@ -156,7 +183,7 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
             "condition requires zero circulation" % mass, mode=0)
 
     n_theta = g.spec.n_theta
-    coeff = np.fft.rfft(w.values, axis=1)
+    coeff = _spectrum(w.values)
     phi_hat = np.zeros_like(coeff)
     modes = _active_modes(coeff)
     if modes:
@@ -188,7 +215,7 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float):
     g = q.grid
     n_theta = g.spec.n_theta
     n = g.spec.n_r
-    coeff = np.fft.rfft(q.values, axis=1)
+    coeff = _spectrum(q.values)
     phi_hat = np.zeros_like(coeff)
     res2 = 0.0
     rhs2 = 0.0

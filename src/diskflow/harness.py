@@ -32,6 +32,7 @@ import numpy as np
 from .boundary_layer import MIN_CELLS, check_delta, collar_resolved
 from .dynamics import (FlowState, ModelParams, RunConfig, SolverSettings,
                        Trajectory, _diag_row, energy, run)
+from .elliptic import release_factors
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      NumericalFailure)
 from .fields import (VectorField, advect_vector, curl_perp,
@@ -188,15 +189,6 @@ def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
     return ta
 
 
-def _snapshot_errors(traj_a: Trajectory, traj_b: Trajectory):
-    g = traj_a.snapshots[0].u.grid
-    out = []
-    for sa, sb in zip(traj_a.snapshots, traj_b.snapshots):
-        d = VectorField(g, sa.u.u_r - sb.u.u_r, sa.u.u_theta - sb.u.u_theta)
-        out.append(norm_l2(d))
-    return out
-
-
 def frozen_trajectory(state: FlowState, times) -> Trajectory:
     """A steady reference: the same state stamped at each snapshot time."""
     tvals = np.asarray(times, dtype=float)
@@ -225,28 +217,44 @@ def euler_run(psi0, t_final: float, config: RunConfig, **hooks) -> Trajectory:
                t_final, replace(config, mass_tol=_EULER_MASS_TOL), **hooks)
 
 
-def reference_is_frozen(case: InitialCase) -> bool:
-    """Whether runs of case are measured against the frozen initial state.
+class EulerReference:
+    """The Euler velocity each snapshot of a run is measured against.
 
-    That is so for radial cases: any radial vorticity is discretely steady.
-    Other cases are measured against a numerical Euler run.
+    Built by euler_reference: either one frozen velocity, stamped with each
+    snapshot's own time, or the (time, u) pairs of one Euler run.
     """
-    return case.name == "radial_vortex"
+
+    def __init__(self, u_frozen: VectorField | None = None, pairs=None):
+        self._u_frozen = u_frozen
+        self._pairs = pairs
+
+    def at(self, k: int, time: float):
+        """(time, u) of the reference for a run's k-th snapshot, taken at
+        time; None when the reference has no k-th snapshot."""
+        if self._pairs is None:
+            return time, self._u_frozen
+        return self._pairs[k] if k < len(self._pairs) else None
+
+    def check_times(self, times) -> None:
+        """Reject a run whose snapshot times are not the reference's."""
+        ref = times if self._pairs is None else [t for t, _ in self._pairs]
+        _check_times(np.array(times, dtype=float), np.array(ref, dtype=float))
 
 
 def euler_reference(case: InitialCase, psi0, t_final: float,
-                    config: RunConfig):
+                    config: RunConfig) -> EulerReference:
     """The Euler solution that regularized runs from psi0 are measured by.
 
-    Returns a function from a trajectory to the reference on its snapshot
-    times: the frozen initial state, or one Euler run with config
-    (reference_is_frozen).
+    Radial cases get the frozen initial velocity at each snapshot's own
+    time, since any radial vorticity is discretely steady; other cases one
+    Euler run with config, of which only (time, u) per snapshot is kept.
     """
-    if reference_is_frozen(case):
-        state = euler_reference_state(psi0)
-        return lambda traj: frozen_trajectory(state, _times(traj))
-    ref = euler_run(psi0, t_final, config)
-    return lambda traj: ref
+    if case.name == "radial_vortex":
+        return EulerReference(u_frozen=euler_reference_state(psi0).u)
+    pairs = []
+    euler_run(psi0, t_final, config,
+              on_snapshot=lambda s: pairs.append((s.time, s.u)))
+    return EulerReference(pairs=pairs)
 
 
 def _energy_drift(traj: Trajectory, nu: float) -> float:
@@ -264,12 +272,19 @@ def _energy_drift(traj: Trajectory, nu: float) -> float:
 
 
 def run_sweep(cfg: SweepConfig, threads: int = 0):
-    """One SweepRecord per alpha, in input order; failures marked, not fatal."""
+    """One SweepRecord per alpha, in input order; failures marked, not fatal.
+
+    Each alpha run hands its snapshots to a callback that keeps only the
+    error and the seminorms of each, and the grid's factors are dropped as
+    soon as no later run needs them: the Poisson factor after the Euler
+    reference, each stream factor after its alpha's run.
+    """
     grid = build_grid(cfg.grid)
     psi0 = canonical_psi(cfg.case, grid)
     u0 = perp_grad(psi0)
     run_cfg = cfg.run_config()
     reference = euler_reference(cfg.case, psi0, cfg.t_final, run_cfg)
+    release_factors(grid, "poisson")
 
     def one(alpha: float) -> SweepRecord:
         # CPU time of this run's thread: unlike wall time it does not grow
@@ -283,8 +298,22 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
         agrad0 = alpha * seminorm_hk(u0a, 1)
         params = ModelParams.regularized(alpha, nu)
         nan3 = (math.nan,) * 3
+        times, errs, norms = [], [], []
+
+        def reduce(state: FlowState) -> None:
+            pair = reference.at(len(times), state.time)
+            times.append(state.time)
+            if pair is None:
+                return              # check_times rejects the run below
+            u, u_ref = state.u, pair[1]
+            if len(times) == 1:
+                _check_grids(u.grid.spec, u_ref.grid.spec)
+            errs.append(norm_l2(VectorField(grid, u.u_r - u_ref.u_r,
+                                            u.u_theta - u_ref.u_theta)))
+            norms.append(seminorms_hk(u, 3))
+
         try:
-            traj = run(params, u0a, cfg.t_final, run_cfg)
+            traj = run(params, u0a, cfg.t_final, run_cfg, on_snapshot=reduce)
         except NumericalFailure as exc:
             return SweepRecord(alpha=alpha, nu=nu, delta=delta,
                                sup_err_l2=math.nan, final_err_l2=math.nan,
@@ -292,10 +321,9 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
                                apriori_max=nan3, energy_drift=math.nan,
                                runtime_s=_time.thread_time() - start,
                                status=exc.kind)
-        ref = reference(traj)
-        _check_pair(traj, ref)
-        errs = _snapshot_errors(traj, ref)
-        norms = [seminorms_hk(s.u, 3) for s in traj.snapshots]
+        finally:
+            release_factors(grid, "stream", alpha)
+        reference.check_times(times)
         apriori = tuple(max(alpha ** k * n[k - 1] for n in norms)
                         for k in (1, 2, 3))
         return SweepRecord(alpha=alpha, nu=nu, delta=delta,

@@ -19,9 +19,8 @@ from .elliptic import solve_poisson, solve_stream_helmholtz
 from .errors import ConfigError
 from .fields import ScalarField, laplacian, seminorm_hk
 from .grid import GridSpec, build_grid
-from .harness import (EnergyAudit, EnergyBudget, SweepSettings, _check_times,
-                      euler_reference_state, euler_run, reference_is_frozen,
-                      snapshot_interval)
+from .harness import (EnergyAudit, EnergyBudget, SweepSettings,
+                      euler_reference, snapshot_interval)
 from .initial_data import (HypothesisReport, InitialCase, canonical_psi,
                            hypothesis_report, make_initial)
 from .ratefit import RateFit, fit_rate
@@ -193,10 +192,10 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
                        delta: float | None = None) -> EnergyAudit:
     """Run a regularized trajectory and audit it against its Euler twin.
 
-    Radial cases reuse the frozen initial state as the reference (any radial
-    vorticity is discretely steady); other cases first run Euler at the same
-    resolution with run_config and keep only its velocity per snapshot.
-    The regularized run streams its snapshots into an EnergyBudget, so the
+    The reference is harness.euler_reference: the frozen initial state for
+    radial cases, otherwise an Euler run at the same resolution with
+    run_config of which only the velocity per snapshot is kept.  The
+    regularized run streams its snapshots into an EnergyBudget, so the
     audit holds three snapshots' worth of fields, not the trajectory.
     Snapshots default to t_final / 8.
     """
@@ -207,26 +206,18 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
         snapshot_dt=snapshot_interval(run_config.snapshot_dt, t_final))
     budget = EnergyBudget(alpha ** SweepSettings.delta_rule
                           if delta is None else delta)
-    frozen = reference_is_frozen(case)
-    ref, taken = [], []
-    if frozen:
-        u_frozen = euler_reference_state(psi).u
-    else:
-        euler_run(psi, t_final, cfg,
-                  on_snapshot=lambda s: ref.append((s.time, s.u)))
+    reference = euler_reference(case, psi, t_final, cfg)
+    taken = []
 
     def feed(state):
+        pair = reference.at(len(taken), state.time)
         taken.append(state.time)
-        if frozen:
-            budget.add(state, u_frozen, state.time)
-        elif len(taken) <= len(ref):
-            t_ref, u_ref = ref[len(taken) - 1]
-            budget.add(state, u_ref, t_ref)
+        if pair is not None:
+            budget.add(state, pair[1], pair[0])
 
     run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg,
         on_snapshot=feed)
-    if not frozen:
-        _check_times(np.array(taken), np.array([t for t, _ in ref]))
+    reference.check_times(taken)
     return budget.finish()
 
 

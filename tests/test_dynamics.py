@@ -193,6 +193,23 @@ def test_radial_data_is_exact_steady_state_euler():
     assert np.max(np.abs(s1.u.u_theta - s0.u.u_theta)) <= 1e-13
 
 
+def test_radial_run_is_bitwise_steady_when_n_theta_is_not_a_power_of_two():
+    # at n_theta = 100 the rfft of a constant row leaves roundoff in the
+    # modes m >= 1; the elliptic solves drop it, so u_r stays exactly zero
+    # and only mode 0 is ever factored
+    g = build_grid(GridSpec(n_r=65, n_theta=100, r_max=10.0))
+    params = ModelParams("euler_alpha", alpha=0.2)
+    u0 = make_initial(canonical_psi(InitialCase("radial_vortex"), g),
+                      params.alpha)
+    q0 = initial_state(params, u0).q.values
+    traj = run(params, u0, 0.2, RunConfig(snapshot_dt=0.05))
+    assert len(traj.snapshots) == 5
+    for s in traj.snapshots:
+        assert np.array_equal(s.q.values, q0)
+        assert not s.u.u_r.any()
+    assert list(g.solver_cache) == [("stream", 0.2, (0,))]
+
+
 def test_energy_identity_inviscid_perturbed():
     # theta-dependent flow: conservation holds to the spatial-adjointness
     # error of the discrete operators, not to roundoff

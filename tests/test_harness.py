@@ -13,7 +13,8 @@ from diskflow.dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
 from diskflow.errors import (ConfigError, DegenerateFitError, DiskflowError,
                              NumericalFailure)
 from diskflow.fields import (VectorField, advect_vector, grad_transpose_apply,
-                             inner_l2, norm_l2, vector_laplacian)
+                             inner_l2, norm_l2, perp_grad, seminorm_hk,
+                             seminorms_hk, vector_laplacian)
 from diskflow.grid import GridSpec, build_grid
 from diskflow.harness import (EnergyAudit, SweepConfig, SweepRecord,
                               _energy_drift, bound_margins, energy_audit,
@@ -200,9 +201,11 @@ def test_sweep_rejects_a_reference_it_cannot_compare(monkeypatch, mismatch,
     spec = cfg.grid if mismatch == "times" else GridSpec(33, 32, 8.0)
     times = [0.0, 0.02, 0.05] if mismatch == "times" else [0.0, 0.025, 0.05]
 
-    def misaligned(psi0, t_final, config):
+    def misaligned(psi0, t_final, config, on_snapshot):
         psi = canonical_psi(cfg.case, build_grid(spec))
-        return frozen_trajectory(euler_reference_state(psi), times)
+        for s in frozen_trajectory(euler_reference_state(psi),
+                                   times).snapshots:
+            on_snapshot(s)
 
     monkeypatch.setattr(hz, "euler_run", misaligned)
     with pytest.raises(ConfigError, match=message):
@@ -213,10 +216,11 @@ def test_sweep_isolates_per_alpha_failures(monkeypatch):
     import diskflow.harness as hz
     real_run = hz.run
 
-    def exploding(params, u0, t_final, config=RunConfig(), observers=()):
+    def exploding(params, u0, t_final, config=RunConfig(), observers=(),
+                  on_snapshot=None):
         if params.alpha == 0.2:
             raise NumericalFailure("synthetic blow-up", kind="nan", time=0.0)
-        return real_run(params, u0, t_final, config, observers)
+        return real_run(params, u0, t_final, config, observers, on_snapshot)
 
     monkeypatch.setattr(hz, "run", exploding)
     cfg = SweepConfig(alphas=(0.4, 0.2, 0.1), grid=GRID_H, case=H_CASE,
@@ -264,11 +268,12 @@ def test_failing_euler_reference_fails_the_sweep(monkeypatch, threads):
     import diskflow.harness as hz
     started = []
 
-    def failing(psi0, t_final, config):
+    def failing(psi0, t_final, config, on_snapshot):
         raise NumericalFailure("synthetic reference blow-up",
                                kind="tail_mass", time=0.01)
 
-    def counted(params, u0, t_final, config=RunConfig(), observers=()):
+    def counted(params, u0, t_final, config=RunConfig(), observers=(),
+                on_snapshot=None):
         started.append(params.alpha)
         return Trajectory(snapshots=[], diagnostics={})
 
@@ -290,14 +295,15 @@ def test_euler_reference_takes_the_solver_keys_of_the_alpha_runs(
     seen = {"euler": [], "alpha": []}
     keys = ("cfl", "dt", "dt_max", "snapshot_dt", "tail_threshold")
 
-    def euler_spy(psi0, t_final, config):
+    def euler_spy(psi0, t_final, config, on_snapshot):
         seen["euler"].append(tuple(getattr(config, k) for k in keys))
-        return real_euler_run(psi0, t_final, config)
+        return real_euler_run(psi0, t_final, config, on_snapshot=on_snapshot)
 
-    def run_spy(params, u0, t_final, config=RunConfig(), observers=()):
+    def run_spy(params, u0, t_final, config=RunConfig(), observers=(),
+                on_snapshot=None):
         if params.kind != "euler":
             seen["alpha"].append(tuple(getattr(config, k) for k in keys))
-        return real_run(params, u0, t_final, config, observers)
+        return real_run(params, u0, t_final, config, observers, on_snapshot)
 
     monkeypatch.setattr(hz, "euler_run", euler_spy)
     monkeypatch.setattr(hz, "run", run_spy)
@@ -308,6 +314,146 @@ def test_euler_reference_takes_the_solver_keys_of_the_alpha_runs(
     assert [r.status for r in recs] == ["ok", "ok"]
     assert seen["euler"] == [(0.1, None, 0.001, 0.0005, 1e-8)]
     assert seen["alpha"] == seen["euler"] * 2
+
+
+def batch_sweep_records(cfg):
+    """A sweep's records by the batch formulas: each alpha's trajectory and
+    the whole Euler reference trajectory held, then reduced."""
+    g = build_grid(cfg.grid)
+    psi0 = canonical_psi(cfg.case, g)
+    u0 = perp_grad(psi0)
+    run_cfg = cfg.run_config()
+    if cfg.case.name != "radial_vortex":
+        ref = euler_run(psi0, cfg.t_final, run_cfg)
+    out = []
+    for alpha in cfg.alphas:
+        nu = cfg.nu_of(alpha)
+        u0a = make_initial(psi0, alpha)
+        traj = run(ModelParams.regularized(alpha, nu), u0a, cfg.t_final,
+                   run_cfg)
+        if cfg.case.name == "radial_vortex":
+            ref = frozen_trajectory(euler_reference_state(psi0),
+                                    [s.time for s in traj.snapshots])
+        errs = [norm_l2(VectorField(g, a.u.u_r - b.u.u_r,
+                                    a.u.u_theta - b.u.u_theta))
+                for a, b in zip(traj.snapshots, ref.snapshots, strict=True)]
+        norms = [seminorms_hk(s.u, 3) for s in traj.snapshots]
+        out.append(dict(
+            alpha=alpha, nu=nu, delta=alpha ** cfg.delta_rule,
+            sup_err_l2=max(errs), final_err_l2=errs[-1],
+            err0=norm_l2(VectorField(g, u0a.u_r - u0.u_r,
+                                     u0a.u_theta - u0.u_theta)),
+            alpha_grad_u0=alpha * seminorm_hk(u0a, 1),
+            apriori_max=tuple(max(alpha ** k * n[k - 1] for n in norms)
+                              for k in (1, 2, 3)),
+            energy_drift=_energy_drift(traj, nu), status="ok"))
+    return out
+
+
+STREAMED_SWEEPS = [
+    # viscous radial: a frozen reference, errors and energy that move
+    SweepConfig(alphas=(0.4, 0.2), grid=GridSpec(65, 16, 10.0), case=H_CASE,
+                nu_c=1.0, nu_gamma=2.0, t_final=0.1, dt=0.02,
+                tail_threshold=1e-5),
+    # perturbed: a numerical Euler reference
+    SweepConfig(alphas=(0.4, 0.2), grid=GridSpec(65, 32, 8.0),
+                case=InitialCase(name="perturbed_vortex"), t_final=0.05,
+                snapshot_dt=0.025),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("cfg", STREAMED_SWEEPS, ids=["radial", "perturbed"])
+def test_streamed_sweep_records_equal_the_batch_formulas(cfg, threads):
+    want = batch_sweep_records(cfg)
+    got = run_sweep(cfg, threads=threads)
+    assert len(got) == len(want)
+    for rec, expect in zip(got, want):
+        d = dataclasses.asdict(rec)
+        d.pop("runtime_s")
+        assert d == expect
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("cfg", STREAMED_SWEEPS, ids=["radial", "perturbed"])
+def test_sweep_runs_hold_no_snapshots_and_free_their_factors(monkeypatch, cfg,
+                                                             threads):
+    import diskflow.harness as hz
+    real_run = hz.run
+    seen, grids = [], []
+
+    def spy(params, u0, t_final, config=RunConfig(), observers=(),
+            on_snapshot=None):
+        if params.kind == "euler":
+            return real_run(params, u0, t_final, config, observers,
+                            on_snapshot)
+        cached = list(u0.grid.solver_cache)
+        traj = real_run(params, u0, t_final, config, observers, on_snapshot)
+        seen.append((params.alpha, on_snapshot is not None,
+                     len(traj.snapshots), cached))
+        grids.append(u0.grid)
+        return traj
+
+    monkeypatch.setattr(hz, "run", spy)
+    recs = run_sweep(cfg, threads=threads)
+    assert [r.status for r in recs] == ["ok"] * len(cfg.alphas)
+    assert sorted(a for a, _, _, _ in seen) == sorted(cfg.alphas)
+    for alpha, streamed, held, cached in seen:
+        assert streamed
+        assert held == 0
+        if threads == 1:
+            # neither the Poisson factor nor an earlier alpha's stream factor
+            assert all(k[:2] == ("stream", alpha) for k in cached), cached
+    assert all(not g.solver_cache for g in grids)
+
+
+def test_pooled_factor_release_under_frequent_thread_switches(monkeypatch):
+    # more workers than cores, switching every microsecond: each worker
+    # builds and drops its factors while the others read and write the same
+    # grid cache, which must end empty with the records of one thread
+    import sys
+    import diskflow.harness as hz
+    real_run, grids = hz.run, []
+
+    def spy(params, u0, t_final, config=RunConfig(), observers=(),
+            on_snapshot=None):
+        grids.append(u0.grid)
+        return real_run(params, u0, t_final, config, observers, on_snapshot)
+
+    cfg = SweepConfig(alphas=(0.4, 0.2, 0.1), grid=GRID_H, case=H_CASE,
+                      t_final=0.1)
+    want = [dataclasses.replace(r, runtime_s=0.0)
+            for r in run_sweep(cfg, threads=1)]
+    monkeypatch.setattr(hz, "run", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_sweep(cfg, threads=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [dataclasses.replace(r, runtime_s=0.0) for r in got] == want
+    assert len(grids) == 3 and len({id(g) for g in grids}) == 1
+    assert list(grids[0].solver_cache) == []
+
+
+def test_failed_alpha_run_frees_its_factor(monkeypatch):
+    import diskflow.harness as hz
+    real_run = hz.run
+    grids = []
+
+    def failing_late(params, u0, t_final, config=RunConfig(), observers=(),
+                     on_snapshot=None):
+        real_run(params, u0, t_final, config, observers, on_snapshot)
+        grids.append(u0.grid)
+        assert ("stream", params.alpha, (0,)) in u0.grid.solver_cache
+        raise NumericalFailure("synthetic blow-up", kind="nan", time=t_final)
+
+    monkeypatch.setattr(hz, "run", failing_late)
+    cfg = SweepConfig(alphas=(0.4,), grid=GRID_H, case=H_CASE, t_final=0.1)
+    recs = run_sweep(cfg, threads=1)
+    assert [r.status for r in recs] == ["nan"]
+    assert len(grids) == 1
+    assert list(grids[0].solver_cache) == []
 
 
 # ---------------------------------------------------------------- audit
@@ -488,8 +634,8 @@ def test_streamed_audit_equals_the_batch_formula(case, spec, alpha, nu,
 ])
 def test_audit_study_names_a_reference_it_cannot_compare(monkeypatch, change,
                                                          message):
-    import diskflow.verify as vf
-    real_euler_run = vf.euler_run
+    import diskflow.harness as hz
+    real_euler_run = hz.euler_run
 
     def altered(psi0, t_final, config, on_snapshot):
         if change == "grid":
@@ -505,7 +651,7 @@ def test_audit_study_names_a_reference_it_cannot_compare(monkeypatch, change,
         for s in taken:
             on_snapshot(s)
 
-    monkeypatch.setattr(vf, "euler_run", altered)
+    monkeypatch.setattr(hz, "euler_run", altered)
     with pytest.raises(ConfigError, match=message) as exc:
         energy_audit_study(PERTURBED, GridSpec(65, 32, 8.0), alpha=0.3,
                            nu=0.0, t_final=0.02,
