@@ -1,9 +1,12 @@
 """Time evolution of the filtered vorticity q = w - alpha^2 Delta w.
 
 The prognostic equation is dq/dt + u . grad q = nu Delta w, stepped with
-classical four-stage Runge-Kutta.  Stages k2-k4 and the update recover
-(phi, w, u) from q through the elliptic module; stage k1 uses the fields the
+classical four-stage Runge-Kutta.  Stages k2-k4 and the update recover the
+velocity from q through the elliptic module; stage k1 uses the fields the
 incoming state already holds, so a step costs four inversions, not five.
+A stage forms only what its tendency reads: w = Delta phi only when nu > 0
+(the update forms it always, since a full state carries it).  A failed
+elliptic solve inside a step fails the run with kind 'solve'.
 Diffusion is explicit: the regimes of interest have nu far below
 alpha^{4/3}, and the diffusive dt bound guards the rest.
 The inviscid filtered model sets nu = 0; the plain vorticity equation
@@ -19,8 +22,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteFieldError, NumericalFailure
-from .fields import (ScalarField, VectorField, advect, grad_norm_l2,
+from .errors import (ConfigError, EllipticSolveError, NonFiniteFieldError,
+                     NumericalFailure)
+from .fields import (ScalarField, VectorField, _fresh, advect, grad_norm_l2,
                      laplacian, norm_l2, perp_grad)
 from .elliptic import recover_q, solve_poisson, solve_stream_helmholtz
 from .grid import ExteriorGrid, tail_weights
@@ -62,7 +66,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One time slice; all fields derived consistently from q."""
+    """One time slice; all fields derived consistently from q.
+
+    w is None only in the RK stage states of a filtered model with nu = 0,
+    which step keeps to itself.
+    """
 
     time: float
     q: ScalarField
@@ -121,17 +129,23 @@ _DIAG_KEYS = ("t", "dt", "energy", "enstrophy", "tail_mass",
               "norm_u_sq", "grad_u_sq")
 
 
-def make_state(params: ModelParams, q: ScalarField, time: float,
-               mass_tol: float = RunConfig.mass_tol) -> FlowState:
-    """Derive (phi, w, u) from q for the given model kind."""
+def _derive(params: ModelParams, q: ScalarField, time: float,
+            mass_tol: float, with_w: bool) -> FlowState:
+    """The state of q; a filtered model forms w only when with_w is true."""
     if params.kind == "euler":
         w = q
         phi = solve_poisson(w, mass_tol=mass_tol)
         u = perp_grad(phi)
         u = VectorField(q.grid, u.u_r, u.u_theta, tag="non-penetration")
     else:
-        phi, w, u = solve_stream_helmholtz(q, params.alpha)
+        phi, w, u = solve_stream_helmholtz(q, params.alpha, with_w=with_w)
     return FlowState(time=time, q=q, w=w, phi=phi, u=u, params=params)
+
+
+def make_state(params: ModelParams, q: ScalarField, time: float,
+               mass_tol: float = RunConfig.mass_tol) -> FlowState:
+    """Derive (phi, w, u) from q for the given model kind."""
+    return _derive(params, q, time, mass_tol, with_w=True)
 
 
 def initial_state(params: ModelParams, u0: VectorField,
@@ -149,7 +163,7 @@ def rhs(state: FlowState) -> ScalarField:
     vals = -conv.values
     if state.params.nu > 0.0:
         vals = vals + state.params.nu * laplacian(state.w).values
-    return ScalarField(g, vals)
+    return ScalarField(g, _fresh(vals))
 
 
 def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
@@ -157,19 +171,25 @@ def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
                state: FlowState | None = None) -> np.ndarray:
     """Tendency of q at one stage; a non-finite value fails the step as nan.
 
-    The state of q_values is built by make_state unless it is given.
+    q_values must be a fresh array: the stage's q field keeps it.  Its state
+    is derived with w only where rhs reads it, unless the state is given.
+    A failed elliptic solve fails the step as 'solve'.
     """
     if not np.isfinite(q_values).all():
         raise NumericalFailure("non-finite q entering stage %s" % stage,
                                kind="nan", time=time, detail=stage)
     try:
         if state is None:
-            state = make_state(params, ScalarField(grid, q_values), time,
-                               mass_tol)
+            state = _derive(params, ScalarField(grid, _fresh(q_values)),
+                            time, mass_tol, with_w=params.nu > 0.0)
         k = rhs(state).values
     except NonFiniteFieldError as exc:  # overflow inside the stage
         raise NumericalFailure("non-finite field at stage %s" % stage,
                                kind="nan", time=time, detail=stage) from exc
+    except EllipticSolveError as exc:
+        raise NumericalFailure("elliptic solve failed at stage %s: %s"
+                               % (stage, exc), kind="solve", time=time,
+                               detail=stage) from exc
     if not np.isfinite(k).all():
         raise NumericalFailure("non-finite tendency at stage %s" % stage,
                                kind="nan", time=time, detail=stage)
@@ -198,10 +218,14 @@ def step(state: FlowState, dt: float, mass_tol: float = RunConfig.mass_tol,
                                time=t, detail="update")
     t_new = t + dt if end_time is None else end_time
     try:
-        return make_state(params, ScalarField(g, q_new), t_new, mass_tol)
+        return make_state(params, ScalarField(g, _fresh(q_new)), t_new,
+                          mass_tol)
     except NonFiniteFieldError as exc:
         raise NumericalFailure("non-finite field after step", kind="nan",
                                time=t, detail="update") from exc
+    except EllipticSolveError as exc:
+        raise NumericalFailure("elliptic solve failed after step: %s" % exc,
+                               kind="solve", time=t, detail="update") from exc
 
 
 def cfl_dt(state: FlowState, cfl: float,

@@ -14,13 +14,16 @@ after the angular FFT:
   budget needs.
 
 The no-slip Neumann rows reuse the exact one-sided stencil of perp_grad, so
-returned velocities satisfy the no-slip ring check to roundoff.  Every solve
-re-evaluates its residual and rejects the result if it exceeds 1e-10
-relative, summed over all modes.
+returned velocities satisfy the no-slip ring check to roundoff; a velocity
+that fails it is a failed solve.  Every solve re-evaluates its residual and
+rejects the result if it exceeds 1e-10 relative, summed over all modes.
 
-Only the modes whose coefficients carry data are solved: their radial
-matrices are stacked into one block-diagonal matrix, factored once by a
-sparse LU, and solved with one two-column call (real and imaginary parts).
+Only the modes whose coefficients carry data are solved.  Each problem
+states its stencil once, as one mode's COO pattern with its values at every
+mode; the block-diagonal matrix of all active modes is assembled from it in
+one vectorized pass (the per-mode matrices are the one-mode case), factored
+once by a sparse LU, and solved with one two-column call (real and imaginary
+parts).
 The grid caches one (matrix, LU) pair per key (kind, alpha, modes), so
 radial data factors and solves mode 0 alone; release_factors drops the
 pairs of one kind and alpha once no later solve needs them.
@@ -32,38 +35,53 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import CirculationError, ConfigError, EllipticSolveError
-from .fields import (ScalarField, VectorField, _theta_constant, curl_perp,
-                     laplacian, norm_l2, perp_grad)
+from .errors import (BoundaryTagError, CirculationError, ConfigError,
+                     EllipticSolveError)
+from .fields import (ScalarField, VectorField, _fresh, _theta_constant,
+                     curl_perp, laplacian, norm_l2, perp_grad)
 from .grid import ExteriorGrid
 
 _RESIDUAL_TOL = 1e-10
 
 
-def _poisson_matrix(grid: ExteriorGrid, m: int):
+def _per_mode(pieces, count: int) -> np.ndarray:
+    """Stencil values, one row per mode: each piece broadcast to count rows."""
+    return np.concatenate([np.broadcast_to(p, (count, np.shape(p)[-1]))
+                           for p in pieces], axis=1)
+
+
+def _poisson_stencil(grid: ExteriorGrid, modes):
+    """COO (rows, cols) of one mode's Poisson matrix and its values per mode.
+
+    The sparsity pattern does not depend on the mode; vals holds one row of
+    entries for each of the modes.
+    """
     n = grid.spec.n_r
     h = grid.ds
     inv_h2 = 1.0 / (h * h)
+    m = np.asarray(modes, dtype=np.float64)[:, None]
     i = np.arange(1, n - 1)
     rows = np.concatenate([[0], i, i, i, [n - 1] * 3])
     cols = np.concatenate([[0], i - 1, i, i + 1, [n - 3, n - 2, n - 1]])
-    vals = np.concatenate([
+    vals = _per_mode([
         [1.0],
         np.full(n - 2, inv_h2),
-        np.full(n - 2, -2.0 * inv_h2 - m * m),
+        np.repeat(-2.0 * inv_h2 - m * m, n - 2, axis=1),
         np.full(n - 2, inv_h2),
         # far edge: one-sided d/ds + m, matching r^-m decay (Neumann at m=0)
-        [1.0 / (2.0 * h), -4.0 / (2.0 * h), 3.0 / (2.0 * h) + m],
-    ])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        [1.0 / (2.0 * h), -4.0 / (2.0 * h)], 3.0 / (2.0 * h) + m,
+    ], len(m))
+    return rows, cols, vals
 
 
-def _stream_matrix(grid: ExteriorGrid, m: int, alpha: float):
+def _stream_stencil(grid: ExteriorGrid, modes, alpha: float):
+    """COO (rows, cols) of one mode's stream matrix and its values per mode."""
     n = grid.spec.n_r
     h = grid.ds
     inv_h2 = 1.0 / (h * h)
     c = np.exp(-2.0 * grid.s_nodes[1:-1])
     a2 = alpha * alpha
+    m = np.asarray(modes, dtype=np.float64)[:, None]
     i = np.arange(1, n - 1)
 
     # unknowns interleaved: x[2i] = phi_i, x[2i+1] = (Delta phi)_i
@@ -80,14 +98,36 @@ def _stream_matrix(grid: ExteriorGrid, m: int, alpha: float):
         [2 * n - 2, 2 * n - 2, 2 * n - 4, 2 * n - 6],
     ])
     od = 1.0 / (2.0 * h)
-    vals = np.concatenate([
+    vals = _per_mode([
         c * inv_h2, c * (-2.0 * inv_h2 - m * m), c * inv_h2, np.full(n - 2, -1.0),
         -a2 * c * inv_h2, 1.0 - a2 * c * (-2.0 * inv_h2 - m * m), -a2 * c * inv_h2,
         # phi = 0 and the same one-sided stencil perp_grad uses for d_s phi
         [1.0, -3.0 * od, 4.0 * od, -1.0 * od],
         [1.0, 3.0 * od, -4.0 * od, 1.0 * od],
-    ])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+    ], len(m))
+    return rows, cols, vals
+
+
+def _block_matrix(rows, cols, vals, size: int):
+    """CSC block-diagonal matrix of one size x size block per row of vals.
+
+    One COO pass over all blocks gives the same indptr, indices and data as
+    sp.block_diag of the per-mode matrices, so the same LU factor.
+    """
+    count = len(vals)
+    off = size * np.arange(count)[:, None]
+    return sp.csc_matrix(
+        (vals.ravel(), ((rows + off).ravel(), (cols + off).ravel())),
+        shape=(size * count, size * count))
+
+
+def _poisson_matrix(grid: ExteriorGrid, m: int):
+    return _block_matrix(*_poisson_stencil(grid, (m,)), grid.spec.n_r)
+
+
+def _stream_matrix(grid: ExteriorGrid, m: int, alpha: float):
+    return _block_matrix(*_stream_stencil(grid, (m,), alpha),
+                         2 * grid.spec.n_r)
 
 
 def _block_factor(grid: ExteriorGrid, kind: str, alpha, modes: tuple):
@@ -100,11 +140,11 @@ def _block_factor(grid: ExteriorGrid, kind: str, alpha, modes: tuple):
     cached = grid.solver_cache.get(key)
     if cached is not None:
         return cached
+    n = grid.spec.n_r
     if kind == "poisson":
-        blocks = [_poisson_matrix(grid, m) for m in modes]
+        mat = _block_matrix(*_poisson_stencil(grid, modes), n)
     else:
-        blocks = [_stream_matrix(grid, m, alpha) for m in modes]
-    mat = sp.block_diag(blocks, format="csc")
+        mat = _block_matrix(*_stream_stencil(grid, modes, alpha), 2 * n)
     try:
         factor = mat.tocsr(), spla.splu(mat)
     except RuntimeError as exc:
@@ -192,7 +232,7 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
         rhs[:, 1:-1] = (e2s[1:-1, None] * coeff[1:-1, modes]).T
         x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes), rhs)
         phi_hat[:, modes] = x.T
-    phi = ScalarField(g, np.fft.irfft(phi_hat, n=n_theta, axis=1))
+    phi = ScalarField(g, _fresh(np.fft.irfft(phi_hat, n=n_theta, axis=1)))
 
     res = laplacian(phi).values - w.values
     res_norm = float(np.sqrt(np.sum(g.weights[1:-1] * res[1:-1] ** 2)))
@@ -202,11 +242,13 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
     return phi
 
 
-def solve_stream_helmholtz(q: ScalarField, alpha: float):
+def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
     """Invert (Delta - alpha^2 Delta^2) with no-slip and truncation pairs.
 
     Returns (phi, w, u) with w = laplacian(phi) and u = perp_grad(phi)
-    carrying the no-slip tag.
+    carrying the no-slip tag; with_w=False returns w as None for callers
+    that do not read it.  A velocity that fails the no-slip ring check is a
+    failed solve (EllipticSolveError).
     """
     if not alpha > 0.0:
         raise ConfigError(
@@ -226,8 +268,8 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float):
         x, res2, rhs2 = _solve_modes(_block_factor(g, "stream", alpha, modes),
                                      rhs)
         phi_hat[:, modes] = x[:, 0::2].T
-    phi = ScalarField(g, np.fft.irfft(phi_hat, n=n_theta, axis=1))
-    w = laplacian(phi)
+    phi = ScalarField(g, _fresh(np.fft.irfft(phi_hat, n=n_theta, axis=1)))
+    w = laplacian(phi) if with_w else None
 
     # residual of the banded system itself; recomposing Delta^2 in physical
     # space would amplify roundoff by alpha^2/h^4 and prove nothing more
@@ -237,7 +279,10 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float):
         raise EllipticSolveError("stream residual %.3e exceeds %.0e relative"
                                  % (res_norm, _RESIDUAL_TOL))
     u = perp_grad(phi)
-    u = VectorField(g, u.u_r, u.u_theta, tag="no-slip")
+    try:
+        u = VectorField(g, u.u_r, u.u_theta, tag="no-slip")
+    except BoundaryTagError as exc:
+        raise EllipticSolveError("stream solve: %s" % exc) from exc
     return phi, w, u
 
 

@@ -36,11 +36,15 @@ class NonFiniteFieldError(ValueError):
     """A field constructor was handed NaN or Inf values."""
 
 
+class BoundaryTagError(ValueError):
+    """A velocity field violates its boundary tag on the r = 1 ring."""
+
+
 class NumericalFailure(DiskflowError):
     """Time integration aborted.
 
-    kind is one of 'nan', 'cfl', 'tail_mass'; time and detail locate the
-    failure for diagnostics.
+    kind is one of 'nan', 'cfl', 'tail_mass', 'solve' (an elliptic solve
+    failed mid-run); time and detail locate the failure for diagnostics.
     """
 
     def __init__(self, message, kind, time=None, detail=None):

@@ -9,8 +9,10 @@ quadrature.  H^k seminorms apply k nested first-derivative stencils
 [d/dr, (1/r) d/dtheta] to every component, trading sharp constants for code
 reuse; scaling exponents are what the harness needs.
 
-Fields are immutable: constructors copy and freeze their arrays, operators
-are pure functions returning new fields.
+Fields are immutable: constructors copy and freeze a caller's writeable
+array, operators are pure functions returning new fields.  An operator marks
+the arrays it has just computed read-only before wrapping them, so the
+constructor keeps them without a copy; the finiteness check still runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteFieldError
+from .errors import BoundaryTagError, ConfigError, NonFiniteFieldError
 from .grid import ExteriorGrid
 
 
@@ -34,6 +36,12 @@ def _owned(values, shape):
         vals = vals.copy()
         vals.flags.writeable = False
     return vals
+
+
+def _fresh(a: np.ndarray) -> np.ndarray:
+    """a marked read-only: a result no one else holds, kept without a copy."""
+    a.flags.writeable = False
+    return a
 
 
 class ScalarField:
@@ -57,6 +65,7 @@ class VectorField:
     tag='non-penetration' asserts u_r alone vanishes there.  "Vanish" means
     below _RING_TOL times the largest component, or times 1 for fields no
     larger than that: solver roundoff on the ring scales with the field.
+    A violated tag raises BoundaryTagError, a ValueError.
     """
 
     __slots__ = ("grid", "u_r", "u_theta", "tag")
@@ -73,13 +82,13 @@ class VectorField:
             worst = max(np.abs(self.u_r[0]).max(),
                         np.abs(self.u_theta[0]).max())
             if self._off_ring(worst):
-                raise ValueError("no-slip tag violated on the boundary ring: "
-                                 "max |u| = %.3e" % worst)
+                raise BoundaryTagError("no-slip tag violated on the boundary "
+                                       "ring: max |u| = %.3e" % worst)
         elif tag == "non-penetration":
             worst = np.abs(self.u_r[0]).max()
             if self._off_ring(worst):
-                raise ValueError("non-penetration tag violated: "
-                                 "max |u_r| = %.3e" % worst)
+                raise BoundaryTagError("non-penetration tag violated: "
+                                       "max |u_r| = %.3e" % worst)
         elif tag is not None:
             raise ValueError("unknown tag %r" % (tag,))
 
@@ -164,7 +173,7 @@ def perp_grad(psi: ScalarField) -> VectorField:
     g = psi.grid
     u_r = -_inv_r(g) * _dtheta(psi.values)
     u_theta = _dr(psi.values, g)
-    return VectorField(g, u_r, u_theta)
+    return VectorField(g, _fresh(u_r), _fresh(u_theta))
 
 
 def curl_perp(u: VectorField) -> ScalarField:
@@ -181,7 +190,7 @@ def laplacian(f: ScalarField) -> ScalarField:
     """e^{-2s} (d_ss + d_thetatheta) f."""
     g = f.grid
     vals = _inv_r(g) ** 2 * (_dss(f.values, g.ds) + _dtheta2(f.values))
-    return ScalarField(g, vals)
+    return ScalarField(g, _fresh(vals))
 
 
 def advect(u: VectorField, q: ScalarField) -> ScalarField:
@@ -190,7 +199,7 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
         raise ValueError("advect requires fields on the same grid")
     g = q.grid
     vals = u.u_r * _dr(q.values, g) + u.u_theta * _inv_r(g) * _dtheta(q.values)
-    return ScalarField(g, vals)
+    return ScalarField(g, _fresh(vals))
 
 
 def _components(f) -> list:

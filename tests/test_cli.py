@@ -13,7 +13,7 @@ from diskflow.cli import (RunConfig, SweepSettings, Tolerances,
                           _sweep_config, config_document, main,
                           parse_config, serialize_config)
 from diskflow.errors import ConfigError
-from diskflow.fields import read_snapshot
+from diskflow.fields import VectorField, read_snapshot
 from diskflow.grid import GridSpec, build_grid
 
 MINIMAL = ('{"model": "euler_alpha", "alpha": 0.2, '
@@ -262,6 +262,97 @@ def test_failed_simulate_keeps_its_snapshots(tmp_path, capsys):
     assert main(["simulate", "--config", ok, "--output-dir",
                  str(tmp_path / "ok")]) == 0
     for name in names:
+        assert (out / name).read_bytes() \
+            == (tmp_path / "ok" / name).read_bytes()
+
+
+def _failing_solves(monkeypatch, how, fails):
+    """Make the stream solves fail through their own checks.
+
+    fails(alpha, n) says whether the n-th stream solve (1-based) of the run
+    at alpha fails: 'residual' through the residual gate, 'ring' through the
+    no-slip ring check of the returned velocity.
+    """
+    import diskflow.dynamics as dynamics
+    import diskflow.elliptic as elliptic
+    real_solve = dynamics.solve_stream_helmholtz
+    real_modes = elliptic._solve_modes
+    real_perp = elliptic.perp_grad
+    calls = {}
+    broken = [False]
+
+    def solve(q, alpha, **kwargs):
+        calls[alpha] = calls.get(alpha, 0) + 1
+        broken[0] = fails(alpha, calls[alpha])
+        try:
+            return real_solve(q, alpha, **kwargs)
+        finally:
+            broken[0] = False
+
+    def solve_modes(factor, rhs):
+        x, res2, rhs2 = real_modes(factor, rhs)
+        return x, (1e6 * rhs2 if broken[0] else res2), rhs2
+
+    def perp_grad(phi):
+        u = real_perp(phi)
+        if not broken[0]:
+            return u
+        ut = u.u_theta.copy()
+        ut[0] += 1e-3
+        return VectorField(phi.grid, u.u_r, ut)
+    monkeypatch.setattr(dynamics, "solve_stream_helmholtz", solve)
+    if how == "residual":
+        monkeypatch.setattr(elliptic, "_solve_modes", solve_modes)
+    else:
+        monkeypatch.setattr(elliptic, "perp_grad", perp_grad)
+
+
+@pytest.mark.parametrize("how", ["residual", "ring"])
+def test_solver_failure_fails_one_sweep_row(monkeypatch, tmp_path, capsys,
+                                            how):
+    # alpha 0.2 fails mid-run (its initial state solves, its first k2 not)
+    _failing_solves(monkeypatch, how, lambda alpha, n: alpha == 0.2 and n > 1)
+    cfg = write_config(tmp_path, SWEEP_DOC)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--output-dir", str(out),
+                 "--threads", "1", "--alphas", "0.4,0.2"]) == 3
+    printed = capsys.readouterr().out
+    assert "alpha=0.4 nu=0 sup_err_l2=" in printed
+    assert "status=solve" in printed and "1 of 2 runs failed" in printed
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+    assert [(float(r["alpha"]), r["status"]) for r in rows] \
+        == [(0.4, "ok"), (0.2, "solve")]
+    assert math.isfinite(float(rows[0]["sup_err_l2"]))
+    assert math.isnan(float(rows[1]["sup_err_l2"]))
+    assert json.loads((out / "rates.json").read_text()) == []
+
+
+@pytest.mark.parametrize("how", ["residual", "ring"])
+def test_solver_failure_fails_simulate_and_keeps_its_files(
+        monkeypatch, tmp_path, capsys, how):
+    doc = {"model": "euler_alpha", "alpha": 0.2,
+           "grid": {"n_r": 65, "n_theta": 16}, "t_final": 0.1, "dt": 0.01,
+           "snapshot_dt": 0.01,
+           "case": {"name": "perturbed_vortex", "r0": 2.0, "sigma": 0.4,
+                    "mode": 2, "eps": 0.1}}
+    ok = write_config(tmp_path, json.dumps(dict(doc, t_final=0.02)), "ok.json")
+    assert main(["simulate", "--config", ok, "--output-dir",
+                 str(tmp_path / "ok")]) == 0
+    # solve 1 is the initial state and each step makes four: the tenth is
+    # stage k2 of the third step
+    _failing_solves(monkeypatch, how, lambda alpha, n: n == 10)
+    cfg = write_config(tmp_path, json.dumps(doc))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure (solve)" in err and "stage k2" in err
+    names = sorted(n for n in os.listdir(out) if n.startswith("snapshot_"))
+    assert names == ["snapshot_0000.csv", "snapshot_0001.csv",
+                     "snapshot_0002.csv"]
+    for name in names + ["diagnostics.csv"]:
         assert (out / name).read_bytes() \
             == (tmp_path / "ok" / name).read_bytes()
 

@@ -14,7 +14,8 @@ from diskflow.elliptic import recover_q
 from diskflow.dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
                                cfl_dt, energy, initial_state, make_state,
                                outer_circulation, rhs, run, step)
-from diskflow.errors import ConfigError, NumericalFailure
+from diskflow.errors import (CirculationError, ConfigError,
+                             EllipticSolveError, NumericalFailure)
 from diskflow.initial_data import InitialCase, canonical_psi, make_initial
 
 
@@ -396,11 +397,14 @@ def test_nan_failure_carries_time_and_stage():
     assert exc.value.detail in {"k1", "k2", "k3", "k4", "update"}
 
 
-def _broken_make_state(values_of):
-    """A make_state whose q field is built from values_of(q.values)."""
-    def broken(params, q, time, mass_tol=1e-6):
-        return make_state(params, ScalarField(q.grid, values_of(q.values)),
-                          time, mass_tol)
+def _broken_derive(values_of):
+    """A dynamics._derive whose q field is built from values_of(q.values)."""
+    import diskflow.dynamics as dynamics
+    real = dynamics._derive
+
+    def broken(params, q, time, mass_tol, with_w):
+        return real(params, ScalarField(q.grid, values_of(q.values)), time,
+                    mass_tol, with_w)
     return broken
 
 
@@ -411,22 +415,22 @@ def test_only_non_finite_fields_map_to_nan(monkeypatch):
     state = initial_state(ModelParams("euler_alpha", alpha=0.3), u0)
 
     # a shape mismatch is a bug, not a numerical failure
-    monkeypatch.setattr(dynamics, "make_state",
-                        _broken_make_state(lambda v: v[:, :-1]))
+    monkeypatch.setattr(dynamics, "_derive",
+                        _broken_derive(lambda v: v[:, :-1]))
     with pytest.raises(ValueError, match="shape"):
         step(state, 1e-3)
 
     # so is a velocity that slips on the ring
-    def slipping(params, q, time, mass_tol=1e-6):
+    def slipping(params, q, time, mass_tol, with_w):
         ut = np.ones((g.spec.n_r, g.spec.n_theta))
         VectorField(g, np.zeros_like(ut), ut, tag="no-slip")
-    monkeypatch.setattr(dynamics, "make_state", slipping)
+    monkeypatch.setattr(dynamics, "_derive", slipping)
     with pytest.raises(ValueError, match="no-slip"):
         step(state, 1e-3)
 
-    # stage k1 builds no state: a broken make_state first fires at k2
-    monkeypatch.setattr(dynamics, "make_state",
-                        _broken_make_state(lambda v: v * np.nan))
+    # stage k1 builds no state: a broken _derive first fires at k2
+    monkeypatch.setattr(dynamics, "_derive",
+                        _broken_derive(lambda v: v * np.nan))
     with pytest.raises(NumericalFailure) as exc:
         step(state, 1e-3)
     assert exc.value.kind == "nan"
@@ -452,15 +456,76 @@ def test_step_builds_four_states(monkeypatch):
     g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
     u0 = velocity_from_stream(radial_stream(g, moded=(0.3, 2)))
     state = initial_state(ModelParams("euler_alpha", alpha=0.3), u0)
-    built = []
+    built, with_w = [], []
+    real = dynamics._derive
 
     def counted(*args, **kwargs):
         built.append(args[2])
-        return make_state(*args, **kwargs)
-    monkeypatch.setattr(dynamics, "make_state", counted)
+        with_w.append(kwargs["with_w"])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(dynamics, "_derive", counted)
     step(state, 1e-2)
     # k2, k3, k4 and the update; k1 reuses the given state's fields
     assert built == pytest.approx([0.005, 0.005, 0.01, 0.01])
+    # inviscid stages skip w; the update builds a full state
+    assert with_w == [False, False, False, True]
+
+
+@pytest.mark.parametrize("params, mass_tol, calls", [
+    (ModelParams("euler_alpha", alpha=0.3), 1e-6, 1),
+    (ModelParams("second_grade", alpha=0.3, nu=1e-3), 1e-6, 8),
+    (ModelParams("euler"), 1e-3, 4),
+], ids=["euler_alpha", "second_grade", "euler"])
+def test_step_forms_only_the_laplacians_its_stages_read(monkeypatch, params,
+                                                        mass_tol, calls):
+    import diskflow.dynamics as dynamics
+    import diskflow.elliptic as elliptic
+    from diskflow.fields import laplacian
+    g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
+    u = perp_grad(radial_stream(g, moded=(0.3, 2)))
+    u0 = VectorField(g, u.u_r, u.u_theta, tag=params.boundary_tag)
+    state = initial_state(params, u0, mass_tol=mass_tol)
+    n = [0]
+
+    def counted(f):
+        n[0] += 1
+        return laplacian(f)
+    for module in (dynamics, elliptic):
+        monkeypatch.setattr(module, "laplacian", counted)
+    new = step(state, 1e-3, mass_tol=mass_tol)
+    # euler_alpha: w of the update only; second_grade: w and nu lap(w) at
+    # k2-k4 and w of the update, plus nu lap(w) at k1; euler: one Poisson
+    # residual per inversion
+    assert n[0] == calls
+    assert new.w is not None
+
+
+@pytest.mark.parametrize("failing_call, stage", [
+    (1, "k2"), (2, "k3"), (3, "k4"), (4, "update")])
+@pytest.mark.parametrize("error", [EllipticSolveError, CirculationError])
+def test_solver_errors_in_a_step_are_solve_failures(monkeypatch, failing_call,
+                                                    stage, error):
+    import diskflow.dynamics as dynamics
+    g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
+    u0 = velocity_from_stream(radial_stream(g, moded=(0.3, 2)))
+    state = initial_state(ModelParams("euler_alpha", alpha=0.3), u0)
+    real = dynamics.solve_stream_helmholtz
+    calls = []
+
+    def failing(q, alpha, **kwargs):
+        calls.append(alpha)
+        if len(calls) == failing_call:
+            raise error("synthetic solver failure")
+        return real(q, alpha, **kwargs)
+    monkeypatch.setattr(dynamics, "solve_stream_helmholtz", failing)
+    with pytest.raises(NumericalFailure) as exc:
+        step(state, 1e-2)
+    assert exc.value.kind == "solve"
+    assert exc.value.detail == stage
+    assert exc.value.time == (0.005 if stage in ("k2", "k3") else
+                              0.01 if stage == "k4" else 0.0)
+    assert isinstance(exc.value.__cause__, error)
+    assert "synthetic solver failure" in str(exc.value)
 
 
 def _rebuilding_step(state, dt, mass_tol=1e-6, end_time=None):
@@ -652,7 +717,7 @@ def _vortex_state(kind, case_name):
 @pytest.mark.parametrize("kind, case_name, calls", [
     ("euler_alpha", "radial_vortex", 4),
     ("second_grade", "radial_vortex", 4),
-    ("euler_alpha", "perturbed_vortex", 16),
+    ("euler_alpha", "perturbed_vortex", 13),
     ("second_grade", "perturbed_vortex", 20),
 ])
 def test_step_transforms_only_what_varies_in_angle(monkeypatch, kind,

@@ -317,13 +317,72 @@ def test_one_factor_per_alpha_and_mode_set():
 
 def test_singular_block_names_the_mode_set(monkeypatch):
     g = grid(33, 8, 4.0)
-    n = 2 * g.spec.n_r
-    monkeypatch.setattr(elliptic, "_stream_matrix",
-                        lambda grid, m, alpha: scipy.sparse.csc_matrix((n, n)))
+    empty = np.zeros(0, dtype=int)
+    # every block of the assembled operator all zeros
+    monkeypatch.setattr(elliptic, "_stream_stencil",
+                        lambda grid, modes, alpha:
+                        (empty, empty, np.zeros((len(modes), 0))))
     q = ScalarField(g, _random_interior(g, 10))
     with pytest.raises(EllipticSolveError, match=r"modes \[0, 1, 2, 3, 4\]"):
         solve_stream_helmholtz(q, 0.1)
     assert not g.solver_cache
+
+
+@pytest.mark.parametrize("kind", ["poisson", "stream"])
+@pytest.mark.parametrize("n_r, n_theta", [(65, 16), (129, 100), (256, 128)])
+@pytest.mark.parametrize("mode_set", ["zero", "even", "all"])
+def test_one_pass_assembly_equals_block_diag_of_the_modes(kind, n_r, n_theta,
+                                                          mode_set):
+    g = grid(n_r, n_theta, 8.0)
+    modes = {"zero": (0,), "even": (0, 2, 4),
+             "all": tuple(range(n_theta // 2 + 1))}[mode_set]
+    if kind == "poisson":
+        alpha, blocks = None, [elliptic._poisson_matrix(g, m) for m in modes]
+    else:
+        alpha, blocks = 0.1, [elliptic._stream_matrix(g, m, 0.1)
+                              for m in modes]
+    want = scipy.sparse.block_diag(blocks, format="csc")
+    mat, lu = elliptic._block_factor(g, kind, alpha, modes)
+    got = mat.tocsc()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(mat.data, want.tocsr().data)
+
+    rng = np.random.default_rng(n_r + len(modes))
+    b = rng.normal(size=(want.shape[0], 2))
+    assert np.array_equal(lu.solve(b),
+                          scipy.sparse.linalg.splu(want).solve(b))
+
+
+def test_stream_ring_violation_is_a_solve_error(monkeypatch):
+    from diskflow.fields import VectorField, perp_grad
+    g = grid(65, 16, 8.0)
+    q = manufactured_phi(g)
+
+    def slipping(phi):
+        u = perp_grad(phi)
+        ut = u.u_theta.copy()
+        ut[0] += 1e-6
+        return VectorField(g, u.u_r, ut)
+    monkeypatch.setattr(elliptic, "perp_grad", slipping)
+    with pytest.raises(EllipticSolveError, match="no-slip") as exc:
+        solve_stream_helmholtz(q, 0.1)
+    assert isinstance(exc.value.__cause__, ValueError)
+    # a field built by hand keeps the ValueError
+    with pytest.raises(ValueError, match="no-slip"):
+        VectorField(g, np.zeros((65, 16)), np.ones((65, 16)), tag="no-slip")
+
+
+def test_stream_solve_without_w_returns_the_same_phi_and_u():
+    g = grid(65, 16, 8.0)
+    q = manufactured_phi(g)
+    phi, w, u = solve_stream_helmholtz(q, 0.1)
+    lean = solve_stream_helmholtz(q, 0.1, with_w=False)
+    assert lean[1] is None
+    assert np.array_equal(lean[0].values, phi.values)
+    assert np.array_equal(lean[2].u_r, u.u_r)
+    assert np.array_equal(lean[2].u_theta, u.u_theta)
+    assert np.array_equal(w.values, laplacian(phi).values)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,49 @@ def test_scalar_field_copies_and_freezes():
         f.values = a
 
 
+@pytest.mark.parametrize("build", [
+    lambda g, a: ScalarField(g, a).values,
+    lambda g, a: VectorField(g, a, np.zeros_like(a)).u_r,
+    lambda g, a: VectorField(g, np.zeros_like(a), a).u_theta,
+], ids=["scalar", "vector_u_r", "vector_u_theta"])
+def test_public_constructors_copy_a_writeable_array(build):
+    g = grid(16, 8, 4.0)
+    a = np.ones((16, 8))
+    kept = build(g, a)
+    assert not np.shares_memory(kept, a)
+    a[2, 3] = 99.0
+    assert kept[2, 3] == 1.0
+    assert a.flags.writeable and not kept.flags.writeable
+    # a read-only array is kept as it is, after the same finiteness check
+    a.flags.writeable = False
+    assert build(g, a) is a
+    b = np.ones((16, 8))
+    b[5, 5] = np.nan
+    b.flags.writeable = False
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        build(g, b)
+
+
+def test_operators_keep_their_fresh_results_without_a_copy(monkeypatch):
+    g = grid(33, 8, 4.0)
+    psi = analytic_psi(g)
+    copies = []
+    real = fields._owned
+
+    def owned(values, shape):
+        out = real(values, shape)
+        if out is not values:
+            copies.append(shape)
+        return out
+    monkeypatch.setattr(fields, "_owned", owned)
+    u = perp_grad(psi)
+    lap = laplacian(psi)
+    conv = advect(u, psi)
+    assert copies == []
+    for arr in (u.u_r, u.u_theta, lap.values, conv.values):
+        assert not arr.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rejected(bad):
     g = grid(16, 8, 4.0)
