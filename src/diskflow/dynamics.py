@@ -159,11 +159,17 @@ def initial_state(params: ModelParams, u0: VectorField,
 def rhs(state: FlowState) -> ScalarField:
     """-u . grad q + nu Delta w (q and w coincide for plain vorticity)."""
     g = state.q.grid
-    conv = advect(state.u, state.q)
-    vals = -conv.values
+    vals = np.negative(advect(state.u, state.q).values)
     if state.params.nu > 0.0:
-        vals = vals + state.params.nu * laplacian(state.w).values
+        vals += laplacian(state.w).values * state.params.nu
     return ScalarField(g, _fresh(vals))
+
+
+def _axpy(q: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
+    """q + h * k as one fresh array: k * h, then q added in place."""
+    out = k * h
+    out += q
+    return out
 
 
 def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
@@ -209,10 +215,18 @@ def step(state: FlowState, dt: float, mass_tol: float = RunConfig.mass_tol,
     q = state.q.values
     t = state.time
     k1 = _stage_rhs(params, g, q, t, "k1", mass_tol, state=state)
-    k2 = _stage_rhs(params, g, q + 0.5 * dt * k1, t + 0.5 * dt, "k2", mass_tol)
-    k3 = _stage_rhs(params, g, q + 0.5 * dt * k2, t + 0.5 * dt, "k3", mass_tol)
-    k4 = _stage_rhs(params, g, q + dt * k3, t + dt, "k4", mass_tol)
-    q_new = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = _stage_rhs(params, g, _axpy(q, 0.5 * dt, k1), t + 0.5 * dt, "k2",
+                    mass_tol)
+    k3 = _stage_rhs(params, g, _axpy(q, 0.5 * dt, k2), t + 0.5 * dt, "k3",
+                    mass_tol)
+    k4 = _stage_rhs(params, g, _axpy(q, dt, k3), t + dt, "k4", mass_tol)
+    # q + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order in place
+    q_new = k2 * 2.0
+    q_new += k1
+    q_new += k3 * 2.0
+    q_new += k4
+    q_new *= dt / 6.0
+    q_new += q
     if not np.isfinite(q_new).all():
         raise NumericalFailure("non-finite q after step", kind="nan",
                                time=t, detail="update")
@@ -266,12 +280,14 @@ def _diag_row(state: FlowState, dt: float, tail_w: np.ndarray) -> dict:
     nusq = norm_l2(state.u) ** 2
     gusq = grad_norm_l2(state.u) ** 2
     a = state.params.alpha
+    tail = np.square(state.q.values)
+    tail *= tail_w
     return {
         "t": state.time,
         "dt": dt,
         "energy": nusq + a * a * gusq,
         "enstrophy": norm_l2(state.w) ** 2,
-        "tail_mass": float(np.sqrt(np.sum(tail_w * state.q.values ** 2))),
+        "tail_mass": float(np.sqrt(np.sum(tail))),
         "norm_u_sq": nusq,
         "grad_u_sq": gusq,
     }

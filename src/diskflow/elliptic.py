@@ -166,26 +166,42 @@ def release_factors(grid: ExteriorGrid, kind: str, alpha=None) -> None:
             del grid.solver_cache[key]
 
 
-def _solve_modes(factor, rhs: np.ndarray):
+def _rhs_parts(count: int, size: int):
+    """Zeroed real right-hand side of count modes, size unknowns each.
+
+    Returns (parts, re, im): parts is (2, count * size), the real and the
+    imaginary column of the complex system, and re and im are its two rows
+    seen as (count, size), one row per mode, for the caller to fill.
+    """
+    parts = np.zeros((2, count * size))
+    return parts, parts[0].reshape(count, size), parts[1].reshape(count, size)
+
+
+def _solve_modes(factor, parts: np.ndarray):
     """Complex solve of every mode through one real factorization.
 
-    rhs holds one row per active mode; its real and imaginary parts go
-    through the block LU as two columns.  Returns (solution, residual^2,
-    rhs^2), the squares summed over all modes, so callers can enforce the
-    relative residual bound of the whole inversion.
+    parts holds the real and imaginary parts of the right-hand side as two
+    rows (see _rhs_parts); they go through the block LU as two columns and
+    are squared in place once solved.  Returns (solution, residual^2,
+    rhs^2), the solution flat and complex, the squares summed over all
+    modes, so callers can enforce the relative residual bound of the whole
+    inversion.
     """
     mat, lu = factor
-    parts = np.stack([rhs.real.ravel(), rhs.imag.ravel()])
     out = lu.solve(parts.T).T
     # one CSR matvec per part: about three times faster than one product
     # with the two-column block.  np.sum rather than a BLAS dot, which
     # OpenBLAS spreads over threads at this length and which then stalls
     # when two sweep workers call it at once
-    r0 = mat @ out[0] - parts[0]
-    r1 = mat @ out[1] - parts[1]
-    return ((out[0] + 1j * out[1]).reshape(rhs.shape),
-            float(np.sum(r0 * r0) + np.sum(r1 * r1)),
-            float(np.sum(parts * parts)))
+    r0 = mat @ out[0]
+    r0 -= parts[0]
+    r0 *= r0
+    r1 = mat @ out[1]
+    r1 -= parts[1]
+    r1 *= r1
+    res2 = float(np.sum(r0) + np.sum(r1))
+    parts *= parts
+    return out[0] + 1j * out[1], res2, float(np.sum(parts))
 
 
 def _spectrum(values: np.ndarray) -> np.ndarray:
@@ -227,15 +243,22 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
     phi_hat = np.zeros_like(coeff)
     modes = _active_modes(coeff)
     if modes:
+        n = g.spec.n_r
         e2s = np.exp(2.0 * g.s_nodes)
-        rhs = np.zeros((len(modes), g.spec.n_r), dtype=complex)
-        rhs[:, 1:-1] = (e2s[1:-1, None] * coeff[1:-1, modes]).T
-        x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes), rhs)
-        phi_hat[:, modes] = x.T
+        # the complex product, as the complex system scales it
+        scaled = e2s[1:-1, None] * coeff[1:-1, modes]
+        parts, re, im = _rhs_parts(len(modes), n)
+        re[:, 1:-1] = scaled.real.T
+        im[:, 1:-1] = scaled.imag.T
+        x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes), parts)
+        phi_hat[:, modes] = x.reshape(len(modes), n).T
     phi = ScalarField(g, _fresh(np.fft.irfft(phi_hat, n=n_theta, axis=1)))
 
     res = laplacian(phi).values - w.values
-    res_norm = float(np.sqrt(np.sum(g.weights[1:-1] * res[1:-1] ** 2)))
+    inner = res[1:-1]
+    np.square(inner, out=inner)
+    inner *= g.weights[1:-1]
+    res_norm = float(np.sqrt(np.sum(inner)))
     if res_norm > _RESIDUAL_TOL * max(scale, 1e-30):
         raise EllipticSolveError("poisson residual %.3e exceeds %.0e relative"
                                  % (res_norm, _RESIDUAL_TOL))
@@ -263,11 +286,12 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
     rhs2 = 0.0
     modes = _active_modes(coeff)
     if modes:
-        rhs = np.zeros((len(modes), 2 * n), dtype=complex)
-        rhs[:, 3:-2:2] = coeff[1:-1, modes].T
+        parts, re, im = _rhs_parts(len(modes), 2 * n)
+        re[:, 3:-2:2] = coeff.real[1:-1, modes].T
+        im[:, 3:-2:2] = coeff.imag[1:-1, modes].T
         x, res2, rhs2 = _solve_modes(_block_factor(g, "stream", alpha, modes),
-                                     rhs)
-        phi_hat[:, modes] = x[:, 0::2].T
+                                     parts)
+        phi_hat[:, modes] = x.reshape(len(modes), 2 * n)[:, 0::2].T
     phi = ScalarField(g, _fresh(np.fft.irfft(phi_hat, n=n_theta, axis=1)))
     w = laplacian(phi) if with_w else None
 
@@ -291,5 +315,6 @@ def recover_q(u: VectorField, alpha: float) -> ScalarField:
     w = curl_perp(u)
     if alpha == 0.0:
         return w
-    g = u.grid
-    return ScalarField(g, w.values - alpha * alpha * laplacian(w).values)
+    q = alpha * alpha * laplacian(w).values
+    np.subtract(w.values, q, out=q)
+    return ScalarField(u.grid, _fresh(q))

@@ -13,6 +13,11 @@ Fields are immutable: constructors copy and freeze a caller's writeable
 array, operators are pure functions returning new fields.  An operator marks
 the arrays it has just computed read-only before wrapping them, so the
 constructor keeps them without a copy; the finiteness check still runs.
+The kernels build each result in place: the first operation of an
+expression allocates the result and the rest write into it with out=, *=
+and +=.  Every IEEE operation and its operand order are kept (only a*b ->
+b*a and a+b -> b+a are swapped), so the values are those of the plain
+expressions bit for bit.
 """
 
 from __future__ import annotations
@@ -107,7 +112,9 @@ class VectorField:
 
 def _ds(a: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(a)
-    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
+    mid = out[1:-1]
+    np.subtract(a[2:], a[:-2], out=mid)
+    mid /= 2.0 * h
     out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
     out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
     return out
@@ -116,7 +123,11 @@ def _ds(a: np.ndarray, h: float) -> np.ndarray:
 def _dss(a: np.ndarray, h: float) -> np.ndarray:
     h2 = h * h
     out = np.empty_like(a)
-    out[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / h2
+    mid = out[1:-1]
+    np.multiply(a[1:-1], 2.0, out=mid)
+    np.subtract(a[2:], mid, out=mid)
+    mid += a[:-2]
+    mid /= h2
     out[0] = (2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]) / h2
     out[-1] = (2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]) / h2
     return out
@@ -162,7 +173,9 @@ def _inv_r(grid: ExteriorGrid) -> np.ndarray:
 
 def _dr(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
     # d/dr = e^{-s} d/ds
-    return _inv_r(grid) * _ds(a, grid.ds)
+    out = _ds(a, grid.ds)
+    out *= _inv_r(grid)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +184,8 @@ def _dr(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
 def perp_grad(psi: ScalarField) -> VectorField:
     """u = (-(1/r) dtheta psi, dr psi), the rotated gradient."""
     g = psi.grid
-    u_r = -_inv_r(g) * _dtheta(psi.values)
+    u_r = _dtheta(psi.values)
+    u_r *= -_inv_r(g)
     u_theta = _dr(psi.values, g)
     return VectorField(g, _fresh(u_r), _fresh(u_theta))
 
@@ -181,15 +195,19 @@ def curl_perp(u: VectorField) -> ScalarField:
     g = u.grid
     inv_r = _inv_r(g)
     # (1/r) d_r(r u_theta) = e^{-2s} d_s(e^s u_theta)
-    w = inv_r * (inv_r * _ds(g.r_nodes[:, None] * u.u_theta, g.ds)
-                 - _dtheta(u.u_r))
-    return ScalarField(g, w)
+    w = _ds(g.r_nodes[:, None] * u.u_theta, g.ds)
+    w *= inv_r
+    w -= _dtheta(u.u_r)
+    w *= inv_r
+    return ScalarField(g, _fresh(w))
 
 
 def laplacian(f: ScalarField) -> ScalarField:
     """e^{-2s} (d_ss + d_thetatheta) f."""
     g = f.grid
-    vals = _inv_r(g) ** 2 * (_dss(f.values, g.ds) + _dtheta2(f.values))
+    vals = _dss(f.values, g.ds)
+    vals += _dtheta2(f.values)
+    vals *= _inv_r(g) ** 2
     return ScalarField(g, _fresh(vals))
 
 
@@ -198,7 +216,11 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     if u.grid is not q.grid:
         raise ValueError("advect requires fields on the same grid")
     g = q.grid
-    vals = u.u_r * _dr(q.values, g) + u.u_theta * _inv_r(g) * _dtheta(q.values)
+    vals = _dr(q.values, g)
+    vals *= u.u_r
+    ang = u.u_theta * _inv_r(g)
+    ang *= _dtheta(q.values)
+    vals += ang
     return ScalarField(g, _fresh(vals))
 
 
@@ -210,12 +232,19 @@ def _components(f) -> list:
     raise TypeError("expected ScalarField or VectorField, got %r" % type(f))
 
 
+def _weighted_sum(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """float(np.sum(w * a * b)) with one temporary."""
+    t = w * a
+    t *= b
+    return float(np.sum(t))
+
+
 def norm_l2(f) -> float:
     """sqrt of the quadrature sum of squares over all components."""
     g = f.grid
     total = 0.0
     for c in _components(f):
-        total += float(np.sum(g.weights * c * c))
+        total += _weighted_sum(g.weights, c, c)
     return float(np.sqrt(total))
 
 
@@ -226,7 +255,7 @@ def inner_l2(f, g_field) -> float:
     w = f.grid.weights
     total = 0.0
     for a, b in zip(_components(f), _components(g_field), strict=True):
-        total += float(np.sum(w * a * b))
+        total += _weighted_sum(w, a, b)
     return float(total)
 
 
@@ -236,22 +265,37 @@ def seminorms_hk(f, k_max: int) -> tuple:
     Order k applies k nested [d/dr, (1/r) d/dtheta] to every component;
     each level is summed as it is reached, so the derivatives of level k
     are taken once for all orders above it.
+
+    A theta-constant component (see _theta_constant) skips its d/dtheta
+    branch and every derivative of it: they are exact zeros, which add
+    +0.0 to a non-negative sum.  Its d/dr is theta-constant bit for bit, so
+    it keeps the flag while finite, and an all-zero one is dropped.  The
+    sums are those of every word of derivatives, bit for bit.
     """
     if k_max not in (1, 2, 3):
         raise ConfigError("seminorm order k=%r outside 1..3" % (k_max,),
                           key="k")
     g = f.grid
-    comps = _components(f)
+    inv_r = _inv_r(g)
+    comps = []                        # (array, theta-constant) pairs
+    for c in _components(f):
+        const = _theta_constant(c)
+        if not const or c[:, 0].any():
+            comps.append((c, const))
     norms = []
     for _ in range(k_max):
         nxt = []
-        for c in comps:
-            nxt.append(_dr(c, g))
-            nxt.append(_inv_r(g) * _dtheta(c))
+        for c, const in comps:
+            d = _dr(c, g)
+            nxt.append((d, const and bool(np.isfinite(d[:, 0]).all())))
+            if not const:
+                d = _dtheta(c)
+                d *= inv_r
+                nxt.append((d, False))
         comps = nxt
         total = 0.0
-        for c in comps:
-            total += float(np.sum(g.weights * c * c))
+        for c, _ in comps:
+            total += _weighted_sum(g.weights, c, c)
         norms.append(float(np.sqrt(total)))
     return tuple(norms)
 
@@ -268,10 +312,9 @@ def grad_norm_l2(u: VectorField) -> float:
     identity holds with the same constant as in Cartesian coordinates.
     """
     g = u.grid
-    t = grad_tensor(u)
     total = 0.0
-    for c in t:
-        total += float(np.sum(g.weights * c * c))
+    for c in grad_tensor(u):
+        total += _weighted_sum(g.weights, c, c)
     return float(np.sqrt(total))
 
 
@@ -284,8 +327,12 @@ def grad_tensor(u: VectorField) -> tuple:
     inv_r = _inv_r(g)
     t_rr = _dr(u.u_r, g)
     t_rt = _dr(u.u_theta, g)
-    t_tr = inv_r * _dtheta(u.u_r) - inv_r * u.u_theta
-    t_tt = inv_r * _dtheta(u.u_theta) + inv_r * u.u_r
+    t_tr = _dtheta(u.u_r)
+    t_tr *= inv_r
+    t_tr -= inv_r * u.u_theta
+    t_tt = _dtheta(u.u_theta)
+    t_tt *= inv_r
+    t_tt += inv_r * u.u_r
     return (t_rr, t_rt, t_tr, t_tt)
 
 
@@ -297,7 +344,7 @@ def vector_laplacian(u: VectorField) -> VectorField:
         - inv_r2 * u.u_r - 2.0 * inv_r2 * _dtheta(u.u_theta)
     lap_t = laplacian(ScalarField(g, u.u_theta)).values \
         - inv_r2 * u.u_theta + 2.0 * inv_r2 * _dtheta(u.u_r)
-    return VectorField(g, lap_r, lap_t)
+    return VectorField(g, _fresh(lap_r), _fresh(lap_t))
 
 
 def advect_vector(u: VectorField, a: VectorField) -> VectorField:
@@ -310,7 +357,7 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
         - u.u_theta * a.u_theta * inv_r
     conv_t = u.u_r * _dr(a.u_theta, g) + u.u_theta * inv_r * _dtheta(a.u_theta) \
         + u.u_theta * a.u_r * inv_r
-    return VectorField(g, conv_r, conv_t)
+    return VectorField(g, _fresh(conv_r), _fresh(conv_t))
 
 
 def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
@@ -320,7 +367,7 @@ def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
     t_rr, t_rt, t_tr, t_tt = grad_tensor(u)
     out_r = t_rr * a.u_r + t_rt * a.u_theta
     out_t = t_tr * a.u_r + t_tt * a.u_theta
-    return VectorField(u.grid, out_r, out_t)
+    return VectorField(u.grid, _fresh(out_r), _fresh(out_t))
 
 
 # ---------------------------------------------------------------------------

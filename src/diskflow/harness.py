@@ -34,8 +34,8 @@ from .dynamics import (FlowState, ModelParams, RunConfig, SolverSettings,
                        Trajectory, _diag_row, energy, run)
 from .elliptic import release_factors
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
-                     NumericalFailure)
-from .fields import (VectorField, advect_vector, curl_perp,
+                     EllipticSolveError, NumericalFailure)
+from .fields import (VectorField, _fresh, advect_vector, curl_perp,
                      grad_transpose_apply, inner_l2, norm_l2, perp_grad,
                      seminorm_hk, seminorms_hk, vector_laplacian)
 from .grid import GridSpec, build_grid, tail_weights
@@ -293,11 +293,11 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
         nu = cfg.nu_of(alpha)
         delta = alpha ** cfg.delta_rule
         u0a = make_initial(psi0, alpha)
-        d0 = VectorField(grid, u0a.u_r - u0.u_r, u0a.u_theta - u0.u_theta)
+        d0 = VectorField(grid, _fresh(u0a.u_r - u0.u_r),
+                         _fresh(u0a.u_theta - u0.u_theta))
         err0 = norm_l2(d0)
         agrad0 = alpha * seminorm_hk(u0a, 1)
         params = ModelParams.regularized(alpha, nu)
-        nan3 = (math.nan,) * 3
         times, errs, norms = [], [], []
 
         def reduce(state: FlowState) -> None:
@@ -308,19 +308,27 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
             u, u_ref = state.u, pair[1]
             if len(times) == 1:
                 _check_grids(u.grid.spec, u_ref.grid.spec)
-            errs.append(norm_l2(VectorField(grid, u.u_r - u_ref.u_r,
-                                            u.u_theta - u_ref.u_theta)))
+            errs.append(norm_l2(VectorField(
+                grid, _fresh(u.u_r - u_ref.u_r),
+                _fresh(u.u_theta - u_ref.u_theta))))
             norms.append(seminorms_hk(u, 3))
+
+        def failed(kind: str) -> SweepRecord:
+            return SweepRecord(alpha=alpha, nu=nu, delta=delta,
+                               sup_err_l2=math.nan, final_err_l2=math.nan,
+                               err0=err0, alpha_grad_u0=agrad0,
+                               apriori_max=(math.nan,) * 3,
+                               energy_drift=math.nan,
+                               runtime_s=_time.thread_time() - start,
+                               status=kind)
 
         try:
             traj = run(params, u0a, cfg.t_final, run_cfg, on_snapshot=reduce)
         except NumericalFailure as exc:
-            return SweepRecord(alpha=alpha, nu=nu, delta=delta,
-                               sup_err_l2=math.nan, final_err_l2=math.nan,
-                               err0=err0, alpha_grad_u0=agrad0,
-                               apriori_max=nan3, energy_drift=math.nan,
-                               runtime_s=_time.thread_time() - start,
-                               status=exc.kind)
+            return failed(exc.kind)
+        except EllipticSolveError:
+            # the initial state's solve, which run makes outside step
+            return failed("solve")
         finally:
             release_factors(grid, "stream", alpha)
         reference.check_times(times)
@@ -405,7 +413,8 @@ class EnergyBudget:
     def add(self, state: FlowState, u_ref: VectorField, t_ref: float) -> None:
         u, g = state.u, state.u.grid
         _check_grids(g.spec, u_ref.grid.spec)
-        w = VectorField(g, u.u_r - u_ref.u_r, u.u_theta - u_ref.u_theta)
+        w = VectorField(g, _fresh(u.u_r - u_ref.u_r),
+                        _fresh(u.u_theta - u_ref.u_theta))
         if not self._snap_times:
             self._params, self._grid = state.params, g
             self._e0 = energy(state)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .boundary_layer import TRACE_TOL, collar_resolved
 from .errors import ConfigError
-from .fields import (ScalarField, VectorField, norm_l2, perp_grad,
+from .fields import (ScalarField, VectorField, _fresh, norm_l2, perp_grad,
                      read_snapshot, seminorms_hk)
 from .grid import tail_weights
 from .ratefit import RateFit, check_geometric, fit_rate
@@ -135,7 +135,7 @@ def make_initial(psi0: ScalarField, alpha: float) -> VectorField:
     if float(np.max(np.abs(psi0.values[0]))) > TRACE_TOL * scale:
         raise ConfigError("psi0 must vanish on the ring", key="psi0")
     cut = cut_profile((g.r_nodes - 1.0) / alpha)
-    u = perp_grad(ScalarField(g, cut[:, None] * psi0.values))
+    u = perp_grad(ScalarField(g, _fresh(cut[:, None] * psi0.values)))
     return VectorField(g, u.u_r, u.u_theta, tag="no-slip")
 
 
@@ -165,7 +165,8 @@ def hypothesis_report(psi0: ScalarField, alphas) -> HypothesisReport:
     rows = []
     for a in avals:
         ua = make_initial(psi0, a)
-        diff = VectorField(g, ua.u_r - u0.u_r, ua.u_theta - u0.u_theta)
+        diff = VectorField(g, _fresh(ua.u_r - u0.u_r),
+                           _fresh(ua.u_theta - u0.u_theta))
         rows.append(HypothesisRow(
             alpha=a,
             err0=norm_l2(diff),

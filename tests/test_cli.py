@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -12,7 +13,7 @@ import diskflow
 from diskflow.cli import (RunConfig, SweepSettings, Tolerances,
                           _sweep_config, config_document, main,
                           parse_config, serialize_config)
-from diskflow.errors import ConfigError
+from diskflow.errors import ConfigError, EllipticSolveError
 from diskflow.fields import VectorField, read_snapshot
 from diskflow.grid import GridSpec, build_grid
 
@@ -327,6 +328,38 @@ def test_solver_failure_fails_one_sweep_row(monkeypatch, tmp_path, capsys,
     assert math.isfinite(float(rows[0]["sup_err_l2"]))
     assert math.isnan(float(rows[1]["sup_err_l2"]))
     assert json.loads((out / "rates.json").read_text()) == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_failed_initial_solve_fails_one_sweep_row(monkeypatch, tmp_path,
+                                                  capsys, threads):
+    # run solves alpha 0.2's initial state outside step; that solve fails
+    import diskflow.dynamics as dynamics
+    real = dynamics.solve_stream_helmholtz
+    calls, lock = {}, threading.Lock()
+
+    def solve(q, alpha, **kwargs):
+        with lock:
+            calls[alpha] = calls.get(alpha, 0) + 1
+            first = calls[alpha] == 1
+        if alpha == 0.2 and first:
+            raise EllipticSolveError("synthetic solver failure")
+        return real(q, alpha, **kwargs)
+    monkeypatch.setattr(dynamics, "solve_stream_helmholtz", solve)
+    cfg = write_config(tmp_path, SWEEP_DOC)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--output-dir", str(out),
+                 "--threads", threads, "--alphas", "0.4,0.2"]) == 3
+    printed = capsys.readouterr().out
+    assert "status=solve" in printed and "1 of 2 runs failed" in printed
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(",")))
+            for line in lines[1:]]
+    assert [(float(r["alpha"]), r["status"]) for r in rows] \
+        == [(0.4, "ok"), (0.2, "solve")]
+    assert math.isfinite(float(rows[0]["sup_err_l2"]))
+    assert math.isnan(float(rows[1]["sup_err_l2"]))
+    assert calls[0.2] == 1
 
 
 @pytest.mark.parametrize("how", ["residual", "ring"])

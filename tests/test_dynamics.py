@@ -8,8 +8,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from diskflow.grid import GridSpec, build_grid
-from diskflow.fields import (ScalarField, VectorField, advect, norm_l2,
-                             perp_grad, seminorm_hk, write_snapshot)
+from diskflow.fields import (ScalarField, VectorField, advect, laplacian,
+                             norm_l2, perp_grad, seminorm_hk, write_snapshot)
 from diskflow.elliptic import recover_q
 from diskflow.dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
                                cfl_dt, energy, initial_state, make_state,
@@ -389,7 +389,9 @@ def test_nan_failure_carries_time_and_stage():
     u0 = velocity_from_stream(radial_stream(g, moded=(0.3, 2)))
     params = ModelParams("euler_alpha", alpha=0.3)
     state = initial_state(params, u0)
-    with pytest.raises(NumericalFailure) as exc:
+    # the overflow is the point: keep its warnings out of the test output
+    with pytest.raises(NumericalFailure) as exc, \
+            np.errstate(over="ignore", invalid="ignore"):
         for _ in range(40):
             state = step(state, 1e6)
     assert exc.value.kind == "nan"
@@ -526,6 +528,38 @@ def test_solver_errors_in_a_step_are_solve_failures(monkeypatch, failing_call,
                               0.01 if stage == "k4" else 0.0)
     assert isinstance(exc.value.__cause__, error)
     assert "synthetic solver failure" in str(exc.value)
+
+
+@pytest.mark.parametrize("moded", [None, (0.3, 2)], ids=["radial", "moded"])
+@pytest.mark.parametrize("kind,alpha,nu", [("euler_alpha", 0.3, 0.0),
+                                           ("second_grade", 0.3, 1e-3),
+                                           ("euler", 0.0, 0.0)])
+def test_step_equals_the_plain_rk4_expressions_bit_for_bit(kind, alpha, nu,
+                                                          moded):
+    g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
+    u0 = velocity_from_stream(radial_stream(g, moded=moded))
+    params = ModelParams(kind, alpha=alpha, nu=nu)
+    tol = 1e-3                    # the Euler slack for grid vorticity
+    state = initial_state(params, u0, mass_tol=tol)
+    dt = 0.01
+
+    def k(values, time, st=None):
+        if st is None:
+            st = make_state(params, ScalarField(g, values), time, tol)
+        vals = -advect(st.u, st.q).values
+        if nu > 0.0:
+            vals = vals + nu * laplacian(st.w).values
+        return vals
+    for _ in range(2):
+        q, t = state.q.values, state.time
+        k1 = k(q, t, state)
+        k2 = k(q + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = k(q + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = k(q + dt * k3, t + dt)
+        want = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        state = step(state, dt, mass_tol=tol)
+        assert np.array_equal(state.q.values.view(np.uint64),
+                              want.view(np.uint64))
 
 
 def _rebuilding_step(state, dt, mass_tol=1e-6, end_time=None):

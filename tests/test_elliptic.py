@@ -264,6 +264,40 @@ def _random_interior(g, seed):
     return vals
 
 
+def _staged_solve(factor, rhs):
+    """A solve from a complex right-hand side stacked into two real columns."""
+    mat, lu = factor
+    parts = np.stack([rhs.real.ravel(), rhs.imag.ravel()])
+    out = lu.solve(parts.T).T
+    return (out[0] + 1j * out[1]).reshape(rhs.shape)
+
+
+@pytest.mark.parametrize("kind", ["poisson", "stream"])
+def test_real_right_hand_sides_solve_as_the_complex_staged_ones(kind):
+    g = grid(65, 16, 8.0)
+    n = g.spec.n_r
+    vals = _random_interior(g, 9)
+    vals[4:-4] -= np.sum(g.weights * vals) / np.sum(g.weights[4:-4])
+    coeff = elliptic._spectrum(vals)
+    modes = elliptic._active_modes(coeff)
+    if kind == "poisson":
+        rhs = np.zeros((len(modes), n), dtype=complex)
+        rhs[:, 1:-1] = (np.exp(2.0 * g.s_nodes)[1:-1, None]
+                        * coeff[1:-1, modes]).T
+        x = _staged_solve(elliptic._block_factor(g, kind, None, modes), rhs)
+        got = solve_poisson(ScalarField(g, vals)).values
+    else:
+        rhs = np.zeros((len(modes), 2 * n), dtype=complex)
+        rhs[:, 3:-2:2] = coeff[1:-1, modes].T
+        x = _staged_solve(elliptic._block_factor(g, kind, 0.1, modes), rhs)
+        x = x[:, 0::2]
+        got = solve_stream_helmholtz(ScalarField(g, vals), 0.1)[0].values
+    phi_hat = np.zeros_like(coeff)
+    phi_hat[:, modes] = x.T
+    want = np.fft.irfft(phi_hat, n=g.spec.n_theta, axis=1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_block_stream_solve_matches_per_mode_spsolve():
     g = grid(65, 16, 8.0)
     q = _random_interior(g, 7)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diskflow import fields
-from diskflow.errors import ConfigError
+from diskflow.errors import ConfigError, NonFiniteFieldError
 from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import (ScalarField, VectorField, perp_grad, curl_perp,
                              laplacian, advect, norm_l2, seminorm_hk,
@@ -67,6 +67,10 @@ def test_public_constructors_copy_a_writeable_array(build):
 
 
 def test_operators_keep_their_fresh_results_without_a_copy(monkeypatch):
+    from diskflow.dynamics import ModelParams, initial_state
+    from diskflow.elliptic import recover_q
+    from diskflow.harness import EnergyBudget
+    from diskflow.initial_data import make_initial
     g = grid(33, 8, 4.0)
     psi = analytic_psi(g)
     copies = []
@@ -81,8 +85,18 @@ def test_operators_keep_their_fresh_results_without_a_copy(monkeypatch):
     u = perp_grad(psi)
     lap = laplacian(psi)
     conv = advect(u, psi)
+    w = curl_perp(u)
+    q = recover_q(u, 0.2)
+    u0 = make_initial(psi, 0.4)
+    vlap = vector_laplacian(u)
+    conv_v = advect_vector(u, u)
+    gta = grad_transpose_apply(u, u)
+    state = initial_state(ModelParams("euler_alpha", alpha=0.4), u0)
+    EnergyBudget(0.1).add(state, u, 0.0)
     assert copies == []
-    for arr in (u.u_r, u.u_theta, lap.values, conv.values):
+    for arr in (u.u_r, u.u_theta, lap.values, conv.values, w.values,
+                q.values, u0.u_r, u0.u_theta, vlap.u_r, vlap.u_theta,
+                conv_v.u_r, conv_v.u_theta, gta.u_r, gta.u_theta):
         assert not arr.flags.writeable
 
 
@@ -301,6 +315,138 @@ def test_advect_grid_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# in-place kernels against the plain expressions they replace, bit for bit
+
+def _plain_ds(a, h):
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * a[0] + 4.0 * a[1] - a[2]) / (2.0 * h)
+    out[-1] = (3.0 * a[-1] - 4.0 * a[-2] + a[-3]) / (2.0 * h)
+    return out
+
+
+def _plain_dss(a, h):
+    h2 = h * h
+    out = np.empty_like(a)
+    out[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / h2
+    out[0] = (2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]) / h2
+    out[-1] = (2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]) / h2
+    return out
+
+
+def _plain_dr(a, g):
+    return fields._inv_r(g) * _plain_ds(a, g.ds)
+
+
+def _plain_grad_tensor(g, a, b):
+    inv_r = fields._inv_r(g)
+    return (_plain_dr(a, g), _plain_dr(b, g),
+            inv_r * fields._dtheta(a) - inv_r * b,
+            inv_r * fields._dtheta(b) + inv_r * a)
+
+
+def _plain_norm(g, comps):
+    total = 0.0
+    for c in comps:
+        total += float(np.sum(g.weights * c * c))
+    return float(np.sqrt(total))
+
+
+def _wild(rng, shape, theta_constant):
+    """Magnitudes 1e-300..1e300 of either sign, a row of mixed signed
+    zeros, and θ-constant rows (every row when theta_constant)."""
+    vals = rng.choice([-1.0, 1.0], size=shape) \
+        * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+    for i in (0, 3, -2):
+        vals[i] = vals[i, 0]
+    vals[5] = rng.choice([-0.0, 0.0], size=shape[1])
+    if theta_constant:
+        vals[:] = vals[:, :1]
+    return vals
+
+
+def _moderate(rng, shape, theta_constant):
+    vals = rng.normal(size=shape)
+    vals[5] = rng.choice([-0.0, 0.0], size=shape[1])
+    vals[3] = vals[3, 0]
+    if theta_constant:
+        vals[:] = vals[:, :1]
+    return vals
+
+
+def _same_bits(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape \
+        and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _field_or_raise(build, want):
+    """build()'s arrays, or None when want is not finite and build raised."""
+    if all(np.isfinite(w).all() for w in want):
+        return build()
+    with pytest.raises(NonFiniteFieldError):
+        build()
+    return None
+
+
+KERNEL_DATA = {"wild": _wild, "moderate": _moderate}
+
+
+@pytest.mark.parametrize("order", [np.ascontiguousarray, np.asfortranarray],
+                         ids=["C", "F"])
+@pytest.mark.parametrize("theta_constant", [False, True],
+                         ids=["mixed_rows", "theta_constant"])
+@pytest.mark.parametrize("data", sorted(KERNEL_DATA))
+def test_in_place_kernels_equal_the_plain_expressions(data, theta_constant,
+                                                      order):
+    g = grid(33, 16, 8.0)
+    rng = np.random.default_rng(5)
+    a, b, c = (order(KERNEL_DATA[data](rng, (33, 16), theta_constant))
+               for _ in range(3))
+    for arr in (a, b, c):
+        arr.flags.writeable = False     # fields keep them in this order
+    inv_r = fields._inv_r(g)
+    with np.errstate(all="ignore"):
+        assert _same_bits(fields._ds(a, g.ds), _plain_ds(a, g.ds))
+        assert _same_bits(fields._dss(a, g.ds), _plain_dss(a, g.ds))
+        assert _same_bits(fields._dr(a, g), _plain_dr(a, g))
+
+        want = (-inv_r * fields._dtheta(a), _plain_dr(a, g))
+        u = _field_or_raise(lambda: perp_grad(ScalarField(g, a)), want)
+        if u is not None:
+            assert _same_bits(u.u_r, want[0])
+            assert _same_bits(u.u_theta, want[1])
+
+        want = (inv_r * (inv_r * _plain_ds(g.r_nodes[:, None] * b, g.ds)
+                         - fields._dtheta(a)),)
+        w = _field_or_raise(lambda: curl_perp(VectorField(g, a, b)), want)
+        if w is not None:
+            assert _same_bits(w.values, want[0])
+
+        want = (inv_r ** 2 * (_plain_dss(a, g.ds) + fields._dtheta2(a)),)
+        lap = _field_or_raise(lambda: laplacian(ScalarField(g, a)), want)
+        if lap is not None:
+            assert _same_bits(lap.values, want[0])
+
+        want = (b * _plain_dr(a, g) + c * inv_r * fields._dtheta(a),)
+        conv = _field_or_raise(
+            lambda: advect(VectorField(g, b, c), ScalarField(g, a)), want)
+        if conv is not None:
+            assert _same_bits(conv.values, want[0])
+
+        u = VectorField(g, a, b)
+        want = _plain_grad_tensor(g, a, b)
+        got = fields.grad_tensor(u)
+        assert all(_same_bits(x, y) for x, y in zip(got, want, strict=True))
+        assert _same_bits(norm_l2(u), _plain_norm(g, (a, b)))
+        assert _same_bits(grad_norm_l2(u), _plain_norm(g, want))
+        assert _same_bits(inner_l2(u, VectorField(g, c, a)),
+                          0.0 + float(np.sum(g.weights * a * c))
+                          + float(np.sum(g.weights * b * a)))
+
+
+# ---------------------------------------------------------------------------
 # angular derivatives of θ-constant arrays
 
 ANGULAR = (fields._dtheta, fields._dtheta2)
@@ -419,19 +565,83 @@ def _seminorm_by_words(f, k):
     return float(np.sqrt(total))
 
 
-@pytest.mark.parametrize("vector", [False, True])
-def test_seminorms_of_every_order_from_one_pass(vector):
+def _radial_velocity(g, rng):
+    r = g.r_nodes[:, None]
+    psi = (1.0 - 1.0 / r) ** 2 * np.exp(-r) * np.ones(g.spec.n_theta)
+    return perp_grad(ScalarField(g, psi))
+
+
+def _constant_rows(g, rng):
+    return np.repeat(rng.normal(size=(g.spec.n_r, 1)), g.spec.n_theta, axis=1)
+
+
+def _nyquist_row(g, rng):
+    vals = _constant_rows(g, rng)
+    vals[7] += 0.5 * (-1.0) ** np.arange(g.spec.n_theta)
+    return vals
+
+
+def _overflowing_derivative(g, rng):
+    # θ-constant, but its d/dr overflows on one row: that d/dr is no longer
+    # θ-constant and its angular derivative (NaN there) is taken again
+    vals = np.zeros((g.spec.n_r, g.spec.n_theta))
+    vals[10], vals[12] = 1e307, -1e307
+    return ScalarField(g, vals)
+
+
+SEMINORM_INPUTS = {
+    "overflowing_derivative": _overflowing_derivative,
+    "scalar": lambda g, rng: ScalarField(g, rng.normal(size=(65, 32))),
+    "vector": lambda g, rng: VectorField(g, rng.normal(size=(65, 32)),
+                                         rng.normal(size=(65, 32))),
+    "radial_velocity": _radial_velocity,
+    "zero_component": lambda g, rng: VectorField(
+        g, np.zeros((65, 32)), rng.normal(size=(65, 32))),
+    "constant_beside_varying": lambda g, rng: VectorField(
+        g, _constant_rows(g, rng), rng.normal(size=(65, 32))),
+    "nyquist_row": lambda g, rng: VectorField(
+        g, _nyquist_row(g, rng), _constant_rows(g, rng)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEMINORM_INPUTS))
+def test_seminorms_of_every_order_from_one_pass(case):
     g = grid(65, 32, 8.0)
-    rng = np.random.default_rng(11)
-    f = ScalarField(g, rng.normal(size=(65, 32)))
-    if vector:
-        f = VectorField(g, f.values, rng.normal(size=(65, 32)))
-    got = seminorms_hk(f, 3)
-    assert len(got) == 3
-    for k in (1, 2, 3):
-        assert got[k - 1] == _seminorm_by_words(f, k)
-        assert seminorms_hk(f, k) == got[:k]
-        assert seminorm_hk(f, k) == got[k - 1]
+    f = SEMINORM_INPUTS[case](g, np.random.default_rng(11))
+    with np.errstate(all="ignore"):
+        got = seminorms_hk(f, 3)
+        assert len(got) == 3
+        for k in (1, 2, 3):
+            assert np.array_equal(got[k - 1], _seminorm_by_words(f, k),
+                                  equal_nan=True)
+            assert np.array_equal(seminorms_hk(f, k), got[:k], equal_nan=True)
+            assert np.array_equal(seminorm_hk(f, k), got[k - 1],
+                                  equal_nan=True)
+    if case == "radial_velocity":
+        assert got[2] > 0.0
+    if case == "overflowing_derivative":
+        assert got[0] == np.inf and np.isnan(got[1])
+
+
+def test_seminorms_of_a_radial_velocity_take_three_radial_derivatives(
+        monkeypatch):
+    # the words with a d/dtheta are exact zeros: only d/dr, d/dr^2 and
+    # d/dr^3 of u_theta are taken, and u_r = 0 is dropped (14 _dr before)
+    g = grid(65, 32, 8.0)
+    u = _radial_velocity(g, None)
+    want = seminorms_hk(u, 3)
+    calls = {"dr": 0, "fft": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(fields, "_dr", counting("dr", fields._dr))
+    for attr in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, attr, counting("fft", getattr(np.fft, attr)))
+    assert seminorms_hk(u, 3) == want
+    assert calls == {"dr": 3, "fft": 0}
 
 
 def test_seminorm_h1_matches_radial_oracle():
