@@ -166,26 +166,15 @@ def release_factors(grid: ExteriorGrid, kind: str, alpha=None) -> None:
             del grid.solver_cache[key]
 
 
-def _rhs_parts(count: int, size: int):
-    """Zeroed real right-hand side of count modes, size unknowns each.
-
-    Returns (parts, re, im): parts is (2, count * size), the real and the
-    imaginary column of the complex system, and re and im are its two rows
-    seen as (count, size), one row per mode, for the caller to fill.
-    """
-    parts = np.zeros((2, count * size))
-    return parts, parts[0].reshape(count, size), parts[1].reshape(count, size)
-
-
 def _solve_modes(factor, parts: np.ndarray):
     """Complex solve of every mode through one real factorization.
 
     parts holds the real and imaginary parts of the right-hand side as two
-    rows (see _rhs_parts); they go through the block LU as two columns and
-    are squared in place once solved.  Returns (solution, residual^2,
-    rhs^2), the solution flat and complex, the squares summed over all
-    modes, so callers can enforce the relative residual bound of the whole
-    inversion.
+    rows, each the modes' rows laid end to end; they go through the block
+    LU as two columns and are squared in place once solved.  Returns
+    (solution, residual^2, rhs^2), the solution flat and complex, the
+    squares summed over all modes, so callers can enforce the relative
+    residual bound of the whole inversion.
     """
     mat, lu = factor
     out = lu.solve(parts.T).T
@@ -247,10 +236,11 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
         e2s = np.exp(2.0 * g.s_nodes)
         # the complex product, as the complex system scales it
         scaled = e2s[1:-1, None] * coeff[1:-1, modes]
-        parts, re, im = _rhs_parts(len(modes), n)
-        re[:, 1:-1] = scaled.real.T
-        im[:, 1:-1] = scaled.imag.T
-        x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes), parts)
+        parts = np.zeros((2, len(modes), n))
+        parts[0, :, 1:-1] = scaled.real.T
+        parts[1, :, 1:-1] = scaled.imag.T
+        x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes),
+                               parts.reshape(2, -1))
         phi_hat[:, modes] = x.reshape(len(modes), n).T
     phi = ScalarField(g, _fresh(np.fft.irfft(phi_hat, n=n_theta, axis=1)))
 
@@ -286,11 +276,11 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
     rhs2 = 0.0
     modes = _active_modes(coeff)
     if modes:
-        parts, re, im = _rhs_parts(len(modes), 2 * n)
-        re[:, 3:-2:2] = coeff.real[1:-1, modes].T
-        im[:, 3:-2:2] = coeff.imag[1:-1, modes].T
+        parts = np.zeros((2, len(modes), 2 * n))
+        parts[0, :, 3:-2:2] = coeff.real[1:-1, modes].T
+        parts[1, :, 3:-2:2] = coeff.imag[1:-1, modes].T
         x, res2, rhs2 = _solve_modes(_block_factor(g, "stream", alpha, modes),
-                                     parts)
+                                     parts.reshape(2, -1))
         phi_hat[:, modes] = x.reshape(len(modes), 2 * n)[:, 0::2].T
     phi = ScalarField(g, _fresh(np.fft.irfft(phi_hat, n=n_theta, axis=1)))
     w = laplacian(phi) if with_w else None

@@ -15,8 +15,9 @@ the arrays it has just computed read-only before wrapping them, so the
 constructor keeps them without a copy; the finiteness check still runs.
 The derivative kernels, the scalar operators, grad_tensor and the norms
 build each result in place: the first operation of an expression
-allocates the result and the rest write into it with out=, *= and +=.  Every IEEE operation and its operand order are kept (only a*b ->
-b*a and a+b -> b+a are swapped), so the values are those of the plain
+allocates the result and the rest write into it with out=, *= and +=.
+Every IEEE operation and its operand order are kept (only a*b -> b*a and
+a+b -> b+a are swapped), so the values are those of the plain
 expressions bit for bit.
 """
 

@@ -639,7 +639,8 @@ def test_seminorms_of_a_radial_velocity_take_three_radial_derivatives(
         return counted
     monkeypatch.setattr(fields, "_dr", counting("dr", fields._dr))
     for attr in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, attr, counting("fft", getattr(np.fft, attr)))
+        monkeypatch.setattr(np.fft, attr,
+                            counting("fft", getattr(np.fft, attr)))
     assert seminorms_hk(u, 3) == want
     assert calls == {"dr": 3, "fft": 0}
 
