@@ -1,8 +1,13 @@
 """Fields on the exterior grid and log-polar differential operators.
 
 Angular derivatives are spectral (real FFT, exact for resolved modes, the
-odd-derivative Nyquist coefficient dropped); an array whose every row is
-finite and holds one value (radial data) gets exact zeros with no transform.
+odd-derivative Nyquist coefficient dropped).  For an array whose every row
+is finite and holds one value (radial data) the derivative is +0.0
+everywhere; _dtheta and _dtheta2 then return None, with no transform and no
+array, and each caller applies what multiplying by or adding that +0.0 does
+to its other operand: a product with a finite factor keeps the factor's
+sign (x * 0.0), x - (+0.0) is x, and x + (+0.0) turns -0.0 into +0.0
+(x + 0.0).
 Radial derivatives are 2nd-order centered differences in s = ln r with
 one-sided 2nd-order closures at r = 1 and r = r_max.  Norms use the grid
 quadrature.  H^k seminorms apply k nested first-derivative stencils
@@ -13,8 +18,8 @@ Fields are immutable: constructors copy and freeze a caller's writeable
 array, operators are pure functions returning new fields.  An operator marks
 the arrays it has just computed read-only before wrapping them, so the
 constructor keeps them without a copy; the finiteness check still runs.
-The derivative kernels, the scalar operators, grad_tensor and the norms
-build each result in place: the first operation of an expression
+The derivative kernels, the scalar and vector operators, grad_tensor and
+the norms build each result in place: the first operation of an expression
 allocates the result and the rest write into it with out=, *= and +=.
 Every IEEE operation and its operand order are kept (only a*b -> b*a and
 a+b -> b+a are swapped), so the values are those of the plain
@@ -147,9 +152,12 @@ def _theta_constant(a: np.ndarray) -> bool:
     return bool((a == first[:, None]).all() and np.isfinite(first).all())
 
 
-def _dtheta(a: np.ndarray) -> np.ndarray:
+def _dtheta(a: np.ndarray) -> np.ndarray | None:
+    """d/dtheta of a, or None for a theta-constant a (see _theta_constant):
+    that derivative is +0.0 at every node, which callers apply without
+    an array."""
     if _theta_constant(a):
-        return np.zeros_like(a)
+        return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
     k = np.arange(n // 2 + 1)
@@ -158,9 +166,10 @@ def _dtheta(a: np.ndarray) -> np.ndarray:
     return np.fft.irfft(coeff, n=n, axis=1)
 
 
-def _dtheta2(a: np.ndarray) -> np.ndarray:
+def _dtheta2(a: np.ndarray) -> np.ndarray | None:
+    """d^2/dtheta^2 of a, or None for a theta-constant a, as _dtheta."""
     if _theta_constant(a):
-        return np.zeros_like(a)
+        return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
     k = np.arange(n // 2 + 1)
@@ -186,7 +195,10 @@ def perp_grad(psi: ScalarField) -> VectorField:
     """u = (-(1/r) dtheta psi, dr psi), the rotated gradient."""
     g = psi.grid
     u_r = _dtheta(psi.values)
-    u_r *= -_inv_r(g)
+    if u_r is None:
+        u_r = np.full_like(psi.values, -0.0)    # (+0.0) * (-1/r)
+    else:
+        u_r *= -_inv_r(g)
     u_theta = _dr(psi.values, g)
     return VectorField(g, _fresh(u_r), _fresh(u_theta))
 
@@ -198,18 +210,43 @@ def curl_perp(u: VectorField) -> ScalarField:
     # (1/r) d_r(r u_theta) = e^{-2s} d_s(e^s u_theta)
     w = _ds(g.r_nodes[:, None] * u.u_theta, g.ds)
     w *= inv_r
-    w -= _dtheta(u.u_r)
+    d = _dtheta(u.u_r)
+    if d is not None:       # w - (+0.0) is w
+        w -= d
     w *= inv_r
     return ScalarField(g, _fresh(w))
 
 
+def _laplacian(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
+    vals = _dss(a, grid.ds)
+    d = _dtheta2(a)
+    if d is None:
+        vals += 0.0
+    else:
+        vals += d
+    vals *= _inv_r(grid) ** 2
+    return vals
+
+
 def laplacian(f: ScalarField) -> ScalarField:
     """e^{-2s} (d_ss + d_thetatheta) f."""
-    g = f.grid
-    vals = _dss(f.values, g.ds)
-    vals += _dtheta2(f.values)
-    vals *= _inv_r(g) ** 2
-    return ScalarField(g, _fresh(vals))
+    return ScalarField(f.grid, _fresh(_laplacian(f.values, f.grid)))
+
+
+def _angular_advection(u_theta: np.ndarray, inv_r: np.ndarray,
+                       a: np.ndarray) -> np.ndarray:
+    """(u_theta * inv_r) * dtheta a.
+
+    For a theta-constant a this is u_theta * 0.0: inv_r lies in (0, 1], so
+    u_theta * inv_r is finite with the sign of u_theta, as its product with
+    +0.0 is.
+    """
+    d = _dtheta(a)
+    if d is None:
+        return u_theta * 0.0
+    ang = u_theta * inv_r
+    ang *= d
+    return ang
 
 
 def advect(u: VectorField, q: ScalarField) -> ScalarField:
@@ -219,9 +256,7 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     g = q.grid
     vals = _dr(q.values, g)
     vals *= u.u_r
-    ang = u.u_theta * _inv_r(g)
-    ang *= _dtheta(q.values)
-    vals += ang
+    vals += _angular_advection(u.u_theta, _inv_r(g), q.values)
     return ScalarField(g, _fresh(vals))
 
 
@@ -270,8 +305,9 @@ def seminorms_hk(f, k_max: int) -> tuple:
     A theta-constant component (see _theta_constant) skips its d/dtheta
     branch and every derivative of it: they are exact zeros, which add
     +0.0 to a non-negative sum.  Its d/dr is theta-constant bit for bit, so
-    it keeps the flag while finite, and an all-zero one is dropped.  The
-    sums are those of every word of derivatives, bit for bit.
+    it keeps the flag while finite, and an all-zero one is dropped.  A
+    d/dtheta that _dtheta returns as None is dropped for the same reason.
+    The sums are those of every word of derivatives, bit for bit.
     """
     if k_max not in (1, 2, 3):
         raise ConfigError("seminorm order k=%r outside 1..3" % (k_max,),
@@ -291,8 +327,9 @@ def seminorms_hk(f, k_max: int) -> tuple:
             nxt.append((d, const and bool(np.isfinite(d[:, 0]).all())))
             if not const:
                 d = _dtheta(c)
-                d *= inv_r
-                nxt.append((d, False))
+                if d is not None:
+                    d *= inv_r
+                    nxt.append((d, False))
         comps = nxt
         total = 0.0
         for c, _ in comps:
@@ -329,11 +366,19 @@ def grad_tensor(u: VectorField) -> tuple:
     t_rr = _dr(u.u_r, g)
     t_rt = _dr(u.u_theta, g)
     t_tr = _dtheta(u.u_r)
-    t_tr *= inv_r
-    t_tr -= inv_r * u.u_theta
+    if t_tr is None:        # (+0.0) - inv_r u_theta
+        t_tr = inv_r * u.u_theta
+        np.subtract(0.0, t_tr, out=t_tr)
+    else:
+        t_tr *= inv_r
+        t_tr -= inv_r * u.u_theta
     t_tt = _dtheta(u.u_theta)
-    t_tt *= inv_r
-    t_tt += inv_r * u.u_r
+    if t_tt is None:        # (+0.0) + inv_r u_r
+        t_tt = inv_r * u.u_r
+        t_tt += 0.0
+    else:
+        t_tt *= inv_r
+        t_tt += inv_r * u.u_r
     return (t_rr, t_rt, t_tr, t_tt)
 
 
@@ -341,10 +386,20 @@ def vector_laplacian(u: VectorField) -> VectorField:
     """Componentwise Laplacian with the polar coupling terms."""
     g = u.grid
     inv_r2 = _inv_r(g) ** 2
-    lap_r = laplacian(ScalarField(g, u.u_r)).values \
-        - inv_r2 * u.u_r - 2.0 * inv_r2 * _dtheta(u.u_theta)
-    lap_t = laplacian(ScalarField(g, u.u_theta)).values \
-        - inv_r2 * u.u_theta + 2.0 * inv_r2 * _dtheta(u.u_r)
+    lap_r = _laplacian(u.u_r, g)
+    lap_r -= inv_r2 * u.u_r
+    d = _dtheta(u.u_theta)
+    if d is not None:       # lap_r - 2/r^2 (+0.0) is lap_r
+        d *= 2.0 * inv_r2
+        lap_r -= d
+    lap_t = _laplacian(u.u_theta, g)
+    lap_t -= inv_r2 * u.u_theta
+    d = _dtheta(u.u_r)
+    if d is None:
+        lap_t += 0.0
+    else:
+        d *= 2.0 * inv_r2
+        lap_t += d
     return VectorField(g, _fresh(lap_r), _fresh(lap_t))
 
 
@@ -354,10 +409,18 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
         raise ValueError("advect_vector requires fields on the same grid")
     g = u.grid
     inv_r = _inv_r(g)
-    conv_r = u.u_r * _dr(a.u_r, g) + u.u_theta * inv_r * _dtheta(a.u_r) \
-        - u.u_theta * a.u_theta * inv_r
-    conv_t = u.u_r * _dr(a.u_theta, g) + u.u_theta * inv_r * _dtheta(a.u_theta) \
-        + u.u_theta * a.u_r * inv_r
+    conv_r = _dr(a.u_r, g)
+    conv_r *= u.u_r
+    conv_r += _angular_advection(u.u_theta, inv_r, a.u_r)
+    curv = u.u_theta * a.u_theta
+    curv *= inv_r
+    conv_r -= curv
+    conv_t = _dr(a.u_theta, g)
+    conv_t *= u.u_r
+    conv_t += _angular_advection(u.u_theta, inv_r, a.u_theta)
+    curv = u.u_theta * a.u_r
+    curv *= inv_r
+    conv_t += curv
     return VectorField(g, _fresh(conv_r), _fresh(conv_t))
 
 
@@ -381,19 +444,22 @@ def snapshot_meta(grid: ExteriorGrid, time: float, alpha: float, nu: float) -> d
 
 def _write_csv_body(fh, values: np.ndarray):
     """Writes exactly what np.savetxt(fh, values, fmt="%.17g", delimiter=",")
-    writes, formatting a row that holds one bit pattern (a θ-constant row)
-    once.  Bits, not float ==, so a row of -0.0 and 0.0 keeps both signs.
+    writes.  A row that holds one bit pattern (a θ-constant row) is one
+    formatted cell repeated by string multiplication.  Bits, not float ==,
+    so a row of -0.0 and 0.0 keeps both signs.
     """
     n_theta = values.shape[1]
     row_fmt = ",".join(["%.17g"] * n_theta) + "\n"
     bits = values.view(np.int64)
     constant = (bits == bits[:, :1]).all(axis=1).tolist()
     lines = []
-    for row, const in zip(values, constant):
+    for i, (const, first) in enumerate(zip(constant,
+                                           values[:, 0].tolist())):
         if const:
-            lines.append(",".join(["%.17g" % row[0]] * n_theta) + "\n")
+            cell = "%.17g" % first
+            lines.append((cell + ",") * (n_theta - 1) + cell + "\n")
         else:
-            lines.append(row_fmt % tuple(row.tolist()))
+            lines.append(row_fmt % tuple(values[i].tolist()))
     fh.write("".join(lines))
 
 

@@ -428,12 +428,17 @@ class EnergyBudget:
         self._ref_times.append(t_ref)
         self._window.append((lap, w))
         if len(self._snap_times) == 3:
-            self._slope(0)
+            self._keep_slope(0)
         if len(self._snap_times) >= 3:
-            self._slope(1)
+            self._keep_slope(1)
 
-    def _slope(self, k: int) -> None:
-        """f3 of window slice k (0 first, 1 interior, 2 last), both rules."""
+    def _keep_slope(self, k: int) -> None:
+        for key, value in self._slope(k).items():
+            self._f3[key].append(value)
+
+    def _slope(self, k: int) -> dict:
+        """f3 of window slice k (0 first, 1 interior, 2 last), keyed by
+        rule as self._f3 is."""
         (l0, _), (l1, _), (l2, _) = self._window
         t0, t1, t2 = self._snap_times[-3:]
         dx1, dx2 = t1 - t0, t2 - t1
@@ -454,6 +459,7 @@ class EnergyBudget:
                        - (dx2 + dx1) / (dx1 * dx2),
                        (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
         w = self._window[k][1]
+        out = {}
         for key, coef in ((True, uniform), (False, general)):
             if coef is None:
                 dl_r = (l2.u_r - l0.u_r) / (2. * h)
@@ -462,18 +468,21 @@ class EnergyBudget:
                 a, b, c = coef
                 dl_r = a * l0.u_r + b * l1.u_r + c * l2.u_r
                 dl_t = a * l0.u_theta + b * l1.u_theta + c * l2.u_theta
-            self._f3[key].append(float(np.sum(
-                self._grid.weights * (dl_r * w.u_r + dl_t * w.u_theta))))
+            out[key] = float(np.sum(
+                self._grid.weights * (dl_r * w.u_r + dl_t * w.u_theta)))
+        return out
 
     def finish(self) -> EnergyAudit:
+        """The audit of the snapshots added so far; the budget is left as
+        it was, so more snapshots may follow."""
         t = np.array(self._snap_times, dtype=float)
         _check_times(t, np.array(self._ref_times, dtype=float))
         if t.size < 3:
             raise ConfigError("need at least 3 snapshots to estimate the time "
                               "derivative", key="trajectories")
-        self._slope(2)
         steps = np.diff(t)
-        f3 = np.array(self._f3[bool((steps == steps[0]).all())])
+        uniform = bool((steps == steps[0]).all())
+        f3 = np.array(self._f3[uniform] + [self._slope(2)[uniform]])
         a, nu, delta = self._params.alpha, self._params.nu, self.delta
         i1 = nu * float(np.trapezoid(np.array(self._f1), t))
         i2 = -float(np.trapezoid(np.array(self._f2), t))

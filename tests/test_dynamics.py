@@ -774,6 +774,36 @@ def test_step_transforms_only_what_varies_in_angle(monkeypatch, kind,
     assert counts == {"rfft": calls, "irfft": calls}
 
 
+def test_radial_state_makes_no_angular_arrays_in_fields(monkeypatch):
+    # every d/dtheta of radial data is None: one step, one diagnostics
+    # row, one audit snapshot and the a-priori seminorms make no zero
+    # array and no transform in fields (the elliptic solves keep theirs)
+    import sys
+    from diskflow.dynamics import _diag_row
+    from diskflow.fields import seminorms_hk
+    from diskflow.grid import tail_weights
+    from diskflow.harness import EnergyBudget
+    params, u0 = _vortex_state("second_grade", "radial_vortex")
+    state = initial_state(params, u0)
+    calls = {"zeros_like": 0, "rfft": 0, "irfft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "diskflow.fields":
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(np, "zeros_like", counted("zeros_like",
+                                                  np.zeros_like))
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    nxt = step(state, 1e-3)
+    _diag_row(nxt, 1e-3, tail_weights(u0.grid))
+    EnergyBudget(0.1).add(nxt, u0, 0.0)
+    seminorms_hk(nxt.u, 3)
+    assert calls == {"zeros_like": 0, "rfft": 0, "irfft": 0}
+
+
 @pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
 def test_radial_run_matches_the_fft_path(monkeypatch, tmp_path, kind):
     import diskflow.fields as fields

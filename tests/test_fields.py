@@ -338,11 +338,43 @@ def _plain_dr(a, g):
     return fields._inv_r(g) * _plain_ds(a, g.ds)
 
 
+def _plain_dtheta(a):
+    """d/dtheta as an array: exact zeros for θ-constant a, where
+    fields._dtheta returns None."""
+    return np.zeros_like(a) if fields._theta_constant(a) \
+        else fields._dtheta(a)
+
+
+def _plain_dtheta2(a):
+    return np.zeros_like(a) if fields._theta_constant(a) \
+        else fields._dtheta2(a)
+
+
+def _plain_laplacian(g, a):
+    return fields._inv_r(g) ** 2 * (_plain_dss(a, g.ds) + _plain_dtheta2(a))
+
+
 def _plain_grad_tensor(g, a, b):
     inv_r = fields._inv_r(g)
     return (_plain_dr(a, g), _plain_dr(b, g),
-            inv_r * fields._dtheta(a) - inv_r * b,
-            inv_r * fields._dtheta(b) + inv_r * a)
+            inv_r * _plain_dtheta(a) - inv_r * b,
+            inv_r * _plain_dtheta(b) + inv_r * a)
+
+
+def _plain_vector_laplacian(g, a, b):
+    inv_r2 = fields._inv_r(g) ** 2
+    return (_plain_laplacian(g, a) - inv_r2 * a
+            - 2.0 * inv_r2 * _plain_dtheta(b),
+            _plain_laplacian(g, b) - inv_r2 * b
+            + 2.0 * inv_r2 * _plain_dtheta(a))
+
+
+def _plain_advect_vector(g, u_r, u_t, a_r, a_t):
+    inv_r = fields._inv_r(g)
+    return (u_r * _plain_dr(a_r, g) + u_t * inv_r * _plain_dtheta(a_r)
+            - u_t * a_t * inv_r,
+            u_r * _plain_dr(a_t, g) + u_t * inv_r * _plain_dtheta(a_t)
+            + u_t * a_r * inv_r)
 
 
 def _plain_norm(g, comps):
@@ -354,12 +386,16 @@ def _plain_norm(g, comps):
 
 def _wild(rng, shape, theta_constant):
     """Magnitudes 1e-300..1e300 of either sign, a row of mixed signed
-    zeros, and θ-constant rows (every row when theta_constant)."""
+    zeros, a row of subnormals, a row of +-1e300, and θ-constant rows
+    (every row when theta_constant)."""
     vals = rng.choice([-1.0, 1.0], size=shape) \
         * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
     for i in (0, 3, -2):
         vals[i] = vals[i, 0]
     vals[5] = rng.choice([-0.0, 0.0], size=shape[1])
+    vals[7] = rng.choice([-5e-324, 5e-324, -1e-310, 2.5e-320],
+                         size=shape[1])
+    vals[9] = rng.choice([-1e300, 1e300], size=shape[1])
     if theta_constant:
         vals[:] = vals[:, :1]
     return vals
@@ -369,6 +405,23 @@ def _moderate(rng, shape, theta_constant):
     vals = rng.normal(size=shape)
     vals[5] = rng.choice([-0.0, 0.0], size=shape[1])
     vals[3] = vals[3, 0]
+    if theta_constant:
+        vals[:] = vals[:, :1]
+    return vals
+
+
+SIGNED_ZEROS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0,
+                         -1.0])
+
+
+def _signed_zeros(rng, shape, theta_constant):
+    """Signed zeros, subnormals and +-1, each row θ-constant or drawn per
+    node: the exact zeros of the derivatives then carry either sign.  Rows
+    10-13 are -0, +0, -0, -0, so d_ss at row 11 and d_s at row 12 are -0."""
+    vals = rng.choice(SIGNED_ZEROS, size=shape)
+    constant = rng.random(shape[0]) < 0.5
+    vals[constant] = vals[constant, :1]
+    vals[10:14] = np.array([-0.0, 0.0, -0.0, -0.0])[:, None]
     if theta_constant:
         vals[:] = vals[:, :1]
     return vals
@@ -390,20 +443,26 @@ def _field_or_raise(build, want):
     return None
 
 
-KERNEL_DATA = {"wild": _wild, "moderate": _moderate}
+KERNEL_DATA = {"wild": _wild, "moderate": _moderate,
+               "signed_zeros": _signed_zeros}
 
 
 @pytest.mark.parametrize("order", [np.ascontiguousarray, np.asfortranarray],
                          ids=["C", "F"])
-@pytest.mark.parametrize("theta_constant", [False, True],
-                         ids=["mixed_rows", "theta_constant"])
+@pytest.mark.parametrize("theta_constant", [False, True, "a"],
+                         ids=["mixed_rows", "theta_constant",
+                              "only_a_theta_constant"])
 @pytest.mark.parametrize("data", sorted(KERNEL_DATA))
 def test_in_place_kernels_equal_the_plain_expressions(data, theta_constant,
                                                       order):
+    # theta_constant "a": a alone is θ-constant, so each operator meets a
+    # None d/dtheta beside a transformed operand
     g = grid(33, 16, 8.0)
     rng = np.random.default_rng(5)
-    a, b, c = (order(KERNEL_DATA[data](rng, (33, 16), theta_constant))
-               for _ in range(3))
+    a, b, c = (order(KERNEL_DATA[data](rng, (33, 16),
+                                       theta_constant is True or i == 0
+                                       and theta_constant == "a"))
+               for i in range(3))
     for arr in (a, b, c):
         arr.flags.writeable = False     # fields keep them in this order
     inv_r = fields._inv_r(g)
@@ -412,24 +471,24 @@ def test_in_place_kernels_equal_the_plain_expressions(data, theta_constant,
         assert _same_bits(fields._dss(a, g.ds), _plain_dss(a, g.ds))
         assert _same_bits(fields._dr(a, g), _plain_dr(a, g))
 
-        want = (-inv_r * fields._dtheta(a), _plain_dr(a, g))
+        want = (-inv_r * _plain_dtheta(a), _plain_dr(a, g))
         u = _field_or_raise(lambda: perp_grad(ScalarField(g, a)), want)
         if u is not None:
             assert _same_bits(u.u_r, want[0])
             assert _same_bits(u.u_theta, want[1])
 
         want = (inv_r * (inv_r * _plain_ds(g.r_nodes[:, None] * b, g.ds)
-                         - fields._dtheta(a)),)
+                         - _plain_dtheta(a)),)
         w = _field_or_raise(lambda: curl_perp(VectorField(g, a, b)), want)
         if w is not None:
             assert _same_bits(w.values, want[0])
 
-        want = (inv_r ** 2 * (_plain_dss(a, g.ds) + fields._dtheta2(a)),)
+        want = (_plain_laplacian(g, a),)
         lap = _field_or_raise(lambda: laplacian(ScalarField(g, a)), want)
         if lap is not None:
             assert _same_bits(lap.values, want[0])
 
-        want = (b * _plain_dr(a, g) + c * inv_r * fields._dtheta(a),)
+        want = (b * _plain_dr(a, g) + c * inv_r * _plain_dtheta(a),)
         conv = _field_or_raise(
             lambda: advect(VectorField(g, b, c), ScalarField(g, a)), want)
         if conv is not None:
@@ -444,6 +503,28 @@ def test_in_place_kernels_equal_the_plain_expressions(data, theta_constant,
         assert _same_bits(inner_l2(u, VectorField(g, c, a)),
                           0.0 + float(np.sum(g.weights * a * c))
                           + float(np.sum(g.weights * b * a)))
+
+        # the vector operators of the energy audit
+        want = _plain_vector_laplacian(g, a, b)
+        got = _field_or_raise(lambda: vector_laplacian(u), want)
+        if got is not None:
+            assert _same_bits(got.u_r, want[0])
+            assert _same_bits(got.u_theta, want[1])
+
+        want = _plain_advect_vector(g, b, c, a, b)
+        got = _field_or_raise(lambda: advect_vector(VectorField(g, b, c), u),
+                              want)
+        if got is not None:
+            assert _same_bits(got.u_r, want[0])
+            assert _same_bits(got.u_theta, want[1])
+
+        t_rr, t_rt, t_tr, t_tt = _plain_grad_tensor(g, a, b)
+        want = (t_rr * c + t_rt * a, t_tr * c + t_tt * a)
+        got = _field_or_raise(
+            lambda: grad_transpose_apply(u, VectorField(g, c, a)), want)
+        if got is not None:
+            assert _same_bits(got.u_r, want[0])
+            assert _same_bits(got.u_theta, want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +554,11 @@ def constant_rows(n_theta, seed=0):
 @pytest.mark.parametrize("dtheta", ANGULAR)
 @pytest.mark.parametrize("n_theta", [8, 16, 32, 48, 96, 128])
 def test_theta_constant_rows_match_the_fft_path(monkeypatch, dtheta, n_theta):
+    # None stands for the exact zeros that the transform gives
     a = constant_rows(n_theta, seed=n_theta)
     assert fields._theta_constant(a)
-    got = dtheta(a)
-    assert np.array_equal(got, fft_path(monkeypatch, dtheta, a))
-    assert not got.any()
+    assert dtheta(a) is None
+    assert not fft_path(monkeypatch, dtheta, a).any()
 
 
 @pytest.mark.parametrize("dtheta", ANGULAR)
@@ -486,7 +567,8 @@ def test_theta_constant_shortcut_ignores_memory_order(monkeypatch, dtheta,
                                                        order):
     a = order(constant_rows(32))
     assert fields._theta_constant(a)
-    assert np.array_equal(dtheta(a), fft_path(monkeypatch, dtheta, a))
+    assert dtheta(a) is None
+    assert not fft_path(monkeypatch, dtheta, a).any()
 
 
 @pytest.mark.parametrize("dtheta", ANGULAR)
@@ -520,8 +602,7 @@ def test_theta_constant_rows_near_overflow_give_exact_zeros(monkeypatch,
     # the FFT's mode-0 sum 128 x 1e308 overflows, so the transform path
     # reads NaN on a finite field; the shortcut never forms that sum
     a = np.repeat(np.array([[1e308], [-1e308]]), 128, axis=1)
-    got = dtheta(a)
-    assert np.array_equal(got, np.zeros_like(a))
+    assert dtheta(a) is None
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(fft_path(monkeypatch, dtheta, a)).all()
 
@@ -560,7 +641,7 @@ def _seminorm_by_words(f, k):
             c = comp
             for d in word:
                 c = fields._dr(c, g) if d == "r" \
-                    else fields._inv_r(g) * fields._dtheta(c)
+                    else fields._inv_r(g) * _plain_dtheta(c)
             total += float(np.sum(g.weights * c * c))
     return float(np.sqrt(total))
 

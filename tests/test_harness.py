@@ -16,7 +16,8 @@ from diskflow.fields import (VectorField, advect_vector, grad_transpose_apply,
                              inner_l2, norm_l2, perp_grad, seminorm_hk,
                              seminorms_hk, vector_laplacian)
 from diskflow.grid import GridSpec, build_grid
-from diskflow.harness import (EnergyAudit, SweepConfig, SweepRecord,
+from diskflow.harness import (EnergyAudit, EnergyBudget, SweepConfig,
+                              SweepRecord,
                               _energy_drift, bound_margins, energy_audit,
                               euler_reference_state, euler_run,
                               fit_theorem_constant, frozen_trajectory,
@@ -667,6 +668,43 @@ def test_audit_study_needs_three_snapshots(case):
                            t_final=0.01,
                            run_config=RunConfig(snapshot_dt=0.01))
     assert exc.value.key == "trajectories"
+
+
+def _radial_audit_pair():
+    # six snapshots of a viscous radial run on 64x16, with its frozen
+    # Euler reference
+    g = build_grid(GridSpec(n_r=64, n_theta=16, r_max=8.0))
+    psi0 = canonical_psi(InitialCase(), g)
+    traj = run(ModelParams("second_grade", alpha=0.2, nu=1e-4),
+               make_initial(psi0, 0.2), 0.05, RunConfig(snapshot_dt=0.01))
+    ref = frozen_trajectory(euler_reference_state(psi0),
+                            [s.time for s in traj.snapshots])
+    assert len(traj.snapshots) == 6
+    return traj, ref
+
+
+def test_energy_budget_finish_leaves_the_budget_as_it_was():
+    traj, ref = _radial_audit_pair()
+    budget = EnergyBudget(0.2 ** (4 / 3))
+    for s, sref in zip(traj.snapshots[:4], ref.snapshots[:4]):
+        budget.add(s, sref.u, sref.time)
+    first = dataclasses.asdict(budget.finish())
+    assert dataclasses.asdict(budget.finish()) == first
+    assert first["n_times"] == 4
+
+
+def test_energy_budget_takes_snapshots_after_finish():
+    traj, ref = _radial_audit_pair()
+    delta = 0.2 ** (4 / 3)
+    budget = EnergyBudget(delta)
+    pairs = list(zip(traj.snapshots, ref.snapshots))
+    for s, sref in pairs[:4]:
+        budget.add(s, sref.u, sref.time)
+    budget.finish()
+    for s, sref in pairs[4:]:
+        budget.add(s, sref.u, sref.time)
+    assert dataclasses.asdict(budget.finish()) \
+        == dataclasses.asdict(energy_audit(traj, ref, delta))
 
 
 def test_energy_drift_matches_scipy_cumulative_trapezoid():
