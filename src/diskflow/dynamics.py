@@ -30,6 +30,8 @@ from .elliptic import recover_q, solve_poisson, solve_stream_helmholtz
 from .grid import ExteriorGrid, tail_weights
 
 KINDS = ("second_grade", "euler_alpha", "euler")
+MIN_DT = 1e-10                 # a smaller admissible step fails the run
+CIRCULATION_TOL = 1e-8         # outer-ring witness, relative
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,7 @@ class SolverSettings:
 
 @dataclass(frozen=True, kw_only=True)
 class RunConfig(SolverSettings):
-    min_dt: float = 1e-10
     mass_tol: float = 1e-6           # mode-0 guard for the Poisson solve
-    circulation_tol: float = 1e-8    # outer-ring witness, relative
     diagnostics_path: str | None = None  # streams one CSV row per step
 
 
@@ -294,13 +294,11 @@ def _diag_row(state: FlowState, dt: float, tail_w: np.ndarray) -> dict:
 
 
 def run(params: ModelParams, u0: VectorField, t_final: float,
-        config: RunConfig = RunConfig(), observers=(),
-        on_snapshot=None) -> Trajectory:
+        config: RunConfig = RunConfig(), on_snapshot=None) -> Trajectory:
     """Integrate to t_final with snapshots and per-step diagnostics.
 
     Snapshots are the initial state, one state per snapshot_dt before
-    t_final, and the final state.  Each observer is called as
-    obs(state, row) after every step.  When on_snapshot is given, it is
+    t_final, and the final state.  When on_snapshot is given, it is
     called with each snapshot as it is taken and the returned snapshots
     list stays empty, so a caller can write or reduce snapshots without
     holding them; those taken before a failure have then been handed over.
@@ -311,7 +309,7 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
     g = u0.grid
     circ = abs(outer_circulation(u0))
     scale = max(norm_l2(u0), 1e-30)
-    if circ > config.circulation_tol * scale:
+    if circ > CIRCULATION_TOL * scale:
         raise ConfigError(
             "outer-ring circulation %.3e of the initial velocity exceeds "
             "tolerance; vorticity support must stay inside the annulus" % circ,
@@ -347,9 +345,9 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
         while state.time < t_final - eps:
             dt = config.dt if config.dt is not None \
                 else cfl_dt(state, config.cfl, config.dt_max)
-            if dt < config.min_dt:
+            if dt < MIN_DT:
                 raise NumericalFailure(
-                    "admissible dt %.3e collapsed below %.0e" % (dt, config.min_dt),
+                    "admissible dt %.3e collapsed below %.0e" % (dt, MIN_DT),
                     kind="cfl", time=state.time, detail=dt)
             target = None
             if config.snapshot_dt is not None:
@@ -374,8 +372,6 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
                 keep(state)
                 kept_time = state.time
                 snap_idx += 1
-            for obs in observers:
-                obs(state, row)
         if kept_time != state.time:
             keep(state)
     finally:

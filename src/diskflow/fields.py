@@ -382,6 +382,12 @@ def grad_tensor(u: VectorField) -> tuple:
     return (t_rr, t_rt, t_tr, t_tt)
 
 
+def difference(u: VectorField, v: VectorField) -> VectorField:
+    """u - v componentwise, untagged, on u's grid."""
+    return VectorField(u.grid, _fresh(u.u_r - v.u_r),
+                       _fresh(u.u_theta - v.u_theta))
+
+
 def vector_laplacian(u: VectorField) -> VectorField:
     """Componentwise Laplacian with the polar coupling terms."""
     g = u.grid

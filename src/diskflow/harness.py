@@ -7,7 +7,10 @@ For radial cases the Euler reference is the frozen initial state (any radial
 vorticity is a steady Euler solution, and the discretization preserves that
 exactly); otherwise a numerical Euler run at the same resolution serves as
 reference, so errors conflate discretization error and only trends at fixed
-grid are meaningful.
+grid are meaningful.  EulerReference.follow is the one place where a run's
+k-th snapshot meets the reference's k-th velocity and where a reference on
+another grid or at other snapshot times is rejected; sweeps, the audit
+study and the batch audit all pair through it.
 
 Also here: the error-energy audit, which re-evaluates the budget
   1/2 |w(T)|^2 - 1/2 |w(0)|^2 = I1 + I2 + I3 + I4,   w = u - u_euler,
@@ -35,7 +38,7 @@ from .dynamics import (FlowState, ModelParams, RunConfig, SolverSettings,
 from .elliptic import release_factors
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      EllipticSolveError, NumericalFailure)
-from .fields import (VectorField, _fresh, advect_vector, curl_perp,
+from .fields import (VectorField, advect_vector, curl_perp, difference,
                      grad_transpose_apply, inner_l2, norm_l2, perp_grad,
                      seminorm_hk, seminorms_hk, vector_laplacian)
 from .grid import GridSpec, build_grid, tail_weights
@@ -165,30 +168,6 @@ def bound_margins(records, constant: float):
             for rec in records if rec.status == "ok"]
 
 
-def _times(traj: Trajectory) -> np.ndarray:
-    return np.array([s.time for s in traj.snapshots], dtype=float)
-
-
-def _check_grids(ga: GridSpec, gb: GridSpec) -> None:
-    if ga != gb:
-        raise ConfigError("trajectories live on different grids: %r vs %r"
-                          % (ga, gb), key="trajectories")
-
-
-def _check_times(ta: np.ndarray, tb: np.ndarray) -> None:
-    scale = max(1.0, float(ta[-1]) if ta.size else 1.0)
-    if ta.size != tb.size or np.max(np.abs(ta - tb)) > _TIME_MATCH_TOL * scale:
-        raise ConfigError("snapshot time grids do not match", key="trajectories")
-
-
-def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> np.ndarray:
-    _check_grids(traj_a.snapshots[0].u.grid.spec,
-                 traj_b.snapshots[0].u.grid.spec)
-    ta = _times(traj_a)
-    _check_times(ta, _times(traj_b))
-    return ta
-
-
 def frozen_trajectory(state: FlowState, times) -> Trajectory:
     """A steady reference: the same state stamped at each snapshot time."""
     tvals = np.asarray(times, dtype=float)
@@ -208,46 +187,75 @@ def euler_reference_state(psi0) -> FlowState:
     return FlowState(time=0.0, q=w, w=w, phi=psi0, u=u, params=params)
 
 
-def euler_run(psi0, t_final: float, config: RunConfig, **hooks) -> Trajectory:
-    """Plain Euler from the stream function, with the Euler mass slack.
-
-    hooks (observers, on_snapshot) are passed to run as given.
-    """
+def euler_run(psi0, t_final: float, config: RunConfig,
+              on_snapshot=None) -> Trajectory:
+    """Plain Euler from the stream function, with the Euler mass slack."""
     return run(ModelParams(kind="euler"), euler_reference_state(psi0).u,
-               t_final, replace(config, mass_tol=_EULER_MASS_TOL), **hooks)
+               t_final, replace(config, mass_tol=_EULER_MASS_TOL),
+               on_snapshot=on_snapshot)
 
 
 class EulerReference:
     """The Euler velocity each snapshot of a run is measured against.
 
-    Built by euler_reference: either one frozen velocity, stamped with each
-    snapshot's own time, or the (time, u) pairs of one Euler run.
+    Either one frozen velocity, which stands for every snapshot time, or
+    the (time, u) pairs of one Euler run, of which the k-th stands for the
+    run's k-th snapshot.  Built by euler_reference, or from a held Euler
+    trajectory by energy_audit.
     """
 
     def __init__(self, u_frozen: VectorField | None = None, pairs=None):
         self._u_frozen = u_frozen
         self._pairs = pairs
 
-    def at(self, k: int, time: float):
-        """(time, u) of the reference for a run's k-th snapshot, taken at
-        time; None when the reference has no k-th snapshot."""
-        if self._pairs is None:
-            return time, self._u_frozen
-        return self._pairs[k] if k < len(self._pairs) else None
+    def follow(self, measure):
+        """(on_snapshot, done) for one run measured by this reference.
 
-    def check_times(self, times) -> None:
-        """Reject a run whose snapshot times are not the reference's."""
-        ref = times if self._pairs is None else [t for t, _ in self._pairs]
-        _check_times(np.array(times, dtype=float), np.array(ref, dtype=float))
+        on_snapshot(state) calls measure(state, u_ref) with the reference
+        velocity of that snapshot, after checking on the first one that both
+        live on one grid; a snapshot past the reference's last is only
+        counted.  done() rejects a run whose snapshot times are not the
+        reference's.  Both mismatches raise ConfigError(key="trajectories").
+        """
+        times = []
+
+        def on_snapshot(state: FlowState) -> None:
+            k = len(times)
+            times.append(state.time)
+            if self._pairs is None:
+                u_ref = self._u_frozen
+            elif k < len(self._pairs):
+                u_ref = self._pairs[k][1]
+            else:
+                return              # done() rejects the run
+            if k == 0 and state.u.grid.spec != u_ref.grid.spec:
+                raise ConfigError(
+                    "trajectories live on different grids: %r vs %r"
+                    % (state.u.grid.spec, u_ref.grid.spec),
+                    key="trajectories")
+            measure(state, u_ref)
+
+        def done() -> None:
+            if self._pairs is None:
+                return              # a frozen velocity fits every time
+            ta = np.array(times, dtype=float)
+            tb = np.array([t for t, _ in self._pairs], dtype=float)
+            scale = max(1.0, float(ta[-1]) if ta.size else 1.0)
+            if ta.size != tb.size or np.max(
+                    np.abs(ta - tb), initial=0.0) > _TIME_MATCH_TOL * scale:
+                raise ConfigError("snapshot time grids do not match",
+                                  key="trajectories")
+
+        return on_snapshot, done
 
 
 def euler_reference(case: InitialCase, psi0, t_final: float,
                     config: RunConfig) -> EulerReference:
     """The Euler solution that regularized runs from psi0 are measured by.
 
-    Radial cases get the frozen initial velocity at each snapshot's own
-    time, since any radial vorticity is discretely steady; other cases one
-    Euler run with config, of which only (time, u) per snapshot is kept.
+    Radial cases get the frozen initial velocity, since any radial
+    vorticity is discretely steady; other cases one Euler run with config,
+    of which only (time, u) per snapshot is kept.
     """
     if case.name == "radial_vortex":
         return EulerReference(u_frozen=euler_reference_state(psi0).u)
@@ -274,8 +282,8 @@ def _energy_drift(traj: Trajectory, nu: float) -> float:
 def run_sweep(cfg: SweepConfig, threads: int = 0):
     """One SweepRecord per alpha, in input order; failures marked, not fatal.
 
-    Each alpha run hands its snapshots to a callback that keeps only the
-    error and the seminorms of each, and the grid's factors are dropped as
+    Each alpha run hands its snapshots, paired by EulerReference.follow, to
+    a callback that keeps only the error and the seminorms of each, and the grid's factors are dropped as
     soon as no later run needs them: the Poisson factor after the Euler
     reference, each stream factor after its alpha's run.
     """
@@ -293,25 +301,16 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
         nu = cfg.nu_of(alpha)
         delta = alpha ** cfg.delta_rule
         u0a = make_initial(psi0, alpha)
-        d0 = VectorField(grid, _fresh(u0a.u_r - u0.u_r),
-                         _fresh(u0a.u_theta - u0.u_theta))
-        err0 = norm_l2(d0)
+        err0 = norm_l2(difference(u0a, u0))
         agrad0 = alpha * seminorm_hk(u0a, 1)
         params = ModelParams.regularized(alpha, nu)
-        times, errs, norms = [], [], []
+        errs, norms = [], []
 
-        def reduce(state: FlowState) -> None:
-            pair = reference.at(len(times), state.time)
-            times.append(state.time)
-            if pair is None:
-                return              # check_times rejects the run below
-            u, u_ref = state.u, pair[1]
-            if len(times) == 1:
-                _check_grids(u.grid.spec, u_ref.grid.spec)
-            errs.append(norm_l2(VectorField(
-                grid, _fresh(u.u_r - u_ref.u_r),
-                _fresh(u.u_theta - u_ref.u_theta))))
-            norms.append(seminorms_hk(u, 3))
+        def measure(state: FlowState, u_ref: VectorField) -> None:
+            errs.append(norm_l2(difference(state.u, u_ref)))
+            norms.append(seminorms_hk(state.u, 3))
+
+        on_snapshot, done = reference.follow(measure)
 
         def failed(kind: str) -> SweepRecord:
             return SweepRecord(alpha=alpha, nu=nu, delta=delta,
@@ -323,7 +322,8 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
                                status=kind)
 
         try:
-            traj = run(params, u0a, cfg.t_final, run_cfg, on_snapshot=reduce)
+            traj = run(params, u0a, cfg.t_final, run_cfg,
+                       on_snapshot=on_snapshot)
         except NumericalFailure as exc:
             return failed(exc.kind)
         except EllipticSolveError:
@@ -331,7 +331,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
             return failed("solve")
         finally:
             release_factors(grid, "stream", alpha)
-        reference.check_times(times)
+        done()
         apriori = tuple(max(alpha ** k * n[k - 1] for n in norms)
                         for k in (1, 2, 3))
         return SweepRecord(alpha=alpha, nu=nu, delta=delta,
@@ -392,8 +392,8 @@ class EnergyBudget:
     """The error-energy budget of one run, fed one snapshot at a time.
 
     add() takes each snapshot of the regularized run with the Euler
-    velocity and time it is measured against; finish() returns the
-    EnergyAudit.  Only the Laplacian and w of the last three snapshots are
+    velocity it is measured against, as EulerReference.follow pairs them;
+    finish() returns the EnergyAudit.  Only the Laplacian and w of the last three snapshots are
     held, because d_t of the Laplacian is np.gradient's three-point stencil
     with edge_order=2.  Each slice of it is evaluated with numpy's own
     coefficients and operation order, so every term equals the batch
@@ -405,18 +405,16 @@ class EnergyBudget:
     def __init__(self, delta: float):
         check_delta(delta)
         self.delta = delta
-        self._snap_times, self._ref_times = [], []
+        self._snap_times = []
         self._f1, self._f2, self._f4 = [], [], []
         self._f3 = {True: [], False: []}     # keyed by "times are uniform"
         self._window = deque(maxlen=3)       # (lap, w) of the last snapshots
 
-    def add(self, state: FlowState, u_ref: VectorField, t_ref: float) -> None:
-        u, g = state.u, state.u.grid
-        _check_grids(g.spec, u_ref.grid.spec)
-        w = VectorField(g, _fresh(u.u_r - u_ref.u_r),
-                        _fresh(u.u_theta - u_ref.u_theta))
+    def add(self, state: FlowState, u_ref: VectorField) -> None:
+        u = state.u
+        w = difference(u, u_ref)
         if not self._snap_times:
-            self._params, self._grid = state.params, g
+            self._params, self._grid = state.params, u.grid
             self._e0 = energy(state)
             self._w0_norm = norm_l2(w)
         lap = vector_laplacian(u)
@@ -425,7 +423,6 @@ class EnergyBudget:
         self._f4.append(inner_l2(advect_vector(u, lap), w)
                         + inner_l2(grad_transpose_apply(u, lap), w))
         self._snap_times.append(state.time)
-        self._ref_times.append(t_ref)
         self._window.append((lap, w))
         if len(self._snap_times) == 3:
             self._keep_slope(0)
@@ -476,7 +473,6 @@ class EnergyBudget:
         """The audit of the snapshots added so far; the budget is left as
         it was, so more snapshots may follow."""
         t = np.array(self._snap_times, dtype=float)
-        _check_times(t, np.array(self._ref_times, dtype=float))
         if t.size < 3:
             raise ConfigError("need at least 3 snapshots to estimate the time "
                               "derivative", key="trajectories")
@@ -504,10 +500,14 @@ def energy_audit(traj_sg: Trajectory, traj_euler: Trajectory,
     """Evaluate the four-term budget of the error energy between two runs.
 
     The trajectories must share their grid and snapshot times, with at
-    least 3 snapshots; EnergyBudget does the sums.
+    least 3 snapshots; EulerReference.follow pairs them and EnergyBudget
+    does the sums.
     """
     budget = EnergyBudget(delta)
-    _check_pair(traj_sg, traj_euler)
-    for s, sref in zip(traj_sg.snapshots, traj_euler.snapshots):
-        budget.add(s, sref.u, sref.time)
+    reference = EulerReference(
+        pairs=[(s.time, s.u) for s in traj_euler.snapshots])
+    on_snapshot, done = reference.follow(budget.add)
+    for s in traj_sg.snapshots:
+        on_snapshot(s)
+    done()
     return budget.finish()

@@ -20,8 +20,8 @@ import numpy as np
 
 from .boundary_layer import TRACE_TOL, collar_resolved
 from .errors import ConfigError
-from .fields import (ScalarField, VectorField, _fresh, norm_l2, perp_grad,
-                     read_snapshot, seminorms_hk)
+from .fields import (ScalarField, VectorField, _fresh, difference, norm_l2,
+                     perp_grad, read_snapshot, seminorms_hk)
 from .grid import tail_weights
 from .ratefit import RateFit, check_geometric, fit_rate
 
@@ -165,11 +165,9 @@ def hypothesis_report(psi0: ScalarField, alphas) -> HypothesisReport:
     rows = []
     for a in avals:
         ua = make_initial(psi0, a)
-        diff = VectorField(g, _fresh(ua.u_r - u0.u_r),
-                           _fresh(ua.u_theta - u0.u_theta))
         rows.append(HypothesisRow(
             alpha=a,
-            err0=norm_l2(diff),
+            err0=norm_l2(difference(ua, u0)),
             dk_norms=seminorms_hk(ua, 3),
             resolved=collar_resolved(g, a)))
     fitted = [r for r in rows if r.resolved]

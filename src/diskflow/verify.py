@@ -195,8 +195,9 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
     The reference is harness.euler_reference: the frozen initial state for
     radial cases, otherwise an Euler run at the same resolution with
     run_config of which only the velocity per snapshot is kept.  The
-    regularized run streams its snapshots into an EnergyBudget, so the
-    audit holds three snapshots' worth of fields, not the trajectory.
+    regularized run streams its snapshots through the reference's follow()
+    into an EnergyBudget, so the audit holds three snapshots' worth of
+    fields, not the trajectory.
     Snapshots default to t_final / 8.
     """
     g = build_grid(grid_spec)
@@ -206,18 +207,11 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
         snapshot_dt=snapshot_interval(run_config.snapshot_dt, t_final))
     budget = EnergyBudget(alpha ** SweepSettings.delta_rule
                           if delta is None else delta)
-    reference = euler_reference(case, psi, t_final, cfg)
-    taken = []
-
-    def feed(state):
-        pair = reference.at(len(taken), state.time)
-        taken.append(state.time)
-        if pair is not None:
-            budget.add(state, pair[1], pair[0])
-
+    on_snapshot, done = euler_reference(case, psi, t_final, cfg).follow(
+        budget.add)
     run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg,
-        on_snapshot=feed)
-    reference.check_times(taken)
+        on_snapshot=on_snapshot)
+    done()
     return budget.finish()
 
 

@@ -179,7 +179,8 @@ def test_round_trip_minimal_and_full():
 
 
 def test_document_keys_are_the_schema_keys():
-    # internal RunConfig fields (min_dt, mass_tol, ...) stay out of the JSON
+    # the solver's own RunConfig fields (mass_tol, diagnostics_path) stay
+    # out of the JSON
     doc = config_document(parse_config(FULL))
     assert set(doc) == {"model", "alpha", "nu", "grid", "t_final", "cfl",
                         "dt", "dt_max", "snapshot_dt", "tail_threshold",

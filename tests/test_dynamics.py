@@ -91,12 +91,10 @@ def test_run_config_rejects_bad_values(kw):
 
 
 def test_run_config_of_a_run_config_keeps_every_key():
-    cfg = RunConfig(cfl=0.2, mass_tol=1e-3, min_dt=1e-12,
-                    diagnostics_path="d.csv")
+    cfg = RunConfig(cfl=0.2, mass_tol=1e-3, diagnostics_path="d.csv")
     assert cfg.run_config() == cfg
     assert cfg.run_config(dt=0.01) == RunConfig(
-        cfl=0.2, dt=0.01, mass_tol=1e-3, min_dt=1e-12,
-        diagnostics_path="d.csv")
+        cfl=0.2, dt=0.01, mass_tol=1e-3, diagnostics_path="d.csv")
 
 
 def test_initial_state_enforces_boundary_tag():
@@ -630,7 +628,7 @@ def test_min_dt_collapse_raises_cfl_failure():
     u0 = velocity_from_stream(radial_stream(g))
     params = ModelParams("euler_alpha", alpha=0.2)
     with pytest.raises(NumericalFailure) as exc:
-        run(params, u0, 0.1, RunConfig(dt=1e-12, min_dt=1e-10))
+        run(params, u0, 0.1, RunConfig(dt=1e-12))
     assert exc.value.kind == "cfl"
 
 
@@ -672,16 +670,6 @@ def test_run_is_deterministic():
     t2 = run(params, u0, 0.1, RunConfig(cfl=0.4))
     assert np.array_equal(t1.snapshots[-1].q.values, t2.snapshots[-1].q.values)
     assert np.array_equal(t1.diagnostics["energy"], t2.diagnostics["energy"])
-
-
-def test_observers_called_each_step():
-    g = GRID64
-    u0 = velocity_from_stream(radial_stream(g))
-    seen = []
-    run(ModelParams("euler_alpha", alpha=0.2), u0, 0.05,
-        RunConfig(dt=0.01), observers=[lambda s, row: seen.append(s.time)])
-    assert len(seen) == 5
-    assert seen == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05])
 
 
 @pytest.mark.parametrize("snapshot_dt", [None, 0.015],
@@ -799,7 +787,7 @@ def test_radial_state_makes_no_angular_arrays_in_fields(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     nxt = step(state, 1e-3)
     _diag_row(nxt, 1e-3, tail_weights(u0.grid))
-    EnergyBudget(0.1).add(nxt, u0, 0.0)
+    EnergyBudget(0.1).add(nxt, u0)
     seminorms_hk(nxt.u, 3)
     assert calls == {"zeros_like": 0, "rfft": 0, "irfft": 0}
 

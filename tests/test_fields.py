@@ -92,7 +92,7 @@ def test_operators_keep_their_fresh_results_without_a_copy(monkeypatch):
     conv_v = advect_vector(u, u)
     gta = grad_transpose_apply(u, u)
     state = initial_state(ModelParams("euler_alpha", alpha=0.4), u0)
-    EnergyBudget(0.1).add(state, u, 0.0)
+    EnergyBudget(0.1).add(state, u)
     assert copies == []
     for arr in (u.u_r, u.u_theta, lap.values, conv.values, w.values,
                 q.values, u0.u_r, u0.u_theta, vlap.u_r, vlap.u_theta,

@@ -190,17 +190,20 @@ def test_radial_sweep_errors_are_gaps_to_the_frozen_initial_state():
 
 
 @pytest.mark.parametrize("mismatch, message", [
+    ("fewer", "snapshot time grids do not match"),
+    ("more", "snapshot time grids do not match"),
     ("times", "snapshot time grids do not match"),
     ("grid", "different grids"),
-], ids=["times", "grid"])
+], ids=["fewer", "more", "times", "grid"])
 def test_sweep_rejects_a_reference_it_cannot_compare(monkeypatch, mismatch,
                                                      message):
     import diskflow.harness as hz
     cfg = SweepConfig(alphas=(0.4,), grid=GridSpec(65, 32, 8.0),
                       case=InitialCase(name="perturbed_vortex"),
                       t_final=0.05, snapshot_dt=0.025)
-    spec = cfg.grid if mismatch == "times" else GridSpec(33, 32, 8.0)
-    times = [0.0, 0.02, 0.05] if mismatch == "times" else [0.0, 0.025, 0.05]
+    spec = GridSpec(33, 32, 8.0) if mismatch == "grid" else cfg.grid
+    times = {"fewer": [0.0, 0.025], "more": [0.0, 0.025, 0.05, 0.075],
+             "times": [0.0, 0.02, 0.05]}.get(mismatch, [0.0, 0.025, 0.05])
 
     def misaligned(psi0, t_final, config, on_snapshot):
         psi = canonical_psi(cfg.case, build_grid(spec))
@@ -209,19 +212,19 @@ def test_sweep_rejects_a_reference_it_cannot_compare(monkeypatch, mismatch,
             on_snapshot(s)
 
     monkeypatch.setattr(hz, "euler_run", misaligned)
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=message) as exc:
         run_sweep(cfg, threads=1)
+    assert exc.value.key == "trajectories"
 
 
 def test_sweep_isolates_per_alpha_failures(monkeypatch):
     import diskflow.harness as hz
     real_run = hz.run
 
-    def exploding(params, u0, t_final, config=RunConfig(), observers=(),
-                  on_snapshot=None):
+    def exploding(params, u0, t_final, config=RunConfig(), on_snapshot=None):
         if params.alpha == 0.2:
             raise NumericalFailure("synthetic blow-up", kind="nan", time=0.0)
-        return real_run(params, u0, t_final, config, observers, on_snapshot)
+        return real_run(params, u0, t_final, config, on_snapshot=on_snapshot)
 
     monkeypatch.setattr(hz, "run", exploding)
     cfg = SweepConfig(alphas=(0.4, 0.2, 0.1), grid=GRID_H, case=H_CASE,
@@ -273,8 +276,7 @@ def test_failing_euler_reference_fails_the_sweep(monkeypatch, threads):
         raise NumericalFailure("synthetic reference blow-up",
                                kind="tail_mass", time=0.01)
 
-    def counted(params, u0, t_final, config=RunConfig(), observers=(),
-                on_snapshot=None):
+    def counted(params, u0, t_final, config=RunConfig(), on_snapshot=None):
         started.append(params.alpha)
         return Trajectory(snapshots=[], diagnostics={})
 
@@ -300,11 +302,10 @@ def test_euler_reference_takes_the_solver_keys_of_the_alpha_runs(
         seen["euler"].append(tuple(getattr(config, k) for k in keys))
         return real_euler_run(psi0, t_final, config, on_snapshot=on_snapshot)
 
-    def run_spy(params, u0, t_final, config=RunConfig(), observers=(),
-                on_snapshot=None):
+    def run_spy(params, u0, t_final, config=RunConfig(), on_snapshot=None):
         if params.kind != "euler":
             seen["alpha"].append(tuple(getattr(config, k) for k in keys))
-        return real_run(params, u0, t_final, config, observers, on_snapshot)
+        return real_run(params, u0, t_final, config, on_snapshot=on_snapshot)
 
     monkeypatch.setattr(hz, "euler_run", euler_spy)
     monkeypatch.setattr(hz, "run", run_spy)
@@ -383,13 +384,12 @@ def test_sweep_runs_hold_no_snapshots_and_free_their_factors(monkeypatch, cfg,
     real_run = hz.run
     seen, grids = [], []
 
-    def spy(params, u0, t_final, config=RunConfig(), observers=(),
-            on_snapshot=None):
+    def spy(params, u0, t_final, config=RunConfig(), on_snapshot=None):
         if params.kind == "euler":
-            return real_run(params, u0, t_final, config, observers,
-                            on_snapshot)
+            return real_run(params, u0, t_final, config,
+                            on_snapshot=on_snapshot)
         cached = list(u0.grid.solver_cache)
-        traj = real_run(params, u0, t_final, config, observers, on_snapshot)
+        traj = real_run(params, u0, t_final, config, on_snapshot=on_snapshot)
         seen.append((params.alpha, on_snapshot is not None,
                      len(traj.snapshots), cached))
         grids.append(u0.grid)
@@ -416,10 +416,9 @@ def test_pooled_factor_release_under_frequent_thread_switches(monkeypatch):
     import diskflow.harness as hz
     real_run, grids = hz.run, []
 
-    def spy(params, u0, t_final, config=RunConfig(), observers=(),
-            on_snapshot=None):
+    def spy(params, u0, t_final, config=RunConfig(), on_snapshot=None):
         grids.append(u0.grid)
-        return real_run(params, u0, t_final, config, observers, on_snapshot)
+        return real_run(params, u0, t_final, config, on_snapshot=on_snapshot)
 
     cfg = SweepConfig(alphas=(0.4, 0.2, 0.1), grid=GRID_H, case=H_CASE,
                       t_final=0.1)
@@ -442,9 +441,9 @@ def test_failed_alpha_run_frees_its_factor(monkeypatch):
     real_run = hz.run
     grids = []
 
-    def failing_late(params, u0, t_final, config=RunConfig(), observers=(),
+    def failing_late(params, u0, t_final, config=RunConfig(),
                      on_snapshot=None):
-        real_run(params, u0, t_final, config, observers, on_snapshot)
+        real_run(params, u0, t_final, config, on_snapshot=on_snapshot)
         grids.append(u0.grid)
         assert ("stream", params.alpha, (0,)) in u0.grid.solver_cache
         raise NumericalFailure("synthetic blow-up", kind="nan", time=t_final)
@@ -687,7 +686,7 @@ def test_energy_budget_finish_leaves_the_budget_as_it_was():
     traj, ref = _radial_audit_pair()
     budget = EnergyBudget(0.2 ** (4 / 3))
     for s, sref in zip(traj.snapshots[:4], ref.snapshots[:4]):
-        budget.add(s, sref.u, sref.time)
+        budget.add(s, sref.u)
     first = dataclasses.asdict(budget.finish())
     assert dataclasses.asdict(budget.finish()) == first
     assert first["n_times"] == 4
@@ -699,10 +698,10 @@ def test_energy_budget_takes_snapshots_after_finish():
     budget = EnergyBudget(delta)
     pairs = list(zip(traj.snapshots, ref.snapshots))
     for s, sref in pairs[:4]:
-        budget.add(s, sref.u, sref.time)
+        budget.add(s, sref.u)
     budget.finish()
     for s, sref in pairs[4:]:
-        budget.add(s, sref.u, sref.time)
+        budget.add(s, sref.u)
     assert dataclasses.asdict(budget.finish()) \
         == dataclasses.asdict(energy_audit(traj, ref, delta))
 
