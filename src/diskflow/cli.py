@@ -22,13 +22,14 @@ import typing
 from dataclasses import dataclass, replace
 
 from .boundary_layer import check_delta
-from .dynamics import KINDS, ModelParams, SolverSettings, run
+from . import dynamics
+from .dynamics import KINDS, ModelParams, run
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      NumericalFailure)
 from .fields import write_snapshot
 from .grid import GridSpec, build_grid
-from .harness import (SweepConfig, SweepSettings, euler_run, rate_entry,
-                      run_sweep, write_sweep_csv)
+from .harness import (SweepConfig, SweepSettings, euler_reference_state,
+                      rate_entry, run_sweep, write_sweep_csv)
 from .initial_data import (InitialCase, canonical_psi, check_alpha,
                            make_initial)
 from .ratefit import fit_rate
@@ -55,11 +56,12 @@ class AuditSettings:
 
 
 @dataclass(frozen=True, kw_only=True)
-class RunConfig(SolverSettings):
+class RunConfig(dynamics.RunConfig):
     """Fully validated configuration for any subcommand.
 
     The JSON document mirrors these fields, nested sections included; each
-    section's dataclass holds its own defaults and range checks.
+    section's dataclass holds its own defaults and range checks.  The solver
+    keys come from dynamics.RunConfig, so run takes the document as it is.
     """
 
     model: str
@@ -204,8 +206,6 @@ def _write_json(path, obj) -> None:
 def _cmd_simulate(cfg: RunConfig, args, out: str) -> int:
     grid = build_grid(cfg.grid)
     psi = canonical_psi(cfg.case, grid)
-    solver = cfg.run_config(
-        diagnostics_path=os.path.join(out, "diagnostics.csv"))
     written = []
 
     def write(s):   # as each snapshot is taken: a failed run keeps them
@@ -214,12 +214,13 @@ def _cmd_simulate(cfg: RunConfig, args, out: str) -> int:
                        time=s.time, alpha=s.params.alpha, nu=s.params.nu)
         written.append(s.time)
 
-    if cfg.model == "euler":
-        traj = euler_run(psi, cfg.t_final, solver, on_snapshot=write)
+    if cfg.model == "euler":   # the document's alpha is not Euler's
+        params, u0 = ModelParams(kind="euler"), euler_reference_state(psi).u
     else:
         params = ModelParams(kind=cfg.model, alpha=cfg.alpha, nu=cfg.nu)
-        traj = run(params, make_initial(psi, cfg.alpha), cfg.t_final, solver,
-                   on_snapshot=write)
+        u0 = make_initial(psi, cfg.alpha)
+    traj = run(params, u0, cfg.t_final, cfg, on_snapshot=write,
+               diagnostics_path=os.path.join(out, "diagnostics.csv"))
     n_steps = len(traj.diagnostics["t"]) - 1
     print("simulate: %s to t=%g in %d steps, %d snapshots -> %s"
           % (cfg.model, cfg.t_final, n_steps, len(written), out))
@@ -235,7 +236,7 @@ def _sweep_config(cfg: RunConfig, **overrides) -> SweepConfig:
         else {"alphas": (cfg.alpha,)}
     section.update(overrides)
     solver = {f.name: getattr(cfg, f.name)
-              for f in dataclasses.fields(SolverSettings)}
+              for f in dataclasses.fields(dynamics.RunConfig)}
     try:
         return SweepConfig(**section, **solver, grid=cfg.grid,
                            t_final=cfg.t_final, case=cfg.case)
@@ -340,7 +341,7 @@ def _cmd_energy_audit(cfg: RunConfig, args, out: str) -> int:
                           "Euler; model must be euler_alpha or second_grade",
                           key="model")
     audit = energy_audit_study(cfg.case, cfg.grid, cfg.alpha, cfg.nu,
-                               cfg.t_final, cfg.run_config(),
+                               cfg.t_final, cfg,
                                delta=cfg.audit_delta)
     passed = audit.rel_residual <= cfg.tolerances.audit_rel
     doc = report_dict(audit)

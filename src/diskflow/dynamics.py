@@ -10,7 +10,9 @@ elliptic solve inside a step fails the run with kind 'solve'.
 Diffusion is explicit: the regimes of interest have nu far below
 alpha^{4/3}, and the diffusive dt bound guards the rest.
 The inviscid filtered model sets nu = 0; the plain vorticity equation
-(kind 'euler') identifies q with w and uses the Poisson solve instead.
+(kind 'euler') identifies q with w and uses the Poisson solve instead, whose
+mode-0 guard admits the fixed slack EULER_MASS_TOL.  RunConfig holds the
+five solver keys of a run; the sweep and document configs extend it.
 
 A run aborts, rather than silently polluting the far boundary condition,
 when vorticity mass reaches the outer 10 percent of the annulus.
@@ -18,7 +20,7 @@ when vorticity mass reaches the outer 10 percent of the annulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +34,9 @@ from .grid import ExteriorGrid, tail_weights
 KINDS = ("second_grade", "euler_alpha", "euler")
 MIN_DT = 1e-10                 # a smaller admissible step fails the run
 CIRCULATION_TOL = 1e-8         # outer-ring witness, relative
+# discrete vorticity mass of grid data is O(h^2), not zero; every Euler run
+# from a stream function needs that much slack in the mode-0 guard
+EULER_MASS_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,8 +88,11 @@ class FlowState:
 
 
 @dataclass(frozen=True, kw_only=True)
-class SolverSettings:
-    """The solver keys every run config shares, with their range checks."""
+class RunConfig:
+    """The solver keys of a run, with their range checks.
+
+    Sweep and document configs extend it, so run takes them as they are.
+    """
 
     cfl: float = 0.5
     dt: float | None = None          # fixed step; None = adaptive
@@ -100,18 +108,6 @@ class SolverSettings:
             if v is not None and not v > 0.0:
                 raise ConfigError("%s=%r must be positive" % (name, v),
                                   key=name)
-
-    def run_config(self, **overrides) -> RunConfig:
-        """A RunConfig with every RunConfig key self holds, then overrides."""
-        keys = {f.name: getattr(self, f.name) for f in fields(RunConfig)
-                if hasattr(self, f.name)}
-        return RunConfig(**{**keys, **overrides})
-
-
-@dataclass(frozen=True, kw_only=True)
-class RunConfig(SolverSettings):
-    mass_tol: float = 1e-6           # mode-0 guard for the Poisson solve
-    diagnostics_path: str | None = None  # streams one CSV row per step
 
 
 @dataclass
@@ -129,12 +125,12 @@ _DIAG_KEYS = ("t", "dt", "energy", "enstrophy", "tail_mass",
               "norm_u_sq", "grad_u_sq")
 
 
-def _derive(params: ModelParams, q: ScalarField, time: float,
-            mass_tol: float, with_w: bool) -> FlowState:
-    """The state of q; a filtered model forms w only when with_w is true."""
+def make_state(params: ModelParams, q: ScalarField, time: float,
+               with_w: bool = True) -> FlowState:
+    """Derive (phi, w, u) from q; a filtered model forms w iff with_w."""
     if params.kind == "euler":
         w = q
-        phi = solve_poisson(w, mass_tol=mass_tol)
+        phi = solve_poisson(w, mass_tol=EULER_MASS_TOL)
         u = perp_grad(phi)
         u = VectorField(q.grid, u.u_r, u.u_theta, tag="non-penetration")
     else:
@@ -142,18 +138,11 @@ def _derive(params: ModelParams, q: ScalarField, time: float,
     return FlowState(time=time, q=q, w=w, phi=phi, u=u, params=params)
 
 
-def make_state(params: ModelParams, q: ScalarField, time: float,
-               mass_tol: float = RunConfig.mass_tol) -> FlowState:
-    """Derive (phi, w, u) from q for the given model kind."""
-    return _derive(params, q, time, mass_tol, with_w=True)
-
-
-def initial_state(params: ModelParams, u0: VectorField,
-                  mass_tol: float = RunConfig.mass_tol) -> FlowState:
+def initial_state(params: ModelParams, u0: VectorField) -> FlowState:
     """State at t=0 from a velocity field satisfying the boundary tag."""
     VectorField(u0.grid, u0.u_r, u0.u_theta, tag=params.boundary_tag)
     q0 = recover_q(u0, params.alpha)
-    return make_state(params, q0, 0.0, mass_tol=mass_tol)
+    return make_state(params, q0, 0.0)
 
 
 def rhs(state: FlowState) -> ScalarField:
@@ -173,7 +162,7 @@ def _axpy(q: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
 
 
 def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
-               time: float, stage: str, mass_tol: float,
+               time: float, stage: str,
                state: FlowState | None = None) -> np.ndarray:
     """Tendency of q at one stage; a non-finite value fails the step as nan.
 
@@ -186,8 +175,8 @@ def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
                                kind="nan", time=time, detail=stage)
     try:
         if state is None:
-            state = _derive(params, ScalarField(grid, _fresh(q_values)),
-                            time, mass_tol, with_w=params.nu > 0.0)
+            state = make_state(params, ScalarField(grid, _fresh(q_values)),
+                               time, with_w=params.nu > 0.0)
         k = rhs(state).values
     except NonFiniteFieldError as exc:  # overflow inside the stage
         raise NumericalFailure("non-finite field at stage %s" % stage,
@@ -202,24 +191,22 @@ def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
     return k
 
 
-def step(state: FlowState, dt: float, mass_tol: float = RunConfig.mass_tol,
+def step(state: FlowState, dt: float,
          end_time: float | None = None) -> FlowState:
     """Classical RK4 update of q; returns a consistent new state.
 
-    The state must come from initial_state, make_state or step with the
-    same mass_tol: stage k1 takes its (phi, w, u) as they are instead of
-    recovering them from q again.
+    The state must come from initial_state, make_state or step: stage k1
+    takes its (phi, w, u) as they are instead of recovering them from q
+    again.  end_time, when given, stamps the new state in place of t + dt.
     """
     params = state.params
     g = state.q.grid
     q = state.q.values
     t = state.time
-    k1 = _stage_rhs(params, g, q, t, "k1", mass_tol, state=state)
-    k2 = _stage_rhs(params, g, _axpy(q, 0.5 * dt, k1), t + 0.5 * dt, "k2",
-                    mass_tol)
-    k3 = _stage_rhs(params, g, _axpy(q, 0.5 * dt, k2), t + 0.5 * dt, "k3",
-                    mass_tol)
-    k4 = _stage_rhs(params, g, _axpy(q, dt, k3), t + dt, "k4", mass_tol)
+    k1 = _stage_rhs(params, g, q, t, "k1", state=state)
+    k2 = _stage_rhs(params, g, _axpy(q, 0.5 * dt, k1), t + 0.5 * dt, "k2")
+    k3 = _stage_rhs(params, g, _axpy(q, 0.5 * dt, k2), t + 0.5 * dt, "k3")
+    k4 = _stage_rhs(params, g, _axpy(q, dt, k3), t + dt, "k4")
     # q + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order in place
     q_new = k2 * 2.0
     q_new += k1
@@ -232,8 +219,7 @@ def step(state: FlowState, dt: float, mass_tol: float = RunConfig.mass_tol,
                                time=t, detail="update")
     t_new = t + dt if end_time is None else end_time
     try:
-        return make_state(params, ScalarField(g, _fresh(q_new)), t_new,
-                          mass_tol)
+        return make_state(params, ScalarField(g, _fresh(q_new)), t_new)
     except NonFiniteFieldError as exc:
         raise NumericalFailure("non-finite field after step", kind="nan",
                                time=t, detail="update") from exc
@@ -294,14 +280,18 @@ def _diag_row(state: FlowState, dt: float, tail_w: np.ndarray) -> dict:
 
 
 def run(params: ModelParams, u0: VectorField, t_final: float,
-        config: RunConfig = RunConfig(), on_snapshot=None) -> Trajectory:
+        config: RunConfig = RunConfig(), on_snapshot=None,
+        diagnostics_path: str | None = None) -> Trajectory:
     """Integrate to t_final with snapshots and per-step diagnostics.
 
-    Snapshots are the initial state, one state per snapshot_dt before
-    t_final, and the final state.  When on_snapshot is given, it is
-    called with each snapshot as it is taken and the returned snapshots
-    list stays empty, so a caller can write or reduce snapshots without
-    holding them; those taken before a failure have then been handed over.
+    config is a RunConfig or any config that extends it; only its five
+    solver keys are read.  Snapshots are the initial state, one state per
+    snapshot_dt before t_final, and the final state.  When on_snapshot is
+    given, it is called with each snapshot as it is taken and the returned
+    snapshots list stays empty, so a caller can write or reduce snapshots
+    without holding them; those taken before a failure have then been
+    handed over.  diagnostics_path, when given, receives one CSV row per
+    step as it is taken, so a failed run keeps every row up to the failure.
     """
     if not t_final > 0.0:
         raise ConfigError("t_final=%r must be positive" % (t_final,),
@@ -314,7 +304,7 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
             "outer-ring circulation %.3e of the initial velocity exceeds "
             "tolerance; vorticity support must stay inside the annulus" % circ,
             key="u0")
-    state = initial_state(params, u0, mass_tol=config.mass_tol)
+    state = initial_state(params, u0)
 
     tail_w = tail_weights(g)
     q0_norm = max(norm_l2(state.q), 1e-30)
@@ -322,8 +312,8 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
 
     diags = {k: [] for k in _DIAG_KEYS}
     stream = None
-    if config.diagnostics_path is not None:
-        stream = open(config.diagnostics_path, "w")
+    if diagnostics_path is not None:
+        stream = open(diagnostics_path, "w")
         stream.write(",".join(_DIAG_KEYS) + "\n")
 
     def record(row):
@@ -358,7 +348,7 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
                 target = t_final
             if target is not None:
                 dt = target - state.time
-            state = step(state, dt, mass_tol=config.mass_tol, end_time=target)
+            state = step(state, dt, end_time=target)
             row = _diag_row(state, dt, tail_w)
             record(row)
             if row["tail_mass"] > tail_abs:

@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boundary_layer import MIN_CELLS, check_delta, collar_resolved
-from .dynamics import (FlowState, ModelParams, RunConfig, SolverSettings,
-                       Trajectory, _diag_row, energy, run)
+from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
+                       _diag_row, energy, run)
 from .elliptic import release_factors
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      EllipticSolveError, NumericalFailure)
@@ -46,9 +46,6 @@ from .initial_data import (InitialCase, canonical_psi, check_alpha,
                            make_initial)
 from .ratefit import RateFit, check_geometric
 
-# discrete vorticity mass of grid data is O(h^2), not zero; every Euler run
-# from a stream function needs that much slack in the mode-0 guard
-_EULER_MASS_TOL = 1e-3
 _TIME_MATCH_TOL = 1e-12
 
 
@@ -89,7 +86,7 @@ class SweepSettings:
 
 
 @dataclass(frozen=True, kw_only=True)
-class SweepConfig(SweepSettings, SolverSettings):
+class SweepConfig(SweepSettings, RunConfig):
     """A sweep's settings plus the grid, case and solver keys of its runs."""
 
     grid: GridSpec
@@ -106,15 +103,7 @@ class SweepConfig(SweepSettings, SolverSettings):
         if not self.t_final > 0.0:
             raise ConfigError("t_final=%r must be positive" % (self.t_final,),
                               key="t_final")
-        SolverSettings.__post_init__(self)  # super() stops at SweepSettings
-
-    def run_config(self) -> RunConfig:
-        """Solver settings of the sweep's runs and of its Euler reference.
-
-        snapshot_dt defaults to t_final / 8.
-        """
-        return super().run_config(
-            snapshot_dt=snapshot_interval(self.snapshot_dt, self.t_final))
+        RunConfig.__post_init__(self)  # super() stops at SweepSettings
 
 
 @dataclass(frozen=True)
@@ -189,10 +178,9 @@ def euler_reference_state(psi0) -> FlowState:
 
 def euler_run(psi0, t_final: float, config: RunConfig,
               on_snapshot=None) -> Trajectory:
-    """Plain Euler from the stream function, with the Euler mass slack."""
+    """Plain Euler from the stream function's velocity."""
     return run(ModelParams(kind="euler"), euler_reference_state(psi0).u,
-               t_final, replace(config, mass_tol=_EULER_MASS_TOL),
-               on_snapshot=on_snapshot)
+               t_final, config, on_snapshot=on_snapshot)
 
 
 class EulerReference:
@@ -282,15 +270,17 @@ def _energy_drift(traj: Trajectory, nu: float) -> float:
 def run_sweep(cfg: SweepConfig, threads: int = 0):
     """One SweepRecord per alpha, in input order; failures marked, not fatal.
 
-    Each alpha run hands its snapshots, paired by EulerReference.follow, to
-    a callback that keeps only the error and the seminorms of each, and the grid's factors are dropped as
-    soon as no later run needs them: the Poisson factor after the Euler
-    reference, each stream factor after its alpha's run.
+    Each alpha run hands its snapshots, paired by EulerReference.follow,
+    to a callback that keeps only the error and the seminorms of each, and
+    the grid's factors are dropped as soon as no later run needs them: the
+    Poisson factor after the Euler reference, each stream factor after its
+    alpha's run.  Snapshots default to t_final / 8.
     """
     grid = build_grid(cfg.grid)
     psi0 = canonical_psi(cfg.case, grid)
     u0 = perp_grad(psi0)
-    run_cfg = cfg.run_config()
+    run_cfg = replace(cfg, snapshot_dt=snapshot_interval(cfg.snapshot_dt,
+                                                         cfg.t_final))
     reference = euler_reference(cfg.case, psi0, cfg.t_final, run_cfg)
     release_factors(grid, "poisson")
 
@@ -393,13 +383,13 @@ class EnergyBudget:
 
     add() takes each snapshot of the regularized run with the Euler
     velocity it is measured against, as EulerReference.follow pairs them;
-    finish() returns the EnergyAudit.  Only the Laplacian and w of the last three snapshots are
-    held, because d_t of the Laplacian is np.gradient's three-point stencil
-    with edge_order=2.  Each slice of it is evaluated with numpy's own
-    coefficients and operation order, so every term equals the batch
-    formula bit for bit.  numpy takes its uniform-spacing formulas iff every
-    time step equals the first, which is known only at the end, so f3 is
-    kept under both rules.
+    finish() returns the EnergyAudit.  Only the Laplacian and w of the last
+    three snapshots are held, because d_t of the Laplacian is np.gradient's
+    three-point stencil with edge_order=2.  Each slice of it is evaluated
+    with numpy's own coefficients and operation order, so every term equals
+    the batch formula bit for bit.  numpy takes its uniform-spacing formulas
+    iff every time step equals the first, which is known only at the end, so
+    f3 is kept under both rules.
     """
 
     def __init__(self, delta: float):

@@ -9,7 +9,7 @@ verification-failure exit code.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -203,8 +203,8 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
     g = build_grid(grid_spec)
     psi = canonical_psi(case, g)
     u0a = make_initial(psi, alpha)
-    cfg = run_config.run_config(
-        snapshot_dt=snapshot_interval(run_config.snapshot_dt, t_final))
+    cfg = replace(run_config, snapshot_dt=snapshot_interval(
+        run_config.snapshot_dt, t_final))
     budget = EnergyBudget(alpha ** SweepSettings.delta_rule
                           if delta is None else delta)
     on_snapshot, done = euler_reference(case, psi, t_final, cfg).follow(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import diskflow
@@ -16,6 +17,8 @@ from diskflow.cli import (RunConfig, SweepSettings, Tolerances,
 from diskflow.errors import ConfigError, EllipticSolveError
 from diskflow.fields import VectorField, read_snapshot
 from diskflow.grid import GridSpec, build_grid
+from diskflow.harness import euler_run
+from diskflow.initial_data import canonical_psi
 
 MINIMAL = ('{"model": "euler_alpha", "alpha": 0.2, '
            '"grid": {"n_r": 64}, "t_final": 0.1}')
@@ -164,7 +167,7 @@ def test_sweep_runs_take_the_solver_keys():
                            '"tail_threshold": 1e-5, '
                            '"sweep": {"alphas": [0.4, 0.2]}}')
     cfg = parse_config(text)
-    solver = _sweep_config(cfg).run_config()
+    solver = _sweep_config(cfg)
     assert (solver.cfl, solver.dt_max, solver.tail_threshold) == \
         (0.1, 0.001, 1e-5)
 
@@ -179,8 +182,8 @@ def test_round_trip_minimal_and_full():
 
 
 def test_document_keys_are_the_schema_keys():
-    # the solver's own RunConfig fields (mass_tol, diagnostics_path) stay
-    # out of the JSON
+    # the solver keys of dynamics.RunConfig are document keys; nothing else
+    # of the solver is
     doc = config_document(parse_config(FULL))
     assert set(doc) == {"model", "alpha", "nu", "grid", "t_final", "cfl",
                         "dt", "dt_max", "snapshot_dt", "tail_threshold",
@@ -215,6 +218,30 @@ def test_simulate_output_is_deterministic(tmp_path):
     assert main(["simulate", "--config", cfg, "--output-dir", str(b)]) == 0
     for name in sorted(os.listdir(a)):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_simulate_euler_is_the_euler_run_of_the_stream_function(tmp_path):
+    doc = {"model": "euler", "alpha": 0.2,
+           "grid": {"n_r": 64, "n_theta": 16}, "t_final": 0.1,
+           "snapshot_dt": 0.05, "case": {"name": "perturbed_vortex"}}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--output-dir", str(out)]) == 0
+    names = sorted(n for n in os.listdir(out) if n.startswith("snapshot_"))
+    assert len(names) == 3
+    parsed = parse_config(json.dumps(doc))
+    grid = build_grid(parsed.grid)
+    psi = canonical_psi(parsed.case, grid)
+    traj = euler_run(psi, 0.1, parsed)
+    rows = np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=1)
+    for j, key in enumerate(("t", "dt", "energy", "enstrophy", "tail_mass",
+                             "norm_u_sq", "grad_u_sq")):
+        assert np.array_equal(rows[:, j], traj.diagnostics[key]), key
+    for name, want in zip(names, traj.snapshots, strict=True):
+        field, meta = read_snapshot(out / name, grid)
+        assert meta["time"] == want.time
+        assert (meta["alpha"], meta["nu"]) == (0.0, 0.0)
+        assert np.array_equal(field.values, want.q.values)
 
 
 def test_exit_codes_for_config_errors(tmp_path, capsys):

@@ -10,12 +10,14 @@ import scipy.sparse.linalg
 from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import (ScalarField, VectorField, advect, laplacian,
                              norm_l2, perp_grad, seminorm_hk, write_snapshot)
-from diskflow.elliptic import recover_q
-from diskflow.dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
-                               cfl_dt, energy, initial_state, make_state,
-                               outer_circulation, rhs, run, step)
+from diskflow.elliptic import recover_q, total_mass
+from diskflow.dynamics import (EULER_MASS_TOL, FlowState, ModelParams,
+                               RunConfig, Trajectory, cfl_dt, energy,
+                               initial_state, make_state, outer_circulation,
+                               rhs, run, step)
 from diskflow.errors import (CirculationError, ConfigError,
                              EllipticSolveError, NumericalFailure)
+from diskflow.harness import euler_reference_state
 from diskflow.initial_data import InitialCase, canonical_psi, make_initial
 
 
@@ -88,13 +90,6 @@ def test_model_params_boundary_tags():
 def test_run_config_rejects_bad_values(kw):
     with pytest.raises(ConfigError):
         RunConfig(**kw)
-
-
-def test_run_config_of_a_run_config_keeps_every_key():
-    cfg = RunConfig(cfl=0.2, mass_tol=1e-3, diagnostics_path="d.csv")
-    assert cfg.run_config() == cfg
-    assert cfg.run_config(dt=0.01) == RunConfig(
-        cfl=0.2, dt=0.01, mass_tol=1e-3, diagnostics_path="d.csv")
 
 
 def test_initial_state_enforces_boundary_tag():
@@ -186,7 +181,7 @@ def test_radial_data_is_exact_steady_state_euler():
     g = build_grid(GridSpec(n_r=65, n_theta=16, r_max=8.0))
     u0 = velocity_from_stream(radial_stream(g))
     params = ModelParams("euler")
-    traj = run(params, u0, 0.2, RunConfig(dt=0.05, mass_tol=1e-3))
+    traj = run(params, u0, 0.2, RunConfig(dt=0.05))
     s0, s1 = traj.snapshots[0], traj.snapshots[-1]
     assert np.max(np.abs(s1.w.values - s0.w.values)) <= 1e-13
     assert np.max(np.abs(s1.u.u_theta - s0.u.u_theta)) <= 1e-13
@@ -397,14 +392,14 @@ def test_nan_failure_carries_time_and_stage():
     assert exc.value.detail in {"k1", "k2", "k3", "k4", "update"}
 
 
-def _broken_derive(values_of):
-    """A dynamics._derive whose q field is built from values_of(q.values)."""
+def _broken_make_state(values_of):
+    """dynamics.make_state with its q field replaced by values_of(q.values)."""
     import diskflow.dynamics as dynamics
-    real = dynamics._derive
+    real = dynamics.make_state
 
-    def broken(params, q, time, mass_tol, with_w):
+    def broken(params, q, time, with_w=True):
         return real(params, ScalarField(q.grid, values_of(q.values)), time,
-                    mass_tol, with_w)
+                    with_w)
     return broken
 
 
@@ -415,22 +410,22 @@ def test_only_non_finite_fields_map_to_nan(monkeypatch):
     state = initial_state(ModelParams("euler_alpha", alpha=0.3), u0)
 
     # a shape mismatch is a bug, not a numerical failure
-    monkeypatch.setattr(dynamics, "_derive",
-                        _broken_derive(lambda v: v[:, :-1]))
+    monkeypatch.setattr(dynamics, "make_state",
+                        _broken_make_state(lambda v: v[:, :-1]))
     with pytest.raises(ValueError, match="shape"):
         step(state, 1e-3)
 
     # so is a velocity that slips on the ring
-    def slipping(params, q, time, mass_tol, with_w):
+    def slipping(params, q, time, with_w=True):
         ut = np.ones((g.spec.n_r, g.spec.n_theta))
         VectorField(g, np.zeros_like(ut), ut, tag="no-slip")
-    monkeypatch.setattr(dynamics, "_derive", slipping)
+    monkeypatch.setattr(dynamics, "make_state", slipping)
     with pytest.raises(ValueError, match="no-slip"):
         step(state, 1e-3)
 
-    # stage k1 builds no state: a broken _derive first fires at k2
-    monkeypatch.setattr(dynamics, "_derive",
-                        _broken_derive(lambda v: v * np.nan))
+    # stage k1 builds no state: a broken make_state first fires at k2
+    monkeypatch.setattr(dynamics, "make_state",
+                        _broken_make_state(lambda v: v * np.nan))
     with pytest.raises(NumericalFailure) as exc:
         step(state, 1e-3)
     assert exc.value.kind == "nan"
@@ -457,13 +452,13 @@ def test_step_builds_four_states(monkeypatch):
     u0 = velocity_from_stream(radial_stream(g, moded=(0.3, 2)))
     state = initial_state(ModelParams("euler_alpha", alpha=0.3), u0)
     built, with_w = [], []
-    real = dynamics._derive
+    real = dynamics.make_state
 
     def counted(*args, **kwargs):
         built.append(args[2])
-        with_w.append(kwargs["with_w"])
+        with_w.append(kwargs.get("with_w", True))
         return real(*args, **kwargs)
-    monkeypatch.setattr(dynamics, "_derive", counted)
+    monkeypatch.setattr(dynamics, "make_state", counted)
     step(state, 1e-2)
     # k2, k3, k4 and the update; k1 reuses the given state's fields
     assert built == pytest.approx([0.005, 0.005, 0.01, 0.01])
@@ -471,20 +466,20 @@ def test_step_builds_four_states(monkeypatch):
     assert with_w == [False, False, False, True]
 
 
-@pytest.mark.parametrize("params, mass_tol, calls", [
-    (ModelParams("euler_alpha", alpha=0.3), 1e-6, 1),
-    (ModelParams("second_grade", alpha=0.3, nu=1e-3), 1e-6, 8),
-    (ModelParams("euler"), 1e-3, 4),
+@pytest.mark.parametrize("params, calls", [
+    (ModelParams("euler_alpha", alpha=0.3), 1),
+    (ModelParams("second_grade", alpha=0.3, nu=1e-3), 8),
+    (ModelParams("euler"), 4),
 ], ids=["euler_alpha", "second_grade", "euler"])
 def test_step_forms_only_the_laplacians_its_stages_read(monkeypatch, params,
-                                                        mass_tol, calls):
+                                                        calls):
     import diskflow.dynamics as dynamics
     import diskflow.elliptic as elliptic
     from diskflow.fields import laplacian
     g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
     u = perp_grad(radial_stream(g, moded=(0.3, 2)))
     u0 = VectorField(g, u.u_r, u.u_theta, tag=params.boundary_tag)
-    state = initial_state(params, u0, mass_tol=mass_tol)
+    state = initial_state(params, u0)
     n = [0]
 
     def counted(f):
@@ -492,7 +487,7 @@ def test_step_forms_only_the_laplacians_its_stages_read(monkeypatch, params,
         return laplacian(f)
     for module in (dynamics, elliptic):
         monkeypatch.setattr(module, "laplacian", counted)
-    new = step(state, 1e-3, mass_tol=mass_tol)
+    new = step(state, 1e-3)
     # euler_alpha: w of the update only; second_grade: w and nu lap(w) at
     # k2-k4 and w of the update, plus nu lap(w) at k1; euler: one Poisson
     # residual per inversion
@@ -537,13 +532,12 @@ def test_step_equals_the_plain_rk4_expressions_bit_for_bit(kind, alpha, nu,
     g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
     u0 = velocity_from_stream(radial_stream(g, moded=moded))
     params = ModelParams(kind, alpha=alpha, nu=nu)
-    tol = 1e-3                    # the Euler slack for grid vorticity
-    state = initial_state(params, u0, mass_tol=tol)
+    state = initial_state(params, u0)
     dt = 0.01
 
     def k(values, time, st=None):
         if st is None:
-            st = make_state(params, ScalarField(g, values), time, tol)
+            st = make_state(params, ScalarField(g, values), time)
         vals = -advect(st.u, st.q).values
         if nu > 0.0:
             vals = vals + nu * laplacian(st.w).values
@@ -555,34 +549,32 @@ def test_step_equals_the_plain_rk4_expressions_bit_for_bit(kind, alpha, nu,
         k3 = k(q + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = k(q + dt * k3, t + dt)
         want = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        state = step(state, dt, mass_tol=tol)
+        state = step(state, dt)
         assert np.array_equal(state.q.values.view(np.uint64),
                               want.view(np.uint64))
 
 
-def _rebuilding_step(state, dt, mass_tol=1e-6, end_time=None):
+def _rebuilding_step(state, dt, end_time=None):
     """Textbook RK4 that recovers (phi, w, u) from q at every stage."""
     params, g, q, t = state.params, state.q.grid, state.q.values, state.time
 
     def k(values, time):
-        return rhs(make_state(params, ScalarField(g, values), time,
-                              mass_tol)).values
+        return rhs(make_state(params, ScalarField(g, values), time)).values
     k1 = k(q, t)
     k2 = k(q + 0.5 * dt * k1, t + 0.5 * dt)
     k3 = k(q + 0.5 * dt * k2, t + 0.5 * dt)
     k4 = k(q + dt * k3, t + dt)
     q_new = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     t_new = t + dt if end_time is None else end_time
-    return make_state(params, ScalarField(g, q_new), t_new, mass_tol)
+    return make_state(params, ScalarField(g, q_new), t_new)
 
 
-@pytest.mark.parametrize("params, mass_tol", [
-    (ModelParams("euler_alpha", alpha=0.3), 1e-6),
-    (ModelParams("second_grade", alpha=0.3, nu=1e-3), 1e-6),
-    (ModelParams("euler"), 1e-3),
+@pytest.mark.parametrize("params", [
+    ModelParams("euler_alpha", alpha=0.3),
+    ModelParams("second_grade", alpha=0.3, nu=1e-3),
+    ModelParams("euler"),
 ], ids=["euler_alpha", "second_grade", "euler"])
-def test_reused_k1_state_matches_rebuilt_bit_for_bit(monkeypatch, params,
-                                                      mass_tol):
+def test_reused_k1_state_matches_rebuilt_bit_for_bit(monkeypatch, params):
     import diskflow.dynamics as dynamics
     g = build_grid(GridSpec(n_r=49, n_theta=16, r_max=8.0))
     u = perp_grad(radial_stream(g, lo=1.8, hi=6.0, moded=(0.3, 2)))
@@ -590,8 +582,7 @@ def test_reused_k1_state_matches_rebuilt_bit_for_bit(monkeypatch, params,
     # the tail guard is lifted: the far-field closure at r_max makes viscous
     # runs feed vorticity at the truncation ring, and this test compares two
     # step paths, not the far field
-    config = RunConfig(cfl=0.4, snapshot_dt=0.02, mass_tol=mass_tol,
-                       tail_threshold=1.0)
+    config = RunConfig(cfl=0.4, snapshot_dt=0.02, tail_threshold=1.0)
     got = run(params, u0, 0.06, config)
     monkeypatch.setattr(dynamics, "step", _rebuilding_step)
     want = run(params, u0, 0.06, config)
@@ -623,6 +614,32 @@ def test_outer_circulation_precheck():
         run(ModelParams("euler"), u0, 0.1)
 
 
+@pytest.mark.parametrize("case_name", ["radial_vortex", "perturbed_vortex"])
+def test_default_config_runs_euler_from_a_stream_function(case_name):
+    # grid vorticity from a stream function has O(h^2) net mass, beyond
+    # solve_poisson's own default guard; the Euler slack admits it
+    g = build_grid(GridSpec(n_r=64, n_theta=16))
+    psi = canonical_psi(InitialCase(case_name), g)
+    u0 = euler_reference_state(psi).u
+    w0 = recover_q(u0, 0.0)
+    assert 1e-6 * norm_l2(w0) < abs(total_mass(w0)) < EULER_MASS_TOL
+    traj = run(ModelParams("euler"), u0, 0.1, RunConfig(snapshot_dt=0.05))
+    assert [s.time for s in traj.snapshots] == \
+        pytest.approx([0.0, 0.05, 0.1], abs=1e-12)
+
+
+def test_euler_mass_guard_rejects_a_swirl_that_slips_on_the_ring():
+    g = GRID64
+    ut = np.repeat(np.exp(-(g.r_nodes - 1.0) ** 2)[:, None], g.spec.n_theta,
+                   axis=1)
+    u = VectorField(g, np.zeros_like(ut), ut)
+    # the swirl's circulation 2 pi on the ring is net vorticity mass -2 pi
+    assert total_mass(recover_q(u, 0.0)) == pytest.approx(-2.0 * np.pi,
+                                                          rel=1e-3)
+    with pytest.raises(CirculationError):
+        initial_state(ModelParams("euler"), u)
+
+
 def test_min_dt_collapse_raises_cfl_failure():
     g = GRID64
     u0 = velocity_from_stream(radial_stream(g))
@@ -646,8 +663,8 @@ def test_snapshots_land_on_exact_times(tmp_path):
     u0 = velocity_from_stream(radial_stream(g))
     params = ModelParams("euler_alpha", alpha=0.2)
     csv = tmp_path / "diag.csv"
-    traj = run(params, u0, 0.2,
-               RunConfig(dt=0.003, snapshot_dt=0.05, diagnostics_path=str(csv)))
+    traj = run(params, u0, 0.2, RunConfig(dt=0.003, snapshot_dt=0.05),
+               diagnostics_path=str(csv))
     times = [s.time for s in traj.snapshots]
     assert times == pytest.approx([0.0, 0.05, 0.10, 0.15, 0.20], abs=1e-12)
 
@@ -722,7 +739,7 @@ def test_rhs_matches_hand_assembly():
 def test_energy_reduces_to_plain_l2_for_euler():
     g = GRID64
     u0 = velocity_from_stream(radial_stream(g))
-    st = initial_state(ModelParams("euler"), u0, mass_tol=1e-3)
+    st = initial_state(ModelParams("euler"), u0)
     assert energy(st) == pytest.approx(norm_l2(st.u) ** 2, rel=1e-14)
 
 

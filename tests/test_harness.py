@@ -21,8 +21,8 @@ from diskflow.harness import (EnergyAudit, EnergyBudget, SweepConfig,
                               _energy_drift, bound_margins, energy_audit,
                               euler_reference_state, euler_run,
                               fit_theorem_constant, frozen_trajectory,
-                              rate_entry, run_sweep, theorem_rhs,
-                              write_sweep_csv)
+                              rate_entry, run_sweep, snapshot_interval,
+                              theorem_rhs, write_sweep_csv)
 from diskflow.initial_data import InitialCase, canonical_psi, make_initial
 from diskflow.ratefit import fit_rate
 from diskflow.verify import energy_audit_study
@@ -162,7 +162,7 @@ def test_sweep_with_numerical_euler_reference():
         assert r.sup_err_l2 > 0.0
         # the largest and the last L2 gap to the Euler run over the snapshots
         traj = run(ModelParams.regularized(r.alpha, r.nu),
-                   make_initial(psi0, r.alpha), cfg.t_final, cfg.run_config())
+                   make_initial(psi0, r.alpha), cfg.t_final, cfg)
         errs = [norm_l2(VectorField(g, a.u.u_r - b.u.u_r,
                                     a.u.u_theta - b.u.u_theta))
                 for a, b in zip(traj.snapshots, ref.snapshots)]
@@ -180,7 +180,7 @@ def test_radial_sweep_errors_are_gaps_to_the_frozen_initial_state():
     for r in recs:
         assert r.status == "ok"
         traj = run(ModelParams.regularized(r.alpha, r.nu),
-                   make_initial(psi0, r.alpha), cfg.t_final, cfg.run_config())
+                   make_initial(psi0, r.alpha), cfg.t_final, cfg)
         errs = [norm_l2(VectorField(g, s.u.u_r - ref.u_r,
                                     s.u.u_theta - ref.u_theta))
                 for s in traj.snapshots]
@@ -324,7 +324,8 @@ def batch_sweep_records(cfg):
     g = build_grid(cfg.grid)
     psi0 = canonical_psi(cfg.case, g)
     u0 = perp_grad(psi0)
-    run_cfg = cfg.run_config()
+    run_cfg = dataclasses.replace(
+        cfg, snapshot_dt=snapshot_interval(cfg.snapshot_dt, cfg.t_final))
     if cfg.case.name != "radial_vortex":
         ref = euler_run(psi0, cfg.t_final, run_cfg)
     out = []
