@@ -79,7 +79,8 @@ class RunConfig(dynamics.RunConfig):
         if self.model not in KINDS:
             raise ConfigError("model=%r not one of %r" % (self.model, KINDS),
                               key="model")
-        check_alpha(self.alpha)
+        if not (self.model == "euler" and self.alpha == 0.0):
+            check_alpha(self.alpha)     # Euler's own alpha is 0
         viscous = self.model == "second_grade"
         if self.nu < 0.0 or viscous != (self.nu > 0.0):
             raise ConfigError("nu=%r: model %r requires nu %s" % (

@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import (ConfigError, EllipticSolveError, NonFiniteFieldError,
                      NumericalFailure)
-from .fields import (ScalarField, VectorField, _fresh, advect, grad_norm_l2,
-                     laplacian, norm_l2, perp_grad)
+from .fields import (ScalarField, VectorField, _const, _retag, _scalar,
+                     advect, grad_norm_l2, laplacian, norm_l2, perp_grad)
 from .elliptic import recover_q, solve_poisson, solve_stream_helmholtz
-from .grid import ExteriorGrid, tail_weights
+from .grid import tail_weights
 
 KINDS = ("second_grade", "euler_alpha", "euler")
 MIN_DT = 1e-10                 # a smaller admissible step fails the run
@@ -131,8 +131,7 @@ def make_state(params: ModelParams, q: ScalarField, time: float,
     if params.kind == "euler":
         w = q
         phi = solve_poisson(w, mass_tol=EULER_MASS_TOL)
-        u = perp_grad(phi)
-        u = VectorField(q.grid, u.u_r, u.u_theta, tag="non-penetration")
+        u = _retag(perp_grad(phi), "non-penetration")
     else:
         phi, w, u = solve_stream_helmholtz(q, params.alpha, with_w=with_w)
     return FlowState(time=time, q=q, w=w, phi=phi, u=u, params=params)
@@ -140,44 +139,46 @@ def make_state(params: ModelParams, q: ScalarField, time: float,
 
 def initial_state(params: ModelParams, u0: VectorField) -> FlowState:
     """State at t=0 from a velocity field satisfying the boundary tag."""
-    VectorField(u0.grid, u0.u_r, u0.u_theta, tag=params.boundary_tag)
+    _retag(u0, params.boundary_tag)
     q0 = recover_q(u0, params.alpha)
     return make_state(params, q0, 0.0)
 
 
 def rhs(state: FlowState) -> ScalarField:
     """-u . grad q + nu Delta w (q and w coincide for plain vorticity)."""
-    g = state.q.grid
-    vals = np.negative(advect(state.u, state.q).values)
+    q, u = state.q, state.u
+    vals = np.negative(advect(u, q).values)
+    const = _const(q) and _const(u, 0) and _const(u, 1)
     if state.params.nu > 0.0:
         vals += laplacian(state.w).values * state.params.nu
-    return ScalarField(g, _fresh(vals))
+        const = const and _const(state.w)
+    return _scalar(q.grid, vals, const)
 
 
-def _axpy(q: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
-    """q + h * k as one fresh array: k * h, then q added in place."""
-    out = k * h
-    out += q
-    return out
+def _stage_q(q: ScalarField, h: float, k: ScalarField, time: float,
+             stage: str) -> ScalarField:
+    """q + h * k, formed as k * h with q added in place; a non-finite value
+    fails the step as nan."""
+    vals = k.values * h
+    vals += q.values
+    try:
+        return _scalar(q.grid, vals, _const(q) and _const(k))
+    except NonFiniteFieldError as exc:
+        raise NumericalFailure("non-finite q entering stage %s" % stage,
+                               kind="nan", time=time, detail=stage) from exc
 
 
-def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
-               time: float, stage: str,
-               state: FlowState | None = None) -> np.ndarray:
+def _stage_rhs(params: ModelParams, q: ScalarField, time: float, stage: str,
+               state: FlowState | None = None) -> ScalarField:
     """Tendency of q at one stage; a non-finite value fails the step as nan.
 
-    q_values must be a fresh array: the stage's q field keeps it.  Its state
-    is derived with w only where rhs reads it, unless the state is given.
-    A failed elliptic solve fails the step as 'solve'.
+    The state of q is derived with w only where rhs reads it, unless it is
+    given.  A failed elliptic solve fails the step as 'solve'.
     """
-    if not np.isfinite(q_values).all():
-        raise NumericalFailure("non-finite q entering stage %s" % stage,
-                               kind="nan", time=time, detail=stage)
     try:
         if state is None:
-            state = make_state(params, ScalarField(grid, _fresh(q_values)),
-                               time, with_w=params.nu > 0.0)
-        k = rhs(state).values
+            state = make_state(params, q, time, with_w=params.nu > 0.0)
+        k = rhs(state)
     except NonFiniteFieldError as exc:  # overflow inside the stage
         raise NumericalFailure("non-finite field at stage %s" % stage,
                                kind="nan", time=time, detail=stage) from exc
@@ -185,9 +186,6 @@ def _stage_rhs(params: ModelParams, grid: ExteriorGrid, q_values: np.ndarray,
         raise NumericalFailure("elliptic solve failed at stage %s: %s"
                                % (stage, exc), kind="solve", time=time,
                                detail=stage) from exc
-    if not np.isfinite(k).all():
-        raise NumericalFailure("non-finite tendency at stage %s" % stage,
-                               kind="nan", time=time, detail=stage)
     return k
 
 
@@ -200,26 +198,29 @@ def step(state: FlowState, dt: float,
     again.  end_time, when given, stamps the new state in place of t + dt.
     """
     params = state.params
-    g = state.q.grid
-    q = state.q.values
+    q = state.q
     t = state.time
-    k1 = _stage_rhs(params, g, q, t, "k1", state=state)
-    k2 = _stage_rhs(params, g, _axpy(q, 0.5 * dt, k1), t + 0.5 * dt, "k2")
-    k3 = _stage_rhs(params, g, _axpy(q, 0.5 * dt, k2), t + 0.5 * dt, "k3")
-    k4 = _stage_rhs(params, g, _axpy(q, dt, k3), t + dt, "k4")
+    th = t + 0.5 * dt
+    k1 = _stage_rhs(params, q, t, "k1", state=state)
+    k2 = _stage_rhs(params, _stage_q(q, 0.5 * dt, k1, th, "k2"), th, "k2")
+    k3 = _stage_rhs(params, _stage_q(q, 0.5 * dt, k2, th, "k3"), th, "k3")
+    k4 = _stage_rhs(params, _stage_q(q, dt, k3, t + dt, "k4"), t + dt, "k4")
     # q + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order in place
-    q_new = k2 * 2.0
-    q_new += k1
-    q_new += k3 * 2.0
-    q_new += k4
+    q_new = k2.values * 2.0
+    q_new += k1.values
+    q_new += k3.values * 2.0
+    q_new += k4.values
     q_new *= dt / 6.0
-    q_new += q
-    if not np.isfinite(q_new).all():
+    q_new += q.values
+    const = all(_const(f) for f in (q, k1, k2, k3, k4))
+    try:
+        q_new = _scalar(q.grid, q_new, const)
+    except NonFiniteFieldError as exc:
         raise NumericalFailure("non-finite q after step", kind="nan",
-                               time=t, detail="update")
+                               time=t, detail="update") from exc
     t_new = t + dt if end_time is None else end_time
     try:
-        return make_state(params, ScalarField(g, _fresh(q_new)), t_new)
+        return make_state(params, q_new, t_new)
     except NonFiniteFieldError as exc:
         raise NumericalFailure("non-finite field after step", kind="nan",
                                time=t, detail="update") from exc

@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (BoundaryTagError, CirculationError, ConfigError,
                      EllipticSolveError)
-from .fields import (ScalarField, VectorField, _fresh, _theta_constant,
+from .fields import (ScalarField, VectorField, _const, _retag, _scalar,
                      curl_perp, laplacian, norm_l2, perp_grad)
 from .grid import ExteriorGrid
 
@@ -193,23 +193,32 @@ def _solve_modes(factor, parts: np.ndarray):
     return out[0] + 1j * out[1], res2, float(np.sum(parts))
 
 
-def _spectrum(values: np.ndarray) -> np.ndarray:
-    """Angular rfft of values, with only mode 0 kept on theta-constant rows.
+def _active_modes(coeff: np.ndarray, const: bool) -> tuple:
+    """Angular modes whose interior coefficients carry data.
 
-    There the m >= 1 coefficients are roundoff (exact zeros only when
-    n_theta has no prime factor other than 2 and 3), and dropping them keeps
-    radial data radial: an irfft of mode 0 alone gives exactly constant
-    rows.
+    coeff is the angular rfft of an array whose flag is const.  For a
+    theta-constant array only mode 0 counts: its m >= 1 coefficients are
+    roundoff (exact zeros only when n_theta has no prime factor other than
+    2 and 3), and dropping them keeps radial data radial.
     """
-    coeff = np.fft.rfft(values, axis=1)
-    if _theta_constant(values):
-        coeff[:, 1:] = 0.0
-    return coeff
-
-
-def _active_modes(coeff: np.ndarray) -> tuple:
-    """Angular modes whose interior coefficients carry data."""
+    if const:
+        coeff = coeff[:, :1]
     return tuple(int(m) for m in np.flatnonzero(coeff[1:-1].any(axis=0)))
+
+
+def _synthesis(grid: ExteriorGrid, phi_hat: np.ndarray,
+               const: bool) -> ScalarField:
+    """phi from its angular modes; const is the flag of the right-hand side.
+
+    For a theta-constant right-hand side only mode 0 is set, yet the irfft
+    does not always give exactly constant rows (at n_theta = 478 = 2 * 239
+    they spread by 2.8e-16), so its column 0 fills each row: phi is
+    theta-constant by construction, and radial data stays radial.
+    """
+    phi = np.fft.irfft(phi_hat, n=grid.spec.n_theta, axis=1)
+    if const:
+        phi[:, 1:] = phi[:, :1]
+    return _scalar(grid, phi, const)
 
 
 def total_mass(w: ScalarField) -> float:
@@ -227,10 +236,10 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
             "net vorticity mass %.3e exceeds tolerance; the mode-0 far "
             "condition requires zero circulation" % mass, mode=0)
 
-    n_theta = g.spec.n_theta
-    coeff = _spectrum(w.values)
+    const = _const(w)
+    coeff = np.fft.rfft(w.values, axis=1)
     phi_hat = np.zeros_like(coeff)
-    modes = _active_modes(coeff)
+    modes = _active_modes(coeff, const)
     if modes:
         n = g.spec.n_r
         e2s = np.exp(2.0 * g.s_nodes)
@@ -242,7 +251,7 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
         x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes),
                                parts.reshape(2, -1))
         phi_hat[:, modes] = x.reshape(len(modes), n).T
-    phi = ScalarField(g, _fresh(np.fft.irfft(phi_hat, n=n_theta, axis=1)))
+    phi = _synthesis(g, phi_hat, const)
 
     res = laplacian(phi).values - w.values
     inner = res[1:-1]
@@ -268,13 +277,13 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
             "alpha=%r must be positive; the no-slip Poisson problem is "
             "overdetermined at alpha=0" % (alpha,), key="alpha")
     g = q.grid
-    n_theta = g.spec.n_theta
     n = g.spec.n_r
-    coeff = _spectrum(q.values)
+    const = _const(q)
+    coeff = np.fft.rfft(q.values, axis=1)
     phi_hat = np.zeros_like(coeff)
     res2 = 0.0
     rhs2 = 0.0
-    modes = _active_modes(coeff)
+    modes = _active_modes(coeff, const)
     if modes:
         parts = np.zeros((2, len(modes), 2 * n))
         parts[0, :, 3:-2:2] = coeff.real[1:-1, modes].T
@@ -282,7 +291,7 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
         x, res2, rhs2 = _solve_modes(_block_factor(g, "stream", alpha, modes),
                                      parts.reshape(2, -1))
         phi_hat[:, modes] = x.reshape(len(modes), 2 * n)[:, 0::2].T
-    phi = ScalarField(g, _fresh(np.fft.irfft(phi_hat, n=n_theta, axis=1)))
+    phi = _synthesis(g, phi_hat, const)
     w = laplacian(phi) if with_w else None
 
     # residual of the banded system itself; recomposing Delta^2 in physical
@@ -292,9 +301,8 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
     if res_norm > _RESIDUAL_TOL * scale:
         raise EllipticSolveError("stream residual %.3e exceeds %.0e relative"
                                  % (res_norm, _RESIDUAL_TOL))
-    u = perp_grad(phi)
     try:
-        u = VectorField(g, u.u_r, u.u_theta, tag="no-slip")
+        u = _retag(perp_grad(phi), "no-slip")
     except BoundaryTagError as exc:
         raise EllipticSolveError("stream solve: %s" % exc) from exc
     return phi, w, u
@@ -307,4 +315,4 @@ def recover_q(u: VectorField, alpha: float) -> ScalarField:
         return w
     q = alpha * alpha * laplacian(w).values
     np.subtract(w.values, q, out=q)
-    return ScalarField(u.grid, _fresh(q))
+    return _scalar(u.grid, q, _const(w))

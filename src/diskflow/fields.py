@@ -2,28 +2,40 @@
 
 Angular derivatives are spectral (real FFT, exact for resolved modes, the
 odd-derivative Nyquist coefficient dropped).  For an array whose every row
-is finite and holds one value (radial data) the derivative is +0.0
-everywhere; _dtheta and _dtheta2 then return None, with no transform and no
-array, and each caller applies what multiplying by or adding that +0.0 does
-to its other operand: a product with a finite factor keeps the factor's
-sign (x * 0.0), x - (+0.0) is x, and x + (+0.0) turns -0.0 into +0.0
-(x + 0.0).
+is finite and holds one value (a theta-constant array: radial data) the
+derivative is +0.0 everywhere; _dtheta and _dtheta2 then return None, with
+no transform and no array, and each caller applies what multiplying by or
+adding that +0.0 does to its other operand: a product with a finite factor
+keeps the factor's sign (x * 0.0), x - (+0.0) is x, and x + (+0.0) turns
+-0.0 into +0.0 (x + 0.0).
 Radial derivatives are 2nd-order centered differences in s = ln r with
 one-sided 2nd-order closures at r = 1 and r = r_max.  Norms use the grid
 quadrature.  H^k seminorms apply k nested first-derivative stencils
 [d/dr, (1/r) d/dtheta] to every component, trading sharp constants for code
 reuse; scaling exponents are what the harness needs.
 
-Fields are immutable: constructors copy and freeze a caller's writeable
-array, operators are pure functions returning new fields.  An operator marks
-the arrays it has just computed read-only before wrapping them, so the
-constructor keeps them without a copy; the finiteness check still runs.
+Fields are immutable: constructors copy and freeze a caller's array
+unless it is read-only and owns its data, operators are pure functions
+returning new fields.  An operator marks the arrays it has just computed
+read-only before wrapping them, so they are kept without a copy.
 The derivative kernels, the scalar and vector operators, grad_tensor and
 the norms build each result in place: the first operation of an expression
 allocates the result and the rest write into it with out=, *= and +=.
 Every IEEE operation and its operand order are kept (only a*b -> b*a and
 a+b -> b+a are swapped), so the values are those of the plain
 expressions bit for bit.
+
+Every array of a field carries a theta-constancy flag, which always equals
+_theta_constant of its values.  An operator sets the flags of its results
+from its inputs' flags: when every input array is theta-constant, each
+result row is the same IEEE operations applied to equal operands, so it is
+theta-constant too, exactly when it is finite, and the finiteness of such a
+result is read from column 0 alone (a row whose entries all == a finite
+first entry is finite).  Otherwise the whole result is checked for
+finiteness and its flag is left unknown.  An unknown flag, as on every
+array a caller hands to a constructor, is found by one _theta_constant scan
+on first use and kept.  The kernels, the seminorms and the elliptic solves
+read the flags instead of scanning.
 """
 
 from __future__ import annotations
@@ -43,7 +55,9 @@ def _owned(values, shape):
                          % (vals.shape, shape))
     if not np.isfinite(vals).all():
         raise NonFiniteFieldError("field contains NaN or Inf")
-    if vals.flags.writeable:
+    # a read-only view may still change through its base, and with it the
+    # values under a kept flag
+    if vals.flags.writeable or vals.base is not None:
         vals = vals.copy()
         vals.flags.writeable = False
     return vals
@@ -55,15 +69,68 @@ def _fresh(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _result_flag(a: np.ndarray, const: bool) -> bool | None:
+    """The flag of a fresh operator result a; NonFiniteFieldError unless a
+    is finite.
+
+    const says that every input array of a was theta-constant, so a is
+    theta-constant exactly when it is finite, and column 0 tells which.
+    Otherwise all of a is checked and its flag is unknown (None).
+    """
+    if not np.isfinite(a[:, 0] if const else a).all():
+        raise NonFiniteFieldError("field contains NaN or Inf")
+    return True if const else None
+
+
+def _const(f, i: int = 0) -> bool:
+    """Theta-constancy of component i of f (see _components), scanned with
+    _theta_constant only while its flag is unknown.  Threads that find one
+    unknown flag at once each store the same value."""
+    flags = f._flags
+    if flags[i] is None:
+        flags[i] = _theta_constant(_components(f)[i])
+    return flags[i]
+
+
+def _scalar(grid: ExteriorGrid, values: np.ndarray, const: bool):
+    """ScalarField of the fresh result values; const as in _result_flag."""
+    f = object.__new__(ScalarField)
+    f._set(grid, _fresh(values), [_result_flag(values, const)])
+    return f
+
+
+def _vector(grid: ExteriorGrid, u_r: np.ndarray, u_theta: np.ndarray,
+            const_r: bool, const_theta: bool):
+    """Untagged VectorField of fresh results; each const as in
+    _result_flag."""
+    u = object.__new__(VectorField)
+    u._set(grid, _fresh(u_r), _fresh(u_theta),
+           [_result_flag(u_r, const_r), _result_flag(u_theta, const_theta)],
+           None)
+    return u
+
+
+def _retag(u, tag: str):
+    """u's arrays, and the flags it holds for them, under boundary tag,
+    which is checked."""
+    v = object.__new__(VectorField)
+    v._set(u.grid, u.u_r, u.u_theta, u._flags, tag)
+    return v
+
+
 class ScalarField:
     """A scalar sample on every grid node."""
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("grid", "values", "_flags")
 
     def __init__(self, grid: ExteriorGrid, values):
         shape = (grid.spec.n_r, grid.spec.n_theta)
+        self._set(grid, _owned(values, shape), [None])
+
+    def _set(self, grid, values, flags):
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", _owned(values, shape))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_flags", flags)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -79,16 +146,21 @@ class VectorField:
     A violated tag raises BoundaryTagError, a ValueError.
     """
 
-    __slots__ = ("grid", "u_r", "u_theta", "tag")
+    __slots__ = ("grid", "u_r", "u_theta", "tag", "_flags")
 
     _RING_TOL = 1e-12
 
     def __init__(self, grid: ExteriorGrid, u_r, u_theta, tag=None):
         shape = (grid.spec.n_r, grid.spec.n_theta)
+        self._set(grid, _owned(u_r, shape), _owned(u_theta, shape),
+                  [None, None], tag)
+
+    def _set(self, grid, u_r, u_theta, flags, tag):
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "u_r", _owned(u_r, shape))
-        object.__setattr__(self, "u_theta", _owned(u_theta, shape))
+        object.__setattr__(self, "u_r", u_r)
+        object.__setattr__(self, "u_theta", u_theta)
         object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "_flags", flags)
         if tag == "no-slip":
             worst = max(np.abs(self.u_r[0]).max(),
                         np.abs(self.u_theta[0]).max())
@@ -152,11 +224,11 @@ def _theta_constant(a: np.ndarray) -> bool:
     return bool((a == first[:, None]).all() and np.isfinite(first).all())
 
 
-def _dtheta(a: np.ndarray) -> np.ndarray | None:
+def _dtheta(a: np.ndarray, const: bool | None = None) -> np.ndarray | None:
     """d/dtheta of a, or None for a theta-constant a (see _theta_constant):
     that derivative is +0.0 at every node, which callers apply without
-    an array."""
-    if _theta_constant(a):
+    an array.  const is a's flag; None scans a."""
+    if _theta_constant(a) if const is None else const:
         return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
@@ -166,9 +238,9 @@ def _dtheta(a: np.ndarray) -> np.ndarray | None:
     return np.fft.irfft(coeff, n=n, axis=1)
 
 
-def _dtheta2(a: np.ndarray) -> np.ndarray | None:
+def _dtheta2(a: np.ndarray, const: bool | None = None) -> np.ndarray | None:
     """d^2/dtheta^2 of a, or None for a theta-constant a, as _dtheta."""
-    if _theta_constant(a):
+    if _theta_constant(a) if const is None else const:
         return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
@@ -194,13 +266,14 @@ def _dr(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
 def perp_grad(psi: ScalarField) -> VectorField:
     """u = (-(1/r) dtheta psi, dr psi), the rotated gradient."""
     g = psi.grid
-    u_r = _dtheta(psi.values)
+    const = _const(psi)
+    u_r = _dtheta(psi.values, const)
     if u_r is None:
         u_r = np.full_like(psi.values, -0.0)    # (+0.0) * (-1/r)
     else:
         u_r *= -_inv_r(g)
     u_theta = _dr(psi.values, g)
-    return VectorField(g, _fresh(u_r), _fresh(u_theta))
+    return _vector(g, u_r, u_theta, const, const)
 
 
 def curl_perp(u: VectorField) -> ScalarField:
@@ -210,16 +283,17 @@ def curl_perp(u: VectorField) -> ScalarField:
     # (1/r) d_r(r u_theta) = e^{-2s} d_s(e^s u_theta)
     w = _ds(g.r_nodes[:, None] * u.u_theta, g.ds)
     w *= inv_r
-    d = _dtheta(u.u_r)
+    const = _const(u, 0)
+    d = _dtheta(u.u_r, const)
     if d is not None:       # w - (+0.0) is w
         w -= d
     w *= inv_r
-    return ScalarField(g, _fresh(w))
+    return _scalar(g, w, const and _const(u, 1))
 
 
-def _laplacian(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
+def _laplacian(a: np.ndarray, grid: ExteriorGrid, const: bool) -> np.ndarray:
     vals = _dss(a, grid.ds)
-    d = _dtheta2(a)
+    d = _dtheta2(a, const)
     if d is None:
         vals += 0.0
     else:
@@ -230,18 +304,19 @@ def _laplacian(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
 
 def laplacian(f: ScalarField) -> ScalarField:
     """e^{-2s} (d_ss + d_thetatheta) f."""
-    return ScalarField(f.grid, _fresh(_laplacian(f.values, f.grid)))
+    const = _const(f)
+    return _scalar(f.grid, _laplacian(f.values, f.grid, const), const)
 
 
 def _angular_advection(u_theta: np.ndarray, inv_r: np.ndarray,
-                       a: np.ndarray) -> np.ndarray:
-    """(u_theta * inv_r) * dtheta a.
+                       a: np.ndarray, const: bool) -> np.ndarray:
+    """(u_theta * inv_r) * dtheta a, const being a's flag.
 
     For a theta-constant a this is u_theta * 0.0: inv_r lies in (0, 1], so
     u_theta * inv_r is finite with the sign of u_theta, as its product with
     +0.0 is.
     """
-    d = _dtheta(a)
+    d = _dtheta(a, const)
     if d is None:
         return u_theta * 0.0
     ang = u_theta * inv_r
@@ -254,10 +329,11 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     if u.grid is not q.grid:
         raise ValueError("advect requires fields on the same grid")
     g = q.grid
+    const = _const(q)
     vals = _dr(q.values, g)
     vals *= u.u_r
-    vals += _angular_advection(u.u_theta, _inv_r(g), q.values)
-    return ScalarField(g, _fresh(vals))
+    vals += _angular_advection(u.u_theta, _inv_r(g), q.values, const)
+    return _scalar(g, vals, const and _const(u, 0) and _const(u, 1))
 
 
 def _components(f) -> list:
@@ -302,21 +378,22 @@ def seminorms_hk(f, k_max: int) -> tuple:
     each level is summed as it is reached, so the derivatives of level k
     are taken once for all orders above it.
 
-    A theta-constant component (see _theta_constant) skips its d/dtheta
-    branch and every derivative of it: they are exact zeros, which add
-    +0.0 to a non-negative sum.  Its d/dr is theta-constant bit for bit, so
-    it keeps the flag while finite, and an all-zero one is dropped.  A
-    d/dtheta that _dtheta returns as None is dropped for the same reason.
-    The sums are those of every word of derivatives, bit for bit.
+    A component flagged theta-constant skips its d/dtheta branch and every
+    derivative of it: they are exact zeros, which add +0.0 to a
+    non-negative sum.  Its d/dr is theta-constant bit for bit, so it keeps
+    the flag while finite, and an all-zero one is dropped.  The derivatives
+    of other components start with unknown flags, so a d/dtheta that
+    _dtheta returns as None is dropped for the same reason.  The sums are
+    those of every word of derivatives, bit for bit.
     """
     if k_max not in (1, 2, 3):
         raise ConfigError("seminorm order k=%r outside 1..3" % (k_max,),
                           key="k")
     g = f.grid
     inv_r = _inv_r(g)
-    comps = []                        # (array, theta-constant) pairs
-    for c in _components(f):
-        const = _theta_constant(c)
+    comps = []                        # (array, flag) pairs
+    for i, c in enumerate(_components(f)):
+        const = _const(f, i)
         if not const or c[:, 0].any():
             comps.append((c, const))
     norms = []
@@ -324,12 +401,13 @@ def seminorms_hk(f, k_max: int) -> tuple:
         nxt = []
         for c, const in comps:
             d = _dr(c, g)
-            nxt.append((d, const and bool(np.isfinite(d[:, 0]).all())))
+            nxt.append((d, bool(np.isfinite(d[:, 0]).all()) if const
+                        else None))
             if not const:
-                d = _dtheta(c)
+                d = _dtheta(c, const)
                 if d is not None:
                     d *= inv_r
-                    nxt.append((d, False))
+                    nxt.append((d, None))
         comps = nxt
         total = 0.0
         for c, _ in comps:
@@ -365,14 +443,14 @@ def grad_tensor(u: VectorField) -> tuple:
     inv_r = _inv_r(g)
     t_rr = _dr(u.u_r, g)
     t_rt = _dr(u.u_theta, g)
-    t_tr = _dtheta(u.u_r)
+    t_tr = _dtheta(u.u_r, _const(u, 0))
     if t_tr is None:        # (+0.0) - inv_r u_theta
         t_tr = inv_r * u.u_theta
         np.subtract(0.0, t_tr, out=t_tr)
     else:
         t_tr *= inv_r
         t_tr -= inv_r * u.u_theta
-    t_tt = _dtheta(u.u_theta)
+    t_tt = _dtheta(u.u_theta, _const(u, 1))
     if t_tt is None:        # (+0.0) + inv_r u_r
         t_tt = inv_r * u.u_r
         t_tt += 0.0
@@ -384,29 +462,32 @@ def grad_tensor(u: VectorField) -> tuple:
 
 def difference(u: VectorField, v: VectorField) -> VectorField:
     """u - v componentwise, untagged, on u's grid."""
-    return VectorField(u.grid, _fresh(u.u_r - v.u_r),
-                       _fresh(u.u_theta - v.u_theta))
+    return _vector(u.grid, u.u_r - v.u_r, u.u_theta - v.u_theta,
+                   _const(u, 0) and _const(v, 0),
+                   _const(u, 1) and _const(v, 1))
 
 
 def vector_laplacian(u: VectorField) -> VectorField:
     """Componentwise Laplacian with the polar coupling terms."""
     g = u.grid
     inv_r2 = _inv_r(g) ** 2
-    lap_r = _laplacian(u.u_r, g)
+    c_r, c_t = _const(u, 0), _const(u, 1)
+    lap_r = _laplacian(u.u_r, g, c_r)
     lap_r -= inv_r2 * u.u_r
-    d = _dtheta(u.u_theta)
+    d = _dtheta(u.u_theta, c_t)
     if d is not None:       # lap_r - 2/r^2 (+0.0) is lap_r
         d *= 2.0 * inv_r2
         lap_r -= d
-    lap_t = _laplacian(u.u_theta, g)
+    lap_t = _laplacian(u.u_theta, g, c_t)
     lap_t -= inv_r2 * u.u_theta
-    d = _dtheta(u.u_r)
+    d = _dtheta(u.u_r, c_r)
     if d is None:
         lap_t += 0.0
     else:
         d *= 2.0 * inv_r2
         lap_t += d
-    return VectorField(g, _fresh(lap_r), _fresh(lap_t))
+    const = c_r and c_t
+    return _vector(g, lap_r, lap_t, const, const)
 
 
 def advect_vector(u: VectorField, a: VectorField) -> VectorField:
@@ -415,19 +496,21 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
         raise ValueError("advect_vector requires fields on the same grid")
     g = u.grid
     inv_r = _inv_r(g)
+    c_r, c_t = _const(a, 0), _const(a, 1)
     conv_r = _dr(a.u_r, g)
     conv_r *= u.u_r
-    conv_r += _angular_advection(u.u_theta, inv_r, a.u_r)
+    conv_r += _angular_advection(u.u_theta, inv_r, a.u_r, c_r)
     curv = u.u_theta * a.u_theta
     curv *= inv_r
     conv_r -= curv
     conv_t = _dr(a.u_theta, g)
     conv_t *= u.u_r
-    conv_t += _angular_advection(u.u_theta, inv_r, a.u_theta)
+    conv_t += _angular_advection(u.u_theta, inv_r, a.u_theta, c_t)
     curv = u.u_theta * a.u_r
     curv *= inv_r
     conv_t += curv
-    return VectorField(g, _fresh(conv_r), _fresh(conv_t))
+    const = c_r and c_t and _const(u, 0) and _const(u, 1)
+    return _vector(g, conv_r, conv_t, const, const)
 
 
 def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
@@ -437,7 +520,8 @@ def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
     t_rr, t_rt, t_tr, t_tt = grad_tensor(u)
     out_r = t_rr * a.u_r + t_rt * a.u_theta
     out_t = t_tr * a.u_r + t_tt * a.u_theta
-    return VectorField(u.grid, _fresh(out_r), _fresh(out_t))
+    const = _const(u, 0) and _const(u, 1) and _const(a, 0) and _const(a, 1)
+    return _vector(u.grid, out_r, out_t, const, const)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
 from .elliptic import release_factors
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      EllipticSolveError, NumericalFailure)
-from .fields import (VectorField, advect_vector, curl_perp, difference,
-                     grad_transpose_apply, inner_l2, norm_l2, perp_grad,
-                     seminorm_hk, seminorms_hk, vector_laplacian)
+from .fields import (VectorField, _retag, advect_vector, curl_perp,
+                     difference, grad_transpose_apply, inner_l2, norm_l2,
+                     perp_grad, seminorm_hk, seminorms_hk, vector_laplacian)
 from .grid import GridSpec, build_grid, tail_weights
 from .initial_data import (InitialCase, canonical_psi, check_alpha,
                            make_initial)
@@ -170,8 +170,7 @@ def frozen_trajectory(state: FlowState, times) -> Trajectory:
 def euler_reference_state(psi0) -> FlowState:
     """Euler state assembled directly from the stream function (no solve)."""
     params = ModelParams(kind="euler", alpha=0.0, nu=0.0)
-    u = perp_grad(psi0)
-    u = VectorField(psi0.grid, u.u_r, u.u_theta, tag="non-penetration")
+    u = _retag(perp_grad(psi0), "non-penetration")
     w = curl_perp(u)
     return FlowState(time=0.0, q=w, w=w, phi=psi0, u=u, params=params)
 
@@ -388,8 +387,9 @@ class EnergyBudget:
     three-point stencil with edge_order=2.  Each slice of it is evaluated
     with numpy's own coefficients and operation order, so every term equals
     the batch formula bit for bit.  numpy takes its uniform-spacing formulas
-    iff every time step equals the first, which is known only at the end, so
-    f3 is kept under both rules.
+    iff every time step equals the first, so f3 is kept under both rules
+    until one step differs from the first, and under the general rule alone
+    from then on.
     """
 
     def __init__(self, delta: float):
@@ -397,7 +397,8 @@ class EnergyBudget:
         self.delta = delta
         self._snap_times = []
         self._f1, self._f2, self._f4 = [], [], []
-        self._f3 = {True: [], False: []}     # keyed by "times are uniform"
+        # f3 under each rule still in play, keyed by "times are uniform"
+        self._f3 = {True: [], False: []}
         self._window = deque(maxlen=3)       # (lap, w) of the last snapshots
 
     def add(self, state: FlowState, u_ref: VectorField) -> None:
@@ -412,7 +413,10 @@ class EnergyBudget:
         self._f2.append(inner_l2(advect_vector(w, u_ref), w))
         self._f4.append(inner_l2(advect_vector(u, lap), w)
                         + inner_l2(grad_transpose_apply(u, lap), w))
-        self._snap_times.append(state.time)
+        t = self._snap_times
+        t.append(state.time)
+        if True in self._f3 and len(t) > 2 and t[-1] - t[-2] != t[1] - t[0]:
+            del self._f3[True]
         self._window.append((lap, w))
         if len(self._snap_times) == 3:
             self._keep_slope(0)
@@ -424,8 +428,8 @@ class EnergyBudget:
             self._f3[key].append(value)
 
     def _slope(self, k: int) -> dict:
-        """f3 of window slice k (0 first, 1 interior, 2 last), keyed by
-        rule as self._f3 is."""
+        """f3 of window slice k (0 first, 1 interior, 2 last) under each
+        rule still in play, keyed as self._f3 is."""
         (l0, _), (l1, _), (l2, _) = self._window
         t0, t1, t2 = self._snap_times[-3:]
         dx1, dx2 = t1 - t0, t2 - t1
@@ -447,7 +451,8 @@ class EnergyBudget:
                        (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
         w = self._window[k][1]
         out = {}
-        for key, coef in ((True, uniform), (False, general)):
+        for key in self._f3:
+            coef = uniform if key else general
             if coef is None:
                 dl_r = (l2.u_r - l0.u_r) / (2. * h)
                 dl_t = (l2.u_theta - l0.u_theta) / (2. * h)
@@ -466,8 +471,7 @@ class EnergyBudget:
         if t.size < 3:
             raise ConfigError("need at least 3 snapshots to estimate the time "
                               "derivative", key="trajectories")
-        steps = np.diff(t)
-        uniform = bool((steps == steps[0]).all())
+        uniform = True in self._f3
         f3 = np.array(self._f3[uniform] + [self._slope(2)[uniform]])
         a, nu, delta = self._params.alpha, self._params.nu, self.delta
         i1 = nu * float(np.trapezoid(np.array(self._f1), t))

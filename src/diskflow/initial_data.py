@@ -20,8 +20,9 @@ import numpy as np
 
 from .boundary_layer import TRACE_TOL, collar_resolved
 from .errors import ConfigError
-from .fields import (ScalarField, VectorField, _fresh, difference, norm_l2,
-                     perp_grad, read_snapshot, seminorms_hk)
+from .fields import (ScalarField, VectorField, _const, _retag, _scalar,
+                     difference, norm_l2, perp_grad, read_snapshot,
+                     seminorms_hk)
 from .grid import tail_weights
 from .ratefit import RateFit, check_geometric, fit_rate
 
@@ -135,8 +136,8 @@ def make_initial(psi0: ScalarField, alpha: float) -> VectorField:
     if float(np.max(np.abs(psi0.values[0]))) > TRACE_TOL * scale:
         raise ConfigError("psi0 must vanish on the ring", key="psi0")
     cut = cut_profile((g.r_nodes - 1.0) / alpha)
-    u = perp_grad(ScalarField(g, _fresh(cut[:, None] * psi0.values)))
-    return VectorField(g, u.u_r, u.u_theta, tag="no-slip")
+    u = perp_grad(_scalar(g, cut[:, None] * psi0.values, _const(psi0)))
+    return _retag(u, "no-slip")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,5 @@
 """Time-stepping tests: steady states, diffusion oracle, order, guards."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 import scipy.sparse
@@ -202,6 +200,23 @@ def test_radial_run_is_bitwise_steady_when_n_theta_is_not_a_power_of_two():
         assert np.array_equal(s.q.values, q0)
         assert not s.u.u_r.any()
     assert list(g.solver_cache) == [("stream", 0.2, (0,))]
+
+
+def test_radial_run_is_bitwise_steady_where_the_irfft_of_mode_0_is_not():
+    # at n_theta = 478 = 2 * 239 the irfft of mode 0 alone leaves rows that
+    # are not exactly constant; the solves fill each row of phi from its
+    # column 0, so phi, u and q stay radial bit for bit
+    g = build_grid(GridSpec(n_r=64, n_theta=478, r_max=10.0))
+    params = ModelParams("euler_alpha", alpha=0.2)
+    u0 = make_initial(canonical_psi(InitialCase("radial_vortex"), g),
+                      params.alpha)
+    q0 = initial_state(params, u0).q.values
+    traj = run(params, u0, 0.05, RunConfig(dt=0.01, snapshot_dt=0.01))
+    assert len(traj.snapshots) == 6
+    for s in traj.snapshots:
+        assert np.array_equal(s.q.values, q0)
+        assert (s.phi.values == s.phi.values[:, :1]).all()
+        assert not s.u.u_r.any()
 
 
 def test_energy_identity_inviscid_perturbed():
@@ -437,8 +452,9 @@ def test_non_finite_tendency_of_the_given_state_fails_at_k1(monkeypatch):
     g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
     u0 = velocity_from_stream(radial_stream(g, moded=(0.3, 2)))
     state = initial_state(ModelParams("euler_alpha", alpha=0.3), u0)
-    monkeypatch.setattr(dynamics, "rhs", lambda s: SimpleNamespace(
-        values=np.full((g.spec.n_r, g.spec.n_theta), np.nan)))
+    # rhs wraps its tendency in a field, which rejects a non-finite one
+    monkeypatch.setattr(dynamics, "rhs", lambda s: ScalarField(
+        g, np.full((g.spec.n_r, g.spec.n_theta), np.nan)))
     with pytest.raises(NumericalFailure) as exc:
         step(state, 1e-3)
     assert exc.value.kind == "nan"
@@ -810,13 +826,46 @@ def test_radial_state_makes_no_angular_arrays_in_fields(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
+def test_radial_step_scans_no_array_for_theta_constancy(monkeypatch, kind):
+    # the state's fields carry their flags, and every array a step builds
+    # gets its flag from its inputs' flags
+    import diskflow.fields as fields
+    params, u0 = _vortex_state(kind, "radial_vortex")
+    state = initial_state(params, u0)
+    scans = []
+    real = fields._theta_constant
+    monkeypatch.setattr(fields, "_theta_constant",
+                        lambda a: scans.append(a.shape) or real(a))
+    nxt = step(state, 1e-3)
+    assert scans == []
+    flags = (fields._const(nxt.q), fields._const(nxt.w),
+             fields._const(nxt.phi), fields._const(nxt.u, 0),
+             fields._const(nxt.u, 1))
+    assert scans == [] and flags == (True,) * 5
+
+
+@pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
 def test_radial_run_matches_the_fft_path(monkeypatch, tmp_path, kind):
     import diskflow.fields as fields
+    import sys
     params, u0 = _vortex_state(kind, "radial_vortex")
     config = RunConfig(snapshot_dt=0.05)
     got = run(params, u0, 0.2, config)
+    # every flag that no operator sets comes from a _theta_constant scan,
+    # so with the scan saying "not constant", fields built from fresh
+    # inputs take the transform path throughout
     monkeypatch.setattr(fields, "_theta_constant", lambda a: False)
+    transforms = []
+    real_rfft = np.fft.rfft
+
+    def rfft(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "diskflow.fields":
+            transforms.append(1)
+        return real_rfft(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    params, u0 = _vortex_state(kind, "radial_vortex")
     want = run(params, u0, 0.2, config)
+    assert transforms
     assert len(got.snapshots) == len(want.snapshots) == 5
 
     def arrays(s):

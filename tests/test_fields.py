@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diskflow import fields
-from diskflow.errors import ConfigError, NonFiniteFieldError
+from diskflow.errors import ConfigError, EllipticSolveError, NonFiniteFieldError
 from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import (ScalarField, VectorField, perp_grad, curl_perp,
                              laplacian, advect, norm_l2, seminorm_hk,
@@ -59,6 +59,13 @@ def test_public_constructors_copy_a_writeable_array(build):
     # a read-only array is kept as it is, after the same finiteness check
     a.flags.writeable = False
     assert build(g, a) is a
+    # a read-only view is not: its base may still be written
+    base = np.ones((16, 8))
+    view = base[:]
+    view.flags.writeable = False
+    kept = build(g, view)
+    base[2, 3] = 99.0
+    assert kept[2, 3] == 1.0
     b = np.ones((16, 8))
     b[5, 5] = np.nan
     b.flags.writeable = False
@@ -605,6 +612,160 @@ def test_theta_constant_rows_near_overflow_give_exact_zeros(monkeypatch,
     assert dtheta(a) is None
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(fft_path(monkeypatch, dtheta, a)).all()
+
+
+# ---------------------------------------------------------------------------
+# θ-constancy flags
+
+def _flag_data(kind, rng, shape):
+    """radial: smooth θ-constant rows; perturbed: rows that vary;
+    mixed_zeros: θ-constant rows, three of them 0.0 and -0.0 mixed;
+    huge: θ-constant rows, three of them +-1e308, so derivatives
+    overflow; wild: θ-constant rows from 1e-300 to 1e300 and subnormals."""
+    if kind == "perturbed":
+        return rng.normal(size=shape)
+    if kind == "wild":
+        return _wild(rng, shape, True)
+    vals = np.repeat(rng.normal(size=(shape[0], 1)), shape[1], axis=1)
+    if kind == "mixed_zeros":
+        vals[[2, 5, 11]] = rng.choice([0.0, -0.0], size=(3, shape[1]))
+    elif kind == "huge":
+        vals[[4, 5, 20]] = np.array([1e308, -1e308, 1e308])[:, None]
+    return vals
+
+
+FLAG_KINDS = ("radial", "perturbed", "mixed_zeros", "huge", "wild")
+
+
+def _flag_outputs(g, a, b, c):
+    """Every public operator and both elliptic solves on fields of a, b, c
+    (a with its ring row zeroed where an operator needs that)."""
+    from diskflow.boundary_layer import build_corrector
+    from diskflow.elliptic import recover_q, solve_poisson, \
+        solve_stream_helmholtz
+    from diskflow.initial_data import make_initial
+    a0 = a.copy()
+    a0[0] = 0.0
+    ops = {
+        "perp_grad": lambda: perp_grad(ScalarField(g, a)),
+        "laplacian": lambda: laplacian(ScalarField(g, a)),
+        "curl_perp": lambda: curl_perp(VectorField(g, a, b)),
+        "advect": lambda: advect(VectorField(g, b, c), ScalarField(g, a)),
+        "difference": lambda: fields.difference(VectorField(g, a, b),
+                                                VectorField(g, c, a)),
+        "vector_laplacian": lambda: vector_laplacian(VectorField(g, a, b)),
+        "advect_vector": lambda: advect_vector(VectorField(g, b, c),
+                                               VectorField(g, a, b)),
+        "grad_transpose_apply": lambda: grad_transpose_apply(
+            VectorField(g, a, b), VectorField(g, c, a)),
+        "recover_q": lambda: recover_q(VectorField(g, a, b), 0.2),
+        "solve_poisson": lambda: solve_poisson(ScalarField(g, a),
+                                               mass_tol=math.inf),
+        "solve_stream_helmholtz": lambda: solve_stream_helmholtz(
+            ScalarField(g, a), 0.2),
+        "make_initial": lambda: make_initial(ScalarField(g, a0), 0.3),
+        "build_corrector": lambda: build_corrector(ScalarField(g, a0), 0.3),
+    }
+    for name, op in ops.items():
+        try:
+            out = op()
+        except (NonFiniteFieldError, EllipticSolveError):
+            yield name, None
+            continue
+        yield name, out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("n_theta", [16, 478])
+@pytest.mark.parametrize("kind_b", FLAG_KINDS)
+@pytest.mark.parametrize("kind_a", FLAG_KINDS)
+def test_every_flag_equals_a_fresh_scan(kind_a, kind_b, n_theta):
+    g = grid(33, n_theta, 8.0)
+    rng = np.random.default_rng(FLAG_KINDS.index(kind_a) * 7
+                                + FLAG_KINDS.index(kind_b))
+    shape = (33, n_theta)
+    a = _flag_data(kind_a, rng, shape)
+    b, c = _flag_data(kind_b, rng, shape), _flag_data(kind_b, rng, shape)
+    radial = {"radial", "mixed_zeros"}
+    with np.errstate(all="ignore"):
+        outputs = dict(_flag_outputs(g, a, b, c))
+    for name, fields_out in outputs.items():
+        if fields_out is None:
+            # only overflowing data may fail
+            assert "huge" in (kind_a, kind_b) or "wild" in (kind_a, kind_b), \
+                name
+            continue
+        for f in fields_out:
+            for i, comp in enumerate(fields._components(f)):
+                flag = f._flags[i]
+                assert flag is None or flag == fields._theta_constant(comp), \
+                    (name, i)
+                if kind_a in radial and kind_b in radial:
+                    # a result of θ-constant inputs knows its flag
+                    assert flag is True, (name, i)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("const", [True, False])
+def test_a_non_finite_result_is_rejected_by_its_flag_check(bad, const):
+    g = grid(16, 8, 4.0)
+    a = np.zeros((16, 8))
+    a[3] = bad
+    with pytest.raises(NonFiniteFieldError):
+        fields._scalar(g, a, const)
+    b = np.zeros((16, 8))
+    b[3, 5] = bad               # a result that varies in θ
+    with pytest.raises(NonFiniteFieldError):
+        fields._vector(g, np.zeros((16, 8)), b, False, False)
+
+
+def test_a_caller_array_is_scanned_once_on_first_use(monkeypatch):
+    g = grid(33, 16, 8.0)
+    psi = ScalarField(g, np.repeat(np.linspace(0.0, 1.0, 33)[:, None], 16,
+                                   axis=1))
+    scans = []
+    real = fields._theta_constant
+    monkeypatch.setattr(fields, "_theta_constant",
+                        lambda a: scans.append(1) or real(a))
+    assert psi._flags == [None]
+    u = perp_grad(psi)
+    lap = laplacian(psi)
+    seminorms_hk(psi, 3)
+    assert len(scans) == 1 and psi._flags == [True]
+    assert u._flags == [True, True] and lap._flags == [True]
+
+
+def test_threads_finding_one_flag_agree():
+    # sweep workers share fields such as the initial velocity, so several
+    # threads may find an unknown flag at once; each writes the same value
+    import sys
+    import threading
+    g = grid(33, 16, 8.0)
+    rng = np.random.default_rng(3)
+    fields_in = [VectorField(g, _flag_data(kind, rng, (33, 16)),
+                             _flag_data(kind, rng, (33, 16)))
+                 for kind in FLAG_KINDS for _ in range(20)]
+    seen = [[] for _ in fields_in]
+    barrier = threading.Barrier(8)
+
+    def work():
+        barrier.wait(timeout=10)
+        for f, out in zip(fields_in, seen):
+            out.append((fields._const(f, 0), fields._const(f, 1)))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    for f, out in zip(fields_in, seen):
+        want = (fields._theta_constant(f.u_r),
+                fields._theta_constant(f.u_theta))
+        assert out == [want] * 8 and tuple(f._flags) == want
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,28 @@ def test_streamed_audit_equals_the_batch_formula(case, spec, alpha, nu,
     assert dataclasses.asdict(study) == want
 
 
+@pytest.mark.parametrize("moved", [4, 8], ids=["mid-run", "last"])
+def test_streamed_audit_equals_the_batch_formula_when_spacing_changes(moved):
+    # nine snapshots equally spaced in numpy's sense, one of them moved, so
+    # the first unequal step comes mid-run or last: the slices before it
+    # were kept under both rules, those after it under the general one
+    g = build_grid(GridSpec(65, 16, 8.0))
+    psi0 = canonical_psi(InitialCase(), g)
+    traj = run(ModelParams.regularized(0.2, 1e-4), make_initial(psi0, 0.2),
+               0.375, RunConfig(snapshot_dt=0.375 / 8.0))
+    snaps = traj.snapshots
+    snaps[moved] = dataclasses.replace(snaps[moved],
+                                       time=snaps[moved].time + 3.0 / 1024)
+    steps = np.diff([s.time for s in snaps])
+    assert (steps[:moved - 1] == steps[0]).all()
+    assert steps[moved - 1] != steps[0]
+    ref = frozen_trajectory(euler_reference_state(psi0),
+                            [s.time for s in snaps])
+    delta = 0.2 ** (4.0 / 3.0)
+    assert dataclasses.asdict(energy_audit(traj, ref, delta)) \
+        == dataclasses.asdict(batch_energy_audit(traj, ref, delta))
+
+
 @pytest.mark.parametrize("change, message", [
     ("fewer", "time grids do not match"),
     ("more", "time grids do not match"),
