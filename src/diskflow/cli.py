@@ -1,6 +1,6 @@
 """Command-line front end: config parsing, dispatch, files, exit codes.
 
-One JSON document drives every subcommand.  Parsing is strict by default:
+One JSON document drives every subcommand.  Parsing is strict:
 unknown keys are rejected with their dotted path, range violations name the
 offending key.  Exit codes: 0 success, 2 config error, 3 numerical failure
 (NaN / collapsed step / tail mass), 4 a verification check out of tolerance.
@@ -115,13 +115,13 @@ def _as_number(v, path: str) -> float:
     return out
 
 
-def _coerce(v, hint, path: str, strict: bool):
+def _coerce(v, hint, path: str):
     """The value v at dotted key path, checked against annotation hint."""
     if dataclasses.is_dataclass(hint):
-        return _build(hint, v, path, strict)
+        return _build(hint, v, path)
     if isinstance(hint, types.UnionType):       # X | None
         inner, = (a for a in typing.get_args(hint) if a is not type(None))
-        return None if v is None else _coerce(v, inner, path, strict)
+        return None if v is None else _coerce(v, inner, path)
     if typing.get_origin(hint) is tuple:        # tuple[float, ...]
         if not isinstance(v, list) or not v:
             raise ConfigError("%s must be a nonempty array" % path, key=path)
@@ -142,7 +142,7 @@ def _coerce(v, hint, path: str, strict: bool):
     raise TypeError("no JSON coercion for annotation %r" % (hint,))
 
 
-def _build(cls, raw, path: str, strict: bool):
+def _build(cls, raw, path: str):
     """An instance of the dataclass cls from the JSON object raw at path.
 
     Missing keys take the field default; a ConfigError raised by the
@@ -158,11 +158,11 @@ def _build(cls, raw, path: str, strict: bool):
     for f in dataclasses.fields(cls):
         key = prefix + f.name
         if f.name in raw:
-            kw[f.name] = _coerce(raw[f.name], hints[f.name], key, strict)
+            kw[f.name] = _coerce(raw[f.name], hints[f.name], key)
         elif f.default is dataclasses.MISSING:
             raise ConfigError("missing required key %r" % key, key=key)
     unknown = sorted(set(raw) - set(kw))
-    if strict and unknown:
+    if unknown:
         key = prefix + unknown[0] if unknown[0] else where
         raise ConfigError("unknown key %r" % (prefix + unknown[0]), key=key)
     try:
@@ -174,14 +174,14 @@ def _build(cls, raw, path: str, strict: bool):
         raise ConfigError(str(exc), key=key) from exc
 
 
-def parse_config(text: str, strict: bool = True) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Validate a JSON config document; errors carry the dotted key path."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ConfigError("config is not valid JSON: %s" % exc,
                           key="document") from exc
-    return _build(RunConfig, doc, "", strict)
+    return _build(RunConfig, doc, "")
 
 
 def config_document(cfg: RunConfig) -> dict:
@@ -228,14 +228,12 @@ def _cmd_simulate(cfg: RunConfig, args, out: str) -> int:
     return EXIT_OK
 
 
-def _sweep_config(cfg: RunConfig, **overrides) -> SweepConfig:
-    """The sweep of cfg, with command-line overrides of its section keys."""
-    if cfg.sweep is None and not overrides:
+def _sweep_config(cfg: RunConfig) -> SweepConfig:
+    """The sweep of cfg: its section plus the grid, case and solver keys."""
+    if cfg.sweep is None:
         raise ConfigError("the sweep subcommand needs a 'sweep' section",
                           key="sweep")
-    section = dataclasses.asdict(cfg.sweep) if cfg.sweep is not None \
-        else {"alphas": (cfg.alpha,)}
-    section.update(overrides)
+    section = dataclasses.asdict(cfg.sweep)
     solver = {f.name: getattr(cfg, f.name)
               for f in dataclasses.fields(dynamics.RunConfig)}
     try:
@@ -251,20 +249,7 @@ def _cmd_sweep(cfg: RunConfig, args, out: str) -> int:
     if args.threads < 0:
         raise ConfigError("threads=%r must be >= 0" % args.threads,
                           key="threads")
-    overrides = {}
-    if args.alphas is not None:
-        try:
-            overrides["alphas"] = tuple(
-                float(tok) for tok in args.alphas.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError("--alphas must be comma-separated numbers: %s"
-                              % exc, key="sweep.alphas") from exc
-    if args.nu_c is not None:
-        overrides["nu_c"] = args.nu_c
-    if args.nu_gamma is not None:
-        overrides["nu_gamma"] = args.nu_gamma
-    sweep_cfg = _sweep_config(cfg, **overrides)
-    records = run_sweep(sweep_cfg, threads=args.threads)
+    records = run_sweep(_sweep_config(cfg), threads=args.threads)
     write_sweep_csv(records, os.path.join(out, "sweep.csv"))
     entries = []
     ok = [r for r in records if r.status == "ok"]
@@ -385,19 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, metavar="PATH",
                        help="JSON config document")
         p.add_argument("--output-dir", default=None, metavar="PATH",
-                       help="overrides output_dir from the config")
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--strict", dest="strict", action="store_true",
-                          default=True, help="reject unknown config keys")
-        mode.add_argument("--lenient", dest="strict", action="store_false",
-                          help="ignore unknown config keys")
+                       help="replaces output_dir of the config")
         if name == "sweep":
-            p.add_argument("--alphas", default=None, metavar="A1,A2,...",
-                           help="overrides sweep.alphas")
-            p.add_argument("--nu-c", type=float, default=None, dest="nu_c",
-                           help="overrides sweep.nu_c")
-            p.add_argument("--nu-gamma", type=float, default=None,
-                           dest="nu_gamma", help="overrides sweep.nu_gamma")
             p.add_argument("--threads", type=int, default=0, metavar="N",
                            help="worker threads; 0 = auto")
     return parser
@@ -412,7 +386,7 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("cannot read config %r: %s"
                               % (args.config, exc), key="config") from exc
-        cfg = parse_config(text, strict=args.strict)
+        cfg = parse_config(text)
         if args.output_dir is not None:
             cfg = replace(cfg, output_dir=args.output_dir)
         out = cfg.output_dir

@@ -74,12 +74,26 @@ class SweepSettings:
             raise ConfigError("alphas must be strictly decreasing",
                               key="alphas")
         check_geometric(avals, "alphas")
-        if self.nu_c < 0.0:
+        if not self.nu_c >= 0.0:
             raise ConfigError("nu_c=%r must be nonnegative" % (self.nu_c,),
                               key="nu_c")
         if not self.delta_rule > 0.0:
             raise ConfigError("delta_rule=%r must be positive"
                               % (self.delta_rule,), key="delta_rule")
+        for a in avals:     # each run must get a finite nu and a valid delta
+            try:
+                nu = self.nu_of(a)
+            except OverflowError:
+                nu = math.inf
+            if not nu < math.inf:
+                raise ConfigError(
+                    "nu = nu_c * alpha**nu_gamma is %r at alpha=%r" % (nu, a),
+                    key="nu_c" if math.isinf(self.nu_c) else "nu_gamma")
+            try:
+                check_delta(a ** self.delta_rule)
+            except ConfigError as exc:
+                raise ConfigError("delta_rule=%r at alpha=%r: %s" % (
+                    self.delta_rule, a, exc), key="delta_rule") from exc
 
     def nu_of(self, alpha: float) -> float:
         return self.nu_c * alpha ** self.nu_gamma

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -160,11 +161,10 @@ def test_missing_required_key_is_named():
     (MINIMAL[:-1] + ', "sweep": {"alphas": [0.4, 0.2], "x": 1}}',
      "sweep.x"),
 ])
-def test_strict_mode_rejects_unknown_keys(text, key):
+def test_unknown_keys_are_rejected(text, key):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.key == key
-    parse_config(text, strict=False)  # lenient mode ignores them
 
 
 def test_malformed_json_is_a_config_error():
@@ -361,10 +361,10 @@ def test_solver_failure_fails_one_sweep_row(monkeypatch, tmp_path, capsys,
                                             how):
     # alpha 0.2 fails mid-run (its initial state solves, its first k2 not)
     _failing_solves(monkeypatch, how, lambda alpha, n: alpha == 0.2 and n > 1)
-    cfg = write_config(tmp_path, SWEEP_DOC)
+    cfg = write_config(tmp_path, SWEEP_DOC_2)
     out = tmp_path / "sw"
     assert main(["sweep", "--config", cfg, "--output-dir", str(out),
-                 "--threads", "1", "--alphas", "0.4,0.2"]) == 3
+                 "--threads", "1"]) == 3
     printed = capsys.readouterr().out
     assert "alpha=0.4 nu=0 sup_err_l2=" in printed
     assert "status=solve" in printed and "1 of 2 runs failed" in printed
@@ -394,10 +394,10 @@ def test_failed_initial_solve_fails_one_sweep_row(monkeypatch, tmp_path,
             raise EllipticSolveError("synthetic solver failure")
         return real(q, alpha, **kwargs)
     monkeypatch.setattr(dynamics, "solve_stream_helmholtz", solve)
-    cfg = write_config(tmp_path, SWEEP_DOC)
+    cfg = write_config(tmp_path, SWEEP_DOC_2)
     out = tmp_path / "sw"
     assert main(["sweep", "--config", cfg, "--output-dir", str(out),
-                 "--threads", threads, "--alphas", "0.4,0.2"]) == 3
+                 "--threads", threads]) == 3
     printed = capsys.readouterr().out
     assert "status=solve" in printed and "1 of 2 runs failed" in printed
     lines = (out / "sweep.csv").read_text().strip().splitlines()
@@ -452,6 +452,7 @@ SWEEP_DOC = """
           "sigma": 1.5, "boundary_profile": "linear"},
  "sweep": {"alphas": [0.4, 0.2, 0.1]}}
 """
+SWEEP_DOC_2 = SWEEP_DOC.replace("[0.4, 0.2, 0.1]", "[0.4, 0.2]")
 
 
 def test_sweep_writes_csv_and_rates(tmp_path, capsys):
@@ -470,16 +471,16 @@ def test_sweep_writes_csv_and_rates(tmp_path, capsys):
                           "points"}
 
 
-def test_sweep_alpha_override_trims_the_list(tmp_path):
-    cfg = write_config(tmp_path, SWEEP_DOC)
-    out = tmp_path / "sw"
-    assert main(["sweep", "--config", cfg, "--output-dir", str(out),
-                 "--threads", "1", "--alphas", "0.4,0.2"]) == 0
-    lines = (out / "sweep.csv").read_text().strip().splitlines()
-    assert len(lines) == 3  # header + two records
-    # malformed override is a config error
-    assert main(["sweep", "--config", cfg, "--output-dir", str(out),
-                 "--alphas", "0.4,zz"]) == 2
+@pytest.mark.parametrize("law, value", [
+    ("nu_gamma", -1000), ("delta_rule", 1000)])
+def test_sweep_scaling_law_in_the_document_is_a_config_error(
+        tmp_path, capsys, law, value):
+    doc = json.loads(SWEEP_DOC)
+    doc["sweep"][law] = value
+    cfg = write_config(tmp_path, json.dumps(doc))
+    assert main(["sweep", "--config", cfg,
+                 "--output-dir", str(tmp_path / "sw")]) == 2
+    assert "config error (sweep.%s)" % law in capsys.readouterr().err
 
 
 def test_verify_corrector_pass_and_fail(tmp_path, capsys):
@@ -515,9 +516,8 @@ def test_energy_audit_subcommand(tmp_path, capsys):
     assert report["n_times"] == 6
     # comparing Euler against itself is a config error, not a run
     euler = write_config(tmp_path, text.replace('"second_grade"', '"euler"')
-                         .replace('"alpha": 0.2', '"alpha": 0.2, "xnu": 0')
                          .replace('"nu": 1e-4', '"nu": 0'), "euler.json")
-    assert main(["energy-audit", "--config", euler, "--lenient",
+    assert main(["energy-audit", "--config", euler,
                  "--output-dir", str(out)]) == 2
 
 
@@ -532,6 +532,51 @@ def test_threads_flag_is_offered_by_sweep_only(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--config", cfg, "--threads", "1"])
     assert exc.value.code == 2      # argparse usage error
+
+
+@pytest.mark.parametrize("flag", [
+    ["--alphas", "0.4,0.2"], ["--nu-c", "1"], ["--nu-gamma", "2"],
+    ["--strict"], ["--lenient"]])
+def test_settings_come_from_the_document_only(tmp_path, flag):
+    cfg = write_config(tmp_path, SWEEP_DOC)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--output-dir", str(tmp_path / "o")]
+             + flag)
+    assert exc.value.code == 2      # argparse usage error
+
+
+SUBCOMMANDS = ("simulate", "sweep", "verify-elliptic", "verify-corrector",
+               "verify-initial-data", "energy-audit")
+
+
+def _offered_options(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*",
+                          capsys.readouterr().out))
+
+
+def test_each_subcommand_offers_only_paths_and_threads(capsys):
+    for name in SUBCOMMANDS:
+        want = {"-h", "--help", "--config", "--output-dir"}
+        if name == "sweep":
+            want.add("--threads")
+        assert _offered_options(capsys, [name]) == want, name
+
+
+def test_readme_command_line_section_names_exactly_the_offered_options(
+        capsys):
+    offered = _offered_options(capsys, [])
+    for name in SUBCOMMANDS:
+        offered |= _offered_options(capsys, [name])
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text.split("\n## Command line\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named == {o for o in offered if o.startswith("--")}
 
 
 def test_cli_import_leaves_scipy_integrate_out():

@@ -87,31 +87,30 @@ def test_serialize_then_parse_is_the_identity(doc):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
-def _parses_or_names_a_key(doc, strict):
+def _parses_or_names_a_key(doc):
     try:
-        parse_config(json.dumps(doc), strict=strict)
+        parse_config(json.dumps(doc))
     except ConfigError as exc:
         assert isinstance(exc.key, str) and exc.key
 
 
 @SETTINGS
 @given(documents(), st.sampled_from(("",) + SECTIONS), st.text(max_size=12),
-       JSON, st.booleans())
-def test_any_value_at_any_key_parses_or_names_a_key(doc, section, key, value,
-                                                    strict):
+       JSON)
+def test_any_value_at_any_key_parses_or_names_a_key(doc, section, key, value):
     target = doc
     if section:
         if not isinstance(doc.get(section), dict):
             doc[section] = {}
         target = doc[section]
     target[key] = value
-    _parses_or_names_a_key(doc, strict)
+    _parses_or_names_a_key(doc)
 
 
 @SETTINGS
-@given(JSON, st.booleans())
-def test_arbitrary_json_parses_or_names_a_key(doc, strict):
-    _parses_or_names_a_key(doc, strict)
+@given(JSON)
+def test_arbitrary_json_parses_or_names_a_key(doc):
+    _parses_or_names_a_key(doc)
 
 
 def test_malformed_file_case_exits_with_config_error(tmp_path, capsys):

@@ -53,6 +53,20 @@ def test_sweep_config_rejects(kw):
         SweepConfig(**kw)
 
 
+@pytest.mark.parametrize("kw, key", [
+    (dict(nu_c=1.0, nu_gamma=-1000.0), "nu_gamma"),   # alpha**-1000 overflows
+    (dict(nu_gamma=math.nan), "nu_gamma"),
+    (dict(nu_c=math.inf), "nu_c"),
+    (dict(nu_c=math.nan), "nu_c"),
+    (dict(delta_rule=1000.0), "delta_rule"),           # delta underflows to 0
+    (dict(delta_rule=math.inf), "delta_rule"),
+])
+def test_sweep_scaling_laws_are_checked_at_every_alpha(kw, key):
+    with pytest.raises(ConfigError) as err:
+        SweepConfig(alphas=(0.4, 0.2), grid=GRID_H, **kw)
+    assert err.value.key == key
+
+
 def test_sweep_config_rejects_unresolvable_alpha():
     # ds = ln(10)/16 = 0.144: even alpha = 0.4 spans only 2 cells
     with pytest.raises(ConfigError):
