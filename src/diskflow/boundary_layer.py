@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fields import (ScalarField, VectorField, _const, _scalar, norm_l2,
-                     perp_grad, seminorm_hk)
+from .fields import (ScalarField, VectorField, norm_l2, perp_grad,
+                     seminorm_hk, times_profile)
 from .ratefit import RateFit, check_geometric, fit_rate
 
 # a stream function counts as vanishing on the ring below this share of
@@ -58,8 +58,7 @@ def build_corrector(psi_bar: ScalarField, delta: float) -> VectorField:
             key="psi_bar")
     rho = g.r_nodes - 1.0
     cut = eta(rho / delta)
-    return perp_grad(_scalar(g, cut[:, None] * psi_bar.values,
-                             _const(psi_bar)))
+    return perp_grad(times_profile(psi_bar, cut))
 
 
 def collar_cells(grid, delta: float) -> int:

@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import (ConfigError, EllipticSolveError, NonFiniteFieldError,
                      NumericalFailure)
-from .fields import (ScalarField, VectorField, _const, _retag, _scalar,
-                     advect, grad_norm_l2, laplacian, norm_l2, perp_grad)
+from .fields import (ScalarField, VectorField, _retag, advect, grad_norm_l2,
+                     laplacian, lincomb, norm_l2, perp_grad, transit_time,
+                     weighted_total)
 from .elliptic import recover_q, solve_poisson, solve_stream_helmholtz
 from .grid import tail_weights
 
@@ -146,23 +147,18 @@ def initial_state(params: ModelParams, u0: VectorField) -> FlowState:
 
 def rhs(state: FlowState) -> ScalarField:
     """-u . grad q + nu Delta w (q and w coincide for plain vorticity)."""
-    q, u = state.q, state.u
-    vals = np.negative(advect(u, q).values)
-    const = _const(q) and _const(u, 0) and _const(u, 1)
+    terms = [(-1.0, advect(state.u, state.q))]
     if state.params.nu > 0.0:
-        vals += laplacian(state.w).values * state.params.nu
-        const = const and _const(state.w)
-    return _scalar(q.grid, vals, const)
+        terms.append((state.params.nu, laplacian(state.w)))
+    return lincomb(terms)
 
 
 def _stage_q(q: ScalarField, h: float, k: ScalarField, time: float,
              stage: str) -> ScalarField:
     """q + h * k, formed as k * h with q added in place; a non-finite value
     fails the step as nan."""
-    vals = k.values * h
-    vals += q.values
     try:
-        return _scalar(q.grid, vals, _const(q) and _const(k))
+        return lincomb([(h, k)], base=q)
     except NonFiniteFieldError as exc:
         raise NumericalFailure("non-finite q entering stage %s" % stage,
                                kind="nan", time=time, detail=stage) from exc
@@ -206,15 +202,9 @@ def step(state: FlowState, dt: float,
     k3 = _stage_rhs(params, _stage_q(q, 0.5 * dt, k2, th, "k3"), th, "k3")
     k4 = _stage_rhs(params, _stage_q(q, dt, k3, t + dt, "k4"), t + dt, "k4")
     # q + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order in place
-    q_new = k2.values * 2.0
-    q_new += k1.values
-    q_new += k3.values * 2.0
-    q_new += k4.values
-    q_new *= dt / 6.0
-    q_new += q.values
-    const = all(_const(f) for f in (q, k1, k2, k3, k4))
     try:
-        q_new = _scalar(q.grid, q_new, const)
+        q_new = lincomb([(2.0, k2), (1.0, k1), (2.0, k3), (1.0, k4)],
+                        scale=dt / 6.0, base=q)
     except NonFiniteFieldError as exc:
         raise NumericalFailure("non-finite q after step", kind="nan",
                                time=t, detail="update") from exc
@@ -235,15 +225,10 @@ def cfl_dt(state: FlowState, cfl: float,
     if not 0.0 < cfl <= 1.0:
         raise ConfigError("cfl=%r outside (0, 1]" % (cfl,), key="cfl")
     g = state.q.grid
-    r = g.r_nodes[:, None]
-    ds, dtheta = g.ds, g.dtheta
-    tiny = 1e-300
-    adv = min(float(np.min(r * ds / np.maximum(np.abs(state.u.u_r), tiny))),
-              float(np.min(r * dtheta / np.maximum(np.abs(state.u.u_theta), tiny))))
-    bound = cfl * adv
+    bound = cfl * transit_time(state.u)
     nu = state.params.nu
     if nu > 0.0:
-        h_min = min(ds, dtheta)  # physical spacing is smallest on the ring
+        h_min = min(g.ds, g.dtheta)  # physical spacing is smallest on the ring
         bound = min(bound, h_min * h_min / (4.0 * nu))
     return min(bound, dt_max)
 
@@ -267,14 +252,13 @@ def _diag_row(state: FlowState, dt: float, tail_w: np.ndarray) -> dict:
     nusq = norm_l2(state.u) ** 2
     gusq = grad_norm_l2(state.u) ** 2
     a = state.params.alpha
-    tail = np.square(state.q.values)
-    tail *= tail_w
     return {
         "t": state.time,
         "dt": dt,
         "energy": nusq + a * a * gusq,
         "enstrophy": norm_l2(state.w) ** 2,
-        "tail_mass": float(np.sqrt(np.sum(tail))),
+        "tail_mass": float(np.sqrt(weighted_total(tail_w, np.square,
+                                                   state.q))),
         "norm_u_sq": nusq,
         "grad_u_sq": gusq,
     }

@@ -38,7 +38,8 @@ import scipy.sparse.linalg as spla
 from .errors import (BoundaryTagError, CirculationError, ConfigError,
                      EllipticSolveError)
 from .fields import (ScalarField, VectorField, _const, _retag, _scalar,
-                     curl_perp, laplacian, norm_l2, perp_grad)
+                     curl_perp, laplacian, lincomb, norm_l2, perp_grad,
+                     weighted_total)
 from .grid import ExteriorGrid
 
 _RESIDUAL_TOL = 1e-10
@@ -206,18 +207,23 @@ def _active_modes(coeff: np.ndarray, const: bool) -> tuple:
     return tuple(int(m) for m in np.flatnonzero(coeff[1:-1].any(axis=0)))
 
 
-def _synthesis(grid: ExteriorGrid, phi_hat: np.ndarray,
-               const: bool) -> ScalarField:
-    """phi from its angular modes; const is the flag of the right-hand side.
+def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, modes: tuple,
+               x: np.ndarray | None, const: bool) -> ScalarField:
+    """phi from the solved modes x, one column per entry of modes (None for
+    no modes), in a spectrum shaped as coeff; const is the flag of the
+    right-hand side.
 
     For a theta-constant right-hand side only mode 0 is set, yet the irfft
     does not always give exactly constant rows (at n_theta = 478 = 2 * 239
-    they spread by 2.8e-16), so its column 0 fills each row: phi is
+    they spread by 2.8e-16), so phi is held as its column 0: it is
     theta-constant by construction, and radial data stays radial.
     """
+    phi_hat = np.zeros_like(coeff)
+    if modes:
+        phi_hat[:, modes] = x
     phi = np.fft.irfft(phi_hat, n=grid.spec.n_theta, axis=1)
     if const:
-        phi[:, 1:] = phi[:, :1]
+        phi = phi[:, :1].copy()
     return _scalar(grid, phi, const)
 
 
@@ -238,8 +244,8 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
 
     const = _const(w)
     coeff = np.fft.rfft(w.values, axis=1)
-    phi_hat = np.zeros_like(coeff)
     modes = _active_modes(coeff, const)
+    x = None
     if modes:
         n = g.spec.n_r
         e2s = np.exp(2.0 * g.s_nodes)
@@ -250,14 +256,12 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
         parts[1, :, 1:-1] = scaled.imag.T
         x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes),
                                parts.reshape(2, -1))
-        phi_hat[:, modes] = x.reshape(len(modes), n).T
-    phi = _synthesis(g, phi_hat, const)
+        x = x.reshape(len(modes), n).T
+    phi = _synthesis(g, coeff, modes, x, const)
 
-    res = laplacian(phi).values - w.values
-    inner = res[1:-1]
-    np.square(inner, out=inner)
-    inner *= g.weights[1:-1]
-    res_norm = float(np.sqrt(np.sum(inner)))
+    res_norm = float(np.sqrt(weighted_total(
+        g.weights[1:-1], lambda lap, a: np.square((lap - a)[1:-1]),
+        laplacian(phi), w)))
     if res_norm > _RESIDUAL_TOL * max(scale, 1e-30):
         raise EllipticSolveError("poisson residual %.3e exceeds %.0e relative"
                                  % (res_norm, _RESIDUAL_TOL))
@@ -280,18 +284,18 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
     n = g.spec.n_r
     const = _const(q)
     coeff = np.fft.rfft(q.values, axis=1)
-    phi_hat = np.zeros_like(coeff)
     res2 = 0.0
     rhs2 = 0.0
     modes = _active_modes(coeff, const)
+    x = None
     if modes:
         parts = np.zeros((2, len(modes), 2 * n))
         parts[0, :, 3:-2:2] = coeff.real[1:-1, modes].T
         parts[1, :, 3:-2:2] = coeff.imag[1:-1, modes].T
         x, res2, rhs2 = _solve_modes(_block_factor(g, "stream", alpha, modes),
                                      parts.reshape(2, -1))
-        phi_hat[:, modes] = x.reshape(len(modes), 2 * n)[:, 0::2].T
-    phi = _synthesis(g, phi_hat, const)
+        x = x.reshape(len(modes), 2 * n)[:, 0::2].T
+    phi = _synthesis(g, coeff, modes, x, const)
     w = laplacian(phi) if with_w else None
 
     # residual of the banded system itself; recomposing Delta^2 in physical
@@ -313,6 +317,5 @@ def recover_q(u: VectorField, alpha: float) -> ScalarField:
     w = curl_perp(u)
     if alpha == 0.0:
         return w
-    q = alpha * alpha * laplacian(w).values
-    np.subtract(w.values, q, out=q)
-    return _scalar(u.grid, q, _const(w))
+    # w - (alpha^2 Delta w) has the bits of w + (-alpha^2) Delta w
+    return lincomb([(-(alpha * alpha), laplacian(w))], base=w)

@@ -29,13 +29,26 @@ Every array of a field carries a theta-constancy flag, which always equals
 _theta_constant of its values.  An operator sets the flags of its results
 from its inputs' flags: when every input array is theta-constant, each
 result row is the same IEEE operations applied to equal operands, so it is
-theta-constant too, exactly when it is finite, and the finiteness of such a
-result is read from column 0 alone (a row whose entries all == a finite
-first entry is finite).  Otherwise the whole result is checked for
-finiteness and its flag is left unknown.  An unknown flag, as on every
-array a caller hands to a constructor, is found by one _theta_constant scan
-on first use and kept.  The kernels, the seminorms and the elliptic solves
-read the flags instead of scanning.
+theta-constant too, exactly when it is finite.  Otherwise its flag is left
+unknown.  An unknown flag, as on every array a caller hands to a
+constructor, is found by one _theta_constant scan on first use and kept.
+The kernels, the seminorms and the elliptic solves read the flags instead
+of scanning.
+
+An array whose rows are bit-identical is held as its (n_r, 1) column: the
+public attribute (values, u_r, u_theta) is then a read-only np.broadcast_to
+view of it, of full shape and with the same bytes.  A scan that finds a
+caller's array theta-constant also compares its bits and, if every row
+holds one bit pattern, keeps its column beside it.  When every input of an
+operator is column-held, the operator runs its kernels on the columns
+(_inv_r is (n_r, 1) too), so its results are columns; mixed inputs go
+through the full-size views, as full arrays would.  Every elementwise
+operation then gives each node the bits it would give at full size.
+Whole-array sums stay full-size, because numpy sums a broadcast view in
+another order than a contiguous array: _weighted_sum and weighted_total
+multiply the full weights by their operands first.  Other modules combine,
+sum and bound field values only through lincomb, times_profile,
+weighted_total and transit_time, so only this module reads columns.
 """
 
 from __future__ import annotations
@@ -74,63 +87,102 @@ def _result_flag(a: np.ndarray, const: bool) -> bool | None:
     is finite.
 
     const says that every input array of a was theta-constant, so a is
-    theta-constant exactly when it is finite, and column 0 tells which.
-    Otherwise all of a is checked and its flag is unknown (None).
+    theta-constant exactly when it is finite.  Otherwise its flag is
+    unknown (None).
     """
-    if not np.isfinite(a[:, 0] if const else a).all():
+    if not np.isfinite(a).all():
         raise NonFiniteFieldError("field contains NaN or Inf")
     return True if const else None
 
 
 def _const(f, i: int = 0) -> bool:
     """Theta-constancy of component i of f (see _components), scanned with
-    _theta_constant only while its flag is unknown.  Threads that find one
-    unknown flag at once each store the same value."""
+    _theta_constant only while its flag is unknown.  A scan that finds it
+    theta-constant and bit-identical in every row keeps its column.
+    Threads that find one unknown flag at once each store the same
+    values, the column before the flag."""
     flags = f._flags
     if flags[i] is None:
-        flags[i] = _theta_constant(_components(f)[i])
+        a = _components(f)[i]
+        const = _theta_constant(a)
+        if const:
+            f._cols[i] = _bit_column(a)
+        flags[i] = const
     return flags[i]
 
 
+def _bit_column(a: np.ndarray) -> np.ndarray | None:
+    """A read-only copy of column 0 of a when every row of a holds one bit
+    pattern, else None."""
+    bits = a.view(np.int64)
+    if not (bits == bits[:, :1]).all():
+        return None
+    return _fresh(a[:, :1].copy())
+
+
+def _operands(*fs) -> list:
+    """The component arrays of the fields fs, in order, as an operator
+    takes them: their columns when every one is column-held, else the
+    full-size public arrays.  Nothing is scanned: a caller's array is
+    held once a _const scan has found its column."""
+    cols = [c for f in fs for c in f._cols]
+    if any(c is None for c in cols):
+        return [a for f in fs for a in _components(f)]
+    return cols
+
+
+def _held(grid: ExteriorGrid, a: np.ndarray, const: bool) -> tuple:
+    """(public array, flag, column or None) of the fresh result a, const as
+    in _result_flag.  An (n_r, 1) a is held as its column."""
+    flag = _result_flag(_fresh(a), const)
+    if a.shape[1] != 1:
+        return a, flag, None
+    return (np.broadcast_to(a, (grid.spec.n_r, grid.spec.n_theta)), flag,
+            a)
+
+
 def _scalar(grid: ExteriorGrid, values: np.ndarray, const: bool):
-    """ScalarField of the fresh result values; const as in _result_flag."""
+    """ScalarField of the fresh result values, a full array or a column;
+    const as in _result_flag."""
+    v, flag, col = _held(grid, values, const)
     f = object.__new__(ScalarField)
-    f._set(grid, _fresh(values), [_result_flag(values, const)])
+    f._set(grid, v, [flag], [col])
     return f
 
 
 def _vector(grid: ExteriorGrid, u_r: np.ndarray, u_theta: np.ndarray,
             const_r: bool, const_theta: bool):
-    """Untagged VectorField of fresh results; each const as in
-    _result_flag."""
+    """Untagged VectorField of fresh results, each a full array or a
+    column; each const as in _result_flag."""
+    ur, flag_r, col_r = _held(grid, u_r, const_r)
+    ut, flag_t, col_t = _held(grid, u_theta, const_theta)
     u = object.__new__(VectorField)
-    u._set(grid, _fresh(u_r), _fresh(u_theta),
-           [_result_flag(u_r, const_r), _result_flag(u_theta, const_theta)],
-           None)
+    u._set(grid, ur, ut, [flag_r, flag_t], [col_r, col_t], None)
     return u
 
 
 def _retag(u, tag: str):
-    """u's arrays, and the flags it holds for them, under boundary tag,
-    which is checked."""
+    """u's arrays, and the flags and columns it holds for them, under
+    boundary tag, which is checked."""
     v = object.__new__(VectorField)
-    v._set(u.grid, u.u_r, u.u_theta, u._flags, tag)
+    v._set(u.grid, u.u_r, u.u_theta, u._flags, u._cols, tag)
     return v
 
 
 class ScalarField:
     """A scalar sample on every grid node."""
 
-    __slots__ = ("grid", "values", "_flags")
+    __slots__ = ("grid", "values", "_flags", "_cols")
 
     def __init__(self, grid: ExteriorGrid, values):
         shape = (grid.spec.n_r, grid.spec.n_theta)
-        self._set(grid, _owned(values, shape), [None])
+        self._set(grid, _owned(values, shape), [None], [None])
 
-    def _set(self, grid, values, flags):
+    def _set(self, grid, values, flags, cols):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_flags", flags)
+        object.__setattr__(self, "_cols", cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -146,21 +198,22 @@ class VectorField:
     A violated tag raises BoundaryTagError, a ValueError.
     """
 
-    __slots__ = ("grid", "u_r", "u_theta", "tag", "_flags")
+    __slots__ = ("grid", "u_r", "u_theta", "tag", "_flags", "_cols")
 
     _RING_TOL = 1e-12
 
     def __init__(self, grid: ExteriorGrid, u_r, u_theta, tag=None):
         shape = (grid.spec.n_r, grid.spec.n_theta)
         self._set(grid, _owned(u_r, shape), _owned(u_theta, shape),
-                  [None, None], tag)
+                  [None, None], [None, None], tag)
 
-    def _set(self, grid, u_r, u_theta, flags, tag):
+    def _set(self, grid, u_r, u_theta, flags, cols, tag):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "u_r", u_r)
         object.__setattr__(self, "u_theta", u_theta)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_flags", flags)
+        object.__setattr__(self, "_cols", cols)
         if tag == "no-slip":
             worst = max(np.abs(self.u_r[0]).max(),
                         np.abs(self.u_theta[0]).max())
@@ -186,7 +239,7 @@ class VectorField:
 
 
 # ---------------------------------------------------------------------------
-# derivative kernels on raw (n_r, n_theta) arrays
+# derivative kernels on raw (n_r, n_theta) arrays or (n_r, 1) columns
 
 def _ds(a: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(a)
@@ -267,12 +320,13 @@ def perp_grad(psi: ScalarField) -> VectorField:
     """u = (-(1/r) dtheta psi, dr psi), the rotated gradient."""
     g = psi.grid
     const = _const(psi)
-    u_r = _dtheta(psi.values, const)
-    if u_r is None:
-        u_r = np.full_like(psi.values, -0.0)    # (+0.0) * (-1/r)
+    (a,) = _operands(psi)
+    u_r = _dtheta(a, const)
+    if u_r is None:         # (+0.0) * (-1/r)
+        u_r = np.full((g.spec.n_r, 1), -0.0)
     else:
         u_r *= -_inv_r(g)
-    u_theta = _dr(psi.values, g)
+    u_theta = _dr(a, g)
     return _vector(g, u_r, u_theta, const, const)
 
 
@@ -280,15 +334,17 @@ def curl_perp(u: VectorField) -> ScalarField:
     """Scalar vorticity w = (1/r)(dr(r u_theta) - dtheta u_r)."""
     g = u.grid
     inv_r = _inv_r(g)
+    c_r = _const(u, 0)
+    const = c_r and _const(u, 1)
+    u_r, u_theta = _operands(u)
     # (1/r) d_r(r u_theta) = e^{-2s} d_s(e^s u_theta)
-    w = _ds(g.r_nodes[:, None] * u.u_theta, g.ds)
+    w = _ds(g.r_nodes[:, None] * u_theta, g.ds)
     w *= inv_r
-    const = _const(u, 0)
-    d = _dtheta(u.u_r, const)
+    d = _dtheta(u_r, c_r)
     if d is not None:       # w - (+0.0) is w
         w -= d
     w *= inv_r
-    return _scalar(g, w, const and _const(u, 1))
+    return _scalar(g, w, const)
 
 
 def _laplacian(a: np.ndarray, grid: ExteriorGrid, const: bool) -> np.ndarray:
@@ -305,7 +361,8 @@ def _laplacian(a: np.ndarray, grid: ExteriorGrid, const: bool) -> np.ndarray:
 def laplacian(f: ScalarField) -> ScalarField:
     """e^{-2s} (d_ss + d_thetatheta) f."""
     const = _const(f)
-    return _scalar(f.grid, _laplacian(f.values, f.grid, const), const)
+    (a,) = _operands(f)
+    return _scalar(f.grid, _laplacian(a, f.grid, const), const)
 
 
 def _angular_advection(u_theta: np.ndarray, inv_r: np.ndarray,
@@ -329,11 +386,13 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     if u.grid is not q.grid:
         raise ValueError("advect requires fields on the same grid")
     g = q.grid
-    const = _const(q)
-    vals = _dr(q.values, g)
-    vals *= u.u_r
-    vals += _angular_advection(u.u_theta, _inv_r(g), q.values, const)
-    return _scalar(g, vals, const and _const(u, 0) and _const(u, 1))
+    c_q = _const(q)
+    const = c_q and _const(u, 0) and _const(u, 1)
+    a, u_r, u_theta = _operands(q, u)
+    vals = _dr(a, g)
+    vals *= u_r
+    vals += _angular_advection(u_theta, _inv_r(g), a, c_q)
+    return _scalar(g, vals, const)
 
 
 def _components(f) -> list:
@@ -345,7 +404,9 @@ def _components(f) -> list:
 
 
 def _weighted_sum(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """float(np.sum(w * a * b)) with one temporary."""
+    """float(np.sum(w * a * b)) with one temporary.  a and b may be
+    columns: w * a is full-size and contiguous either way, so the sum has
+    the same bits."""
     t = w * a
     t *= b
     return float(np.sum(t))
@@ -383,8 +444,9 @@ def seminorms_hk(f, k_max: int) -> tuple:
     non-negative sum.  Its d/dr is theta-constant bit for bit, so it keeps
     the flag while finite, and an all-zero one is dropped.  The derivatives
     of other components start with unknown flags, so a d/dtheta that
-    _dtheta returns as None is dropped for the same reason.  The sums are
-    those of every word of derivatives, bit for bit.
+    _dtheta returns as None is dropped for the same reason.  A column-held
+    component is differentiated as its column.  The sums are those of
+    every word of derivatives, bit for bit.
     """
     if k_max not in (1, 2, 3):
         raise ConfigError("seminorm order k=%r outside 1..3" % (k_max,),
@@ -394,6 +456,8 @@ def seminorms_hk(f, k_max: int) -> tuple:
     comps = []                        # (array, flag) pairs
     for i, c in enumerate(_components(f)):
         const = _const(f, i)
+        if f._cols[i] is not None:
+            c = f._cols[i]
         if not const or c[:, 0].any():
             comps.append((c, const))
     norms = []
@@ -401,8 +465,12 @@ def seminorms_hk(f, k_max: int) -> tuple:
         nxt = []
         for c, const in comps:
             d = _dr(c, g)
-            nxt.append((d, bool(np.isfinite(d[:, 0]).all()) if const
-                        else None))
+            if not const:
+                nxt.append((d, None))
+            elif np.isfinite(d[:, 0]).all():
+                nxt.append((d, True))
+            else:           # a non-finite d/dr goes on at full size
+                nxt.append((np.broadcast_to(d, g.weights.shape), False))
             if not const:
                 d = _dtheta(c, const)
                 if d is not None:
@@ -429,7 +497,7 @@ def grad_norm_l2(u: VectorField) -> float:
     """
     g = u.grid
     total = 0.0
-    for c in grad_tensor(u):
+    for c in _grad_tensor(u):
         total += _weighted_sum(g.weights, c, c)
     return float(np.sqrt(total))
 
@@ -439,32 +507,42 @@ def grad_tensor(u: VectorField) -> tuple:
 
     First index is the direction of differentiation.
     """
+    shape = u.grid.weights.shape
+    return tuple(np.broadcast_to(t, shape) if t.shape[1] == 1 else t
+                 for t in _grad_tensor(u))
+
+
+def _grad_tensor(u: VectorField) -> tuple:
+    """grad_tensor of u, as columns when u is column-held."""
     g = u.grid
     inv_r = _inv_r(g)
-    t_rr = _dr(u.u_r, g)
-    t_rt = _dr(u.u_theta, g)
-    t_tr = _dtheta(u.u_r, _const(u, 0))
+    c_r, c_t = _const(u, 0), _const(u, 1)
+    u_r, u_theta = _operands(u)
+    t_rr = _dr(u_r, g)
+    t_rt = _dr(u_theta, g)
+    t_tr = _dtheta(u_r, c_r)
     if t_tr is None:        # (+0.0) - inv_r u_theta
-        t_tr = inv_r * u.u_theta
+        t_tr = inv_r * u_theta
         np.subtract(0.0, t_tr, out=t_tr)
     else:
         t_tr *= inv_r
-        t_tr -= inv_r * u.u_theta
-    t_tt = _dtheta(u.u_theta, _const(u, 1))
+        t_tr -= inv_r * u_theta
+    t_tt = _dtheta(u_theta, c_t)
     if t_tt is None:        # (+0.0) + inv_r u_r
-        t_tt = inv_r * u.u_r
+        t_tt = inv_r * u_r
         t_tt += 0.0
     else:
         t_tt *= inv_r
-        t_tt += inv_r * u.u_r
+        t_tt += inv_r * u_r
     return (t_rr, t_rt, t_tr, t_tt)
 
 
 def difference(u: VectorField, v: VectorField) -> VectorField:
     """u - v componentwise, untagged, on u's grid."""
-    return _vector(u.grid, u.u_r - v.u_r, u.u_theta - v.u_theta,
-                   _const(u, 0) and _const(v, 0),
-                   _const(u, 1) and _const(v, 1))
+    const_r = _const(u, 0) and _const(v, 0)
+    const_t = _const(u, 1) and _const(v, 1)
+    u_r, u_t, v_r, v_t = _operands(u, v)
+    return _vector(u.grid, u_r - v_r, u_t - v_t, const_r, const_t)
 
 
 def vector_laplacian(u: VectorField) -> VectorField:
@@ -472,15 +550,16 @@ def vector_laplacian(u: VectorField) -> VectorField:
     g = u.grid
     inv_r2 = _inv_r(g) ** 2
     c_r, c_t = _const(u, 0), _const(u, 1)
-    lap_r = _laplacian(u.u_r, g, c_r)
-    lap_r -= inv_r2 * u.u_r
-    d = _dtheta(u.u_theta, c_t)
+    u_r, u_theta = _operands(u)
+    lap_r = _laplacian(u_r, g, c_r)
+    lap_r -= inv_r2 * u_r
+    d = _dtheta(u_theta, c_t)
     if d is not None:       # lap_r - 2/r^2 (+0.0) is lap_r
         d *= 2.0 * inv_r2
         lap_r -= d
-    lap_t = _laplacian(u.u_theta, g, c_t)
-    lap_t -= inv_r2 * u.u_theta
-    d = _dtheta(u.u_r, c_r)
+    lap_t = _laplacian(u_theta, g, c_t)
+    lap_t -= inv_r2 * u_theta
+    d = _dtheta(u_r, c_r)
     if d is None:
         lap_t += 0.0
     else:
@@ -497,19 +576,20 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
     g = u.grid
     inv_r = _inv_r(g)
     c_r, c_t = _const(a, 0), _const(a, 1)
-    conv_r = _dr(a.u_r, g)
-    conv_r *= u.u_r
-    conv_r += _angular_advection(u.u_theta, inv_r, a.u_r, c_r)
-    curv = u.u_theta * a.u_theta
+    const = c_r and c_t and _const(u, 0) and _const(u, 1)
+    a_r, a_t, u_r, u_t = _operands(a, u)
+    conv_r = _dr(a_r, g)
+    conv_r *= u_r
+    conv_r += _angular_advection(u_t, inv_r, a_r, c_r)
+    curv = u_t * a_t
     curv *= inv_r
     conv_r -= curv
-    conv_t = _dr(a.u_theta, g)
-    conv_t *= u.u_r
-    conv_t += _angular_advection(u.u_theta, inv_r, a.u_theta, c_t)
-    curv = u.u_theta * a.u_r
+    conv_t = _dr(a_t, g)
+    conv_t *= u_r
+    conv_t += _angular_advection(u_t, inv_r, a_t, c_t)
+    curv = u_t * a_r
     curv *= inv_r
     conv_t += curv
-    const = c_r and c_t and _const(u, 0) and _const(u, 1)
     return _vector(g, conv_r, conv_t, const, const)
 
 
@@ -517,11 +597,71 @@ def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
     """(grad u)^T a in physical polar components."""
     if u.grid is not a.grid:
         raise ValueError("grad_transpose_apply requires fields on the same grid")
-    t_rr, t_rt, t_tr, t_tt = grad_tensor(u)
-    out_r = t_rr * a.u_r + t_rt * a.u_theta
-    out_t = t_tr * a.u_r + t_tt * a.u_theta
+    t_rr, t_rt, t_tr, t_tt = _grad_tensor(u)
     const = _const(u, 0) and _const(u, 1) and _const(a, 0) and _const(a, 1)
+    # a's columns only beside u's: a column tensor meets a full a at full size
+    a_r, a_t = _operands(u, a)[2:]
+    out_r = t_rr * a_r + t_rt * a_t
+    out_t = t_tr * a_r + t_tt * a_t
     return _vector(u.grid, out_r, out_t, const, const)
+
+
+# ---------------------------------------------------------------------------
+# pointwise combinations, sums and bounds of field values, on columns when
+# every field in them is column-held
+
+def lincomb(terms, scale: float | None = None,
+            base: ScalarField | None = None) -> ScalarField:
+    """base + scale * (c1 f1 + c2 f2 + ...) for terms ((c1, f1), (c2, f2),
+    ...) of scalar fields, formed in place in that order: f1 * c1, then
+    each further f * c added, then the scale, then base.  A coefficient of
+    1.0 keeps the bits of its field.
+
+    The flag is read, not scanned: the result is theta-constant when every
+    field's flag says so already, else its flag is unknown.
+    """
+    fs = [f for _, f in terms] + ([] if base is None else [base])
+    ops = _operands(*fs)
+    out = ops[0] * terms[0][0]
+    for (c, _), a in zip(terms[1:], ops[1:]):
+        out += a * c
+    if scale is not None:
+        out *= scale
+    if base is not None:
+        out += ops[-1]
+    return _scalar(fs[0].grid, out, all(f._flags[0] is True for f in fs))
+
+
+def times_profile(f: ScalarField, profile: np.ndarray) -> ScalarField:
+    """f times a radial profile, one value per radial node."""
+    const = _const(f)
+    (a,) = _operands(f)
+    return _scalar(f.grid, profile[:, None] * a, const)
+
+
+def weighted_total(weights: np.ndarray, expr, *fs) -> float:
+    """float(np.sum(weights * expr(*arrays))) for the component arrays of
+    the fields fs, in order.
+
+    expr must work node by node (row slices included): it gets the columns
+    when every field is column-held, else the full arrays.  weights is
+    full-size, so the product is a full contiguous array either way and
+    the sum has the bits of the full-size one.
+    """
+    return float(np.sum(weights * expr(*_operands(*fs))))
+
+
+def transit_time(u: VectorField) -> float:
+    """The least time u takes across one grid cell: the minimum over the
+    nodes of r ds / |u_r| and r dtheta / |u_theta|, speeds below 1e-300
+    counted as 1e-300.  The minimum over a row that holds one value is
+    that value, so a column gives it exactly."""
+    g = u.grid
+    r = g.r_nodes[:, None]
+    tiny = 1e-300
+    u_r, u_theta = _operands(u)
+    return min(float(np.min(r * g.ds / np.maximum(np.abs(u_r), tiny))),
+               float(np.min(r * g.dtheta / np.maximum(np.abs(u_theta), tiny))))
 
 
 # ---------------------------------------------------------------------------

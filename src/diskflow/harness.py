@@ -29,6 +29,7 @@ import time as _time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +41,8 @@ from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      EllipticSolveError, NumericalFailure)
 from .fields import (VectorField, _retag, advect_vector, curl_perp,
                      difference, grad_transpose_apply, inner_l2, norm_l2,
-                     perp_grad, seminorm_hk, seminorms_hk, vector_laplacian)
+                     perp_grad, seminorm_hk, seminorms_hk, vector_laplacian,
+                     weighted_total)
 from .grid import GridSpec, build_grid, tail_weights
 from .initial_data import (InitialCase, canonical_psi, check_alpha,
                            make_initial)
@@ -391,6 +393,19 @@ class EnergyAudit:
     n_times: int
 
 
+def _rate_dot(coef, h, l0r, l0t, l1r, l1t, l2r, l2t, w_r, w_t):
+    """dl/dt . w node by node, dl/dt from three snapshots l0, l1, l2 by the
+    weights coef, or by (l2 - l0) / (2 h) where coef is None."""
+    if coef is None:
+        dl_r = (l2r - l0r) / (2. * h)
+        dl_t = (l2t - l0t) / (2. * h)
+    else:
+        a, b, c = coef
+        dl_r = a * l0r + b * l1r + c * l2r
+        dl_t = a * l0t + b * l1t + c * l2t
+    return dl_r * w_r + dl_t * w_t
+
+
 class EnergyBudget:
     """The error-energy budget of one run, fed one snapshot at a time.
 
@@ -464,19 +479,11 @@ class EnergyBudget:
                        - (dx2 + dx1) / (dx1 * dx2),
                        (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
         w = self._window[k][1]
-        out = {}
-        for key in self._f3:
-            coef = uniform if key else general
-            if coef is None:
-                dl_r = (l2.u_r - l0.u_r) / (2. * h)
-                dl_t = (l2.u_theta - l0.u_theta) / (2. * h)
-            else:
-                a, b, c = coef
-                dl_r = a * l0.u_r + b * l1.u_r + c * l2.u_r
-                dl_t = a * l0.u_theta + b * l1.u_theta + c * l2.u_theta
-            out[key] = float(np.sum(
-                self._grid.weights * (dl_r * w.u_r + dl_t * w.u_theta)))
-        return out
+        return {key: weighted_total(
+                    self._grid.weights,
+                    partial(_rate_dot, uniform if key else general, h),
+                    l0, l1, l2, w)
+                for key in self._f3}
 
     def finish(self) -> EnergyAudit:
         """The audit of the snapshots added so far; the budget is left as

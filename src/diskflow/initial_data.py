@@ -20,9 +20,8 @@ import numpy as np
 
 from .boundary_layer import TRACE_TOL, collar_resolved
 from .errors import ConfigError
-from .fields import (ScalarField, VectorField, _const, _retag, _scalar,
-                     difference, norm_l2, perp_grad, read_snapshot,
-                     seminorms_hk)
+from .fields import (ScalarField, VectorField, _retag, difference, norm_l2,
+                     perp_grad, read_snapshot, seminorms_hk, times_profile)
 from .grid import tail_weights
 from .ratefit import RateFit, check_geometric, fit_rate
 
@@ -136,7 +135,7 @@ def make_initial(psi0: ScalarField, alpha: float) -> VectorField:
     if float(np.max(np.abs(psi0.values[0]))) > TRACE_TOL * scale:
         raise ConfigError("psi0 must vanish on the ring", key="psi0")
     cut = cut_profile((g.r_nodes - 1.0) / alpha)
-    u = perp_grad(_scalar(g, cut[:, None] * psi0.values, _const(psi0)))
+    u = perp_grad(times_profile(psi0, cut))
     return _retag(u, "no-slip")
 
 

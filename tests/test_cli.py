@@ -471,6 +471,71 @@ def test_sweep_writes_csv_and_rates(tmp_path, capsys):
                           "points"}
 
 
+def _output_files(out):
+    """Every output file's bytes by name; sweep.csv without runtime_s."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        data = (out / name).read_bytes()
+        if name == "sweep.csv":
+            rows = [line.split(",") for line in data.decode().splitlines()]
+            col = rows[0].index("runtime_s")
+            data = [row[:col] + row[col + 1:] for row in rows]
+        files[name] = data
+    return files
+
+
+@pytest.mark.parametrize("n_theta", [96, 128, 478])
+def test_radial_outputs_equal_the_full_array_path(monkeypatch, tmp_path,
+                                                  n_theta):
+    # column-held radial fields write what full arrays write, byte for
+    # byte, also where numpy sums a broadcast view in another order
+    import diskflow.fields as fields
+    doc = {"model": "second_grade", "alpha": 0.2, "nu": 1e-3,
+           "grid": {"n_r": 65, "n_theta": n_theta, "r_max": 8.0},
+           "t_final": 0.04, "snapshot_dt": 0.01,
+           "case": {"name": "radial_vortex", "boundary_profile": "linear"},
+           "sweep": {"alphas": [0.4, 0.2], "nu_c": 0.01}}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    columns = []
+    spread = [False]
+    real_held = fields._held
+
+    def held(grid, a, const):
+        if spread[0] and a.shape[1] == 1:
+            a = np.repeat(a, grid.spec.n_theta, axis=1)
+        out = real_held(grid, a, const)
+        columns.append(out[2] is not None)
+        return out
+    monkeypatch.setattr(fields, "_held", held)
+
+    def outputs(side):
+        columns.clear()
+        files = {}
+        for command in ("simulate", "energy-audit", "sweep"):
+            out = tmp_path / side / command
+            argv = [command, "--config", cfg, "--output-dir", str(out)]
+            if command == "sweep":
+                argv += ["--threads", "1"]
+            assert main(argv) == 0
+            files[command] = _output_files(out)
+        return files
+    got = outputs("columns")
+    assert any(columns)
+    # the full-array path: every column spread to a full array, with the
+    # flags kept, so the angular derivatives stay the exact zeros they are
+    # (the _theta_constant hook would turn them into FFTs, which leave
+    # roundoff on constant rows at n_theta = 478)
+    spread[0] = True
+    monkeypatch.setattr(fields, "_bit_column", lambda a: None)
+    want = outputs("full")
+    assert columns and not any(columns)
+    assert got.keys() == want.keys()
+    for command in got:
+        assert got[command] and got[command].keys() == want[command].keys()
+        for name in got[command]:
+            assert got[command][name] == want[command][name], (command, name)
+
+
 @pytest.mark.parametrize("law, value", [
     ("nu_gamma", -1000), ("delta_rule", 1000)])
 def test_sweep_scaling_law_in_the_document_is_a_config_error(

@@ -844,6 +844,95 @@ def test_radial_step_scans_no_array_for_theta_constancy(monkeypatch, kind):
     assert scans == [] and flags == (True,) * 5
 
 
+def _full_size_lines(fn, n_bytes, excluded):
+    """(function, line) of each line of diskflow code whose run under fn()
+    allocated n_bytes or more, with calls of the excluded (module, name)
+    pairs not counted.
+
+    Every line, call and return event of a diskflow frame closes an
+    interval; tracemalloc's peak over the interval less its start is what
+    the line allocated at most at once.  An interval that runs an excluded
+    call is skipped.
+    """
+    import sys
+    import tracemalloc
+    depth = [0]
+    open_line = {"where": None, "start": 0, "skip": False}
+    found = []
+
+    def close(frame):
+        cur, peak = tracemalloc.get_traced_memory()
+        if open_line["where"] is not None and not open_line["skip"] \
+                and peak - open_line["start"] >= n_bytes:
+            found.append(open_line["where"])
+        tracemalloc.reset_peak()
+        open_line.update(where=(frame.f_code.co_name, frame.f_lineno),
+                         start=tracemalloc.get_traced_memory()[0],
+                         skip=False)
+
+    def local(frame, event, arg):
+        if depth[0] == 0:
+            close(frame)
+        return local
+
+    def tracer(frame, event, arg):
+        if depth[0] or not frame.f_globals.get("__name__", "").startswith(
+                "diskflow"):
+            return None
+        close(frame)
+        return local
+
+    def skipped(real):
+        def wrapper(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+                open_line["skip"] = True
+        return wrapper
+
+    saved = [(module, name, getattr(module, name))
+             for module, name in excluded]
+    for module, name, real in saved:
+        setattr(module, name, skipped(real))
+    old = sys.gettrace()
+    tracemalloc.start()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(old)
+        tracemalloc.stop()
+        for module, name, real in saved:
+            setattr(module, name, real)
+    return found
+
+
+@pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
+def test_radial_step_makes_no_full_size_array(monkeypatch, kind):
+    # a radial step works on (n_r, 1) columns: apart from the elliptic
+    # transforms (the rfft of a right-hand side and _synthesis, its irfft)
+    # and the weighted sums, no line makes an (n_r, n_theta) array
+    import diskflow.elliptic as elliptic
+    import diskflow.fields as fields
+    g = build_grid(GridSpec(n_r=65, n_theta=512, r_max=10.0))
+    nu = 1e-3 if kind == "second_grade" else 0.0
+    params = ModelParams(kind, alpha=0.2, nu=nu)
+    excluded = [(np.fft, "rfft"), (elliptic, "_synthesis"),
+                (fields, "_weighted_sum")]
+    n_bytes = 65 * 512 * 8
+
+    def lines():
+        psi = canonical_psi(InitialCase("radial_vortex"), g)
+        state = initial_state(params, make_initial(psi, params.alpha))
+        return _full_size_lines(lambda: step(state, 1e-3), n_bytes, excluded)
+    assert lines() == []
+    # the same probe finds the full-size arrays of the full-array path
+    monkeypatch.setattr(fields, "_theta_constant", lambda a: False)
+    assert len(lines()) > 10
+
+
 @pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
 def test_radial_run_matches_the_fft_path(monkeypatch, tmp_path, kind):
     import diskflow.fields as fields

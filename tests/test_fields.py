@@ -702,6 +702,9 @@ def test_every_flag_equals_a_fresh_scan(kind_a, kind_b, n_theta):
                 if kind_a in radial and kind_b in radial:
                     # a result of θ-constant inputs knows its flag
                     assert flag is True, (name, i)
+                if kind_a == kind_b == "radial":
+                    # and one of column-held inputs is held as a column
+                    assert f._cols[i] is not None, (name, i)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -766,6 +769,181 @@ def test_threads_finding_one_flag_agree():
         want = (fields._theta_constant(f.u_r),
                 fields._theta_constant(f.u_theta))
         assert out == [want] * 8 and tuple(f._flags) == want
+        # a column is kept exactly for θ-constant rows that share their bits
+        for comp, const, col in zip((f.u_r, f.u_theta), want, f._cols):
+            bits = comp.view(np.int64)
+            held = const and (bits == bits[:, :1]).all()
+            assert (col is not None) == held
+            if held:
+                assert _same_bits(col, comp[:, :1])
+
+
+# ---------------------------------------------------------------------------
+# column-held fields
+
+def _held_full(u):
+    """u's arrays as fresh full-size copies, flagged θ-constant as u's are
+    but held full: the path a field took before columns were held."""
+    return fields._vector(u.grid, np.array(u.u_r), np.array(u.u_theta),
+                          *u._flags)
+
+
+def _bits(x):
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+@pytest.mark.parametrize("n_theta", [96, 100, 478])
+def test_column_held_reductions_equal_the_full_ones(n_theta):
+    # numpy sums a broadcast view in another order than a contiguous array
+    # at these n_theta, so every whole-array sum spreads to full size first
+    import dataclasses
+    from diskflow.dynamics import ModelParams, RunConfig, outer_circulation, \
+        run
+    from diskflow.harness import EnergyBudget, euler_reference_state
+    from diskflow.initial_data import InitialCase, canonical_psi, make_initial
+    g = grid(65, n_theta, 8.0)
+    psi = canonical_psi(InitialCase("radial_vortex"), g)
+    params = ModelParams("second_grade", alpha=0.2, nu=1e-3)
+    traj = run(params, make_initial(psi, 0.2), 0.04,
+               RunConfig(snapshot_dt=0.01))
+    u_ref = euler_reference_state(psi).u
+    snaps = traj.snapshots
+    assert len(snaps) == 5
+    for f in [u_ref] + [s.u for s in snaps]:
+        assert all(c is not None for c in f._cols)
+    u, v = snaps[-1].u, u_ref
+    fu, fv = _held_full(u), _held_full(v)
+    assert fu._cols == [None, None] and fu._flags == [True, True]
+    w = curl_perp(u)
+    fw = fields._scalar(g, np.array(w.values), True)
+    assert w._cols[0] is not None and fw._cols[0] is None
+    pairs = [
+        (norm_l2(u), norm_l2(fu)),
+        (norm_l2(w), norm_l2(fw)),
+        (inner_l2(u, v), inner_l2(fu, fv)),
+        (grad_norm_l2(u), grad_norm_l2(fu)),
+        (outer_circulation(u), outer_circulation(fu)),
+        (seminorms_hk(u, 3), seminorms_hk(fu, 3)),
+    ]
+    for got, want in pairs:
+        assert _bits(got) == _bits(want)
+    held, full = EnergyBudget(0.1), EnergyBudget(0.1)
+    for s in snaps:
+        held.add(s, v)
+        full.add(dataclasses.replace(s, u=_held_full(s.u)), fv)
+    # the slopes themselves: the audit's fit can absorb their last bits
+    assert {k: _bits(v) for k, v in held._f3.items()} \
+        == {k: _bits(v) for k, v in full._f3.items()}
+    assert _bits(dataclasses.astuple(held.finish())) \
+        == _bits(dataclasses.astuple(full.finish()))
+
+
+def test_column_held_arrays_are_full_size_and_cannot_change():
+    g = grid(33, 16, 8.0)
+    col = np.linspace(0.0, 1.0, 33)[:, None]
+    mine = np.repeat(col, 16, axis=1)           # the caller's, writeable
+    base = mine.copy()
+    view = base[:]
+    view.flags.writeable = False                # read-only, writeable base
+    psi, chi = ScalarField(g, mine), ScalarField(g, view)
+    u = perp_grad(psi)          # the first use finds psi's column
+    lap = laplacian(chi)
+    assert psi._cols[0] is not None and chi._cols[0] is not None
+    for f in (u, lap):
+        for a, c in zip(fields._components(f), f._cols):
+            assert c is not None and c.shape == (33, 1)
+            assert a.shape == (33, 16) and not a.flags.writeable
+            assert a.base is c and not c.flags.writeable
+            with pytest.raises(ValueError):
+                a[3, 4] = 1.0
+            with pytest.raises(ValueError):
+                c[3, 0] = 1.0
+    want = [np.array(a) for a in (u.u_r, u.u_theta, lap.values)]
+    mine[:] = 7.0
+    base[:] = 7.0
+    for f in (psi, chi):
+        assert np.array_equal(f.values, np.repeat(col, 16, axis=1))
+        assert np.array_equal(f._cols[0], col)
+    again = (perp_grad(psi), laplacian(chi))
+    for a, b in zip(want, (again[0].u_r, again[0].u_theta, again[1].values)):
+        assert np.array_equal(a, b)
+
+
+def test_only_bit_identical_rows_are_held_as_a_column():
+    # a row of 0.0 and -0.0 is θ-constant for the derivative shortcut, but
+    # its bits differ, so the array stays full
+    g = grid(16, 8, 4.0)
+    a = np.repeat(np.linspace(1.0, 2.0, 16)[:, None], 8, axis=1)
+    a[5, ::2] = -0.0
+    a[5, 1::2] = 0.0
+    f = ScalarField(g, a)
+    assert fields._const(f) and f._cols == [None]
+    lap = laplacian(f)
+    assert lap._flags == [True] and lap._cols == [None]
+    u = perp_grad(f)        # u_r is -0.0 everywhere, so it is a column
+    assert u._cols[0] is not None and u._cols[1] is None
+    assert _same_bits(u.u_r, np.full((16, 8), -0.0))
+
+
+@pytest.mark.parametrize("theta_constant", [False, True, "a"],
+                         ids=["mixed_rows", "theta_constant",
+                              "only_a_theta_constant"])
+@pytest.mark.parametrize("data", sorted(KERNEL_DATA))
+def test_combinations_equal_the_plain_expressions(data, theta_constant):
+    # lincomb and weighted_total give the bits of the expressions that the
+    # RK stages, rhs, recover_q and the tail mass write out, on columns
+    # when every field in them is column-held
+    g = grid(33, 16, 8.0)
+    rng = np.random.default_rng(11)
+    arrays = [KERNEL_DATA[data](rng, (33, 16), theta_constant is True
+                                or i == 0 and theta_constant == "a")
+              for i in range(5)]
+    fs = [ScalarField(g, a) for a in arrays]
+    for f in fs:
+        fields._const(f)                # θ-constant ones are now columns
+    q, k1, k2, k3, k4 = arrays
+    cases = [
+        (([(-1.0, fs[1]), (1e-3, fs[2])],), {}, -k1 + k2 * 1e-3),
+        (([(0.25, fs[1])],), {"base": fs[0]}, k1 * 0.25 + q),
+        (([(2.0, fs[2]), (1.0, fs[1]), (2.0, fs[3]), (1.0, fs[4])],),
+         {"scale": 0.5 / 6.0, "base": fs[0]},
+         (k2 * 2.0 + k1 + k3 * 2.0 + k4) * (0.5 / 6.0) + q),
+        (([(-(0.2 * 0.2), fs[1])],), {"base": fs[0]}, q - 0.2 * 0.2 * k1),
+    ]
+    with np.errstate(all="ignore"):
+        for args, kwargs, want in cases:
+            got = _field_or_raise(lambda: fields.lincomb(*args, **kwargs),
+                                  (want,))
+            if got is None:
+                continue
+            used = [f for _, f in args[0]] + [kwargs.get("base")] * (
+                "base" in kwargs)
+            assert _same_bits(got.values, want)
+            assert got._flags == [True if all(f._flags[0] for f in used)
+                                  else None]
+            held = all(f._cols[0] is not None for f in used)
+            assert (got._cols[0] is not None) == held
+        assert _same_bits(
+            fields.weighted_total(g.weights, np.square, fs[0]),
+            float(np.sum(np.square(q) * g.weights)))
+        assert _same_bits(
+            fields.weighted_total(g.weights[1:-1],
+                                  lambda a, b: np.square((a - b)[1:-1]),
+                                  fs[1], fs[0]),
+            float(np.sum(np.square((k1 - q)[1:-1]) * g.weights[1:-1])))
+
+
+def test_grad_tensor_is_writeable_unless_column_held():
+    g = grid(33, 16, 8.0)
+    full = fields.grad_tensor(perp_grad(analytic_psi(g)))
+    r = g.r_nodes[:, None]
+    radial = fields.grad_tensor(perp_grad(ScalarField(
+        g, np.repeat((r - 1.0) ** 2 / r ** 3, 16, axis=1))))
+    for t in full:
+        assert t.shape == (33, 16) and t.flags.writeable
+    for t in radial:
+        assert t.shape == (33, 16) and not t.flags.writeable
+        assert t.strides[1] == 0
 
 
 # ---------------------------------------------------------------------------
