@@ -210,18 +210,23 @@ def _active_modes(coeff: np.ndarray, const: bool) -> tuple:
 def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, modes: tuple,
                x: np.ndarray | None, const: bool) -> ScalarField:
     """phi from the solved modes x, one column per entry of modes (None for
-    no modes), in a spectrum shaped as coeff; const is the flag of the
-    right-hand side.
+    no modes); const is the flag of the right-hand side.
+
+    coeff, the rfft of the right-hand side, is consumed: its buffer is
+    zeroed and takes the spectrum of phi.  A second spectrum would be
+    handed back to the OS after each solve and faulted in again by the
+    next.  The zeroing matters, because the m >= 1 roundoff of a
+    theta-constant right-hand side sits in that buffer.
 
     For a theta-constant right-hand side only mode 0 is set, yet the irfft
     does not always give exactly constant rows (at n_theta = 478 = 2 * 239
     they spread by 2.8e-16), so phi is held as its column 0: it is
     theta-constant by construction, and radial data stays radial.
     """
-    phi_hat = np.zeros_like(coeff)
+    coeff.fill(0)
     if modes:
-        phi_hat[:, modes] = x
-    phi = np.fft.irfft(phi_hat, n=grid.spec.n_theta, axis=1)
+        coeff[:, modes] = x
+    phi = np.fft.irfft(coeff, n=grid.spec.n_theta, axis=1)
     if const:
         phi = phi[:, :1].copy()
     return _scalar(grid, phi, const)

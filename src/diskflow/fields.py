@@ -44,9 +44,13 @@ operator is column-held, the operator runs its kernels on the columns
 (_inv_r is (n_r, 1) too), so its results are columns; mixed inputs go
 through the full-size views, as full arrays would.  Every elementwise
 operation then gives each node the bits it would give at full size.
-Whole-array sums stay full-size, because numpy sums a broadcast view in
-another order than a contiguous array: _weighted_sum and weighted_total
-multiply the full weights by their operands first.  Other modules combine,
+Whole-array sums are taken over a contiguous full-size array, because
+numpy sums a broadcast view in another order.  _weighted_sum and
+weighted_total form a product of columns on the columns, with column 0 of
+the weights, and spread it into one contiguous array for the sum; that
+array has the bits of the full-size product because every weights array
+the package passes (grid.weights, its interior rows grid.weights[1:-1] and
+tail_weights) holds one bit pattern per row.  Other modules combine,
 sum and bound field values only through lincomb, times_profile,
 weighted_total and transit_time, so only this module reads columns.
 """
@@ -403,10 +407,27 @@ def _components(f) -> list:
     raise TypeError("expected ScalarField or VectorField, got %r" % type(f))
 
 
+def _spread_sum(col: np.ndarray, shape: tuple) -> float:
+    """float(np.sum(a)) for the contiguous array a of shape whose rows each
+    repeat the row of col; the sum of a broadcast view would add in
+    another order."""
+    full = np.empty(shape)
+    full[...] = col
+    return float(np.sum(full))
+
+
 def _weighted_sum(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """float(np.sum(w * a * b)) with one temporary.  a and b may be
-    columns: w * a is full-size and contiguous either way, so the sum has
-    the same bits."""
+    """float(np.sum(w * a * b)) with one temporary.
+
+    When a and b are both columns the product w[:, :1] * a * b is formed on
+    the columns and spread for the sum.  That has the bits of the
+    full-size sum only if every row of w holds one bit pattern, as in every
+    weights array the package passes; a column with a full array is
+    multiplied at full size."""
+    if a.shape[1] == 1 and b.shape[1] == 1:
+        t = w[:, :1] * a
+        t *= b
+        return _spread_sum(t, w.shape)
     t = w * a
     t *= b
     return float(np.sum(t))
@@ -416,7 +437,7 @@ def norm_l2(f) -> float:
     """sqrt of the quadrature sum of squares over all components."""
     g = f.grid
     total = 0.0
-    for c in _components(f):
+    for c in _operands(f):
         total += _weighted_sum(g.weights, c, c)
     return float(np.sqrt(total))
 
@@ -426,8 +447,10 @@ def inner_l2(f, g_field) -> float:
     if f.grid is not g_field.grid:
         raise ValueError("inner_l2 requires fields on the same grid")
     w = f.grid.weights
+    ops = _operands(f, g_field)
+    n = len(f._cols)
     total = 0.0
-    for a, b in zip(_components(f), _components(g_field), strict=True):
+    for a, b in zip(ops[:n], ops[n:], strict=True):
         total += _weighted_sum(w, a, b)
     return float(total)
 
@@ -644,11 +667,16 @@ def weighted_total(weights: np.ndarray, expr, *fs) -> float:
     the fields fs, in order.
 
     expr must work node by node (row slices included): it gets the columns
-    when every field is column-held, else the full arrays.  weights is
-    full-size, so the product is a full contiguous array either way and
-    the sum has the bits of the full-size one.
+    when every field is column-held, else the full arrays.  A column it
+    returns is multiplied by column 0 of weights and spread into a
+    contiguous full-size array for the sum.  That has the bits of the
+    full-size sum only if every row of weights holds one bit pattern, as
+    in grid.weights, grid.weights[1:-1] and tail_weights.
     """
-    return float(np.sum(weights * expr(*_operands(*fs))))
+    t = expr(*_operands(*fs))
+    if t.shape[1] == 1:
+        return _spread_sum(weights[:, :1] * t, weights.shape)
+    return float(np.sum(weights * t))
 
 
 def transit_time(u: VectorField) -> float:

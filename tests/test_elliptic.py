@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
 
-from diskflow import elliptic
+from diskflow import elliptic, fields
 from diskflow.errors import CirculationError, ConfigError, EllipticSolveError
 from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import ScalarField, laplacian, norm_l2, seminorm_hk
@@ -417,6 +417,77 @@ def test_stream_solve_without_w_returns_the_same_phi_and_u():
     assert np.array_equal(lean[2].u_r, u.u_r)
     assert np.array_equal(lean[2].u_theta, u.u_theta)
     assert np.array_equal(w.values, laplacian(phi).values)
+
+
+def _fresh_spectrum_synthesis(grid, coeff, modes, x, const):
+    """elliptic._synthesis as it was written with a second spectrum: phi
+    is synthesized in a fresh np.zeros_like(coeff), and coeff is left as
+    it is."""
+    phi_hat = np.zeros_like(coeff)
+    if modes:
+        phi_hat[:, modes] = x
+    phi = np.fft.irfft(phi_hat, n=grid.spec.n_theta, axis=1)
+    if const:
+        phi = phi[:, :1].copy()
+    return fields._scalar(grid, phi, const)
+
+
+def _synthesis_rhs(g, theta_constant):
+    """A right-hand side without net mass: two radial bumps, the outer
+    one scaled to cancel the inner one's mass, plus, unless theta_constant,
+    modes 1, 2 and 5 in the angle."""
+    r = g.r_nodes[:, None]
+    inner = np.repeat(smooth_bump(r, 1.5, 3.0), g.spec.n_theta, axis=1)
+    outer = np.repeat(smooth_bump(r, 3.0, 5.0), g.spec.n_theta, axis=1)
+    vals = inner - outer * (total_mass(ScalarField(g, inner))
+                            / total_mass(ScalarField(g, outer)))
+    if not theta_constant:
+        t = g.theta_nodes
+        vals = vals + smooth_bump(r, 1.2, 4.0) * (
+            np.cos(t) + 0.5 * np.sin(2 * t) - 0.25 * np.cos(5 * t))
+    return ScalarField(g, vals)
+
+
+@pytest.mark.parametrize("n_theta", [100, 128, 478])
+@pytest.mark.parametrize("theta_constant", [True, False],
+                         ids=["theta_constant", "varying"])
+def test_synthesis_in_the_rfft_buffer_keeps_the_bits(monkeypatch, n_theta,
+                                                     theta_constant):
+    g = grid(65, n_theta, 8.0)
+    rhs = _synthesis_rhs(g, theta_constant)
+    got = (solve_poisson(rhs),) + solve_stream_helmholtz(rhs, 0.1)
+    monkeypatch.setattr(elliptic, "_synthesis", _fresh_spectrum_synthesis)
+    want = (solve_poisson(rhs),) + solve_stream_helmholtz(rhs, 0.1)
+    names = ("poisson phi", "stream phi", "w", "u")
+    for name, a, b in zip(names, got, want, strict=True):
+        for x, y, cx, cy in zip(fields._components(a),
+                                fields._components(b), a._cols, b._cols,
+                                strict=True):
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+            assert (cx is None) == (cy is None), name
+    if theta_constant:
+        assert got[1]._cols[0] is not None and got[1]._cols[0].shape == (65, 1)
+
+
+def test_theta_constant_stream_solve_holds_two_full_size_buffers():
+    # the rfft output and the irfft output; a second spectrum for the
+    # synthesis would make three
+    import tracemalloc
+    g = grid(256, 128, 10.0)
+    r = g.r_nodes[:, None]
+    q = ScalarField(g, np.repeat(smooth_bump(r, 1.5, 5.0), 128, axis=1))
+    solve_stream_helmholtz(q, 0.1)      # factors mode 0, finds q's column
+    full = 256 * 128 * 8
+    spectrum = 256 * 65 * 16
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        solve_stream_helmholtz(q, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert spectrum + full <= peak < spectrum + full + full // 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from diskflow import fields
 from diskflow.errors import ConfigError, EllipticSolveError, NonFiniteFieldError
-from diskflow.grid import GridSpec, build_grid
+from diskflow.grid import GridSpec, build_grid, tail_weights
 from diskflow.fields import (ScalarField, VectorField, perp_grad, curl_perp,
                              laplacian, advect, norm_l2, seminorm_hk,
                              seminorms_hk, inner_l2, grad_norm_l2,
@@ -883,6 +883,125 @@ def test_only_bit_identical_rows_are_held_as_a_column():
     u = perp_grad(f)        # u_r is -0.0 everywhere, so it is a column
     assert u._cols[0] is not None and u._cols[1] is None
     assert _same_bits(u.u_r, np.full((16, 8), -0.0))
+
+
+def _package_weights(g):
+    """Every weights array the package sums against, by name."""
+    return {"weights": g.weights, "interior": g.weights[1:-1],
+            "tail": tail_weights(g)}
+
+
+@pytest.mark.parametrize("n_r, n_theta, r_max",
+                         [(33, 8, 4.0), (65, 96, 8.0), (129, 100, 10.0),
+                          (256, 128, 10.0), (65, 478, 8.0)])
+def test_package_weights_hold_one_bit_pattern_per_row(n_r, n_theta, r_max):
+    # the column sums rest on this: a column of the weights times a column
+    # of operands has the bits of every node of the full-size product
+    g = grid(n_r, n_theta, r_max)
+    for name, w in _package_weights(g).items():
+        bits = w.view(np.uint64)
+        assert (bits == bits[:, :1]).all(), name
+    assert _package_weights(g)["tail"][-1, 0] > 0.0
+
+
+def _spread_calls(monkeypatch):
+    calls = []
+    real = fields._spread_sum
+
+    def spy(col, shape):
+        calls.append(col.shape)
+        return real(col, shape)
+    monkeypatch.setattr(fields, "_spread_sum", spy)
+    return calls
+
+
+def _column_data(rng, n):
+    """An (n, 1) column: magnitudes 1e-100..1e100 of either sign, with
+    signed zeros and a subnormal."""
+    col = rng.choice([-1.0, 1.0], size=(n, 1)) \
+        * 10.0 ** rng.uniform(-100.0, 100.0, size=(n, 1))
+    col[3:6, 0] = [0.0, -0.0, 5e-324]
+    return col
+
+
+@pytest.mark.parametrize("n_theta", [96, 100, 128, 478])
+def test_column_sums_equal_the_full_size_expressions(monkeypatch, n_theta):
+    g = grid(65, n_theta, 8.0)
+    rng = np.random.default_rng(n_theta)
+    cols = [_column_data(rng, 65) for _ in range(4)]
+    full = [np.repeat(c, n_theta, axis=1) for c in cols]
+    calls = _spread_calls(monkeypatch)
+    for name, w in _package_weights(g).items():
+        rows = slice(1, -1) if name == "interior" else slice(None)
+        a, b = cols[0][rows], cols[1][rows]
+        fa, fb = full[0][rows], full[1][rows]
+        assert _same_bits(fields._weighted_sum(w, a, b),
+                          float(np.sum(w * fa * fb))), name
+        assert _same_bits(fields._weighted_sum(w, a, a),
+                          float(np.sum(w * fa * fa))), name
+        # a column with a full array is multiplied at full size
+        assert _same_bits(fields._weighted_sum(w, a, fb),
+                          float(np.sum(w * fa * fb))), name
+    assert len(calls) == 6
+    # weighted_total on column-held fields, with each weights array and
+    # the expressions the tail mass and the Poisson residual use
+    fs = [ScalarField(g, a) for a in full[:2]]
+    for f in fs:
+        fields._const(f)
+        assert f._cols[0] is not None
+    w = _package_weights(g)
+    cases = [
+        (w["weights"], np.square, fs[:1], np.square(full[0])),
+        (w["tail"], np.square, fs[:1], np.square(full[0])),
+        (w["interior"], lambda a, b: np.square((a - b)[1:-1]), fs,
+         np.square((full[0] - full[1])[1:-1])),
+    ]
+    del calls[:]
+    for weights, expr, args, values in cases:
+        assert _same_bits(fields.weighted_total(weights, expr, *args),
+                          float(np.sum(weights * values)))
+    assert calls == [(65, 1), (65, 1), (63, 1)]
+
+
+@pytest.mark.parametrize("n_theta", [96, 100, 128, 478])
+def test_column_held_norms_equal_the_full_size_expressions(monkeypatch,
+                                                           n_theta):
+    g = grid(65, n_theta, 8.0)
+    rng = np.random.default_rng(n_theta + 1)
+    # magnitudes that keep squares and products finite
+    full = [np.repeat(rng.normal(size=(65, 1))
+                      * 10.0 ** rng.uniform(-50.0, 50.0, size=(65, 1)),
+                      n_theta, axis=1) for _ in range(4)]
+    s = ScalarField(g, full[0])
+    u = VectorField(g, full[1], full[2])
+    v = VectorField(g, full[3], full[1])
+    for f in (s, u, v):
+        for i in range(len(f._cols)):
+            fields._const(f, i)
+        assert all(c is not None for c in f._cols)
+    mixed = VectorField(g, full[3], full[1] + rng.normal(size=full[1].shape))
+    assert mixed._cols == [None, None]
+
+    def plain_inner(x, y):
+        total = 0.0
+        for a, b in zip(x, y, strict=True):
+            total += float(np.sum(g.weights * a * b))
+        return total
+    calls = _spread_calls(monkeypatch)
+    assert _same_bits(norm_l2(s), _plain_norm(g, full[:1]))
+    assert _same_bits(norm_l2(u), _plain_norm(g, full[1:3]))
+    assert _same_bits(inner_l2(u, v),
+                      plain_inner(full[1:3], (full[3], full[1])))
+    assert len(calls) == 5
+    # one column-held operand and one full: both are taken at full size
+    del calls[:]
+    assert _same_bits(inner_l2(u, mixed),
+                      plain_inner(full[1:3], (mixed.u_r, mixed.u_theta)))
+    assert _same_bits(inner_l2(mixed, u),
+                      plain_inner((mixed.u_r, mixed.u_theta), full[1:3]))
+    assert calls == []
+    with pytest.raises(ValueError):
+        inner_l2(s, u)
 
 
 @pytest.mark.parametrize("theta_constant", [False, True, "a"],
