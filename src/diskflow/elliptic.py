@@ -27,6 +27,17 @@ parts).
 The grid caches one (matrix, LU) pair per key (kind, alpha, modes), so
 radial data factors and solves mode 0 alone; release_factors drops the
 pairs of one kind and alpha once no later solve needs them.
+
+A right-hand side held as one column (every row one bit pattern) needs no
+angular transform when n_theta is 2^k or 3 * 2^k: its mode-0 coefficient
+is n_theta * c + 0j and the stream function's column is
+(x.real + 0.0) * (1 / n_theta), with the bits numpy's FFT gives.  Its DC
+sum of equal terms is multiplied exactly by 2 or 4 at each radix-2 or
+radix-4 stage and rounded once at a single radix-3 stage, as n_theta * c
+is rounded once; a second odd factor rounds again (n_theta 36, 100), so
+every other n_theta, and every other right-hand side, goes through the
+transforms.  The inverse of a lone DC term adds +0.0 to it (turning -0.0
+into +0.0) and scales by the reciprocal of n_theta.
 """
 
 from __future__ import annotations
@@ -37,9 +48,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import (BoundaryTagError, CirculationError, ConfigError,
                      EllipticSolveError)
-from .fields import (ScalarField, VectorField, _const, _retag, _scalar,
-                     curl_perp, laplacian, lincomb, norm_l2, perp_grad,
-                     weighted_total)
+from .fields import (ScalarField, VectorField, _column, _const, _retag,
+                     _scalar, curl_perp, laplacian, lincomb, norm_l2,
+                     perp_grad, weighted_total)
 from .grid import ExteriorGrid
 
 _RESIDUAL_TOL = 1e-10
@@ -194,13 +205,33 @@ def _solve_modes(factor, parts: np.ndarray):
     return out[0] + 1j * out[1], res2, float(np.sum(parts))
 
 
+def _closed_form(n_theta: int) -> bool:
+    """True when n_theta is 2^k or 3 * 2^k, the n_theta at which mode 0
+    of a column-held array has its transforms' bits in closed form."""
+    return n_theta // (n_theta & -n_theta) in (1, 3)
+
+
+def _spectrum(f: ScalarField) -> np.ndarray:
+    """The angular rfft of f.values or, for a column-held f where
+    _closed_form holds, its mode-0 coefficients alone as one complex
+    column: n_theta * c with imaginary part +0.0, the bits of the rfft's
+    column 0."""
+    n = f.grid.spec.n_theta
+    col = _column(f) if _closed_form(n) else None
+    if col is None:
+        return np.fft.rfft(f.values, axis=1)
+    coeff = np.zeros(col.shape, dtype=complex)
+    np.multiply(col, n, out=coeff.real)
+    return coeff
+
+
 def _active_modes(coeff: np.ndarray, const: bool) -> tuple:
     """Angular modes whose interior coefficients carry data.
 
-    coeff is the angular rfft of an array whose flag is const.  For a
-    theta-constant array only mode 0 counts: its m >= 1 coefficients are
-    roundoff (exact zeros only when n_theta has no prime factor other than
-    2 and 3), and dropping them keeps radial data radial.
+    coeff is the spectrum of an array whose flag is const, from _spectrum.
+    For a theta-constant array only mode 0 counts: its m >= 1 coefficients
+    are roundoff (exact zeros only when n_theta has no prime factor other
+    than 2 and 3), and dropping them keeps radial data radial.
     """
     if const:
         coeff = coeff[:, :1]
@@ -212,23 +243,30 @@ def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, modes: tuple,
     """phi from the solved modes x, one column per entry of modes (None for
     no modes); const is the flag of the right-hand side.
 
-    coeff, the rfft of the right-hand side, is consumed: its buffer is
-    zeroed and takes the spectrum of phi.  A second spectrum would be
-    handed back to the OS after each solve and faulted in again by the
-    next.  The zeroing matters, because the m >= 1 roundoff of a
-    theta-constant right-hand side sits in that buffer.
+    coeff, the spectrum of the right-hand side from _spectrum, is
+    consumed: its buffer is zeroed and takes the spectrum of phi.  A
+    second spectrum would be handed back to the OS after each solve and
+    faulted in again by the next.  The zeroing matters, because the m >= 1
+    roundoff of a theta-constant right-hand side sits in that buffer.
 
-    For a theta-constant right-hand side only mode 0 is set, yet the irfft
-    does not always give exactly constant rows (at n_theta = 478 = 2 * 239
-    they spread by 2.8e-16), so phi is held as its column 0: it is
-    theta-constant by construction, and radial data stays radial.
+    A closed-form spectrum (one column) gives phi's column as the irfft
+    gives its column 0: (x.real + 0.0) * (1 / n_theta).  Otherwise the
+    irfft runs, and for a theta-constant right-hand side, where only mode
+    0 is set, phi is held as its column 0: the irfft does not always give
+    exactly constant rows (at n_theta = 478 = 2 * 239 they spread by
+    2.8e-16), and radial data stays radial.
     """
+    n = grid.spec.n_theta
     coeff.fill(0)
     if modes:
         coeff[:, modes] = x
-    phi = np.fft.irfft(coeff, n=grid.spec.n_theta, axis=1)
-    if const:
-        phi = phi[:, :1].copy()
+    if coeff.shape[1] == 1:
+        phi = coeff.real + 0.0
+        phi *= 1.0 / n
+    else:
+        phi = np.fft.irfft(coeff, n=n, axis=1)
+        if const:
+            phi = phi[:, :1].copy()
     return _scalar(grid, phi, const)
 
 
@@ -248,7 +286,7 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
             "condition requires zero circulation" % mass, mode=0)
 
     const = _const(w)
-    coeff = np.fft.rfft(w.values, axis=1)
+    coeff = _spectrum(w)
     modes = _active_modes(coeff, const)
     x = None
     if modes:
@@ -288,7 +326,7 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
     g = q.grid
     n = g.spec.n_r
     const = _const(q)
-    coeff = np.fft.rfft(q.values, axis=1)
+    coeff = _spectrum(q)
     res2 = 0.0
     rhs2 = 0.0
     modes = _active_modes(coeff, const)

@@ -52,7 +52,9 @@ array has the bits of the full-size product because every weights array
 the package passes (grid.weights, its interior rows grid.weights[1:-1] and
 tail_weights) holds one bit pattern per row.  Other modules combine,
 sum and bound field values only through lincomb, times_profile,
-weighted_total and transit_time, so only this module reads columns.
+weighted_total and transit_time, and the elliptic solves take a
+right-hand side's column through _column, so only this module reads
+columns.
 """
 
 from __future__ import annotations
@@ -122,6 +124,13 @@ def _bit_column(a: np.ndarray) -> np.ndarray | None:
     if not (bits == bits[:, :1]).all():
         return None
     return _fresh(a[:, :1].copy())
+
+
+def _column(f: ScalarField) -> np.ndarray | None:
+    """The (n_r, 1) column f is held as, or None when its rows do not all
+    hold one bit pattern; scanned as by _const while f's flag is unknown."""
+    _const(f)
+    return f._cols[0]
 
 
 def _operands(*fs) -> list:

@@ -422,7 +422,8 @@ def test_stream_solve_without_w_returns_the_same_phi_and_u():
 def _fresh_spectrum_synthesis(grid, coeff, modes, x, const):
     """elliptic._synthesis as it was written with a second spectrum: phi
     is synthesized in a fresh np.zeros_like(coeff), and coeff is left as
-    it is."""
+    it is.  A closed-form coeff (mode 0 alone, one column) goes through
+    the irfft too, which pads it with zero modes."""
     phi_hat = np.zeros_like(coeff)
     if modes:
         phi_hat[:, modes] = x
@@ -448,16 +449,27 @@ def _synthesis_rhs(g, theta_constant):
     return ScalarField(g, vals)
 
 
-@pytest.mark.parametrize("n_theta", [100, 128, 478])
-@pytest.mark.parametrize("theta_constant", [True, False],
-                         ids=["theta_constant", "varying"])
-def test_synthesis_in_the_rfft_buffer_keeps_the_bits(monkeypatch, n_theta,
-                                                     theta_constant):
-    g = grid(65, n_theta, 8.0)
-    rhs = _synthesis_rhs(g, theta_constant)
-    got = (solve_poisson(rhs),) + solve_stream_helmholtz(rhs, 0.1)
-    monkeypatch.setattr(elliptic, "_synthesis", _fresh_spectrum_synthesis)
-    want = (solve_poisson(rhs),) + solve_stream_helmholtz(rhs, 0.1)
+def _elliptic_transforms(monkeypatch):
+    """Counts of the np.fft.rfft and irfft calls that diskflow.elliptic
+    makes from now on."""
+    import sys
+    counts = {"rfft": 0, "irfft": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "diskflow.elliptic":
+                counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    for name in counts:
+        monkeypatch.setattr(np.fft, name,
+                            counted(name, getattr(np.fft, name)))
+    return counts
+
+
+def _assert_same_solutions(got, want):
+    """Equal bits and equal column-held status, array by array, of two
+    (poisson phi, stream phi, w, u) tuples."""
     names = ("poisson phi", "stream phi", "w", "u")
     for name, a, b in zip(names, got, want, strict=True):
         for x, y, cx, cy in zip(fields._components(a),
@@ -465,20 +477,39 @@ def test_synthesis_in_the_rfft_buffer_keeps_the_bits(monkeypatch, n_theta,
                                 strict=True):
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
             assert (cx is None) == (cy is None), name
+
+
+@pytest.mark.parametrize("n_theta", [100, 128, 478])
+@pytest.mark.parametrize("theta_constant", [True, False],
+                         ids=["theta_constant", "varying"])
+def test_synthesis_in_the_rfft_buffer_keeps_the_bits(monkeypatch, n_theta,
+                                                     theta_constant):
+    g = grid(65, n_theta, 8.0)
+    rhs = _synthesis_rhs(g, theta_constant)
+    counts = _elliptic_transforms(monkeypatch)
+    got = (solve_poisson(rhs),) + solve_stream_helmholtz(rhs, 0.1)
+    # mode 0 of a column-held right-hand side is in closed form only at
+    # n_theta = 2^k or 3 * 2^k; at 100 and 478 both solves transform
+    if theta_constant and n_theta == 128:
+        assert counts == {"rfft": 0, "irfft": 0}
+    else:
+        assert counts == {"rfft": 2, "irfft": 2}
+    monkeypatch.setattr(elliptic, "_synthesis", _fresh_spectrum_synthesis)
+    want = (solve_poisson(rhs),) + solve_stream_helmholtz(rhs, 0.1)
+    _assert_same_solutions(got, want)
     if theta_constant:
         assert got[1]._cols[0] is not None and got[1]._cols[0].shape == (65, 1)
 
 
-def test_theta_constant_stream_solve_holds_two_full_size_buffers():
-    # the rfft output and the irfft output; a second spectrum for the
-    # synthesis would make three
+def test_column_held_stream_solve_makes_no_full_size_buffer():
+    # mode 0 of a column-held q is taken and synthesized in closed form:
+    # no rfft output and no irfft output, only n_r-long solve arrays
     import tracemalloc
     g = grid(256, 128, 10.0)
     r = g.r_nodes[:, None]
     q = ScalarField(g, np.repeat(smooth_bump(r, 1.5, 5.0), 128, axis=1))
     solve_stream_helmholtz(q, 0.1)      # factors mode 0, finds q's column
     full = 256 * 128 * 8
-    spectrum = 256 * 65 * 16
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -487,7 +518,116 @@ def test_theta_constant_stream_solve_holds_two_full_size_buffers():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert spectrum + full <= peak < spectrum + full + full // 2
+    assert peak < full // 4
+
+
+# the gated n_theta of the grids' range (even, at least 8) up to 512
+_CLOSED_FORM_N = [8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512]
+
+
+def test_closed_form_gate_is_powers_of_two_and_three_times_them():
+    assert [n for n in range(8, 521, 2)
+            if elliptic._closed_form(n)] == _CLOSED_FORM_N
+    assert elliptic._closed_form(3 * 2 ** 20)
+    assert not elliptic._closed_form(9 * 2 ** 20)
+
+
+def _column_values():
+    """Values of one radial column: signed magnitudes spread from 1e-300 to
+    1e300, unit-scale values, +-0.0 and subnormals."""
+    rng = np.random.default_rng(20)
+    spread = 10.0 ** rng.uniform(-300.0, 300.0, 300)
+    return np.concatenate([
+        spread * rng.choice([-1.0, 1.0], 300), rng.normal(size=100),
+        [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-310,
+         2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+         1.0, 1.0 / 3.0]])
+
+
+def _dc_of_constant_rows(c, n_theta):
+    return np.fft.rfft(np.repeat(c[:, None], n_theta, axis=1), axis=1)[:, 0]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n_theta", _CLOSED_FORM_N)
+def test_pocketfft_takes_mode_0_of_constant_rows_in_closed_form(n_theta):
+    # the precondition of elliptic._spectrum and _synthesis: if numpy's
+    # FFT changes how it sums or scales, this fails before any output moves
+    c = _column_values()
+    dc = _dc_of_constant_rows(c, n_theta)
+    assert np.array_equal(_bits(dc.real), _bits(n_theta * c))
+    assert np.array_equal(_bits(dc.imag), _bits(np.zeros_like(c)))
+    spectrum = np.zeros((len(c), n_theta // 2 + 1), dtype=complex)
+    spectrum.real[:, 0] = c
+    spectrum.imag[:, 0] = c[::-1]           # the irfft ignores it
+    col0 = np.fft.irfft(spectrum, n=n_theta, axis=1)[:, 0]
+    assert np.array_equal(_bits(col0), _bits((c + 0.0) * (1.0 / n_theta)))
+
+
+@pytest.mark.parametrize("n_theta", [36, 100])
+def test_mode_0_of_constant_rows_is_not_n_c_off_the_gate(n_theta):
+    # two odd factors (9, 25) round the DC sum twice: why the gate exists
+    assert not elliptic._closed_form(n_theta)
+    c = _column_values()
+    dc = _dc_of_constant_rows(c, n_theta)
+    assert not np.array_equal(_bits(dc.real), _bits(n_theta * c))
+
+
+@pytest.mark.parametrize("n_theta", [8, 96, 384, 512])
+def test_closed_form_spectrum_and_synthesis_keep_the_bits(n_theta):
+    # the code's own closed forms against the transforms, on a column with
+    # signed zeros and subnormals, which no solve of the tests produces
+    c = _column_values()
+    g = grid(len(c), n_theta, 8.0)
+    f = ScalarField(g, np.repeat(c[:, None], n_theta, axis=1))
+    coeff = elliptic._spectrum(f)
+    want = np.fft.rfft(f.values, axis=1)
+    assert coeff.shape == (len(c), 1)
+    assert np.array_equal(_bits(coeff.real), _bits(want.real[:, :1]))
+    assert np.array_equal(_bits(coeff.imag), _bits(want.imag[:, :1]))
+    x = np.empty((len(c), 1), dtype=complex)    # c + 1j * c would lose -0.0
+    x.real[:, 0] = c
+    x.imag[:, 0] = c[::-1]
+    got = elliptic._synthesis(g, coeff, (0,), x, True)
+    full = elliptic._synthesis(g, want, (0,), x, True)
+    assert got._cols[0].shape == full._cols[0].shape == (len(c), 1)
+    assert np.array_equal(_bits(got._cols[0]), _bits(full._cols[0]))
+
+
+@pytest.mark.parametrize("n_theta", [16, 96, 128, 384])
+def test_closed_form_solves_match_the_transform_path(monkeypatch, n_theta):
+    g = grid(65, n_theta, 8.0)
+    counts = _elliptic_transforms(monkeypatch)
+
+    def solves():
+        rhs = _synthesis_rhs(g, True)
+        return (solve_poisson(rhs),) + solve_stream_helmholtz(rhs, 0.1)
+    got = solves()
+    assert counts == {"rfft": 0, "irfft": 0}
+    assert all(c is not None for f in got for c in f._cols)
+    # a right-hand side that is not column-held goes through the FFTs
+    monkeypatch.setattr(fields, "_bit_column", lambda a: None)
+    want = solves()
+    assert counts == {"rfft": 2, "irfft": 2}
+    _assert_same_solutions(got, want)
+
+
+def test_theta_constant_rows_of_mixed_zeros_take_the_transforms(monkeypatch):
+    # float == finds the rows constant, but a row of 0.0 and -0.0 does not
+    # hold one bit pattern, so the right-hand side is not column-held
+    g = grid(65, 128, 8.0)
+    vals = _synthesis_rhs(g, True).values.copy()
+    assert vals[0, 0] == 0.0
+    vals[0, ::2] = -0.0
+    rhs = ScalarField(g, vals)
+    counts = _elliptic_transforms(monkeypatch)
+    phi = solve_stream_helmholtz(rhs, 0.1)[0]
+    assert fields._const(rhs) and fields._column(rhs) is None
+    assert counts == {"rfft": 1, "irfft": 1}
+    assert phi._cols[0] is not None
 
 
 # ---------------------------------------------------------------------------
