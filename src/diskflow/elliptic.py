@@ -48,9 +48,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import (BoundaryTagError, CirculationError, ConfigError,
                      EllipticSolveError)
-from .fields import (ScalarField, VectorField, _column, _const, _retag,
-                     _scalar, curl_perp, laplacian, lincomb, norm_l2,
-                     perp_grad, weighted_total)
+from .fields import (ScalarField, VectorField, _column, _retag, _scalar,
+                     curl_perp, laplacian, lincomb, norm_l2, perp_grad,
+                     weighted_total)
 from .grid import ExteriorGrid
 
 _RESIDUAL_TOL = 1e-10
@@ -225,34 +225,35 @@ def _spectrum(f: ScalarField) -> np.ndarray:
     return coeff
 
 
-def _active_modes(coeff: np.ndarray, const: bool) -> tuple:
+def _active_modes(coeff: np.ndarray, held: bool) -> tuple:
     """Angular modes whose interior coefficients carry data.
 
-    coeff is the spectrum of an array whose flag is const, from _spectrum.
-    For a theta-constant array only mode 0 counts: its m >= 1 coefficients
-    are roundoff (exact zeros only when n_theta has no prime factor other
-    than 2 and 3), and dropping them keeps radial data radial.
+    coeff is the spectrum of an array from _spectrum, held says whether
+    that array is held as a column.  For a held array only mode 0 counts:
+    its m >= 1 coefficients are roundoff (exact zeros only when n_theta has
+    no prime factor other than 2 and 3), and dropping them keeps radial
+    data radial.
     """
-    if const:
+    if held:
         coeff = coeff[:, :1]
     return tuple(int(m) for m in np.flatnonzero(coeff[1:-1].any(axis=0)))
 
 
 def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, modes: tuple,
-               x: np.ndarray | None, const: bool) -> ScalarField:
+               x: np.ndarray | None, held: bool) -> ScalarField:
     """phi from the solved modes x, one column per entry of modes (None for
-    no modes); const is the flag of the right-hand side.
+    no modes); held says whether the right-hand side is held as a column.
 
     coeff, the spectrum of the right-hand side from _spectrum, is
     consumed: its buffer is zeroed and takes the spectrum of phi.  A
     second spectrum would be handed back to the OS after each solve and
     faulted in again by the next.  The zeroing matters, because the m >= 1
-    roundoff of a theta-constant right-hand side sits in that buffer.
+    roundoff of a held right-hand side sits in that buffer.
 
     A closed-form spectrum (one column) gives phi's column as the irfft
     gives its column 0: (x.real + 0.0) * (1 / n_theta).  Otherwise the
-    irfft runs, and for a theta-constant right-hand side, where only mode
-    0 is set, phi is held as its column 0: the irfft does not always give
+    irfft runs, and for a held right-hand side, where only mode 0 is set,
+    phi is held as its column 0: the irfft does not always give
     exactly constant rows (at n_theta = 478 = 2 * 239 they spread by
     2.8e-16), and radial data stays radial.
     """
@@ -265,9 +266,9 @@ def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, modes: tuple,
         phi *= 1.0 / n
     else:
         phi = np.fft.irfft(coeff, n=n, axis=1)
-        if const:
+        if held:
             phi = phi[:, :1].copy()
-    return _scalar(grid, phi, const)
+    return _scalar(grid, phi)
 
 
 def total_mass(w: ScalarField) -> float:
@@ -285,9 +286,9 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
             "net vorticity mass %.3e exceeds tolerance; the mode-0 far "
             "condition requires zero circulation" % mass, mode=0)
 
-    const = _const(w)
+    held = _column(w) is not None
     coeff = _spectrum(w)
-    modes = _active_modes(coeff, const)
+    modes = _active_modes(coeff, held)
     x = None
     if modes:
         n = g.spec.n_r
@@ -300,7 +301,7 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
         x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes),
                                parts.reshape(2, -1))
         x = x.reshape(len(modes), n).T
-    phi = _synthesis(g, coeff, modes, x, const)
+    phi = _synthesis(g, coeff, modes, x, held)
 
     res_norm = float(np.sqrt(weighted_total(
         g.weights[1:-1], lambda lap, a: np.square((lap - a)[1:-1]),
@@ -325,11 +326,11 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
             "overdetermined at alpha=0" % (alpha,), key="alpha")
     g = q.grid
     n = g.spec.n_r
-    const = _const(q)
+    held = _column(q) is not None
     coeff = _spectrum(q)
     res2 = 0.0
     rhs2 = 0.0
-    modes = _active_modes(coeff, const)
+    modes = _active_modes(coeff, held)
     x = None
     if modes:
         parts = np.zeros((2, len(modes), 2 * n))
@@ -338,7 +339,7 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
         x, res2, rhs2 = _solve_modes(_block_factor(g, "stream", alpha, modes),
                                      parts.reshape(2, -1))
         x = x.reshape(len(modes), 2 * n)[:, 0::2].T
-    phi = _synthesis(g, coeff, modes, x, const)
+    phi = _synthesis(g, coeff, modes, x, held)
     w = laplacian(phi) if with_w else None
 
     # residual of the banded system itself; recomposing Delta^2 in physical

@@ -1,13 +1,13 @@
 """Fields on the exterior grid and log-polar differential operators.
 
 Angular derivatives are spectral (real FFT, exact for resolved modes, the
-odd-derivative Nyquist coefficient dropped).  For an array whose every row
-is finite and holds one value (a theta-constant array: radial data) the
-derivative is +0.0 everywhere; _dtheta and _dtheta2 then return None, with
-no transform and no array, and each caller applies what multiplying by or
-adding that +0.0 does to its other operand: a product with a finite factor
-keeps the factor's sign (x * 0.0), x - (+0.0) is x, and x + (+0.0) turns
--0.0 into +0.0 (x + 0.0).
+odd-derivative Nyquist coefficient dropped).  For a column-held array
+(see below: radial data) the derivative is +0.0 everywhere; _dtheta and
+_dtheta2 then return None, with no transform and no array, and each
+caller applies what multiplying by or adding that +0.0 does to its other
+operand: a product with a finite factor keeps the factor's sign
+(x * 0.0), x - (+0.0) is x, and x + (+0.0) turns -0.0 into +0.0
+(x + 0.0).
 Radial derivatives are 2nd-order centered differences in s = ln r with
 one-sided 2nd-order closures at r = 1 and r = r_max.  Norms use the grid
 quadrature.  H^k seminorms apply k nested first-derivative stencils
@@ -25,36 +25,30 @@ Every IEEE operation and its operand order are kept (only a*b -> b*a and
 a+b -> b+a are swapped), so the values are those of the plain
 expressions bit for bit.
 
-Every array of a field carries a theta-constancy flag, which always equals
-_theta_constant of its values.  An operator sets the flags of its results
-from its inputs' flags: when every input array is theta-constant, each
-result row is the same IEEE operations applied to equal operands, so it is
-theta-constant too, exactly when it is finite.  Otherwise its flag is left
-unknown.  An unknown flag, as on every array a caller hands to a
-constructor, is found by one _theta_constant scan on first use and kept.
-The kernels, the seminorms and the elliptic solves read the flags instead
-of scanning.
-
-An array whose rows are bit-identical is held as its (n_r, 1) column: the
-public attribute (values, u_r, u_theta) is then a read-only np.broadcast_to
-view of it, of full shape and with the same bytes.  A scan that finds a
-caller's array theta-constant also compares its bits and, if every row
-holds one bit pattern, keeps its column beside it.  When every input of an
-operator is column-held, the operator runs its kernels on the columns
-(_inv_r is (n_r, 1) too), so its results are columns; mixed inputs go
-through the full-size views, as full arrays would.  Every elementwise
-operation then gives each node the bits it would give at full size.
-Whole-array sums are taken over a contiguous full-size array, because
-numpy sums a broadcast view in another order.  _weighted_sum and
-weighted_total form a product of columns on the columns, with column 0 of
-the weights, and spread it into one contiguous array for the sum; that
-array has the bits of the full-size product because every weights array
-the package passes (grid.weights, its interior rows grid.weights[1:-1] and
-tail_weights) holds one bit pattern per row.  Other modules combine,
-sum and bound field values only through lincomb, times_profile,
-weighted_total and transit_time, and the elliptic solves take a
-right-hand side's column through _column, so only this module reads
-columns.
+An array whose rows are finite and each hold one bit pattern (a
+theta-constant array) is held as its (n_r, 1) column, and that column is
+the only record of theta-constancy.  Each array of a field is unscanned,
+scanned and not held, or held.  A caller's array and a full-size operator
+result start unscanned; the first operator that takes it scans it once
+with _bit_column and keeps the answer.  An operator whose input arrays
+are all held runs its kernels on the columns (_inv_r is (n_r, 1) too), so
+its results are columns, held at once behind a read-only np.broadcast_to
+view of full shape and with the same bytes (the public values, u_r or
+u_theta).  Otherwise it runs on the full-size public arrays and tells its
+angular kernels which of them are held.  Every elementwise operation then
+gives each node the bits it would give at full size.  A row that mixes
+0.0 and -0.0 is not held, so its array goes through the transforms, which
+give zeros there.  Whole-array sums are taken over a contiguous full-size
+array, because numpy sums a broadcast view in another order.
+_weighted_sum and weighted_total form a product of columns on the
+columns, with column 0 of the weights, and spread it into one contiguous
+array for the sum; that array has the bits of the full-size product
+because every weights array the package passes (grid.weights, its
+interior rows grid.weights[1:-1] and tail_weights) holds one bit pattern
+per row.  Other modules combine, sum and bound field values only through
+lincomb, times_profile, weighted_total and transit_time, and the elliptic
+solves take a right-hand side's column through _column, so only this
+module reads columns.
 """
 
 from __future__ import annotations
@@ -75,7 +69,7 @@ def _owned(values, shape):
     if not np.isfinite(vals).all():
         raise NonFiniteFieldError("field contains NaN or Inf")
     # a read-only view may still change through its base, and with it the
-    # values under a kept flag
+    # values under a kept column
     if vals.flags.writeable or vals.base is not None:
         vals = vals.copy()
         vals.flags.writeable = False
@@ -88,113 +82,94 @@ def _fresh(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _result_flag(a: np.ndarray, const: bool) -> bool | None:
-    """The flag of a fresh operator result a; NonFiniteFieldError unless a
-    is finite.
-
-    const says that every input array of a was theta-constant, so a is
-    theta-constant exactly when it is finite.  Otherwise its flag is
-    unknown (None).
-    """
-    if not np.isfinite(a).all():
-        raise NonFiniteFieldError("field contains NaN or Inf")
-    return True if const else None
-
-
-def _const(f, i: int = 0) -> bool:
-    """Theta-constancy of component i of f (see _components), scanned with
-    _theta_constant only while its flag is unknown.  A scan that finds it
-    theta-constant and bit-identical in every row keeps its column.
-    Threads that find one unknown flag at once each store the same
-    values, the column before the flag."""
-    flags = f._flags
-    if flags[i] is None:
-        a = _components(f)[i]
-        const = _theta_constant(a)
-        if const:
-            f._cols[i] = _bit_column(a)
-        flags[i] = const
-    return flags[i]
-
-
 def _bit_column(a: np.ndarray) -> np.ndarray | None:
-    """A read-only copy of column 0 of a when every row of a holds one bit
-    pattern, else None."""
+    """A read-only copy of column 0 of a when every row of a is finite and
+    holds one bit pattern, else None.
+
+    One middle column is compared with column 0 first, by float ==, which
+    no finite row of one bit pattern fails, so an array that varies in
+    angle is usually rejected without a whole-array scan.  Then bits, so a
+    row of 0.0 and -0.0 fails; a NaN or Inf row fails the finite check.
+    """
+    if not (a[:, a.shape[1] // 2] == a[:, 0]).all():
+        return None
     bits = a.view(np.int64)
-    if not (bits == bits[:, :1]).all():
+    if not (bits == bits[:, :1]).all() or not np.isfinite(a[:, 0]).all():
         return None
     return _fresh(a[:, :1].copy())
 
 
-def _column(f: ScalarField) -> np.ndarray | None:
-    """The (n_r, 1) column f is held as, or None when its rows do not all
-    hold one bit pattern; scanned as by _const while f's flag is unknown."""
-    _const(f)
-    return f._cols[0]
+def _column(f, i: int = 0) -> np.ndarray | None:
+    """The (n_r, 1) column that component i of f (see _components) is held
+    as, or None when it is not held.  An unscanned component is scanned
+    with _bit_column and the answer kept: the column, or False for "not
+    held".  Threads that scan one component at once store equal answers."""
+    col = f._cols[i]
+    if col is None:
+        col = _bit_column(_components(f)[i])
+        f._cols[i] = False if col is None else col
+    return None if col is False else col
 
 
 def _operands(*fs) -> list:
     """The component arrays of the fields fs, in order, as an operator
-    takes them: their columns when every one is column-held, else the
-    full-size public arrays.  Nothing is scanned: a caller's array is
-    held once a _const scan has found its column."""
-    cols = [c for f in fs for c in f._cols]
+    takes them, each scanned on first use (see _column): their columns
+    when every one is held, else the full-size public arrays."""
+    cols = [_column(f, i) for f in fs for i in range(len(f._cols))]
     if any(c is None for c in cols):
         return [a for f in fs for a in _components(f)]
     return cols
 
 
-def _held(grid: ExteriorGrid, a: np.ndarray, const: bool) -> tuple:
-    """(public array, flag, column or None) of the fresh result a, const as
-    in _result_flag.  An (n_r, 1) a is held as its column."""
-    flag = _result_flag(_fresh(a), const)
+def _held(grid: ExteriorGrid, a: np.ndarray) -> tuple:
+    """(public array, _cols entry) of the fresh result a; NonFiniteFieldError
+    unless a is finite.  An (n_r, 1) a is held as its column; a full-size a
+    is unscanned (None)."""
+    if not np.isfinite(_fresh(a)).all():
+        raise NonFiniteFieldError("field contains NaN or Inf")
     if a.shape[1] != 1:
-        return a, flag, None
-    return (np.broadcast_to(a, (grid.spec.n_r, grid.spec.n_theta)), flag,
-            a)
+        return a, None
+    return np.broadcast_to(a, (grid.spec.n_r, grid.spec.n_theta)), a
 
 
-def _scalar(grid: ExteriorGrid, values: np.ndarray, const: bool):
-    """ScalarField of the fresh result values, a full array or a column;
-    const as in _result_flag."""
-    v, flag, col = _held(grid, values, const)
+def _scalar(grid: ExteriorGrid, values: np.ndarray):
+    """ScalarField of the fresh result values, a full array or a column."""
+    v, col = _held(grid, values)
     f = object.__new__(ScalarField)
-    f._set(grid, v, [flag], [col])
+    f._set(grid, v, [col])
     return f
 
 
-def _vector(grid: ExteriorGrid, u_r: np.ndarray, u_theta: np.ndarray,
-            const_r: bool, const_theta: bool):
+def _vector(grid: ExteriorGrid, u_r: np.ndarray, u_theta: np.ndarray):
     """Untagged VectorField of fresh results, each a full array or a
-    column; each const as in _result_flag."""
-    ur, flag_r, col_r = _held(grid, u_r, const_r)
-    ut, flag_t, col_t = _held(grid, u_theta, const_theta)
+    column."""
+    ur, col_r = _held(grid, u_r)
+    ut, col_t = _held(grid, u_theta)
     u = object.__new__(VectorField)
-    u._set(grid, ur, ut, [flag_r, flag_t], [col_r, col_t], None)
+    u._set(grid, ur, ut, [col_r, col_t], None)
     return u
 
 
 def _retag(u, tag: str):
-    """u's arrays, and the flags and columns it holds for them, under
-    boundary tag, which is checked."""
+    """u's arrays, and what it holds of their columns, under boundary tag,
+    which is checked."""
     v = object.__new__(VectorField)
-    v._set(u.grid, u.u_r, u.u_theta, u._flags, u._cols, tag)
+    v._set(u.grid, u.u_r, u.u_theta, u._cols, tag)
     return v
 
 
 class ScalarField:
     """A scalar sample on every grid node."""
 
-    __slots__ = ("grid", "values", "_flags", "_cols")
+    __slots__ = ("grid", "values", "_cols")
 
     def __init__(self, grid: ExteriorGrid, values):
         shape = (grid.spec.n_r, grid.spec.n_theta)
-        self._set(grid, _owned(values, shape), [None], [None])
+        self._set(grid, _owned(values, shape), [None])
 
-    def _set(self, grid, values, flags, cols):
+    def _set(self, grid, values, cols):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_flags", flags)
         object.__setattr__(self, "_cols", cols)
 
     def __setattr__(self, name, value):
@@ -211,21 +186,20 @@ class VectorField:
     A violated tag raises BoundaryTagError, a ValueError.
     """
 
-    __slots__ = ("grid", "u_r", "u_theta", "tag", "_flags", "_cols")
+    __slots__ = ("grid", "u_r", "u_theta", "tag", "_cols")
 
     _RING_TOL = 1e-12
 
     def __init__(self, grid: ExteriorGrid, u_r, u_theta, tag=None):
         shape = (grid.spec.n_r, grid.spec.n_theta)
         self._set(grid, _owned(u_r, shape), _owned(u_theta, shape),
-                  [None, None], [None, None], tag)
+                  [None, None], tag)
 
-    def _set(self, grid, u_r, u_theta, flags, cols, tag):
+    def _set(self, grid, u_r, u_theta, cols, tag):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "u_r", u_r)
         object.__setattr__(self, "u_theta", u_theta)
         object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "_flags", flags)
         object.__setattr__(self, "_cols", cols)
         if tag == "no-slip":
             worst = max(np.abs(self.u_r[0]).max(),
@@ -277,24 +251,11 @@ def _dss(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _theta_constant(a: np.ndarray) -> bool:
-    """True when every row of a is finite and holds one value.
-
-    One middle column is compared with column 0 first, so an array that
-    varies in angle is usually rejected without a whole-array scan.  Float
-    ==, so NaN rows fail it; Inf rows fail the finite check.
-    """
-    first = a[:, 0]
-    if not (a[:, a.shape[1] // 2] == first).all():
-        return False
-    return bool((a == first[:, None]).all() and np.isfinite(first).all())
-
-
-def _dtheta(a: np.ndarray, const: bool | None = None) -> np.ndarray | None:
-    """d/dtheta of a, or None for a theta-constant a (see _theta_constant):
-    that derivative is +0.0 at every node, which callers apply without
-    an array.  const is a's flag; None scans a."""
-    if _theta_constant(a) if const is None else const:
+def _dtheta(a: np.ndarray, held: bool = False) -> np.ndarray | None:
+    """d/dtheta of a, or None when held says that a is a held array, as
+    its column or its full-size view: that derivative is +0.0 at every
+    node, which callers apply without an array."""
+    if held:
         return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
@@ -304,9 +265,9 @@ def _dtheta(a: np.ndarray, const: bool | None = None) -> np.ndarray | None:
     return np.fft.irfft(coeff, n=n, axis=1)
 
 
-def _dtheta2(a: np.ndarray, const: bool | None = None) -> np.ndarray | None:
-    """d^2/dtheta^2 of a, or None for a theta-constant a, as _dtheta."""
-    if _theta_constant(a) if const is None else const:
+def _dtheta2(a: np.ndarray, held: bool = False) -> np.ndarray | None:
+    """d^2/dtheta^2 of a, or None for a held a, as _dtheta."""
+    if held:
         return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
@@ -332,37 +293,34 @@ def _dr(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
 def perp_grad(psi: ScalarField) -> VectorField:
     """u = (-(1/r) dtheta psi, dr psi), the rotated gradient."""
     g = psi.grid
-    const = _const(psi)
     (a,) = _operands(psi)
-    u_r = _dtheta(a, const)
+    u_r = _dtheta(a, _column(psi) is not None)
     if u_r is None:         # (+0.0) * (-1/r)
         u_r = np.full((g.spec.n_r, 1), -0.0)
     else:
         u_r *= -_inv_r(g)
     u_theta = _dr(a, g)
-    return _vector(g, u_r, u_theta, const, const)
+    return _vector(g, u_r, u_theta)
 
 
 def curl_perp(u: VectorField) -> ScalarField:
     """Scalar vorticity w = (1/r)(dr(r u_theta) - dtheta u_r)."""
     g = u.grid
     inv_r = _inv_r(g)
-    c_r = _const(u, 0)
-    const = c_r and _const(u, 1)
     u_r, u_theta = _operands(u)
     # (1/r) d_r(r u_theta) = e^{-2s} d_s(e^s u_theta)
     w = _ds(g.r_nodes[:, None] * u_theta, g.ds)
     w *= inv_r
-    d = _dtheta(u_r, c_r)
+    d = _dtheta(u_r, _column(u, 0) is not None)
     if d is not None:       # w - (+0.0) is w
         w -= d
     w *= inv_r
-    return _scalar(g, w, const)
+    return _scalar(g, w)
 
 
-def _laplacian(a: np.ndarray, grid: ExteriorGrid, const: bool) -> np.ndarray:
+def _laplacian(a: np.ndarray, grid: ExteriorGrid, held: bool) -> np.ndarray:
     vals = _dss(a, grid.ds)
-    d = _dtheta2(a, const)
+    d = _dtheta2(a, held)
     if d is None:
         vals += 0.0
     else:
@@ -373,20 +331,19 @@ def _laplacian(a: np.ndarray, grid: ExteriorGrid, const: bool) -> np.ndarray:
 
 def laplacian(f: ScalarField) -> ScalarField:
     """e^{-2s} (d_ss + d_thetatheta) f."""
-    const = _const(f)
     (a,) = _operands(f)
-    return _scalar(f.grid, _laplacian(a, f.grid, const), const)
+    return _scalar(f.grid, _laplacian(a, f.grid, _column(f) is not None))
 
 
 def _angular_advection(u_theta: np.ndarray, inv_r: np.ndarray,
-                       a: np.ndarray, const: bool) -> np.ndarray:
-    """(u_theta * inv_r) * dtheta a, const being a's flag.
+                       a: np.ndarray, held: bool) -> np.ndarray:
+    """(u_theta * inv_r) * dtheta a, held saying whether a is held.
 
-    For a theta-constant a this is u_theta * 0.0: inv_r lies in (0, 1], so
+    For a held a this is u_theta * 0.0: inv_r lies in (0, 1], so
     u_theta * inv_r is finite with the sign of u_theta, as its product with
     +0.0 is.
     """
-    d = _dtheta(a, const)
+    d = _dtheta(a, held)
     if d is None:
         return u_theta * 0.0
     ang = u_theta * inv_r
@@ -399,13 +356,11 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     if u.grid is not q.grid:
         raise ValueError("advect requires fields on the same grid")
     g = q.grid
-    c_q = _const(q)
-    const = c_q and _const(u, 0) and _const(u, 1)
     a, u_r, u_theta = _operands(q, u)
     vals = _dr(a, g)
     vals *= u_r
-    vals += _angular_advection(u_theta, _inv_r(g), a, c_q)
-    return _scalar(g, vals, const)
+    vals += _angular_advection(u_theta, _inv_r(g), a, _column(q) is not None)
+    return _scalar(g, vals)
 
 
 def _components(f) -> list:
@@ -471,13 +426,11 @@ def seminorms_hk(f, k_max: int) -> tuple:
     each level is summed as it is reached, so the derivatives of level k
     are taken once for all orders above it.
 
-    A component flagged theta-constant skips its d/dtheta branch and every
-    derivative of it: they are exact zeros, which add +0.0 to a
-    non-negative sum.  Its d/dr is theta-constant bit for bit, so it keeps
-    the flag while finite, and an all-zero one is dropped.  The derivatives
-    of other components start with unknown flags, so a d/dtheta that
-    _dtheta returns as None is dropped for the same reason.  A column-held
-    component is differentiated as its column.  The sums are those of
+    A held component is differentiated as its column and skips its
+    d/dtheta branch and every derivative of it: they are exact zeros,
+    which add +0.0 to a non-negative sum, and an all-zero column is
+    dropped.  Its d/dr is a column too while finite; a non-finite one goes
+    on at full size and through the transforms.  The sums are those of
     every word of derivatives, bit for bit.
     """
     if k_max not in (1, 2, 3):
@@ -485,32 +438,30 @@ def seminorms_hk(f, k_max: int) -> tuple:
                           key="k")
     g = f.grid
     inv_r = _inv_r(g)
-    comps = []                        # (array, flag) pairs
+    comps = []                        # columns and full-size arrays
     for i, c in enumerate(_components(f)):
-        const = _const(f, i)
-        if f._cols[i] is not None:
-            c = f._cols[i]
-        if not const or c[:, 0].any():
-            comps.append((c, const))
+        col = _column(f, i)
+        if col is None:
+            comps.append(c)
+        elif col.any():
+            comps.append(col)
     norms = []
     for _ in range(k_max):
         nxt = []
-        for c, const in comps:
+        for c in comps:
             d = _dr(c, g)
-            if not const:
-                nxt.append((d, None))
-            elif np.isfinite(d[:, 0]).all():
-                nxt.append((d, True))
+            if c.shape[1] != 1:
+                nxt.append(d)
+                d = _dtheta(c)
+                d *= inv_r
+                nxt.append(d)
+            elif np.isfinite(d).all():
+                nxt.append(d)
             else:           # a non-finite d/dr goes on at full size
-                nxt.append((np.broadcast_to(d, g.weights.shape), False))
-            if not const:
-                d = _dtheta(c, const)
-                if d is not None:
-                    d *= inv_r
-                    nxt.append((d, None))
+                nxt.append(np.broadcast_to(d, g.weights.shape))
         comps = nxt
         total = 0.0
-        for c, _ in comps:
+        for c in comps:
             total += _weighted_sum(g.weights, c, c)
         norms.append(float(np.sqrt(total)))
     return tuple(norms)
@@ -548,18 +499,17 @@ def _grad_tensor(u: VectorField) -> tuple:
     """grad_tensor of u, as columns when u is column-held."""
     g = u.grid
     inv_r = _inv_r(g)
-    c_r, c_t = _const(u, 0), _const(u, 1)
     u_r, u_theta = _operands(u)
     t_rr = _dr(u_r, g)
     t_rt = _dr(u_theta, g)
-    t_tr = _dtheta(u_r, c_r)
+    t_tr = _dtheta(u_r, _column(u, 0) is not None)
     if t_tr is None:        # (+0.0) - inv_r u_theta
         t_tr = inv_r * u_theta
         np.subtract(0.0, t_tr, out=t_tr)
     else:
         t_tr *= inv_r
         t_tr -= inv_r * u_theta
-    t_tt = _dtheta(u_theta, c_t)
+    t_tt = _dtheta(u_theta, _column(u, 1) is not None)
     if t_tt is None:        # (+0.0) + inv_r u_r
         t_tt = inv_r * u_r
         t_tt += 0.0
@@ -571,18 +521,16 @@ def _grad_tensor(u: VectorField) -> tuple:
 
 def difference(u: VectorField, v: VectorField) -> VectorField:
     """u - v componentwise, untagged, on u's grid."""
-    const_r = _const(u, 0) and _const(v, 0)
-    const_t = _const(u, 1) and _const(v, 1)
     u_r, u_t, v_r, v_t = _operands(u, v)
-    return _vector(u.grid, u_r - v_r, u_t - v_t, const_r, const_t)
+    return _vector(u.grid, u_r - v_r, u_t - v_t)
 
 
 def vector_laplacian(u: VectorField) -> VectorField:
     """Componentwise Laplacian with the polar coupling terms."""
     g = u.grid
     inv_r2 = _inv_r(g) ** 2
-    c_r, c_t = _const(u, 0), _const(u, 1)
     u_r, u_theta = _operands(u)
+    c_r, c_t = _column(u, 0) is not None, _column(u, 1) is not None
     lap_r = _laplacian(u_r, g, c_r)
     lap_r -= inv_r2 * u_r
     d = _dtheta(u_theta, c_t)
@@ -597,8 +545,7 @@ def vector_laplacian(u: VectorField) -> VectorField:
     else:
         d *= 2.0 * inv_r2
         lap_t += d
-    const = c_r and c_t
-    return _vector(g, lap_r, lap_t, const, const)
+    return _vector(g, lap_r, lap_t)
 
 
 def advect_vector(u: VectorField, a: VectorField) -> VectorField:
@@ -607,9 +554,8 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
         raise ValueError("advect_vector requires fields on the same grid")
     g = u.grid
     inv_r = _inv_r(g)
-    c_r, c_t = _const(a, 0), _const(a, 1)
-    const = c_r and c_t and _const(u, 0) and _const(u, 1)
     a_r, a_t, u_r, u_t = _operands(a, u)
+    c_r, c_t = _column(a, 0) is not None, _column(a, 1) is not None
     conv_r = _dr(a_r, g)
     conv_r *= u_r
     conv_r += _angular_advection(u_t, inv_r, a_r, c_r)
@@ -622,7 +568,7 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
     curv = u_t * a_r
     curv *= inv_r
     conv_t += curv
-    return _vector(g, conv_r, conv_t, const, const)
+    return _vector(g, conv_r, conv_t)
 
 
 def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
@@ -630,12 +576,11 @@ def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
     if u.grid is not a.grid:
         raise ValueError("grad_transpose_apply requires fields on the same grid")
     t_rr, t_rt, t_tr, t_tt = _grad_tensor(u)
-    const = _const(u, 0) and _const(u, 1) and _const(a, 0) and _const(a, 1)
     # a's columns only beside u's: a column tensor meets a full a at full size
     a_r, a_t = _operands(u, a)[2:]
     out_r = t_rr * a_r + t_rt * a_t
     out_t = t_tr * a_r + t_tt * a_t
-    return _vector(u.grid, out_r, out_t, const, const)
+    return _vector(u.grid, out_r, out_t)
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +592,8 @@ def lincomb(terms, scale: float | None = None,
     """base + scale * (c1 f1 + c2 f2 + ...) for terms ((c1, f1), (c2, f2),
     ...) of scalar fields, formed in place in that order: f1 * c1, then
     each further f * c added, then the scale, then base.  A coefficient of
-    1.0 keeps the bits of its field.
-
-    The flag is read, not scanned: the result is theta-constant when every
-    field's flag says so already, else its flag is unknown.
+    1.0 keeps the bits of its field.  The result is held as a column when
+    every field is held.
     """
     fs = [f for _, f in terms] + ([] if base is None else [base])
     ops = _operands(*fs)
@@ -661,14 +604,13 @@ def lincomb(terms, scale: float | None = None,
         out *= scale
     if base is not None:
         out += ops[-1]
-    return _scalar(fs[0].grid, out, all(f._flags[0] is True for f in fs))
+    return _scalar(fs[0].grid, out)
 
 
 def times_profile(f: ScalarField, profile: np.ndarray) -> ScalarField:
     """f times a radial profile, one value per radial node."""
-    const = _const(f)
     (a,) = _operands(f)
-    return _scalar(f.grid, profile[:, None] * a, const)
+    return _scalar(f.grid, profile[:, None] * a)
 
 
 def weighted_total(weights: np.ndarray, expr, *fs) -> float:

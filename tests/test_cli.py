@@ -486,7 +486,7 @@ def _output_files(out):
 
 @pytest.mark.parametrize("n_theta", [96, 128, 478])
 def test_radial_outputs_equal_the_full_array_path(monkeypatch, tmp_path,
-                                                  n_theta):
+                                                  full_array_path, n_theta):
     # column-held radial fields write what full arrays write, byte for
     # byte, also where numpy sums a broadcast view in another order
     import diskflow.fields as fields
@@ -500,11 +500,11 @@ def test_radial_outputs_equal_the_full_array_path(monkeypatch, tmp_path,
     spread = [False]
     real_held = fields._held
 
-    def held(grid, a, const):
+    def held(grid, a):
         if spread[0] and a.shape[1] == 1:
             a = np.repeat(a, grid.spec.n_theta, axis=1)
-        out = real_held(grid, a, const)
-        columns.append(out[2] is not None)
+        out = real_held(grid, a)
+        columns.append(out[1] is not None)
         return out
     monkeypatch.setattr(fields, "_held", held)
 
@@ -521,12 +521,12 @@ def test_radial_outputs_equal_the_full_array_path(monkeypatch, tmp_path,
         return files
     got = outputs("columns")
     assert any(columns)
-    # the full-array path: every column spread to a full array, with the
-    # flags kept, so the angular derivatives stay the exact zeros they are
-    # (the _theta_constant hook would turn them into FFTs, which leave
-    # roundoff on constant rows at n_theta = 478)
+    # the full-array path: every column spread to a full array and no
+    # array held, with the angular derivatives of constant rows the exact
+    # zeros they are (FFTs leave roundoff on constant rows at n_theta =
+    # 478, and would solve the roundoff modes)
     spread[0] = True
-    monkeypatch.setattr(fields, "_bit_column", lambda a: None)
+    full_array_path()
     want = outputs("full")
     assert columns and not any(columns)
     assert got.keys() == want.keys()

@@ -828,21 +828,21 @@ def test_radial_state_makes_no_angular_arrays_in_fields(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
 def test_radial_step_scans_no_array_for_theta_constancy(monkeypatch, kind):
-    # the state's fields carry their flags, and every array a step builds
-    # gets its flag from its inputs' flags
+    # the state's fields are held as columns, and every array a step
+    # builds from columns is a column, held at once
     import diskflow.fields as fields
     params, u0 = _vortex_state(kind, "radial_vortex")
     state = initial_state(params, u0)
     scans = []
-    real = fields._theta_constant
-    monkeypatch.setattr(fields, "_theta_constant",
+    real = fields._bit_column
+    monkeypatch.setattr(fields, "_bit_column",
                         lambda a: scans.append(a.shape) or real(a))
     nxt = step(state, 1e-3)
     assert scans == []
-    flags = (fields._const(nxt.q), fields._const(nxt.w),
-             fields._const(nxt.phi), fields._const(nxt.u, 0),
-             fields._const(nxt.u, 1))
-    assert scans == [] and flags == (True,) * 5
+    held = [fields._column(f, i) is not None
+            for f in (nxt.q, nxt.w, nxt.phi, nxt.u)
+            for i in range(len(f._cols))]
+    assert scans == [] and held == [True] * 5
 
 
 def _full_size_lines(fn, n_bytes, excluded):
@@ -912,16 +912,15 @@ def _full_size_lines(fn, n_bytes, excluded):
 
 @pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
 def test_radial_step_makes_no_full_size_array(monkeypatch, kind):
-    # a radial step works on (n_r, 1) columns: apart from the elliptic
-    # transforms (the rfft of a right-hand side and _synthesis, its irfft)
-    # and the weighted sums, no line makes an (n_r, n_theta) array
-    import diskflow.elliptic as elliptic
+    # a radial step works on (n_r, 1) columns: apart from the weighted
+    # sums, no line makes an (n_r, n_theta) array; the elliptic solves take
+    # mode 0 in closed form at this n_theta, so a full-size spectrum or
+    # synthesis in a step fails this
     import diskflow.fields as fields
     g = build_grid(GridSpec(n_r=65, n_theta=512, r_max=10.0))
     nu = 1e-3 if kind == "second_grade" else 0.0
     params = ModelParams(kind, alpha=0.2, nu=nu)
-    excluded = [(np.fft, "rfft"), (elliptic, "_synthesis"),
-                (fields, "_weighted_sum")]
+    excluded = [(fields, "_weighted_sum")]
     n_bytes = 65 * 512 * 8
 
     def lines():
@@ -930,7 +929,7 @@ def test_radial_step_makes_no_full_size_array(monkeypatch, kind):
         return _full_size_lines(lambda: step(state, 1e-3), n_bytes, excluded)
     assert lines() == []
     # the same probe finds the full-size arrays of the full-array path
-    monkeypatch.setattr(fields, "_theta_constant", lambda a: False)
+    monkeypatch.setattr(fields, "_bit_column", lambda a: None)
     assert len(lines()) > 10
 
 
@@ -941,10 +940,10 @@ def test_radial_run_matches_the_fft_path(monkeypatch, tmp_path, kind):
     params, u0 = _vortex_state(kind, "radial_vortex")
     config = RunConfig(snapshot_dt=0.05)
     got = run(params, u0, 0.2, config)
-    # every flag that no operator sets comes from a _theta_constant scan,
-    # so with the scan saying "not constant", fields built from fresh
-    # inputs take the transform path throughout
-    monkeypatch.setattr(fields, "_theta_constant", lambda a: False)
+    # every column that no operator makes comes from a _bit_column scan,
+    # so with the scan holding nothing, fields built from fresh inputs take
+    # the transform path throughout
+    monkeypatch.setattr(fields, "_bit_column", lambda a: None)
     transforms = []
     real_rfft = np.fft.rfft
 

@@ -419,7 +419,7 @@ def test_stream_solve_without_w_returns_the_same_phi_and_u():
     assert np.array_equal(w.values, laplacian(phi).values)
 
 
-def _fresh_spectrum_synthesis(grid, coeff, modes, x, const):
+def _fresh_spectrum_synthesis(grid, coeff, modes, x, held):
     """elliptic._synthesis as it was written with a second spectrum: phi
     is synthesized in a fresh np.zeros_like(coeff), and coeff is left as
     it is.  A closed-form coeff (mode 0 alone, one column) goes through
@@ -428,9 +428,9 @@ def _fresh_spectrum_synthesis(grid, coeff, modes, x, const):
     if modes:
         phi_hat[:, modes] = x
     phi = np.fft.irfft(phi_hat, n=grid.spec.n_theta, axis=1)
-    if const:
+    if held:
         phi = phi[:, :1].copy()
-    return fields._scalar(grid, phi, const)
+    return fields._scalar(grid, phi)
 
 
 def _synthesis_rhs(g, theta_constant):
@@ -472,11 +472,11 @@ def _assert_same_solutions(got, want):
     (poisson phi, stream phi, w, u) tuples."""
     names = ("poisson phi", "stream phi", "w", "u")
     for name, a, b in zip(names, got, want, strict=True):
-        for x, y, cx, cy in zip(fields._components(a),
-                                fields._components(b), a._cols, b._cols,
-                                strict=True):
+        for i, (x, y) in enumerate(zip(fields._components(a),
+                                       fields._components(b), strict=True)):
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
-            assert (cx is None) == (cy is None), name
+            assert (fields._column(a, i) is None) \
+                == (fields._column(b, i) is None), name
 
 
 @pytest.mark.parametrize("n_theta", [100, 128, 478])
@@ -598,7 +598,8 @@ def test_closed_form_spectrum_and_synthesis_keep_the_bits(n_theta):
 
 
 @pytest.mark.parametrize("n_theta", [16, 96, 128, 384])
-def test_closed_form_solves_match_the_transform_path(monkeypatch, n_theta):
+def test_closed_form_solves_match_the_transform_path(monkeypatch,
+                                                    full_array_path, n_theta):
     g = grid(65, n_theta, 8.0)
     counts = _elliptic_transforms(monkeypatch)
 
@@ -608,26 +609,43 @@ def test_closed_form_solves_match_the_transform_path(monkeypatch, n_theta):
     got = solves()
     assert counts == {"rfft": 0, "irfft": 0}
     assert all(c is not None for f in got for c in f._cols)
-    # a right-hand side that is not column-held goes through the FFTs
-    monkeypatch.setattr(fields, "_bit_column", lambda a: None)
+    # with no array held, both solves go through the FFTs and give the
+    # same bits (the fields operators on their results take the exact
+    # angular zeros of the tests' own scan)
+    full_array_path(held_solves=False)
     want = solves()
     assert counts == {"rfft": 2, "irfft": 2}
-    _assert_same_solutions(got, want)
+    names = ("poisson phi", "stream phi", "w", "u")
+    for name, a, b in zip(names, got, want, strict=True):
+        for i, (x, y) in enumerate(zip(fields._components(a),
+                                       fields._components(b), strict=True)):
+            assert np.array_equal(_bits(x), _bits(y)), name
+            assert fields._column(a, i) is not None, name
+            assert fields._column(b, i) is None, name
 
 
 def test_theta_constant_rows_of_mixed_zeros_take_the_transforms(monkeypatch):
-    # float == finds the rows constant, but a row of 0.0 and -0.0 does not
-    # hold one bit pattern, so the right-hand side is not column-held
+    # a row of 0.0 and -0.0 holds one value but not one bit pattern, so
+    # the right-hand side is not held and the solve transforms it
     g = grid(65, 128, 8.0)
-    vals = _synthesis_rhs(g, True).values.copy()
+    held = _synthesis_rhs(g, True)
+    vals = held.values.copy()
     assert vals[0, 0] == 0.0
     vals[0, ::2] = -0.0
     rhs = ScalarField(g, vals)
     counts = _elliptic_transforms(monkeypatch)
-    phi = solve_stream_helmholtz(rhs, 0.1)[0]
-    assert fields._const(rhs) and fields._column(rhs) is None
+    got = solve_stream_helmholtz(rhs, 0.1)
+    assert fields._column(rhs) is None
     assert counts == {"rfft": 1, "irfft": 1}
-    assert phi._cols[0] is not None
+    assert got[0].values.strides[1] != 0          # phi is full-size
+    # the transforms of these constant rows give zeros in every m >= 1
+    # mode at this n_theta, so the results equal those of the held
+    # right-hand side up to the signs of zeros
+    want = solve_stream_helmholtz(held, 0.1)
+    assert counts == {"rfft": 1, "irfft": 1}
+    for a, b in zip(got, want, strict=True):
+        for x, y in zip(fields._components(a), fields._components(b)):
+            assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------

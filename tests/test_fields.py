@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import one_bit_pattern_column
 from diskflow import fields
 from diskflow.errors import ConfigError, EllipticSolveError, NonFiniteFieldError
 from diskflow.grid import GridSpec, build_grid, tail_weights
@@ -346,14 +347,14 @@ def _plain_dr(a, g):
 
 
 def _plain_dtheta(a):
-    """d/dtheta as an array: exact zeros for θ-constant a, where
-    fields._dtheta returns None."""
-    return np.zeros_like(a) if fields._theta_constant(a) \
+    """d/dtheta as an array: exact zeros for an a that fields holds as a
+    column, where fields._dtheta returns None."""
+    return np.zeros_like(a) if one_bit_pattern_column(a) is not None \
         else fields._dtheta(a)
 
 
 def _plain_dtheta2(a):
-    return np.zeros_like(a) if fields._theta_constant(a) \
+    return np.zeros_like(a) if one_bit_pattern_column(a) is not None \
         else fields._dtheta2(a)
 
 
@@ -540,13 +541,6 @@ def test_in_place_kernels_equal_the_plain_expressions(data, theta_constant,
 ANGULAR = (fields._dtheta, fields._dtheta2)
 
 
-def fft_path(monkeypatch, dtheta, a):
-    """dtheta(a) with the θ-constant shortcut switched off."""
-    with monkeypatch.context() as m:
-        m.setattr(fields, "_theta_constant", lambda a: False)
-        return dtheta(a)
-
-
 def constant_rows(n_theta, seed=0):
     rng = np.random.default_rng(seed)
     mags = 10.0 ** rng.uniform(-8.0, 8.0, 40) * rng.choice([-1.0, 1.0], 40)
@@ -560,64 +554,76 @@ def constant_rows(n_theta, seed=0):
 
 @pytest.mark.parametrize("dtheta", ANGULAR)
 @pytest.mark.parametrize("n_theta", [8, 16, 32, 48, 96, 128])
-def test_theta_constant_rows_match_the_fft_path(monkeypatch, dtheta, n_theta):
-    # None stands for the exact zeros that the transform gives
+def test_theta_constant_rows_match_the_fft_path(dtheta, n_theta):
+    # None, for a held array, stands for the exact zeros that the
+    # transform gives
     a = constant_rows(n_theta, seed=n_theta)
-    assert fields._theta_constant(a)
-    assert dtheta(a) is None
-    assert not fft_path(monkeypatch, dtheta, a).any()
+    held = a[:-2]           # the rows that hold one bit pattern each
+    col = fields._bit_column(held)
+    assert col is not None and _same_bits(col, held[:, :1])
+    assert dtheta(held, True) is None
+    assert not dtheta(held).any()
+    # the rows of 0.0 and -0.0 are not held, so the whole array takes the
+    # transform, which gives zeros on every row
+    assert fields._bit_column(a) is None
+    assert fields._bit_column(a[-2:]) is None
+    assert not dtheta(a).any()
 
 
 @pytest.mark.parametrize("dtheta", ANGULAR)
 @pytest.mark.parametrize("order", [np.ascontiguousarray, np.asfortranarray])
-def test_theta_constant_shortcut_ignores_memory_order(monkeypatch, dtheta,
-                                                       order):
+def test_theta_constant_shortcut_ignores_memory_order(dtheta, order):
     a = order(constant_rows(32))
-    assert fields._theta_constant(a)
-    assert dtheta(a) is None
-    assert not fft_path(monkeypatch, dtheta, a).any()
+    assert fields._bit_column(a) is None
+    assert not dtheta(a).any()
+    held = order(a[:-2])
+    col = fields._bit_column(held)
+    assert col is not None and _same_bits(col, held[:, :1])
+    assert dtheta(held, True) is None
+    assert not dtheta(held).any()
 
 
 @pytest.mark.parametrize("dtheta", ANGULAR)
 @pytest.mark.parametrize("column", [0, 16, 31])
-def test_one_off_constant_entry_takes_the_fft_path(monkeypatch, dtheta,
-                                                    column):
+def test_one_off_constant_entry_takes_the_fft_path(dtheta, column):
+    # column 16 is the middle column the scan compares first
     a = constant_rows(32)
+    held = a[:-2]
+    assert fields._bit_column(held) is not None
     a[5, column] *= 1.0 + 1e-12
-    assert not fields._theta_constant(a)
+    assert fields._bit_column(held) is None
     got = dtheta(a)
-    assert np.array_equal(got, fft_path(monkeypatch, dtheta, a))
     assert got[5].any()
+    assert not np.delete(got, 5, axis=0).any()
 
 
 @pytest.mark.parametrize("dtheta", ANGULAR)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_rows_take_the_fft_path(monkeypatch, dtheta, bad):
+def test_non_finite_rows_take_the_fft_path(dtheta, bad):
+    # the bad row holds one bit pattern: the finite check rejects it
     a = constant_rows(16)
     a[3] = bad
-    assert not fields._theta_constant(a)
+    assert fields._bit_column(a[:-2]) is None
     with np.errstate(invalid="ignore"):
         got = dtheta(a)
-        want = fft_path(monkeypatch, dtheta, a)
-    assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got[3]).all()
 
 
 @pytest.mark.parametrize("dtheta", ANGULAR)
-def test_theta_constant_rows_near_overflow_give_exact_zeros(monkeypatch,
-                                                             dtheta):
+def test_theta_constant_rows_near_overflow_give_exact_zeros(dtheta):
     # the FFT's mode-0 sum 128 x 1e308 overflows, so the transform path
-    # reads NaN on a finite field; the shortcut never forms that sum
+    # reads NaN on a finite field; a held array never forms that sum
     a = np.repeat(np.array([[1e308], [-1e308]]), 128, axis=1)
-    assert dtheta(a) is None
+    assert fields._bit_column(a) is not None
+    assert dtheta(a, True) is None
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(fft_path(monkeypatch, dtheta, a)).all()
+        assert np.isnan(dtheta(a)).all()
 
 
 # ---------------------------------------------------------------------------
-# θ-constancy flags
+# θ-constancy: the held column
 
-def _flag_data(kind, rng, shape):
+def _scan_data(kind, rng, shape):
     """radial: smooth θ-constant rows; perturbed: rows that vary;
     mixed_zeros: θ-constant rows, three of them 0.0 and -0.0 mixed;
     huge: θ-constant rows, three of them +-1e308, so derivatives
@@ -634,10 +640,10 @@ def _flag_data(kind, rng, shape):
     return vals
 
 
-FLAG_KINDS = ("radial", "perturbed", "mixed_zeros", "huge", "wild")
+SCAN_KINDS = ("radial", "perturbed", "mixed_zeros", "huge", "wild")
 
 
-def _flag_outputs(g, a, b, c):
+def _scan_outputs(g, a, b, c):
     """Every public operator and both elliptic solves on fields of a, b, c
     (a with its ring row zeroed where an operator needs that)."""
     from diskflow.boundary_layer import build_corrector
@@ -675,19 +681,22 @@ def _flag_outputs(g, a, b, c):
         yield name, out if isinstance(out, tuple) else (out,)
 
 
+OPERATORS = {"perp_grad", "laplacian", "curl_perp", "advect", "difference",
+             "vector_laplacian", "advect_vector", "grad_transpose_apply"}
+
+
 @pytest.mark.parametrize("n_theta", [16, 478])
-@pytest.mark.parametrize("kind_b", FLAG_KINDS)
-@pytest.mark.parametrize("kind_a", FLAG_KINDS)
-def test_every_flag_equals_a_fresh_scan(kind_a, kind_b, n_theta):
+@pytest.mark.parametrize("kind_b", SCAN_KINDS)
+@pytest.mark.parametrize("kind_a", SCAN_KINDS)
+def test_every_column_equals_a_fresh_scan(kind_a, kind_b, n_theta):
     g = grid(33, n_theta, 8.0)
-    rng = np.random.default_rng(FLAG_KINDS.index(kind_a) * 7
-                                + FLAG_KINDS.index(kind_b))
+    rng = np.random.default_rng(SCAN_KINDS.index(kind_a) * 7
+                                + SCAN_KINDS.index(kind_b))
     shape = (33, n_theta)
-    a = _flag_data(kind_a, rng, shape)
-    b, c = _flag_data(kind_b, rng, shape), _flag_data(kind_b, rng, shape)
-    radial = {"radial", "mixed_zeros"}
+    a = _scan_data(kind_a, rng, shape)
+    b, c = _scan_data(kind_b, rng, shape), _scan_data(kind_b, rng, shape)
     with np.errstate(all="ignore"):
-        outputs = dict(_flag_outputs(g, a, b, c))
+        outputs = dict(_scan_outputs(g, a, b, c))
     for name, fields_out in outputs.items():
         if fields_out is None:
             # only overflowing data may fail
@@ -696,64 +705,98 @@ def test_every_flag_equals_a_fresh_scan(kind_a, kind_b, n_theta):
             continue
         for f in fields_out:
             for i, comp in enumerate(fields._components(f)):
-                flag = f._flags[i]
-                assert flag is None or flag == fields._theta_constant(comp), \
-                    (name, i)
-                if kind_a in radial and kind_b in radial:
-                    # a result of θ-constant inputs knows its flag
-                    assert flag is True, (name, i)
+                kept = f._cols[i]
                 if kind_a == kind_b == "radial":
-                    # and one of column-held inputs is held as a column
-                    assert f._cols[i] is not None, (name, i)
+                    # a result of held inputs is held at once
+                    assert isinstance(kept, np.ndarray), (name, i)
+                if kind_a == kind_b == "mixed_zeros" and name in OPERATORS:
+                    # inputs with rows of 0.0 and -0.0 are not held, so the
+                    # operator ran on full-size arrays, through the
+                    # transforms wherever it takes a d/dtheta (a result
+                    # used inside a solve may be found held on that use)
+                    assert comp.strides[1] != 0, (name, i)
+                # held exactly when a fresh scan finds the column
+                fresh = fields._bit_column(comp)
+                col = fields._column(f, i)
+                assert (col is None) == (fresh is None), (name, i)
+                if col is not None:
+                    assert _same_bits(col, fresh), (name, i)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("const", [True, False])
-def test_a_non_finite_result_is_rejected_by_its_flag_check(bad, const):
+@pytest.mark.parametrize("n_theta", [1, 8], ids=["column", "full"])
+def test_a_non_finite_column_or_full_result_is_rejected(bad, n_theta):
     g = grid(16, 8, 4.0)
-    a = np.zeros((16, 8))
+    a = np.zeros((16, n_theta))
     a[3] = bad
     with pytest.raises(NonFiniteFieldError):
-        fields._scalar(g, a, const)
-    b = np.zeros((16, 8))
-    b[3, 5] = bad               # a result that varies in θ
+        fields._scalar(g, a)
+    b = np.zeros((16, n_theta))
+    b[3, -1] = bad
     with pytest.raises(NonFiniteFieldError):
-        fields._vector(g, np.zeros((16, 8)), b, False, False)
+        fields._vector(g, np.zeros((16, n_theta)), b)
+
+
+def _scan_calls(monkeypatch):
+    """The shapes of the arrays fields._bit_column scans from now on."""
+    scans = []
+    real = fields._bit_column
+    monkeypatch.setattr(fields, "_bit_column",
+                        lambda a: scans.append(a.shape) or real(a))
+    return scans
 
 
 def test_a_caller_array_is_scanned_once_on_first_use(monkeypatch):
     g = grid(33, 16, 8.0)
     psi = ScalarField(g, np.repeat(np.linspace(0.0, 1.0, 33)[:, None], 16,
                                    axis=1))
-    scans = []
-    real = fields._theta_constant
-    monkeypatch.setattr(fields, "_theta_constant",
-                        lambda a: scans.append(1) or real(a))
-    assert psi._flags == [None]
+    scans = _scan_calls(monkeypatch)
+    assert psi._cols == [None]
     u = perp_grad(psi)
     lap = laplacian(psi)
     seminorms_hk(psi, 3)
-    assert len(scans) == 1 and psi._flags == [True]
-    assert u._flags == [True, True] and lap._flags == [True]
+    assert scans == [(33, 16)] and psi._cols[0].shape == (33, 1)
+    for c in u._cols + lap._cols:
+        assert isinstance(c, np.ndarray) and c.shape == (33, 1)
 
 
-def test_threads_finding_one_flag_agree():
+def test_a_full_size_result_of_one_bit_pattern_rows_is_held_on_first_use(
+        monkeypatch):
+    # u - u of a u that varies in θ is computed at full size and left
+    # unscanned; its first use finds its rows of +0.0 and holds the columns
+    g = grid(33, 16, 8.0)
+    u = perp_grad(analytic_psi(g))
+    d = fields.difference(u, u)
+    assert d._cols == [None, None]
+    assert d.u_r.shape == (33, 16) and d.u_r.strides[1] != 0
+    scans = _scan_calls(monkeypatch)
+    lap = vector_laplacian(d)
+    assert scans == [(33, 16), (33, 16)]
+    for i, comp in enumerate((d.u_r, d.u_theta)):
+        col = fields._column(d, i)
+        assert col.shape == (33, 1) and _same_bits(col, comp[:, :1])
+        assert _same_bits(col, np.zeros((33, 1)))
+    assert all(isinstance(c, np.ndarray) for c in lap._cols)
+    assert len(scans) == 2
+
+
+def test_threads_finding_one_column_agree():
     # sweep workers share fields such as the initial velocity, so several
-    # threads may find an unknown flag at once; each writes the same value
+    # threads may scan one array at once; each stores an equal answer
     import sys
     import threading
     g = grid(33, 16, 8.0)
     rng = np.random.default_rng(3)
-    fields_in = [VectorField(g, _flag_data(kind, rng, (33, 16)),
-                             _flag_data(kind, rng, (33, 16)))
-                 for kind in FLAG_KINDS for _ in range(20)]
+    fields_in = [VectorField(g, _scan_data(kind, rng, (33, 16)),
+                             _scan_data(kind, rng, (33, 16)))
+                 for kind in SCAN_KINDS for _ in range(20)]
     seen = [[] for _ in fields_in]
     barrier = threading.Barrier(8)
 
     def work():
         barrier.wait(timeout=10)
         for f, out in zip(fields_in, seen):
-            out.append((fields._const(f, 0), fields._const(f, 1)))
+            out.append((fields._column(f, 0), fields._column(f, 1)))
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -766,26 +809,23 @@ def test_threads_finding_one_flag_agree():
         sys.setswitchinterval(old)
     assert not any(w.is_alive() for w in workers)
     for f, out in zip(fields_in, seen):
-        want = (fields._theta_constant(f.u_r),
-                fields._theta_constant(f.u_theta))
-        assert out == [want] * 8 and tuple(f._flags) == want
-        # a column is kept exactly for θ-constant rows that share their bits
-        for comp, const, col in zip((f.u_r, f.u_theta), want, f._cols):
-            bits = comp.view(np.int64)
-            held = const and (bits == bits[:, :1]).all()
-            assert (col is not None) == held
-            if held:
-                assert _same_bits(col, comp[:, :1])
+        assert len(out) == 8
+        # a column is kept exactly for finite rows that share their bits
+        for i, comp in enumerate((f.u_r, f.u_theta)):
+            want = one_bit_pattern_column(comp)
+            for got in [cols[i] for cols in out] + [fields._column(f, i)]:
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert _same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
 # column-held fields
 
 def _held_full(u):
-    """u's arrays as fresh full-size copies, flagged θ-constant as u's are
-    but held full: the path a field took before columns were held."""
-    return fields._vector(u.grid, np.array(u.u_r), np.array(u.u_theta),
-                          *u._flags)
+    """u's arrays as fresh full-size copies, unscanned: on the full-array
+    path they are never held."""
+    return fields._vector(u.grid, np.array(u.u_r), np.array(u.u_theta))
 
 
 def _bits(x):
@@ -793,7 +833,8 @@ def _bits(x):
 
 
 @pytest.mark.parametrize("n_theta", [96, 100, 478])
-def test_column_held_reductions_equal_the_full_ones(n_theta):
+def test_column_held_reductions_equal_the_full_ones(full_array_path,
+                                                    n_theta):
     # numpy sums a broadcast view in another order than a contiguous array
     # at these n_theta, so every whole-array sum spreads to full size first
     import dataclasses
@@ -812,24 +853,24 @@ def test_column_held_reductions_equal_the_full_ones(n_theta):
     for f in [u_ref] + [s.u for s in snaps]:
         assert all(c is not None for c in f._cols)
     u, v = snaps[-1].u, u_ref
-    fu, fv = _held_full(u), _held_full(v)
-    assert fu._cols == [None, None] and fu._flags == [True, True]
     w = curl_perp(u)
-    fw = fields._scalar(g, np.array(w.values), True)
-    assert w._cols[0] is not None and fw._cols[0] is None
-    pairs = [
-        (norm_l2(u), norm_l2(fu)),
-        (norm_l2(w), norm_l2(fw)),
-        (inner_l2(u, v), inner_l2(fu, fv)),
-        (grad_norm_l2(u), grad_norm_l2(fu)),
-        (outer_circulation(u), outer_circulation(fu)),
-        (seminorms_hk(u, 3), seminorms_hk(fu, 3)),
-    ]
-    for got, want in pairs:
-        assert _bits(got) == _bits(want)
-    held, full = EnergyBudget(0.1), EnergyBudget(0.1)
+    assert w._cols[0] is not None
+    got = [norm_l2(u), norm_l2(w), inner_l2(u, v), grad_norm_l2(u),
+           outer_circulation(u), seminorms_hk(u, 3)]
+    held = EnergyBudget(0.1)
     for s in snaps:
         held.add(s, v)
+    full_array_path()
+    fu, fv = _held_full(u), _held_full(v)
+    fw = fields._scalar(g, np.array(w.values))
+    want = [norm_l2(fu), norm_l2(fw), inner_l2(fu, fv), grad_norm_l2(fu),
+            outer_circulation(fu), seminorms_hk(fu, 3)]
+    for f in (fu, fv, fw):
+        assert all(fields._column(f, i) is None for i in range(len(f._cols)))
+    for x, y in zip(got, want, strict=True):
+        assert _bits(x) == _bits(y)
+    full = EnergyBudget(0.1)
+    for s in snaps:
         full.add(dataclasses.replace(s, u=_held_full(s.u)), fv)
     # the slopes themselves: the audit's fit can absorb their last bits
     assert {k: _bits(v) for k, v in held._f3.items()} \
@@ -869,20 +910,33 @@ def test_column_held_arrays_are_full_size_and_cannot_change():
         assert np.array_equal(a, b)
 
 
-def test_only_bit_identical_rows_are_held_as_a_column():
-    # a row of 0.0 and -0.0 is θ-constant for the derivative shortcut, but
-    # its bits differ, so the array stays full
+def test_only_bit_identical_rows_are_held_as_a_column(monkeypatch):
+    # a row of 0.0 and -0.0 holds one value but not one bit pattern, so
+    # the array is not held and its operators take the transforms
     g = grid(16, 8, 4.0)
     a = np.repeat(np.linspace(1.0, 2.0, 16)[:, None], 8, axis=1)
     a[5, ::2] = -0.0
     a[5, 1::2] = 0.0
     f = ScalarField(g, a)
-    assert fields._const(f) and f._cols == [None]
+    assert fields._column(f) is None and f._cols == [False]
+    transforms = []
+    real = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft",
+                        lambda *args, **kw: transforms.append(1)
+                        or real(*args, **kw))
     lap = laplacian(f)
-    assert lap._flags == [True] and lap._cols == [None]
-    u = perp_grad(f)        # u_r is -0.0 everywhere, so it is a column
-    assert u._cols[0] is not None and u._cols[1] is None
-    assert _same_bits(u.u_r, np.full((16, 8), -0.0))
+    u = perp_grad(f)
+    assert len(transforms) == 2
+    for c in lap._cols + u._cols:
+        assert c is None                # full-size results, unscanned
+    # the transforms give zeros on these rows, so the results equal those
+    # of the held array with +0.0 in row 5 up to the signs of zeros
+    a[5] = 0.0
+    f0 = ScalarField(g, a)
+    assert fields._column(f0) is not None
+    assert np.array_equal(lap.values, laplacian(f0).values)
+    assert np.array_equal(u.u_r, perp_grad(f0).u_r) and not u.u_r.any()
+    assert len(transforms) == 2             # the held array takes none
 
 
 def _package_weights(g):
@@ -947,8 +1001,7 @@ def test_column_sums_equal_the_full_size_expressions(monkeypatch, n_theta):
     # the expressions the tail mass and the Poisson residual use
     fs = [ScalarField(g, a) for a in full[:2]]
     for f in fs:
-        fields._const(f)
-        assert f._cols[0] is not None
+        assert fields._column(f) is not None
     w = _package_weights(g)
     cases = [
         (w["weights"], np.square, fs[:1], np.square(full[0])),
@@ -976,9 +1029,8 @@ def test_column_held_norms_equal_the_full_size_expressions(monkeypatch,
     u = VectorField(g, full[1], full[2])
     v = VectorField(g, full[3], full[1])
     for f in (s, u, v):
-        for i in range(len(f._cols)):
-            fields._const(f, i)
-        assert all(c is not None for c in f._cols)
+        assert all(fields._column(f, i) is not None
+                   for i in range(len(f._cols)))
     mixed = VectorField(g, full[3], full[1] + rng.normal(size=full[1].shape))
     assert mixed._cols == [None, None]
 
@@ -1019,7 +1071,7 @@ def test_combinations_equal_the_plain_expressions(data, theta_constant):
               for i in range(5)]
     fs = [ScalarField(g, a) for a in arrays]
     for f in fs:
-        fields._const(f)                # θ-constant ones are now columns
+        fields._column(f)               # θ-constant ones are now columns
     q, k1, k2, k3, k4 = arrays
     cases = [
         (([(-1.0, fs[1]), (1e-3, fs[2])],), {}, -k1 + k2 * 1e-3),
@@ -1038,10 +1090,9 @@ def test_combinations_equal_the_plain_expressions(data, theta_constant):
             used = [f for _, f in args[0]] + [kwargs.get("base")] * (
                 "base" in kwargs)
             assert _same_bits(got.values, want)
-            assert got._flags == [True if all(f._flags[0] for f in used)
-                                  else None]
-            held = all(f._cols[0] is not None for f in used)
-            assert (got._cols[0] is not None) == held
+            # a column result exactly when every field is held
+            held = all(fields._column(f) is not None for f in used)
+            assert isinstance(got._cols[0], np.ndarray) == held
         assert _same_bits(
             fields.weighted_total(g.weights, np.square, fs[0]),
             float(np.sum(np.square(q) * g.weights)))
