@@ -111,14 +111,16 @@ def _column(f, i: int = 0) -> np.ndarray | None:
     return None if col is False else col
 
 
-def _operands(*fs) -> list:
-    """The component arrays of the fields fs, in order, as an operator
-    takes them, each scanned on first use (see _column): their columns
-    when every one is held, else the full-size public arrays."""
+def _operands(*fs) -> tuple:
+    """(arrays, held) for the components of the fields fs, in order, each
+    scanned on first use (see _column).  arrays are what an operator takes:
+    the columns when every component is held, else the full-size public
+    arrays.  held says, per component, whether it is held."""
     cols = [_column(f, i) for f in fs for i in range(len(f._cols))]
-    if any(c is None for c in cols):
-        return [a for f in fs for a in _components(f)]
-    return cols
+    held = [c is not None for c in cols]
+    if not all(held):
+        return [a for f in fs for a in _components(f)], held
+    return cols, held
 
 
 def _held(grid: ExteriorGrid, a: np.ndarray) -> tuple:
@@ -293,8 +295,8 @@ def _dr(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
 def perp_grad(psi: ScalarField) -> VectorField:
     """u = (-(1/r) dtheta psi, dr psi), the rotated gradient."""
     g = psi.grid
-    (a,) = _operands(psi)
-    u_r = _dtheta(a, _column(psi) is not None)
+    (a,), (held,) = _operands(psi)
+    u_r = _dtheta(a, held)
     if u_r is None:         # (+0.0) * (-1/r)
         u_r = np.full((g.spec.n_r, 1), -0.0)
     else:
@@ -307,11 +309,11 @@ def curl_perp(u: VectorField) -> ScalarField:
     """Scalar vorticity w = (1/r)(dr(r u_theta) - dtheta u_r)."""
     g = u.grid
     inv_r = _inv_r(g)
-    u_r, u_theta = _operands(u)
+    (u_r, u_theta), (held_r, _) = _operands(u)
     # (1/r) d_r(r u_theta) = e^{-2s} d_s(e^s u_theta)
     w = _ds(g.r_nodes[:, None] * u_theta, g.ds)
     w *= inv_r
-    d = _dtheta(u_r, _column(u, 0) is not None)
+    d = _dtheta(u_r, held_r)
     if d is not None:       # w - (+0.0) is w
         w -= d
     w *= inv_r
@@ -331,8 +333,8 @@ def _laplacian(a: np.ndarray, grid: ExteriorGrid, held: bool) -> np.ndarray:
 
 def laplacian(f: ScalarField) -> ScalarField:
     """e^{-2s} (d_ss + d_thetatheta) f."""
-    (a,) = _operands(f)
-    return _scalar(f.grid, _laplacian(a, f.grid, _column(f) is not None))
+    (a,), (held,) = _operands(f)
+    return _scalar(f.grid, _laplacian(a, f.grid, held))
 
 
 def _angular_advection(u_theta: np.ndarray, inv_r: np.ndarray,
@@ -356,10 +358,10 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     if u.grid is not q.grid:
         raise ValueError("advect requires fields on the same grid")
     g = q.grid
-    a, u_r, u_theta = _operands(q, u)
+    (a, u_r, u_theta), (held, _, _) = _operands(q, u)
     vals = _dr(a, g)
     vals *= u_r
-    vals += _angular_advection(u_theta, _inv_r(g), a, _column(q) is not None)
+    vals += _angular_advection(u_theta, _inv_r(g), a, held)
     return _scalar(g, vals)
 
 
@@ -401,7 +403,7 @@ def norm_l2(f) -> float:
     """sqrt of the quadrature sum of squares over all components."""
     g = f.grid
     total = 0.0
-    for c in _operands(f):
+    for c in _operands(f)[0]:
         total += _weighted_sum(g.weights, c, c)
     return float(np.sqrt(total))
 
@@ -411,7 +413,7 @@ def inner_l2(f, g_field) -> float:
     if f.grid is not g_field.grid:
         raise ValueError("inner_l2 requires fields on the same grid")
     w = f.grid.weights
-    ops = _operands(f, g_field)
+    ops = _operands(f, g_field)[0]
     n = len(f._cols)
     total = 0.0
     for a, b in zip(ops[:n], ops[n:], strict=True):
@@ -499,17 +501,17 @@ def _grad_tensor(u: VectorField) -> tuple:
     """grad_tensor of u, as columns when u is column-held."""
     g = u.grid
     inv_r = _inv_r(g)
-    u_r, u_theta = _operands(u)
+    (u_r, u_theta), (held_r, held_t) = _operands(u)
     t_rr = _dr(u_r, g)
     t_rt = _dr(u_theta, g)
-    t_tr = _dtheta(u_r, _column(u, 0) is not None)
+    t_tr = _dtheta(u_r, held_r)
     if t_tr is None:        # (+0.0) - inv_r u_theta
         t_tr = inv_r * u_theta
         np.subtract(0.0, t_tr, out=t_tr)
     else:
         t_tr *= inv_r
         t_tr -= inv_r * u_theta
-    t_tt = _dtheta(u_theta, _column(u, 1) is not None)
+    t_tt = _dtheta(u_theta, held_t)
     if t_tt is None:        # (+0.0) + inv_r u_r
         t_tt = inv_r * u_r
         t_tt += 0.0
@@ -521,7 +523,7 @@ def _grad_tensor(u: VectorField) -> tuple:
 
 def difference(u: VectorField, v: VectorField) -> VectorField:
     """u - v componentwise, untagged, on u's grid."""
-    u_r, u_t, v_r, v_t = _operands(u, v)
+    u_r, u_t, v_r, v_t = _operands(u, v)[0]
     return _vector(u.grid, u_r - v_r, u_t - v_t)
 
 
@@ -529,8 +531,7 @@ def vector_laplacian(u: VectorField) -> VectorField:
     """Componentwise Laplacian with the polar coupling terms."""
     g = u.grid
     inv_r2 = _inv_r(g) ** 2
-    u_r, u_theta = _operands(u)
-    c_r, c_t = _column(u, 0) is not None, _column(u, 1) is not None
+    (u_r, u_theta), (c_r, c_t) = _operands(u)
     lap_r = _laplacian(u_r, g, c_r)
     lap_r -= inv_r2 * u_r
     d = _dtheta(u_theta, c_t)
@@ -554,8 +555,7 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
         raise ValueError("advect_vector requires fields on the same grid")
     g = u.grid
     inv_r = _inv_r(g)
-    a_r, a_t, u_r, u_t = _operands(a, u)
-    c_r, c_t = _column(a, 0) is not None, _column(a, 1) is not None
+    (a_r, a_t, u_r, u_t), (c_r, c_t, _, _) = _operands(a, u)
     conv_r = _dr(a_r, g)
     conv_r *= u_r
     conv_r += _angular_advection(u_t, inv_r, a_r, c_r)
@@ -577,7 +577,7 @@ def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
         raise ValueError("grad_transpose_apply requires fields on the same grid")
     t_rr, t_rt, t_tr, t_tt = _grad_tensor(u)
     # a's columns only beside u's: a column tensor meets a full a at full size
-    a_r, a_t = _operands(u, a)[2:]
+    a_r, a_t = _operands(u, a)[0][2:]
     out_r = t_rr * a_r + t_rt * a_t
     out_t = t_tr * a_r + t_tt * a_t
     return _vector(u.grid, out_r, out_t)
@@ -596,7 +596,7 @@ def lincomb(terms, scale: float | None = None,
     every field is held.
     """
     fs = [f for _, f in terms] + ([] if base is None else [base])
-    ops = _operands(*fs)
+    ops = _operands(*fs)[0]
     out = ops[0] * terms[0][0]
     for (c, _), a in zip(terms[1:], ops[1:]):
         out += a * c
@@ -609,7 +609,7 @@ def lincomb(terms, scale: float | None = None,
 
 def times_profile(f: ScalarField, profile: np.ndarray) -> ScalarField:
     """f times a radial profile, one value per radial node."""
-    (a,) = _operands(f)
+    (a,), _ = _operands(f)
     return _scalar(f.grid, profile[:, None] * a)
 
 
@@ -624,7 +624,7 @@ def weighted_total(weights: np.ndarray, expr, *fs) -> float:
     full-size sum only if every row of weights holds one bit pattern, as
     in grid.weights, grid.weights[1:-1] and tail_weights.
     """
-    t = expr(*_operands(*fs))
+    t = expr(*_operands(*fs)[0])
     if t.shape[1] == 1:
         return _spread_sum(weights[:, :1] * t, weights.shape)
     return float(np.sum(weights * t))
@@ -638,7 +638,7 @@ def transit_time(u: VectorField) -> float:
     g = u.grid
     r = g.r_nodes[:, None]
     tiny = 1e-300
-    u_r, u_theta = _operands(u)
+    (u_r, u_theta), _ = _operands(u)
     return min(float(np.min(r * g.ds / np.maximum(np.abs(u_r), tiny))),
                float(np.min(r * g.dtheta / np.maximum(np.abs(u_theta), tiny))))
 
