@@ -25,7 +25,7 @@ from .boundary_layer import check_delta
 from . import dynamics
 from .dynamics import KINDS, ModelParams, run
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
-                     NumericalFailure)
+                     NonFiniteFieldError, NumericalFailure)
 from .fields import write_snapshot
 from .grid import GridSpec, build_grid
 from .harness import (SweepConfig, SweepSettings, euler_reference_state,
@@ -405,6 +405,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalFailure as exc:
         print("numerical failure (%s): %s" % (exc.kind, exc), file=sys.stderr)
+        return EXIT_NUMERICAL
+    except NonFiniteFieldError as exc:  # overflow outside a run
+        print("numerical failure (nan): %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
     except DegenerateFitError as exc:
         print("numerical failure (degenerate fit): %s" % exc, file=sys.stderr)

@@ -289,7 +289,12 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
             "outer-ring circulation %.3e of the initial velocity exceeds "
             "tolerance; vorticity support must stay inside the annulus" % circ,
             key="u0")
-    state = initial_state(params, u0)
+    try:
+        state = initial_state(params, u0)
+    except (NonFiniteFieldError, EllipticSolveError) as exc:
+        kind = "nan" if isinstance(exc, NonFiniteFieldError) else "solve"
+        raise NumericalFailure("initial state: %s" % exc, kind=kind,
+                               time=0.0, detail="initial") from exc
 
     tail_w = tail_weights(g)
     q0_norm = max(norm_l2(state.q), 1e-30)

@@ -28,9 +28,10 @@ The grid caches one (matrix, LU) pair per key (kind, alpha, modes), so
 radial data factors and solves mode 0 alone; release_factors drops the
 pairs of one kind and alpha once no later solve needs them.
 
-A right-hand side held as one column (every row one bit pattern) needs no
-angular transform when n_theta is 2^k or 3 * 2^k: its mode-0 coefficient
-is n_theta * c + 0j and the stream function's column is
+A right-hand side held as one column (every row one bit pattern) has a
+one-column spectrum, its mode 0, and that shape alone marks it held.  It
+needs no angular transform when n_theta is 2^k or 3 * 2^k: its mode-0
+coefficient is n_theta * c + 0j and the stream function's column is
 (x.real + 0.0) * (1 / n_theta), with the bits numpy's FFT gives.  Its DC
 sum of equal terms is multiplied exactly by 2 or 4 at each radix-2 or
 radix-4 stage and rounded once at a single radix-3 stage, as n_theta * c
@@ -212,61 +213,54 @@ def _closed_form(n_theta: int) -> bool:
 
 
 def _spectrum(f: ScalarField) -> np.ndarray:
-    """The angular rfft of f.values or, for a column-held f where
-    _closed_form holds, its mode-0 coefficients alone as one complex
-    column: n_theta * c with imaginary part +0.0, the bits of the rfft's
-    column 0."""
+    """The angular rfft of f.values or, for a column-held f, its mode 0
+    alone as one complex column: n_theta * c + 0j, the rfft's bits, where
+    _closed_form holds, else the rfft's column 0.  Dropping the m >= 1
+    roundoff of a held f keeps radial data radial."""
     n = f.grid.spec.n_theta
-    col = _column(f) if _closed_form(n) else None
+    col = _column(f)
     if col is None:
         return np.fft.rfft(f.values, axis=1)
+    if not _closed_form(n):
+        return np.fft.rfft(f.values, axis=1)[:, :1].copy()
     coeff = np.zeros(col.shape, dtype=complex)
     np.multiply(col, n, out=coeff.real)
     return coeff
 
 
-def _active_modes(coeff: np.ndarray, held: bool) -> tuple:
-    """Angular modes whose interior coefficients carry data.
-
-    coeff is the spectrum of an array from _spectrum, held says whether
-    that array is held as a column.  For a held array only mode 0 counts:
-    its m >= 1 coefficients are roundoff (exact zeros only when n_theta has
-    no prime factor other than 2 and 3), and dropping them keeps radial
-    data radial.
-    """
-    if held:
-        coeff = coeff[:, :1]
+def _active_modes(coeff: np.ndarray) -> tuple:
+    """Angular modes whose interior coefficients carry data, for a
+    spectrum coeff from _spectrum: mode 0 at most for one column."""
     return tuple(int(m) for m in np.flatnonzero(coeff[1:-1].any(axis=0)))
 
 
 def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, modes: tuple,
-               x: np.ndarray | None, held: bool) -> ScalarField:
+               x: np.ndarray | None) -> ScalarField:
     """phi from the solved modes x, one column per entry of modes (None for
-    no modes); held says whether the right-hand side is held as a column.
+    no modes).
 
     coeff, the spectrum of the right-hand side from _spectrum, is
     consumed: its buffer is zeroed and takes the spectrum of phi.  A
     second spectrum would be handed back to the OS after each solve and
-    faulted in again by the next.  The zeroing matters, because the m >= 1
-    roundoff of a held right-hand side sits in that buffer.
+    faulted in again by the next.
 
-    A closed-form spectrum (one column) gives phi's column as the irfft
-    gives its column 0: (x.real + 0.0) * (1 / n_theta).  Otherwise the
-    irfft runs, and for a held right-hand side, where only mode 0 is set,
-    phi is held as its column 0: the irfft does not always give
-    exactly constant rows (at n_theta = 478 = 2 * 239 they spread by
-    2.8e-16), and radial data stays radial.
+    A one-column spectrum gives phi held as its column 0: where
+    _closed_form holds (x.real + 0.0) * (1 / n_theta), as the irfft gives
+    it, else column 0 of the irfft, whose rows are not always exactly
+    constant (at n_theta = 478 = 2 * 239 they spread by 2.8e-16).
     """
     n = grid.spec.n_theta
     coeff.fill(0)
     if modes:
         coeff[:, modes] = x
-    if coeff.shape[1] == 1:
+    one_column = coeff.shape[1] == 1
+    if one_column and _closed_form(n):
         phi = coeff.real + 0.0
         phi *= 1.0 / n
     else:
+        # irfft pads a one-column spectrum with zeros to n // 2 + 1 modes
         phi = np.fft.irfft(coeff, n=n, axis=1)
-        if held:
+        if one_column:
             phi = phi[:, :1].copy()
     return _scalar(grid, phi)
 
@@ -286,9 +280,8 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
             "net vorticity mass %.3e exceeds tolerance; the mode-0 far "
             "condition requires zero circulation" % mass, mode=0)
 
-    held = _column(w) is not None
     coeff = _spectrum(w)
-    modes = _active_modes(coeff, held)
+    modes = _active_modes(coeff)
     x = None
     if modes:
         n = g.spec.n_r
@@ -301,7 +294,7 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
         x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes),
                                parts.reshape(2, -1))
         x = x.reshape(len(modes), n).T
-    phi = _synthesis(g, coeff, modes, x, held)
+    phi = _synthesis(g, coeff, modes, x)
 
     res_norm = float(np.sqrt(weighted_total(
         g.weights[1:-1], lambda lap, a: np.square((lap - a)[1:-1]),
@@ -326,11 +319,10 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
             "overdetermined at alpha=0" % (alpha,), key="alpha")
     g = q.grid
     n = g.spec.n_r
-    held = _column(q) is not None
     coeff = _spectrum(q)
     res2 = 0.0
     rhs2 = 0.0
-    modes = _active_modes(coeff, held)
+    modes = _active_modes(coeff)
     x = None
     if modes:
         parts = np.zeros((2, len(modes), 2 * n))
@@ -339,7 +331,7 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
         x, res2, rhs2 = _solve_modes(_block_factor(g, "stream", alpha, modes),
                                      parts.reshape(2, -1))
         x = x.reshape(len(modes), 2 * n)[:, 0::2].T
-    phi = _synthesis(g, coeff, modes, x, held)
+    phi = _synthesis(g, coeff, modes, x)
     w = laplacian(phi) if with_w else None
 
     # residual of the banded system itself; recomposing Delta^2 in physical

@@ -44,7 +44,8 @@ class NumericalFailure(DiskflowError):
     """Time integration aborted.
 
     kind is one of 'nan', 'cfl', 'tail_mass', 'solve' (an elliptic solve
-    failed mid-run); time and detail locate the failure for diagnostics.
+    failed in a run); time and detail locate the failure for diagnostics,
+    detail 'initial' while a run forms its initial state.
     """
 
     def __init__(self, message, kind, time=None, detail=None):

@@ -1,8 +1,8 @@
 """Fields on the exterior grid and log-polar differential operators.
 
 Angular derivatives are spectral (real FFT, exact for resolved modes, the
-odd-derivative Nyquist coefficient dropped).  For a column-held array
-(see below: radial data) the derivative is +0.0 everywhere; _dtheta and
+odd-derivative Nyquist coefficient dropped).  For an (n_r, 1) column (see
+below: radial data) the derivative is +0.0 everywhere; _dtheta and
 _dtheta2 then return None, with no transform and no array, and each
 caller applies what multiplying by or adding that +0.0 does to its other
 operand: a product with a finite factor keeps the factor's sign
@@ -18,8 +18,8 @@ Fields are immutable: constructors copy and freeze a caller's array
 unless it is read-only and owns its data, operators are pure functions
 returning new fields.  An operator marks the arrays it has just computed
 read-only before wrapping them, so they are kept without a copy.
-The derivative kernels, the scalar and vector operators, grad_tensor and
-the norms build each result in place: the first operation of an expression
+The derivative kernels, the scalar and vector operators and the norms
+build each result in place: the first operation of an expression
 allocates the result and the rest write into it with out=, *= and +=.
 Every IEEE operation and its operand order are kept (only a*b -> b*a and
 a+b -> b+a are swapped), so the values are those of the plain
@@ -34,11 +34,13 @@ with _bit_column and keeps the answer.  An operator whose input arrays
 are all held runs its kernels on the columns (_inv_r is (n_r, 1) too), so
 its results are columns, held at once behind a read-only np.broadcast_to
 view of full shape and with the same bytes (the public values, u_r or
-u_theta).  Otherwise it runs on the full-size public arrays and tells its
-angular kernels which of them are held.  Every elementwise operation then
-gives each node the bits it would give at full size.  A row that mixes
-0.0 and -0.0 is not held, so its array goes through the transforms, which
-give zeros there.  Whole-array sums are taken over a contiguous full-size
+u_theta), and every node gets the bits it would get at full size.
+Otherwise it runs on the full-size public arrays.  Below _operands an
+input is theta-constant exactly when it is (n_r, 1), so every full-size
+array goes through the transforms, which give zeros (up to the sign of a
+zero) on rows of one bit pattern when n_theta is 2^a 3^b and the row's
+mode-0 sum is finite, and roundoff otherwise.  A row that mixes 0.0 and
+-0.0 is not held.  Whole-array sums are taken over a contiguous full-size
 array, because numpy sums a broadcast view in another order.
 _weighted_sum and weighted_total form a product of columns on the
 columns, with column 0 of the weights, and spread it into one contiguous
@@ -111,16 +113,14 @@ def _column(f, i: int = 0) -> np.ndarray | None:
     return None if col is False else col
 
 
-def _operands(*fs) -> tuple:
-    """(arrays, held) for the components of the fields fs, in order, each
-    scanned on first use (see _column).  arrays are what an operator takes:
-    the columns when every component is held, else the full-size public
-    arrays.  held says, per component, whether it is held."""
+def _operands(*fs) -> list:
+    """The arrays an operator takes for the components of the fields fs, in
+    order, each scanned on first use (see _column): the columns when every
+    component is held, else the full-size public arrays."""
     cols = [_column(f, i) for f in fs for i in range(len(f._cols))]
-    held = [c is not None for c in cols]
-    if not all(held):
-        return [a for f in fs for a in _components(f)], held
-    return cols, held
+    if any(c is None for c in cols):
+        return [a for f in fs for a in _components(f)]
+    return cols
 
 
 def _held(grid: ExteriorGrid, a: np.ndarray) -> tuple:
@@ -253,11 +253,10 @@ def _dss(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _dtheta(a: np.ndarray, held: bool = False) -> np.ndarray | None:
-    """d/dtheta of a, or None when held says that a is a held array, as
-    its column or its full-size view: that derivative is +0.0 at every
-    node, which callers apply without an array."""
-    if held:
+def _dtheta(a: np.ndarray) -> np.ndarray | None:
+    """d/dtheta of a, or None for an (n_r, 1) column: that derivative is
+    +0.0 at every node, which callers apply without an array."""
+    if a.shape[1] == 1:
         return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
@@ -267,9 +266,9 @@ def _dtheta(a: np.ndarray, held: bool = False) -> np.ndarray | None:
     return np.fft.irfft(coeff, n=n, axis=1)
 
 
-def _dtheta2(a: np.ndarray, held: bool = False) -> np.ndarray | None:
-    """d^2/dtheta^2 of a, or None for a held a, as _dtheta."""
-    if held:
+def _dtheta2(a: np.ndarray) -> np.ndarray | None:
+    """d^2/dtheta^2 of a, or None for a column, as _dtheta."""
+    if a.shape[1] == 1:
         return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
@@ -295,8 +294,8 @@ def _dr(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
 def perp_grad(psi: ScalarField) -> VectorField:
     """u = (-(1/r) dtheta psi, dr psi), the rotated gradient."""
     g = psi.grid
-    (a,), (held,) = _operands(psi)
-    u_r = _dtheta(a, held)
+    (a,) = _operands(psi)
+    u_r = _dtheta(a)
     if u_r is None:         # (+0.0) * (-1/r)
         u_r = np.full((g.spec.n_r, 1), -0.0)
     else:
@@ -309,20 +308,20 @@ def curl_perp(u: VectorField) -> ScalarField:
     """Scalar vorticity w = (1/r)(dr(r u_theta) - dtheta u_r)."""
     g = u.grid
     inv_r = _inv_r(g)
-    (u_r, u_theta), (held_r, _) = _operands(u)
+    u_r, u_theta = _operands(u)
     # (1/r) d_r(r u_theta) = e^{-2s} d_s(e^s u_theta)
     w = _ds(g.r_nodes[:, None] * u_theta, g.ds)
     w *= inv_r
-    d = _dtheta(u_r, held_r)
+    d = _dtheta(u_r)
     if d is not None:       # w - (+0.0) is w
         w -= d
     w *= inv_r
     return _scalar(g, w)
 
 
-def _laplacian(a: np.ndarray, grid: ExteriorGrid, held: bool) -> np.ndarray:
+def _laplacian(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
     vals = _dss(a, grid.ds)
-    d = _dtheta2(a, held)
+    d = _dtheta2(a)
     if d is None:
         vals += 0.0
     else:
@@ -333,19 +332,19 @@ def _laplacian(a: np.ndarray, grid: ExteriorGrid, held: bool) -> np.ndarray:
 
 def laplacian(f: ScalarField) -> ScalarField:
     """e^{-2s} (d_ss + d_thetatheta) f."""
-    (a,), (held,) = _operands(f)
-    return _scalar(f.grid, _laplacian(a, f.grid, held))
+    (a,) = _operands(f)
+    return _scalar(f.grid, _laplacian(a, f.grid))
 
 
 def _angular_advection(u_theta: np.ndarray, inv_r: np.ndarray,
-                       a: np.ndarray, held: bool) -> np.ndarray:
-    """(u_theta * inv_r) * dtheta a, held saying whether a is held.
+                       a: np.ndarray) -> np.ndarray:
+    """(u_theta * inv_r) * dtheta a.
 
-    For a held a this is u_theta * 0.0: inv_r lies in (0, 1], so
+    For a column a this is u_theta * 0.0: inv_r lies in (0, 1], so
     u_theta * inv_r is finite with the sign of u_theta, as its product with
     +0.0 is.
     """
-    d = _dtheta(a, held)
+    d = _dtheta(a)
     if d is None:
         return u_theta * 0.0
     ang = u_theta * inv_r
@@ -358,10 +357,10 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     if u.grid is not q.grid:
         raise ValueError("advect requires fields on the same grid")
     g = q.grid
-    (a, u_r, u_theta), (held, _, _) = _operands(q, u)
+    a, u_r, u_theta = _operands(q, u)
     vals = _dr(a, g)
     vals *= u_r
-    vals += _angular_advection(u_theta, _inv_r(g), a, held)
+    vals += _angular_advection(u_theta, _inv_r(g), a)
     return _scalar(g, vals)
 
 
@@ -403,7 +402,7 @@ def norm_l2(f) -> float:
     """sqrt of the quadrature sum of squares over all components."""
     g = f.grid
     total = 0.0
-    for c in _operands(f)[0]:
+    for c in _operands(f):
         total += _weighted_sum(g.weights, c, c)
     return float(np.sqrt(total))
 
@@ -413,7 +412,7 @@ def inner_l2(f, g_field) -> float:
     if f.grid is not g_field.grid:
         raise ValueError("inner_l2 requires fields on the same grid")
     w = f.grid.weights
-    ops = _operands(f, g_field)[0]
+    ops = _operands(f, g_field)
     n = len(f._cols)
     total = 0.0
     for a, b in zip(ops[:n], ops[n:], strict=True):
@@ -487,31 +486,25 @@ def grad_norm_l2(u: VectorField) -> float:
     return float(np.sqrt(total))
 
 
-def grad_tensor(u: VectorField) -> tuple:
-    """Physical polar components (rr, rtheta, thetar, thetatheta) of grad u.
+def _grad_tensor(u: VectorField) -> tuple:
+    """Physical polar components (rr, rtheta, thetar, thetatheta) of grad u,
+    as columns when u is column-held.
 
     First index is the direction of differentiation.
     """
-    shape = u.grid.weights.shape
-    return tuple(np.broadcast_to(t, shape) if t.shape[1] == 1 else t
-                 for t in _grad_tensor(u))
-
-
-def _grad_tensor(u: VectorField) -> tuple:
-    """grad_tensor of u, as columns when u is column-held."""
     g = u.grid
     inv_r = _inv_r(g)
-    (u_r, u_theta), (held_r, held_t) = _operands(u)
+    u_r, u_theta = _operands(u)
     t_rr = _dr(u_r, g)
     t_rt = _dr(u_theta, g)
-    t_tr = _dtheta(u_r, held_r)
+    t_tr = _dtheta(u_r)
     if t_tr is None:        # (+0.0) - inv_r u_theta
         t_tr = inv_r * u_theta
         np.subtract(0.0, t_tr, out=t_tr)
     else:
         t_tr *= inv_r
         t_tr -= inv_r * u_theta
-    t_tt = _dtheta(u_theta, held_t)
+    t_tt = _dtheta(u_theta)
     if t_tt is None:        # (+0.0) + inv_r u_r
         t_tt = inv_r * u_r
         t_tt += 0.0
@@ -523,7 +516,7 @@ def _grad_tensor(u: VectorField) -> tuple:
 
 def difference(u: VectorField, v: VectorField) -> VectorField:
     """u - v componentwise, untagged, on u's grid."""
-    u_r, u_t, v_r, v_t = _operands(u, v)[0]
+    u_r, u_t, v_r, v_t = _operands(u, v)
     return _vector(u.grid, u_r - v_r, u_t - v_t)
 
 
@@ -531,16 +524,16 @@ def vector_laplacian(u: VectorField) -> VectorField:
     """Componentwise Laplacian with the polar coupling terms."""
     g = u.grid
     inv_r2 = _inv_r(g) ** 2
-    (u_r, u_theta), (c_r, c_t) = _operands(u)
-    lap_r = _laplacian(u_r, g, c_r)
+    u_r, u_theta = _operands(u)
+    lap_r = _laplacian(u_r, g)
     lap_r -= inv_r2 * u_r
-    d = _dtheta(u_theta, c_t)
+    d = _dtheta(u_theta)
     if d is not None:       # lap_r - 2/r^2 (+0.0) is lap_r
         d *= 2.0 * inv_r2
         lap_r -= d
-    lap_t = _laplacian(u_theta, g, c_t)
+    lap_t = _laplacian(u_theta, g)
     lap_t -= inv_r2 * u_theta
-    d = _dtheta(u_r, c_r)
+    d = _dtheta(u_r)
     if d is None:
         lap_t += 0.0
     else:
@@ -555,16 +548,16 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
         raise ValueError("advect_vector requires fields on the same grid")
     g = u.grid
     inv_r = _inv_r(g)
-    (a_r, a_t, u_r, u_t), (c_r, c_t, _, _) = _operands(a, u)
+    a_r, a_t, u_r, u_t = _operands(a, u)
     conv_r = _dr(a_r, g)
     conv_r *= u_r
-    conv_r += _angular_advection(u_t, inv_r, a_r, c_r)
+    conv_r += _angular_advection(u_t, inv_r, a_r)
     curv = u_t * a_t
     curv *= inv_r
     conv_r -= curv
     conv_t = _dr(a_t, g)
     conv_t *= u_r
-    conv_t += _angular_advection(u_t, inv_r, a_t, c_t)
+    conv_t += _angular_advection(u_t, inv_r, a_t)
     curv = u_t * a_r
     curv *= inv_r
     conv_t += curv
@@ -577,7 +570,7 @@ def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
         raise ValueError("grad_transpose_apply requires fields on the same grid")
     t_rr, t_rt, t_tr, t_tt = _grad_tensor(u)
     # a's columns only beside u's: a column tensor meets a full a at full size
-    a_r, a_t = _operands(u, a)[0][2:]
+    a_r, a_t = _operands(u, a)[2:]
     out_r = t_rr * a_r + t_rt * a_t
     out_t = t_tr * a_r + t_tt * a_t
     return _vector(u.grid, out_r, out_t)
@@ -596,7 +589,7 @@ def lincomb(terms, scale: float | None = None,
     every field is held.
     """
     fs = [f for _, f in terms] + ([] if base is None else [base])
-    ops = _operands(*fs)[0]
+    ops = _operands(*fs)
     out = ops[0] * terms[0][0]
     for (c, _), a in zip(terms[1:], ops[1:]):
         out += a * c
@@ -609,7 +602,7 @@ def lincomb(terms, scale: float | None = None,
 
 def times_profile(f: ScalarField, profile: np.ndarray) -> ScalarField:
     """f times a radial profile, one value per radial node."""
-    (a,), _ = _operands(f)
+    (a,) = _operands(f)
     return _scalar(f.grid, profile[:, None] * a)
 
 
@@ -624,7 +617,7 @@ def weighted_total(weights: np.ndarray, expr, *fs) -> float:
     full-size sum only if every row of weights holds one bit pattern, as
     in grid.weights, grid.weights[1:-1] and tail_weights.
     """
-    t = expr(*_operands(*fs)[0])
+    t = expr(*_operands(*fs))
     if t.shape[1] == 1:
         return _spread_sum(weights[:, :1] * t, weights.shape)
     return float(np.sum(weights * t))
@@ -638,7 +631,7 @@ def transit_time(u: VectorField) -> float:
     g = u.grid
     r = g.r_nodes[:, None]
     tiny = 1e-300
-    (u_r, u_theta), _ = _operands(u)
+    u_r, u_theta = _operands(u)
     return min(float(np.min(r * g.ds / np.maximum(np.abs(u_r), tiny))),
                float(np.min(r * g.dtheta / np.maximum(np.abs(u_theta), tiny))))
 

@@ -38,7 +38,7 @@ from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
                        _diag_row, energy, run)
 from .elliptic import release_factors
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
-                     EllipticSolveError, NumericalFailure)
+                     NumericalFailure)
 from .fields import (VectorField, _retag, advect_vector, curl_perp,
                      difference, grad_transpose_apply, inner_l2, norm_l2,
                      perp_grad, seminorm_hk, seminorms_hk, vector_laplacian,
@@ -331,9 +331,6 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
                        on_snapshot=on_snapshot)
         except NumericalFailure as exc:
             return failed(exc.kind)
-        except EllipticSolveError:
-            # the initial state's solve, which run makes outside step
-            return failed("solve")
         finally:
             release_factors(grid, "stream", alpha)
         done()

@@ -77,13 +77,17 @@ def _radial_profile(case: InitialCase, r: np.ndarray) -> np.ndarray:
 
 
 def canonical_psi(case: InitialCase, grid) -> ScalarField:
-    """Vortex stream for the case; rejects support leaking past 0.9 r_max."""
+    """Vortex stream for the case; rejects support leaking past 0.9 r_max
+    and a perturbation mode the grid aliases."""
     if case.name == "file":
         psi, _meta = read_snapshot(case.path, grid=grid)
     else:
         prof = _radial_profile(case, grid.r_nodes)
         vals = np.repeat(prof[:, None], grid.spec.n_theta, axis=1)
         if case.name == "perturbed_vortex":
+            if case.mode > grid.spec.n_theta // 2:
+                raise ConfigError("mode %d aliases on n_theta %d" % (
+                    case.mode, grid.spec.n_theta), key="case.mode")
             vals = vals * (1.0 + case.eps
                            * np.cos(case.mode * grid.theta_nodes)[None, :])
         psi = ScalarField(grid, vals)

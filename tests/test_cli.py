@@ -285,6 +285,41 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "cfl" in capsys.readouterr().err
 
 
+# the overflow is the point: keep its warnings out of the test output
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e306, 1e308])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "energy-audit"])
+def test_overflowing_initial_data_is_a_numerical_failure(tmp_path, capsys,
+                                                         command, amplitude):
+    # at 1e306 the initial state overflows inside run (for a sweep, that of
+    # its Euler reference); at 1e308 make_initial overflows before any run
+    doc = {"model": "second_grade", "alpha": 0.2, "nu": 1e-4,
+           "grid": {"n_r": 64, "n_theta": 16}, "t_final": 0.1,
+           "case": {"name": "perturbed_vortex", "amplitude": amplitude},
+           "sweep": {"alphas": [0.4, 0.2]}}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    argv = [command, "--config", cfg, "--output-dir", str(tmp_path / "o")]
+    assert main(argv + ["--threads", "1"] * (command == "sweep")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure (nan): ")
+    assert ("initial state" in err) == (amplitude == 1e306)
+
+
+@pytest.mark.parametrize("mode, code", [(10, 2), (8, 0)])
+def test_a_perturbation_mode_the_grid_aliases_is_a_config_error(
+        tmp_path, capsys, mode, code):
+    # on 16 angles mode 10 would run as mode 6; mode 8 is the Nyquist mode
+    doc = {"model": "euler_alpha", "alpha": 0.2,
+           "grid": {"n_r": 64, "n_theta": 16}, "t_final": 0.02, "dt": 0.01,
+           "case": {"name": "perturbed_vortex", "mode": mode}}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    assert main(["simulate", "--config", cfg,
+                 "--output-dir", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert ("config error (case.mode)" in err) == (code == 2)
+
+
 def test_failed_simulate_keeps_its_snapshots(tmp_path, capsys):
     # the stream solve's far-field closure trips tail_mass at t ~ 0.2
     doc = {"model": "second_grade", "alpha": 0.2, "nu": 1e-4,

@@ -539,6 +539,28 @@ def test_solver_errors_in_a_step_are_solve_failures(monkeypatch, failing_call,
     assert "synthetic solver failure" in str(exc.value)
 
 
+@pytest.mark.parametrize("how, kind", [("overflow", "nan"),
+                                       ("solve", "solve")])
+def test_a_failure_forming_the_initial_state_fails_the_run(monkeypatch, how,
+                                                           kind):
+    import diskflow.dynamics as dynamics
+    g = build_grid(GridSpec(n_r=33, n_theta=16, r_max=8.0))
+    psi = radial_stream(g, moded=(0.3, 2))
+    if how == "overflow":
+        # finite velocity whose filtered vorticity overflows
+        psi = ScalarField(g, 1e306 * psi.values)
+    else:
+        def failing(q, alpha, **kwargs):
+            raise EllipticSolveError("synthetic solver failure")
+        monkeypatch.setattr(dynamics, "solve_stream_helmholtz", failing)
+    u0 = velocity_from_stream(psi)
+    with pytest.raises(NumericalFailure) as exc, \
+            np.errstate(over="ignore", invalid="ignore"):
+        run(ModelParams("euler_alpha", alpha=0.3), u0, 0.1)
+    assert exc.value.kind == kind
+    assert exc.value.detail == "initial" and exc.value.time == 0.0
+
+
 @pytest.mark.parametrize("moded", [None, (0.3, 2)], ids=["radial", "moded"])
 @pytest.mark.parametrize("kind,alpha,nu", [("euler_alpha", 0.3, 0.0),
                                            ("second_grade", 0.3, 1e-3),

@@ -279,7 +279,7 @@ def test_real_right_hand_sides_solve_as_the_complex_staged_ones(kind):
     vals = _random_interior(g, 9)
     vals[4:-4] -= np.sum(g.weights * vals) / np.sum(g.weights[4:-4])
     coeff = np.fft.rfft(vals, axis=1)
-    modes = elliptic._active_modes(coeff, False)
+    modes = elliptic._active_modes(coeff)
     if kind == "poisson":
         rhs = np.zeros((len(modes), n), dtype=complex)
         rhs[:, 1:-1] = (np.exp(2.0 * g.s_nodes)[1:-1, None]
@@ -419,16 +419,17 @@ def test_stream_solve_without_w_returns_the_same_phi_and_u():
     assert np.array_equal(w.values, laplacian(phi).values)
 
 
-def _fresh_spectrum_synthesis(grid, coeff, modes, x, held):
+def _fresh_spectrum_synthesis(grid, coeff, modes, x):
     """elliptic._synthesis as it was written with a second spectrum: phi
     is synthesized in a fresh np.zeros_like(coeff), and coeff is left as
-    it is.  A closed-form coeff (mode 0 alone, one column) goes through
-    the irfft too, which pads it with zero modes."""
+    it is.  A one-column coeff (mode 0 alone, of a held right-hand side)
+    goes through the irfft too, which pads it with zero modes, and phi
+    keeps its column 0."""
     phi_hat = np.zeros_like(coeff)
     if modes:
         phi_hat[:, modes] = x
     phi = np.fft.irfft(phi_hat, n=grid.spec.n_theta, axis=1)
-    if held:
+    if coeff.shape[1] == 1:
         phi = phi[:, :1].copy()
     return fields._scalar(grid, phi)
 
@@ -592,10 +593,34 @@ def test_closed_form_spectrum_and_synthesis_keep_the_bits(n_theta):
     x = np.empty((len(c), 1), dtype=complex)    # c + 1j * c would lose -0.0
     x.real[:, 0] = c
     x.imag[:, 0] = c[::-1]
-    got = elliptic._synthesis(g, coeff, (0,), x, True)
-    full = elliptic._synthesis(g, want, (0,), x, True)
-    assert got._cols[0].shape == full._cols[0].shape == (len(c), 1)
-    assert np.array_equal(_bits(got._cols[0]), _bits(full._cols[0]))
+    got = elliptic._synthesis(g, coeff, (0,), x)
+    full = np.zeros_like(want)
+    full[:, :1] = x
+    col0 = np.fft.irfft(full, n=n_theta, axis=1)[:, :1]
+    assert got._cols[0].shape == (len(c), 1)
+    assert np.array_equal(_bits(got._cols[0]), _bits(col0))
+
+
+@pytest.mark.parametrize("n_theta", [36, 100, 478])
+def test_held_spectrum_off_the_gate_is_the_rfft_column_0(n_theta):
+    # a held right-hand side has a one-column spectrum at every n_theta;
+    # off the gate that column and phi's come from the transforms
+    c = _column_values()
+    g = grid(len(c), n_theta, 8.0)
+    f = ScalarField(g, np.repeat(c[:, None], n_theta, axis=1))
+    coeff = elliptic._spectrum(f)
+    want = np.fft.rfft(f.values, axis=1)
+    assert coeff.shape == (len(c), 1) and coeff.flags.c_contiguous
+    assert np.array_equal(_bits(coeff), _bits(want[:, :1]))
+    x = np.empty((len(c), 1), dtype=complex)
+    x.real[:, 0] = c
+    x.imag[:, 0] = c[::-1]
+    got = elliptic._synthesis(g, coeff, (0,), x)
+    full = np.zeros_like(want)
+    full[:, :1] = x
+    col0 = np.fft.irfft(full, n=n_theta, axis=1)[:, :1]
+    assert got._cols[0].shape == (len(c), 1)
+    assert np.array_equal(_bits(got._cols[0]), _bits(col0))
 
 
 @pytest.mark.parametrize("n_theta", [16, 96, 128, 384])

@@ -347,15 +347,20 @@ def _plain_dr(a, g):
 
 
 def _plain_dtheta(a):
-    """d/dtheta as an array: exact zeros for an a that fields holds as a
-    column, where fields._dtheta returns None."""
-    return np.zeros_like(a) if one_bit_pattern_column(a) is not None \
-        else fields._dtheta(a)
+    """d/dtheta as an array: exact zeros for an (n_r, 1) column, where
+    fields._dtheta returns None."""
+    return np.zeros_like(a) if a.shape[1] == 1 else fields._dtheta(a)
 
 
 def _plain_dtheta2(a):
-    return np.zeros_like(a) if one_bit_pattern_column(a) is not None \
-        else fields._dtheta2(a)
+    return np.zeros_like(a) if a.shape[1] == 1 else fields._dtheta2(a)
+
+
+def _plain_operands(*arrays):
+    """The arrays as an operator takes them: their columns when every one
+    holds one bit pattern per row, else the arrays themselves."""
+    cols = [one_bit_pattern_column(x) for x in arrays]
+    return arrays if any(c is None for c in cols) else cols
 
 
 def _plain_laplacian(g, a):
@@ -463,8 +468,10 @@ KERNEL_DATA = {"wild": _wild, "moderate": _moderate,
 @pytest.mark.parametrize("data", sorted(KERNEL_DATA))
 def test_in_place_kernels_equal_the_plain_expressions(data, theta_constant,
                                                       order):
-    # theta_constant "a": a alone is θ-constant, so each operator meets a
-    # None d/dtheta beside a transformed operand
+    # theta_constant "a": a alone is θ-constant, so an operator that takes
+    # a with b or c runs at full size and transforms a too; the plain
+    # expressions take what _plain_operands gives and a column stands for
+    # its full-size broadcast
     g = grid(33, 16, 8.0)
     rng = np.random.default_rng(5)
     a, b, c = (order(KERNEL_DATA[data](rng, (33, 16),
@@ -474,65 +481,74 @@ def test_in_place_kernels_equal_the_plain_expressions(data, theta_constant,
     for arr in (a, b, c):
         arr.flags.writeable = False     # fields keep them in this order
     inv_r = fields._inv_r(g)
+
+    def same(got, want):
+        return _same_bits(np.broadcast_to(got, a.shape),
+                          np.broadcast_to(want, a.shape))
     with np.errstate(all="ignore"):
         assert _same_bits(fields._ds(a, g.ds), _plain_ds(a, g.ds))
         assert _same_bits(fields._dss(a, g.ds), _plain_dss(a, g.ds))
         assert _same_bits(fields._dr(a, g), _plain_dr(a, g))
 
-        want = (-inv_r * _plain_dtheta(a), _plain_dr(a, g))
+        (pa,) = _plain_operands(a)
+        want = (-inv_r * _plain_dtheta(pa), _plain_dr(pa, g))
         u = _field_or_raise(lambda: perp_grad(ScalarField(g, a)), want)
         if u is not None:
-            assert _same_bits(u.u_r, want[0])
-            assert _same_bits(u.u_theta, want[1])
+            assert same(u.u_r, want[0])
+            assert same(u.u_theta, want[1])
 
-        want = (inv_r * (inv_r * _plain_ds(g.r_nodes[:, None] * b, g.ds)
-                         - _plain_dtheta(a)),)
+        pa, pb = _plain_operands(a, b)
+        want = (inv_r * (inv_r * _plain_ds(g.r_nodes[:, None] * pb, g.ds)
+                         - _plain_dtheta(pa)),)
         w = _field_or_raise(lambda: curl_perp(VectorField(g, a, b)), want)
         if w is not None:
-            assert _same_bits(w.values, want[0])
+            assert same(w.values, want[0])
 
-        want = (_plain_laplacian(g, a),)
+        (pa,) = _plain_operands(a)
+        want = (_plain_laplacian(g, pa),)
         lap = _field_or_raise(lambda: laplacian(ScalarField(g, a)), want)
         if lap is not None:
-            assert _same_bits(lap.values, want[0])
+            assert same(lap.values, want[0])
 
-        want = (b * _plain_dr(a, g) + c * inv_r * _plain_dtheta(a),)
+        pa, pb, pc = _plain_operands(a, b, c)
+        want = (pb * _plain_dr(pa, g) + pc * inv_r * _plain_dtheta(pa),)
         conv = _field_or_raise(
             lambda: advect(VectorField(g, b, c), ScalarField(g, a)), want)
         if conv is not None:
-            assert _same_bits(conv.values, want[0])
+            assert same(conv.values, want[0])
 
         u = VectorField(g, a, b)
-        want = _plain_grad_tensor(g, a, b)
-        got = fields.grad_tensor(u)
-        assert all(_same_bits(x, y) for x, y in zip(got, want, strict=True))
+        tensor = _plain_grad_tensor(g, *_plain_operands(a, b))
+        got = fields._grad_tensor(u)
+        assert all(same(x, y) for x, y in zip(got, tensor, strict=True))
         assert _same_bits(norm_l2(u), _plain_norm(g, (a, b)))
-        assert _same_bits(grad_norm_l2(u), _plain_norm(g, want))
+        assert _same_bits(grad_norm_l2(u), _plain_norm(g, tensor))
         assert _same_bits(inner_l2(u, VectorField(g, c, a)),
                           0.0 + float(np.sum(g.weights * a * c))
                           + float(np.sum(g.weights * b * a)))
 
         # the vector operators of the energy audit
-        want = _plain_vector_laplacian(g, a, b)
+        want = _plain_vector_laplacian(g, *_plain_operands(a, b))
         got = _field_or_raise(lambda: vector_laplacian(u), want)
         if got is not None:
-            assert _same_bits(got.u_r, want[0])
-            assert _same_bits(got.u_theta, want[1])
+            assert same(got.u_r, want[0])
+            assert same(got.u_theta, want[1])
 
-        want = _plain_advect_vector(g, b, c, a, b)
+        want = _plain_advect_vector(g, *_plain_operands(b, c, a, b))
         got = _field_or_raise(lambda: advect_vector(VectorField(g, b, c), u),
                               want)
         if got is not None:
-            assert _same_bits(got.u_r, want[0])
-            assert _same_bits(got.u_theta, want[1])
+            assert same(got.u_r, want[0])
+            assert same(got.u_theta, want[1])
 
-        t_rr, t_rt, t_tr, t_tt = _plain_grad_tensor(g, a, b)
-        want = (t_rr * c + t_rt * a, t_tr * c + t_tt * a)
+        t_rr, t_rt, t_tr, t_tt = tensor
+        pc, pa = _plain_operands(a, b, c, a)[2:]
+        want = (t_rr * pc + t_rt * pa, t_tr * pc + t_tt * pa)
         got = _field_or_raise(
             lambda: grad_transpose_apply(u, VectorField(g, c, a)), want)
         if got is not None:
-            assert _same_bits(got.u_r, want[0])
-            assert _same_bits(got.u_theta, want[1])
+            assert same(got.u_r, want[0])
+            assert same(got.u_theta, want[1])
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +577,7 @@ def test_theta_constant_rows_match_the_fft_path(dtheta, n_theta):
     held = a[:-2]           # the rows that hold one bit pattern each
     col = fields._bit_column(held)
     assert col is not None and _same_bits(col, held[:, :1])
-    assert dtheta(held, True) is None
+    assert dtheta(col) is None
     assert not dtheta(held).any()
     # the rows of 0.0 and -0.0 are not held, so the whole array takes the
     # transform, which gives zeros on every row
@@ -579,7 +595,7 @@ def test_theta_constant_shortcut_ignores_memory_order(dtheta, order):
     held = order(a[:-2])
     col = fields._bit_column(held)
     assert col is not None and _same_bits(col, held[:, :1])
-    assert dtheta(held, True) is None
+    assert dtheta(col) is None
     assert not dtheta(held).any()
 
 
@@ -612,10 +628,12 @@ def test_non_finite_rows_take_the_fft_path(dtheta, bad):
 @pytest.mark.parametrize("dtheta", ANGULAR)
 def test_theta_constant_rows_near_overflow_give_exact_zeros(dtheta):
     # the FFT's mode-0 sum 128 x 1e308 overflows, so the transform path
-    # reads NaN on a finite field; a held array never forms that sum
+    # reads NaN on a finite field; a held array's column never forms that
+    # sum
     a = np.repeat(np.array([[1e308], [-1e308]]), 128, axis=1)
-    assert fields._bit_column(a) is not None
-    assert dtheta(a, True) is None
+    col = fields._bit_column(a)
+    assert col is not None
+    assert dtheta(col) is None
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(dtheta(a)).all()
 
@@ -940,6 +958,65 @@ def test_only_bit_identical_rows_are_held_as_a_column(monkeypatch):
     assert len(transforms) == 2             # the held array takes none
 
 
+def _mixed_call_outputs(g, radial, varying):
+    """Every operator and norm on fields that mix held and unheld arrays:
+    u holds a θ-constant u_r beside a varying u_theta, and a perturbed
+    velocity advects a θ-constant q."""
+    u = VectorField(g, radial[0], varying[0])
+    u_pert = VectorField(g, varying[1], varying[2])
+    q = ScalarField(g, radial[1])
+    s = ScalarField(g, varying[0])
+    out = {
+        "curl_perp": curl_perp(u),
+        "advect": advect(u_pert, q),
+        "advect_held_u_r": advect(u, q),
+        "vector_laplacian": vector_laplacian(u),
+        "advect_vector": advect_vector(u, u),
+        "advect_vector_pert": advect_vector(u_pert, u),
+        "grad_transpose_apply": grad_transpose_apply(u, u_pert),
+        "difference": fields.difference(u, u_pert),
+        "lincomb": fields.lincomb([(2.0, q), (1e-3, s)], base=s),
+        "times_profile": fields.times_profile(s, g.r_nodes),
+        "norm_l2": norm_l2(u),
+        "inner_l2": inner_l2(u, u_pert),
+        "grad_norm_l2": grad_norm_l2(u),
+        "seminorms_hk": seminorms_hk(u, 3),
+        "weighted_total": fields.weighted_total(
+            g.weights, lambda a, b: a * b, q, s),
+        "transit_time": fields.transit_time(u),
+    }
+    return u, out
+
+
+@pytest.mark.parametrize("n_theta", [16, 478])
+def test_a_mixed_call_gives_the_bits_of_the_full_array_path(monkeypatch,
+                                                            n_theta):
+    # below _operands an array is θ-constant exactly when it is a column:
+    # a call whose inputs are partly held takes every array at full size
+    # and transforms each, as when no array is held at all
+    g = grid(33, n_theta, 8.0)
+    rng = np.random.default_rng(n_theta)
+    r = g.r_nodes[:, None]
+    bump = (1.0 - 1.0 / r) ** 2 * np.exp(-r)
+    radial = [np.repeat(bump * c, n_theta, axis=1) for c in (1.0, -0.7)]
+    varying = [bump * rng.normal(size=(33, n_theta)) for _ in range(3)]
+    u, got = _mixed_call_outputs(g, radial, varying)
+    assert isinstance(u._cols[0], np.ndarray) and u._cols[1] is False
+    monkeypatch.setattr(fields, "_bit_column", lambda a: None)
+    u, want = _mixed_call_outputs(g, radial, varying)
+    assert u._cols == [False, False]
+    for name, x in got.items():
+        y = want[name]
+        if isinstance(x, (ScalarField, VectorField)):
+            for i, (a, b) in enumerate(zip(fields._components(x),
+                                           fields._components(y),
+                                           strict=True)):
+                assert x._cols[i] is None, name     # full size
+                assert _same_bits(a, b), name
+        else:
+            assert _bits(x) == _bits(y), name
+
+
 def _package_weights(g):
     """Every weights array the package sums against, by name."""
     return {"weights": g.weights, "interior": g.weights[1:-1],
@@ -1104,19 +1181,6 @@ def test_combinations_equal_the_plain_expressions(data, theta_constant):
             float(np.sum(np.square((k1 - q)[1:-1]) * g.weights[1:-1])))
 
 
-def test_grad_tensor_is_writeable_unless_column_held():
-    g = grid(33, 16, 8.0)
-    full = fields.grad_tensor(perp_grad(analytic_psi(g)))
-    r = g.r_nodes[:, None]
-    radial = fields.grad_tensor(perp_grad(ScalarField(
-        g, np.repeat((r - 1.0) ** 2 / r ** 3, 16, axis=1))))
-    for t in full:
-        assert t.shape == (33, 16) and t.flags.writeable
-    for t in radial:
-        assert t.shape == (33, 16) and not t.flags.writeable
-        assert t.strides[1] == 0
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -1151,7 +1215,7 @@ def _seminorm_by_words(f, k):
             c = comp
             for d in word:
                 c = fields._dr(c, g) if d == "r" \
-                    else fields._inv_r(g) * _plain_dtheta(c)
+                    else fields._inv_r(g) * _plain_dtheta(*_plain_operands(c))
             total += float(np.sum(g.weights * c * c))
     return float(np.sqrt(total))
 
