@@ -27,15 +27,15 @@ expressions bit for bit.
 
 An array whose rows are finite and each hold one bit pattern (a
 theta-constant array) is held as its (n_r, 1) column, and that column is
-the only record of theta-constancy.  Each array of a field is unscanned,
-scanned and not held, or held.  A caller's array and a full-size operator
-result start unscanned; the first operator that takes it scans it once
-with _bit_column and keeps the answer.  An operator whose input arrays
-are all held runs its kernels on the columns (_inv_r is (n_r, 1) too), so
-its results are columns, held at once behind a read-only np.broadcast_to
-view of full shape and with the same bytes (the public values, u_r or
-u_theta), and every node gets the bits it would get at full size.
-Otherwise it runs on the full-size public arrays.  Below _operands an
+the only record of theta-constancy.  A field keeps one array per
+component, its column or its full array, decided once when the field is
+built: a caller's array and a full-size operator result are scanned then
+with _bit_column.  The public values, u_r and u_theta are read-only and
+of full shape: the full array, or an np.broadcast_to view of the column
+built when the attribute is read.  An operator whose input arrays are all
+columns runs its kernels on the columns (_inv_r is (n_r, 1) too), so its
+results are columns and every node gets the bits it would get at full
+size.  Otherwise it runs on full-size arrays.  Below _operands an
 input is theta-constant exactly when it is (n_r, 1), so every full-size
 array goes through the transforms, which give zeros (up to the sign of a
 zero) on rows of one bit pattern when n_theta is 2^a 3^b and the row's
@@ -78,12 +78,6 @@ def _owned(values, shape):
     return vals
 
 
-def _fresh(a: np.ndarray) -> np.ndarray:
-    """a marked read-only: a result no one else holds, kept without a copy."""
-    a.flags.writeable = False
-    return a
-
-
 def _bit_column(a: np.ndarray) -> np.ndarray | None:
     """A read-only copy of column 0 of a when every row of a is finite and
     holds one bit pattern, else None.
@@ -98,81 +92,95 @@ def _bit_column(a: np.ndarray) -> np.ndarray | None:
     bits = a.view(np.int64)
     if not (bits == bits[:, :1]).all() or not np.isfinite(a[:, 0]).all():
         return None
-    return _fresh(a[:, :1].copy())
+    col = a[:, :1].copy()
+    col.flags.writeable = False
+    return col
+
+
+def _kept(a: np.ndarray) -> np.ndarray:
+    """What a field keeps for its read-only array a: a's column when a is
+    one already or _bit_column finds one, else a."""
+    if a.shape[1] == 1:
+        return a
+    col = _bit_column(a)
+    return a if col is None else col
+
+
+def _result(a: np.ndarray) -> np.ndarray:
+    """What a field keeps for the fresh result a, a full array or a column,
+    which no one else holds and which is marked read-only without a copy;
+    NonFiniteFieldError unless a is finite."""
+    a.flags.writeable = False
+    if not np.isfinite(a).all():
+        raise NonFiniteFieldError("field contains NaN or Inf")
+    return _kept(a)
+
+
+def _full(grid: ExteriorGrid, a: np.ndarray) -> np.ndarray:
+    """The kept array a at full size: a itself, or a read-only view of the
+    column a."""
+    if a.shape[1] != 1:
+        return a
+    return np.broadcast_to(a, (grid.spec.n_r, grid.spec.n_theta))
+
+
+def _public(i: int) -> property:
+    """The public attribute of component i: its array at full size."""
+    return property(lambda f: _full(f.grid, f._arrs[i]))
 
 
 def _column(f, i: int = 0) -> np.ndarray | None:
-    """The (n_r, 1) column that component i of f (see _components) is held
-    as, or None when it is not held.  An unscanned component is scanned
-    with _bit_column and the answer kept: the column, or False for "not
-    held".  Threads that scan one component at once store equal answers."""
-    col = f._cols[i]
-    if col is None:
-        col = _bit_column(_components(f)[i])
-        f._cols[i] = False if col is None else col
-    return None if col is False else col
+    """The (n_r, 1) column that component i of f is kept as, or None when
+    f keeps it at full size."""
+    a = f._arrs[i]
+    return a if a.shape[1] == 1 else None
 
 
 def _operands(*fs) -> list:
     """The arrays an operator takes for the components of the fields fs, in
-    order, each scanned on first use (see _column): the columns when every
-    component is held, else the full-size public arrays."""
-    cols = [_column(f, i) for f in fs for i in range(len(f._cols))]
-    if any(c is None for c in cols):
-        return [a for f in fs for a in _components(f)]
-    return cols
-
-
-def _held(grid: ExteriorGrid, a: np.ndarray) -> tuple:
-    """(public array, _cols entry) of the fresh result a; NonFiniteFieldError
-    unless a is finite.  An (n_r, 1) a is held as its column; a full-size a
-    is unscanned (None)."""
-    if not np.isfinite(_fresh(a)).all():
-        raise NonFiniteFieldError("field contains NaN or Inf")
-    if a.shape[1] != 1:
-        return a, None
-    return np.broadcast_to(a, (grid.spec.n_r, grid.spec.n_theta)), a
+    order: the kept columns when every component is a column, else the
+    full-size arrays."""
+    arrs = [a for f in fs for a in f._arrs]
+    if all(a.shape[1] == 1 for a in arrs):
+        return arrs
+    return [_full(f.grid, a) for f in fs for a in f._arrs]
 
 
 def _scalar(grid: ExteriorGrid, values: np.ndarray):
     """ScalarField of the fresh result values, a full array or a column."""
-    v, col = _held(grid, values)
     f = object.__new__(ScalarField)
-    f._set(grid, v, [col])
+    f._set(grid, (_result(values),))
     return f
 
 
 def _vector(grid: ExteriorGrid, u_r: np.ndarray, u_theta: np.ndarray):
     """Untagged VectorField of fresh results, each a full array or a
     column."""
-    ur, col_r = _held(grid, u_r)
-    ut, col_t = _held(grid, u_theta)
     u = object.__new__(VectorField)
-    u._set(grid, ur, ut, [col_r, col_t], None)
+    u._set(grid, (_result(u_r), _result(u_theta)), None)
     return u
 
 
 def _retag(u, tag: str):
-    """u's arrays, and what it holds of their columns, under boundary tag,
-    which is checked."""
+    """u's kept arrays under boundary tag, which is checked."""
     v = object.__new__(VectorField)
-    v._set(u.grid, u.u_r, u.u_theta, u._cols, tag)
+    v._set(u.grid, u._arrs, tag)
     return v
 
 
 class ScalarField:
     """A scalar sample on every grid node."""
 
-    __slots__ = ("grid", "values", "_cols")
+    __slots__ = ("grid", "_arrs")
+    values = _public(0)
 
     def __init__(self, grid: ExteriorGrid, values):
         shape = (grid.spec.n_r, grid.spec.n_theta)
-        self._set(grid, _owned(values, shape), [None])
+        self._set(grid, (_kept(_owned(values, shape)),))
 
-    def _set(self, grid, values, cols):
+    def _set(self, grid, arrs):
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_arrs", arrs)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -188,29 +196,28 @@ class VectorField:
     A violated tag raises BoundaryTagError, a ValueError.
     """
 
-    __slots__ = ("grid", "u_r", "u_theta", "tag", "_cols")
+    __slots__ = ("grid", "tag", "_arrs")
+    u_r, u_theta = _public(0), _public(1)
 
     _RING_TOL = 1e-12
 
     def __init__(self, grid: ExteriorGrid, u_r, u_theta, tag=None):
         shape = (grid.spec.n_r, grid.spec.n_theta)
-        self._set(grid, _owned(u_r, shape), _owned(u_theta, shape),
-                  [None, None], tag)
+        self._set(grid, (_kept(_owned(u_r, shape)),
+                         _kept(_owned(u_theta, shape))), tag)
 
-    def _set(self, grid, u_r, u_theta, cols, tag):
+    def _set(self, grid, arrs, tag):
         object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "u_r", u_r)
-        object.__setattr__(self, "u_theta", u_theta)
         object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_arrs", arrs)
+        # row 0 of a column has the largest |value| of row 0 at full size
         if tag == "no-slip":
-            worst = max(np.abs(self.u_r[0]).max(),
-                        np.abs(self.u_theta[0]).max())
+            worst = max(np.abs(a[0]).max() for a in arrs)
             if self._off_ring(worst):
                 raise BoundaryTagError("no-slip tag violated on the boundary "
                                        "ring: max |u| = %.3e" % worst)
         elif tag == "non-penetration":
-            worst = np.abs(self.u_r[0]).max()
+            worst = np.abs(arrs[0][0]).max()
             if self._off_ring(worst):
                 raise BoundaryTagError("non-penetration tag violated: "
                                        "max |u_r| = %.3e" % worst)
@@ -221,7 +228,7 @@ class VectorField:
         tol = self._RING_TOL
         # the first test spares the whole-field scan in the common case
         return worst > tol and worst > tol * max(
-            1.0, np.abs(self.u_r).max(), np.abs(self.u_theta).max())
+            1.0, *(np.abs(a).max() for a in self._arrs))
 
     def __setattr__(self, name, value):
         raise AttributeError("VectorField is immutable")
@@ -364,14 +371,6 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     return _scalar(g, vals)
 
 
-def _components(f) -> list:
-    if isinstance(f, ScalarField):
-        return [f.values]
-    if isinstance(f, VectorField):
-        return [f.u_r, f.u_theta]
-    raise TypeError("expected ScalarField or VectorField, got %r" % type(f))
-
-
 def _spread_sum(col: np.ndarray, shape: tuple) -> float:
     """float(np.sum(a)) for the contiguous array a of shape whose rows each
     repeat the row of col; the sum of a broadcast view would add in
@@ -413,7 +412,7 @@ def inner_l2(f, g_field) -> float:
         raise ValueError("inner_l2 requires fields on the same grid")
     w = f.grid.weights
     ops = _operands(f, g_field)
-    n = len(f._cols)
+    n = len(f._arrs)
     total = 0.0
     for a, b in zip(ops[:n], ops[n:], strict=True):
         total += _weighted_sum(w, a, b)
@@ -439,13 +438,7 @@ def seminorms_hk(f, k_max: int) -> tuple:
                           key="k")
     g = f.grid
     inv_r = _inv_r(g)
-    comps = []                        # columns and full-size arrays
-    for i, c in enumerate(_components(f)):
-        col = _column(f, i)
-        if col is None:
-            comps.append(c)
-        elif col.any():
-            comps.append(col)
+    comps = [c for c in f._arrs if c.shape[1] != 1 or c.any()]
     norms = []
     for _ in range(k_max):
         nxt = []

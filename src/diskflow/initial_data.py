@@ -21,7 +21,8 @@ import numpy as np
 from .boundary_layer import TRACE_TOL, collar_resolved
 from .errors import ConfigError
 from .fields import (ScalarField, VectorField, _retag, difference, norm_l2,
-                     perp_grad, read_snapshot, seminorms_hk, times_profile)
+                     perp_grad, read_snapshot, seminorms_hk, times_profile,
+                     weighted_total)
 from .grid import tail_weights
 from .ratefit import RateFit, check_geometric, fit_rate
 
@@ -95,8 +96,10 @@ def canonical_psi(case: InitialCase, grid) -> ScalarField:
     trace = float(np.max(np.abs(psi.values[0])))
     if trace > TRACE_TOL * scale:
         raise ConfigError("psi0 has boundary trace %.3e" % trace, key="case")
-    total = norm_l2(psi)
-    tail = float(np.sqrt(np.sum(tail_weights(grid) * psi.values ** 2)))
+    def sq(a):      # of psi / scale, so that no square overflows
+        return np.square(a / scale)
+    total = float(np.sqrt(weighted_total(grid.weights, sq, psi)))
+    tail = float(np.sqrt(weighted_total(tail_weights(grid), sq, psi)))
     if tail > _TAIL_TOL * max(total, 1e-30):
         raise ConfigError(
             "psi0 tail beyond 0.9 r_max is %.3e of its norm; support sits "

@@ -14,6 +14,13 @@ def one_bit_pattern_column(a):
     return None
 
 
+def public_arrays(f):
+    """The public full-shape arrays of a field, one per component."""
+    if isinstance(f, fields.ScalarField):
+        return (f.values,)
+    return (f.u_r, f.u_theta)
+
+
 @pytest.fixture
 def full_array_path(monkeypatch):
     """A switch to the full-array path: fields._bit_column finds no array

@@ -306,6 +306,22 @@ def test_overflowing_initial_data_is_a_numerical_failure(tmp_path, capsys,
     assert ("initial state" in err) == (amplitude == 1e306)
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 1e150, 1e160, 1e200])
+def test_support_at_the_truncation_ring_is_a_config_error_at_any_amplitude(
+        tmp_path, capsys, amplitude):
+    # the tail guard sums the squares of psi over its largest value, so no
+    # amplitude overflows them into a NaN that passes the guard
+    doc = {"model": "euler_alpha", "alpha": 0.2,
+           "grid": {"n_r": 64, "n_theta": 16, "r_max": 8.0},
+           "t_final": 0.02, "dt": 0.01,
+           "case": {"name": "radial_vortex", "r0": 7.9,
+                    "amplitude": amplitude}}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    assert main(["simulate", "--config", cfg,
+                 "--output-dir", str(tmp_path / "o")]) == 2
+    assert "config error (case): psi0 tail" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode, code", [(10, 2), (8, 0)])
 def test_a_perturbation_mode_the_grid_aliases_is_a_config_error(
         tmp_path, capsys, mode, code):
@@ -533,15 +549,15 @@ def test_radial_outputs_equal_the_full_array_path(monkeypatch, tmp_path,
     cfg = write_config(tmp_path, json.dumps(doc))
     columns = []
     spread = [False]
-    real_held = fields._held
+    real_result = fields._result
 
-    def held(grid, a):
+    def result(a):
         if spread[0] and a.shape[1] == 1:
-            a = np.repeat(a, grid.spec.n_theta, axis=1)
-        out = real_held(grid, a)
-        columns.append(out[1] is not None)
+            a = np.repeat(a, n_theta, axis=1)
+        out = real_result(a)
+        columns.append(out.shape[1] == 1)
         return out
-    monkeypatch.setattr(fields, "_held", held)
+    monkeypatch.setattr(fields, "_result", result)
 
     def outputs(side):
         columns.clear()

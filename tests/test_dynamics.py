@@ -850,8 +850,8 @@ def test_radial_state_makes_no_angular_arrays_in_fields(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
 def test_radial_step_scans_no_array_for_theta_constancy(monkeypatch, kind):
-    # the state's fields are held as columns, and every array a step
-    # builds from columns is a column, held at once
+    # the state's fields are kept as columns, and every array a step
+    # builds from columns is a column, kept without a scan
     import diskflow.fields as fields
     params, u0 = _vortex_state(kind, "radial_vortex")
     state = initial_state(params, u0)
@@ -863,8 +863,30 @@ def test_radial_step_scans_no_array_for_theta_constancy(monkeypatch, kind):
     assert scans == []
     held = [fields._column(f, i) is not None
             for f in (nxt.q, nxt.w, nxt.phi, nxt.u)
-            for i in range(len(f._cols))]
+            for i in range(len(f._arrs))]
     assert scans == [] and held == [True] * 5
+
+
+@pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
+def test_radial_step_builds_no_full_size_view(monkeypatch, kind):
+    # a column's full-size view is built only when its public attribute is
+    # read, and a step reads none
+    import sys
+    params, u0 = _vortex_state(kind, "radial_vortex")
+    state = initial_state(params, u0)
+    views = []
+    real = np.broadcast_to
+
+    def spy(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "diskflow.fields":
+            views.append(args[0].shape)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np, "broadcast_to", spy)
+    nxt = step(state, 1e-3)
+    assert views == []
+    spec = u0.grid.spec
+    assert nxt.u.u_theta.shape == (spec.n_r, spec.n_theta)
+    assert views == [(spec.n_r, 1)]
 
 
 def _full_size_lines(fn, n_bytes, excluded):

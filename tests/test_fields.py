@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import io
 import itertools
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import one_bit_pattern_column
+from conftest import one_bit_pattern_column, public_arrays
 from diskflow import fields
 from diskflow.errors import ConfigError, EllipticSolveError, NonFiniteFieldError
 from diskflow.grid import GridSpec, build_grid, tail_weights
@@ -699,10 +700,6 @@ def _scan_outputs(g, a, b, c):
         yield name, out if isinstance(out, tuple) else (out,)
 
 
-OPERATORS = {"perp_grad", "laplacian", "curl_perp", "advect", "difference",
-             "vector_laplacian", "advect_vector", "grad_transpose_apply"}
-
-
 @pytest.mark.parametrize("n_theta", [16, 478])
 @pytest.mark.parametrize("kind_b", SCAN_KINDS)
 @pytest.mark.parametrize("kind_a", SCAN_KINDS)
@@ -713,6 +710,12 @@ def test_every_column_equals_a_fresh_scan(kind_a, kind_b, n_theta):
     shape = (33, n_theta)
     a = _scan_data(kind_a, rng, shape)
     b, c = _scan_data(kind_b, rng, shape), _scan_data(kind_b, rng, shape)
+    if kind_a == kind_b == "mixed_zeros":
+        # rows of 0.0 and -0.0 hold no one bit pattern, so the inputs are
+        # kept at full size and the operators run on full-size arrays,
+        # through the transforms wherever they take a d/dtheta
+        assert all(ScalarField(g, x)._arrs[0].shape == shape
+                   for x in (a, b, c))
     with np.errstate(all="ignore"):
         outputs = dict(_scan_outputs(g, a, b, c))
     for name, fields_out in outputs.items():
@@ -722,23 +725,73 @@ def test_every_column_equals_a_fresh_scan(kind_a, kind_b, n_theta):
                 name
             continue
         for f in fields_out:
-            for i, comp in enumerate(fields._components(f)):
-                kept = f._cols[i]
+            for i, (comp, kept) in enumerate(zip(public_arrays(f), f._arrs,
+                                                 strict=True)):
+                assert comp.shape == shape and not comp.flags.writeable
                 if kind_a == kind_b == "radial":
-                    # a result of held inputs is held at once
-                    assert isinstance(kept, np.ndarray), (name, i)
-                if kind_a == kind_b == "mixed_zeros" and name in OPERATORS:
-                    # inputs with rows of 0.0 and -0.0 are not held, so the
-                    # operator ran on full-size arrays, through the
-                    # transforms wherever it takes a d/dtheta (a result
-                    # used inside a solve may be found held on that use)
-                    assert comp.strides[1] != 0, (name, i)
-                # held exactly when the tests' own scan finds the column
+                    # a result of columns is a column
+                    assert kept.shape == (33, 1), (name, i)
+                # a column exactly when the tests' own scan finds one
                 fresh = one_bit_pattern_column(comp)
                 col = fields._column(f, i)
                 assert (col is None) == (fresh is None), (name, i)
                 if col is not None:
-                    assert _same_bits(col, fresh), (name, i)
+                    assert col is kept and _same_bits(col, fresh), (name, i)
+
+
+@pytest.mark.parametrize("n_theta", [16, 478])
+@pytest.mark.parametrize("kind", SCAN_KINDS)
+def test_a_field_keeps_what_it_decides_when_built(kind, n_theta):
+    # caller arrays and operator results alike: a component is kept as its
+    # column exactly when the tests' own scan finds one, its public
+    # attribute is a read-only full-shape array with the bits it was built
+    # from, and no operator that uses the field changes what it keeps
+    g = grid(33, n_theta, 8.0)
+    rng = np.random.default_rng(SCAN_KINDS.index(kind))
+    shape = (33, n_theta)
+    a, b, c = (_scan_data(kind, rng, shape) for _ in range(3))
+    s, u = ScalarField(g, a), VectorField(g, b, c)
+    built = [(s, (a,)), (u, (b, c))]
+    ops = [lambda: perp_grad(s), lambda: laplacian(s),
+           lambda: curl_perp(u), lambda: advect(u, s),
+           lambda: vector_laplacian(u), lambda: advect_vector(u, u),
+           lambda: grad_transpose_apply(u, u),
+           lambda: fields.difference(u, u),
+           lambda: fields.lincomb([(2.0, s), (-1.0, s)]),
+           lambda: fields.times_profile(s, g.r_nodes)]
+    with np.errstate(all="ignore"):
+        for op in ops:
+            with contextlib.suppress(NonFiniteFieldError):
+                out = op()
+                built.append((out, tuple(np.array(x)
+                                         for x in public_arrays(out))))
+        kept = [f._arrs for f, _ in built]
+        for f, _ in built:
+            norm_l2(f)
+            inner_l2(f, f)
+            seminorms_hk(f, 3)
+            if isinstance(f, VectorField):
+                grad_norm_l2(f)
+                fields.transit_time(f)
+            with contextlib.suppress(NonFiniteFieldError):
+                if isinstance(f, VectorField):
+                    vector_laplacian(f)
+                else:
+                    laplacian(f)
+    assert len(built) > 2
+    for (f, want), arrs in zip(built, kept, strict=True):
+        assert f._arrs is arrs
+        for comp, x, w in zip(public_arrays(f), f._arrs, want, strict=True):
+            assert comp.shape == shape and not comp.flags.writeable
+            assert _same_bits(comp, w)
+            with pytest.raises(ValueError):
+                comp[1, 1] = 0.0
+            fresh = one_bit_pattern_column(w)
+            assert (x.shape == (33, 1)) == (fresh is not None)
+            assert x.shape == shape or _same_bits(x, fresh)
+        name = "values" if isinstance(f, ScalarField) else "u_r"
+        with pytest.raises(AttributeError):
+            setattr(f, name, np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -764,43 +817,45 @@ def _scan_calls(monkeypatch):
     return scans
 
 
-def test_a_caller_array_is_scanned_once_on_first_use(monkeypatch):
+def test_a_caller_array_is_scanned_once_when_the_field_is_built(monkeypatch):
     g = grid(33, 16, 8.0)
+    scans = _scan_calls(monkeypatch)
     psi = ScalarField(g, np.repeat(np.linspace(0.0, 1.0, 33)[:, None], 16,
                                    axis=1))
-    scans = _scan_calls(monkeypatch)
-    assert psi._cols == [None]
+    assert scans == [(33, 16)] and psi._arrs[0].shape == (33, 1)
+    kept = psi._arrs
     u = perp_grad(psi)
     lap = laplacian(psi)
     seminorms_hk(psi, 3)
-    assert scans == [(33, 16)] and psi._cols[0].shape == (33, 1)
-    for c in u._cols + lap._cols:
-        assert isinstance(c, np.ndarray) and c.shape == (33, 1)
+    assert scans == [(33, 16)] and psi._arrs is kept
+    for c in u._arrs + lap._arrs:
+        assert c.shape == (33, 1)
 
 
-def test_a_full_size_result_of_one_bit_pattern_rows_is_held_on_first_use(
+def test_a_full_size_result_of_one_bit_pattern_rows_is_held_when_built(
         monkeypatch):
-    # u - u of a u that varies in θ is computed at full size and left
-    # unscanned; its first use finds its rows of +0.0 and holds the columns
+    # u - u of a u that varies in θ is computed at full size; the field
+    # built from it finds its rows of +0.0 and keeps the columns
     g = grid(33, 16, 8.0)
     u = perp_grad(analytic_psi(g))
-    d = fields.difference(u, u)
-    assert d._cols == [None, None]
-    assert d.u_r.shape == (33, 16) and d.u_r.strides[1] != 0
+    assert all(c.shape == (33, 16) for c in u._arrs)
     scans = _scan_calls(monkeypatch)
-    lap = vector_laplacian(d)
+    d = fields.difference(u, u)
     assert scans == [(33, 16), (33, 16)]
     for i, comp in enumerate((d.u_r, d.u_theta)):
         col = fields._column(d, i)
-        assert col.shape == (33, 1) and _same_bits(col, comp[:, :1])
-        assert _same_bits(col, np.zeros((33, 1)))
-    assert all(isinstance(c, np.ndarray) for c in lap._cols)
+        assert col.shape == (33, 1) and _same_bits(col, np.zeros((33, 1)))
+        assert comp.shape == (33, 16) and comp.strides[1] == 0
+        assert _same_bits(comp, np.zeros((33, 16)))
+    lap = vector_laplacian(d)
+    assert all(c.shape == (33, 1) for c in lap._arrs)
     assert len(scans) == 2
 
 
 def test_threads_finding_one_column_agree():
     # sweep workers share fields such as the initial velocity, so several
-    # threads may scan one array at once; each stores an equal answer
+    # threads may read one field at once; each sees the arrays kept when
+    # the field was built
     import sys
     import threading
     g = grid(33, 16, 8.0)
@@ -808,6 +863,7 @@ def test_threads_finding_one_column_agree():
     fields_in = [VectorField(g, _scan_data(kind, rng, (33, 16)),
                              _scan_data(kind, rng, (33, 16)))
                  for kind in SCAN_KINDS for _ in range(20)]
+    arrs = [f._arrs for f in fields_in]
     seen = [[] for _ in fields_in]
     barrier = threading.Barrier(8)
 
@@ -826,8 +882,8 @@ def test_threads_finding_one_column_agree():
     finally:
         sys.setswitchinterval(old)
     assert not any(w.is_alive() for w in workers)
-    for f, out in zip(fields_in, seen):
-        assert len(out) == 8
+    for f, out, kept in zip(fields_in, seen, arrs):
+        assert len(out) == 8 and f._arrs is kept
         # a column is kept exactly for finite rows that share their bits
         for i, comp in enumerate((f.u_r, f.u_theta)):
             want = one_bit_pattern_column(comp)
@@ -841,8 +897,8 @@ def test_threads_finding_one_column_agree():
 # column-held fields
 
 def _held_full(u):
-    """u's arrays as fresh full-size copies, unscanned: on the full-array
-    path they are never held."""
+    """u's arrays as fresh full-size copies: on the full-array path they
+    are kept at full size."""
     return fields._vector(u.grid, np.array(u.u_r), np.array(u.u_theta))
 
 
@@ -869,10 +925,10 @@ def test_column_held_reductions_equal_the_full_ones(full_array_path,
     snaps = traj.snapshots
     assert len(snaps) == 5
     for f in [u_ref] + [s.u for s in snaps]:
-        assert all(isinstance(c, np.ndarray) for c in f._cols)
+        assert all(c.shape == (65, 1) for c in f._arrs)
     u, v = snaps[-1].u, u_ref
     w = curl_perp(u)
-    assert isinstance(w._cols[0], np.ndarray)
+    assert w._arrs[0].shape == (65, 1)
     got = [norm_l2(u), norm_l2(w), inner_l2(u, v), grad_norm_l2(u),
            outer_circulation(u), seminorms_hk(u, 3)]
     held = EnergyBudget(0.1)
@@ -884,7 +940,7 @@ def test_column_held_reductions_equal_the_full_ones(full_array_path,
     want = [norm_l2(fu), norm_l2(fw), inner_l2(fu, fv), grad_norm_l2(fu),
             outer_circulation(fu), seminorms_hk(fu, 3)]
     for f in (fu, fv, fw):
-        assert all(fields._column(f, i) is None for i in range(len(f._cols)))
+        assert all(c.shape == (65, n_theta) for c in f._arrs)
     for x, y in zip(got, want, strict=True):
         assert _bits(x) == _bits(y)
     full = EnergyBudget(0.1)
@@ -905,13 +961,13 @@ def test_column_held_arrays_are_full_size_and_cannot_change():
     view = base[:]
     view.flags.writeable = False                # read-only, writeable base
     psi, chi = ScalarField(g, mine), ScalarField(g, view)
-    u = perp_grad(psi)          # the first use finds psi's column
+    # both are kept as their columns when built
+    assert psi._arrs[0].shape == (33, 1) and chi._arrs[0].shape == (33, 1)
+    u = perp_grad(psi)
     lap = laplacian(chi)
-    assert isinstance(psi._cols[0], np.ndarray) \
-        and isinstance(chi._cols[0], np.ndarray)
-    for f in (u, lap):
-        for a, c in zip(fields._components(f), f._cols):
-            assert isinstance(c, np.ndarray) and c.shape == (33, 1)
+    for f in (psi, chi, u, lap):
+        for a, c in zip(public_arrays(f), f._arrs, strict=True):
+            assert c.shape == (33, 1)
             assert a.shape == (33, 16) and not a.flags.writeable
             assert a.base is c and not c.flags.writeable
             with pytest.raises(ValueError):
@@ -923,7 +979,7 @@ def test_column_held_arrays_are_full_size_and_cannot_change():
     base[:] = 7.0
     for f in (psi, chi):
         assert np.array_equal(f.values, np.repeat(col, 16, axis=1))
-        assert np.array_equal(f._cols[0], col)
+        assert np.array_equal(f._arrs[0], col)
     again = (perp_grad(psi), laplacian(chi))
     for a, b in zip(want, (again[0].u_r, again[0].u_theta, again[1].values)):
         assert np.array_equal(a, b)
@@ -937,7 +993,7 @@ def test_only_bit_identical_rows_are_held_as_a_column(monkeypatch):
     a[5, ::2] = -0.0
     a[5, 1::2] = 0.0
     f = ScalarField(g, a)
-    assert fields._column(f) is None and f._cols == [False]
+    assert fields._column(f) is None and f._arrs[0].shape == (16, 8)
     transforms = []
     real = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft",
@@ -946,8 +1002,12 @@ def test_only_bit_identical_rows_are_held_as_a_column(monkeypatch):
     lap = laplacian(f)
     u = perp_grad(f)
     assert len(transforms) == 2
-    for c in lap._cols + u._cols:
-        assert c is None                # full-size results, unscanned
+    # the results are scanned when built: a column exactly where the
+    # transforms left one bit pattern per row
+    for c, comp in zip(lap._arrs + u._arrs, public_arrays(lap)
+                       + public_arrays(u), strict=True):
+        assert (c.shape == (16, 1)) \
+            == (one_bit_pattern_column(comp) is not None)
     # the transforms give zeros on these rows, so the results equal those
     # of the held array with +0.0 in row 5 up to the signs of zeros
     a[5] = 0.0
@@ -1001,17 +1061,16 @@ def test_a_mixed_call_gives_the_bits_of_the_full_array_path(monkeypatch,
     radial = [np.repeat(bump * c, n_theta, axis=1) for c in (1.0, -0.7)]
     varying = [bump * rng.normal(size=(33, n_theta)) for _ in range(3)]
     u, got = _mixed_call_outputs(g, radial, varying)
-    assert isinstance(u._cols[0], np.ndarray) and u._cols[1] is False
+    assert u._arrs[0].shape == (33, 1) and u._arrs[1].shape == (33, n_theta)
     monkeypatch.setattr(fields, "_bit_column", lambda a: None)
     u, want = _mixed_call_outputs(g, radial, varying)
-    assert u._cols == [False, False]
+    assert all(c.shape == (33, n_theta) for c in u._arrs)
     for name, x in got.items():
         y = want[name]
         if isinstance(x, (ScalarField, VectorField)):
-            for i, (a, b) in enumerate(zip(fields._components(x),
-                                           fields._components(y),
-                                           strict=True)):
-                assert x._cols[i] is None, name     # full size
+            for i, (a, b) in enumerate(zip(public_arrays(x),
+                                           public_arrays(y), strict=True)):
+                assert x._arrs[i].shape == (33, n_theta), name  # full size
                 assert _same_bits(a, b), name
         else:
             assert _bits(x) == _bits(y), name
@@ -1107,10 +1166,10 @@ def test_column_held_norms_equal_the_full_size_expressions(monkeypatch,
     u = VectorField(g, full[1], full[2])
     v = VectorField(g, full[3], full[1])
     for f in (s, u, v):
-        assert all(fields._column(f, i) is not None
-                   for i in range(len(f._cols)))
+        assert all(c.shape == (65, 1) for c in f._arrs)
     mixed = VectorField(g, full[3], full[1] + rng.normal(size=full[1].shape))
-    assert mixed._cols == [None, None]
+    assert mixed._arrs[0].shape == (65, 1) \
+        and mixed._arrs[1].shape == (65, n_theta)
 
     def plain_inner(x, y):
         total = 0.0
@@ -1148,8 +1207,10 @@ def test_combinations_equal_the_plain_expressions(data, theta_constant):
                                 or i == 0 and theta_constant == "a")
               for i in range(5)]
     fs = [ScalarField(g, a) for a in arrays]
-    for f in fs:
-        fields._column(f)               # θ-constant ones are now columns
+    for f, a in zip(fs, arrays):
+        # θ-constant ones are kept as columns when built
+        assert (fields._column(f) is None) \
+            == (one_bit_pattern_column(a) is None)
     q, k1, k2, k3, k4 = arrays
     cases = [
         (([(-1.0, fs[1]), (1e-3, fs[2])],), {}, -k1 + k2 * 1e-3),
@@ -1168,9 +1229,12 @@ def test_combinations_equal_the_plain_expressions(data, theta_constant):
             used = [f for _, f in args[0]] + [kwargs.get("base")] * (
                 "base" in kwargs)
             assert _same_bits(got.values, want)
-            # a column result exactly when every field is held
-            held = all(fields._column(f) is not None for f in used)
-            assert isinstance(got._cols[0], np.ndarray) == held
+            # a column result exactly where the tests' own scan finds
+            # one, and always when every field is held
+            column = got._arrs[0].shape[1] == 1
+            assert column == (one_bit_pattern_column(want) is not None)
+            assert column or not all(fields._column(f) is not None
+                                     for f in used)
         assert _same_bits(
             fields.weighted_total(g.weights, np.square, fs[0]),
             float(np.sum(np.square(q) * g.weights)))
