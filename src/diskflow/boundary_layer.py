@@ -45,17 +45,22 @@ def check_delta(delta: float) -> None:
                           key="delta")
 
 
+def ring_trace(psi: ScalarField) -> float:
+    """max|psi| on the ring over max|psi|; 0 for an all-zero psi."""
+    scale = float(np.max(np.abs(psi.values)))
+    return float(np.max(np.abs(psi.values[0]))) / scale if scale else 0.0
+
+
 def build_corrector(psi_bar: ScalarField, delta: float) -> VectorField:
     """perp-grad of eta(rho/delta) * psi_bar; psi_bar must vanish on the ring."""
     check_delta(delta)
     g = psi_bar.grid
-    scale = max(float(np.max(np.abs(psi_bar.values))), 1.0)
-    trace = float(np.max(np.abs(psi_bar.values[0])))
-    if trace > TRACE_TOL * scale:
+    trace = ring_trace(psi_bar)
+    if trace > TRACE_TOL:
         raise ConfigError(
-            "psi_bar has boundary trace %.3e; the corrector construction "
-            "requires a stream function vanishing on the ring" % trace,
-            key="psi_bar")
+            "psi_bar has boundary trace %.3e of its maximum; the corrector "
+            "construction requires a stream function vanishing on the ring"
+            % trace, key="psi_bar")
     rho = g.r_nodes - 1.0
     cut = eta(rho / delta)
     return perp_grad(times_profile(psi_bar, cut))

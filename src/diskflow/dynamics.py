@@ -20,6 +20,7 @@ when vorticity mass reaches the outer 10 percent of the annulus.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ from .grid import tail_weights
 
 KINDS = ("second_grade", "euler_alpha", "euler")
 MIN_DT = 1e-10                 # a smaller admissible step fails the run
+# a run is at a scheduled time once within END_EPS * max(1, t_final) of it
+END_EPS = 1e-9
 CIRCULATION_TOL = 1e-8         # outer-ring witness, relative
 # discrete vorticity mass of grid data is O(h^2), not zero; every Euler run
 # from a stream function needs that much slack in the mode-0 guard
@@ -153,36 +156,27 @@ def rhs(state: FlowState) -> ScalarField:
     return lincomb(terms)
 
 
-def _stage_q(q: ScalarField, h: float, k: ScalarField, time: float,
-             stage: str) -> ScalarField:
-    """q + h * k, formed as k * h with q added in place; a non-finite value
-    fails the step as nan."""
+@contextmanager
+def _fails_as(time: float, detail: str, where: str):
+    """Fail the run for a non-finite field (kind 'nan') or a failed elliptic
+    solve (kind 'solve') raised inside the block, at time with detail."""
     try:
-        return lincomb([(h, k)], base=q)
-    except NonFiniteFieldError as exc:
-        raise NumericalFailure("non-finite q entering stage %s" % stage,
-                               kind="nan", time=time, detail=stage) from exc
-
-
-def _stage_rhs(params: ModelParams, q: ScalarField, time: float, stage: str,
-               state: FlowState | None = None) -> ScalarField:
-    """Tendency of q at one stage; a non-finite value fails the step as nan.
-
-    The state of q is derived with w only where rhs reads it, unless it is
-    given.  A failed elliptic solve fails the step as 'solve'.
-    """
-    try:
-        if state is None:
-            state = make_state(params, q, time, with_w=params.nu > 0.0)
-        k = rhs(state)
-    except NonFiniteFieldError as exc:  # overflow inside the stage
-        raise NumericalFailure("non-finite field at stage %s" % stage,
-                               kind="nan", time=time, detail=stage) from exc
+        yield
+    except NonFiniteFieldError as exc:   # overflow inside the block
+        raise NumericalFailure("non-finite field %s: %s" % (where, exc),
+                               kind="nan", time=time, detail=detail) from exc
     except EllipticSolveError as exc:
-        raise NumericalFailure("elliptic solve failed at stage %s: %s"
-                               % (stage, exc), kind="solve", time=time,
-                               detail=stage) from exc
-    return k
+        raise NumericalFailure("elliptic solve failed %s: %s" % (where, exc),
+                               kind="solve", time=time, detail=detail) from exc
+
+
+def _stage(params: ModelParams, q: ScalarField, h: float, k: ScalarField,
+           time: float, stage: str) -> ScalarField:
+    """Tendency at the stage state q + h * k, formed as k * h with q added
+    in place; its state has w only where rhs reads it."""
+    with _fails_as(time, stage, "at stage " + stage):
+        q_stage = lincomb([(h, k)], base=q)
+        return rhs(make_state(params, q_stage, time, with_w=params.nu > 0.0))
 
 
 def step(state: FlowState, dt: float,
@@ -192,31 +186,24 @@ def step(state: FlowState, dt: float,
     The state must come from initial_state, make_state or step: stage k1
     takes its (phi, w, u) as they are instead of recovering them from q
     again.  end_time, when given, stamps the new state in place of t + dt.
+    A non-finite field or a failed elliptic solve fails the step with the
+    stage it hit (k1-k4, or 'update' at time t).
     """
     params = state.params
     q = state.q
     t = state.time
     th = t + 0.5 * dt
-    k1 = _stage_rhs(params, q, t, "k1", state=state)
-    k2 = _stage_rhs(params, _stage_q(q, 0.5 * dt, k1, th, "k2"), th, "k2")
-    k3 = _stage_rhs(params, _stage_q(q, 0.5 * dt, k2, th, "k3"), th, "k3")
-    k4 = _stage_rhs(params, _stage_q(q, dt, k3, t + dt, "k4"), t + dt, "k4")
-    # q + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order in place
-    try:
+    with _fails_as(t, "k1", "at stage k1"):
+        k1 = rhs(state)
+    k2 = _stage(params, q, 0.5 * dt, k1, th, "k2")
+    k3 = _stage(params, q, 0.5 * dt, k2, th, "k3")
+    k4 = _stage(params, q, dt, k3, t + dt, "k4")
+    with _fails_as(t, "update", "after step"):
+        # q + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order in place
         q_new = lincomb([(2.0, k2), (1.0, k1), (2.0, k3), (1.0, k4)],
                         scale=dt / 6.0, base=q)
-    except NonFiniteFieldError as exc:
-        raise NumericalFailure("non-finite q after step", kind="nan",
-                               time=t, detail="update") from exc
-    t_new = t + dt if end_time is None else end_time
-    try:
-        return make_state(params, q_new, t_new)
-    except NonFiniteFieldError as exc:
-        raise NumericalFailure("non-finite field after step", kind="nan",
-                               time=t, detail="update") from exc
-    except EllipticSolveError as exc:
-        raise NumericalFailure("elliptic solve failed after step: %s" % exc,
-                               kind="solve", time=t, detail="update") from exc
+        return make_state(params, q_new, t + dt if end_time is None
+                          else end_time)
 
 
 def cfl_dt(state: FlowState, cfl: float,
@@ -264,41 +251,58 @@ def _diag_row(state: FlowState, dt: float, tail_w: np.ndarray) -> dict:
     }
 
 
+def snapshot_times(t_final: float, snapshot_dt: float | None) -> tuple:
+    """The times at which run keeps a snapshot: 0.0, each k * snapshot_dt
+    (k = 1, 2, ...) more than END_EPS max(1, t_final) before t_final, and
+    t_final."""
+    eps = END_EPS * max(1.0, t_final)
+    times, k = [0.0], 1
+    while snapshot_dt is not None and k * snapshot_dt < t_final - eps:
+        times.append(k * snapshot_dt)
+        k += 1
+    return tuple(times) + (t_final,)
+
+
 def run(params: ModelParams, u0: VectorField, t_final: float,
         config: RunConfig = RunConfig(), on_snapshot=None,
         diagnostics_path: str | None = None) -> Trajectory:
     """Integrate to t_final with snapshots and per-step diagnostics.
 
     config is a RunConfig or any config that extends it; only its five
-    solver keys are read.  Snapshots are the initial state, one state per
-    snapshot_dt before t_final, and the final state.  When on_snapshot is
-    given, it is called with each snapshot as it is taken and the returned
-    snapshots list stays empty, so a caller can write or reduce snapshots
-    without holding them; those taken before a failure have then been
-    handed over.  diagnostics_path, when given, receives one CSV row per
-    step as it is taken, so a failed run keeps every row up to the failure.
+    solver keys are read.  run steps to each of the snapshot_times in turn
+    and keeps a snapshot there: a step that would reach within END_EPS
+    max(1, t_final) of the next one is cut to end on it.  When on_snapshot
+    is given, it is called with each snapshot as it is taken and the
+    returned snapshots list stays empty, so a caller can write or reduce
+    snapshots without holding them; those taken before a failure have then
+    been handed over.  diagnostics_path, when given, receives one CSV row
+    per step as it is taken, so a failed run keeps every row up to the
+    failure.
     """
     if not t_final > 0.0:
         raise ConfigError("t_final=%r must be positive" % (t_final,),
                           key="t_final")
     g = u0.grid
-    circ = abs(outer_circulation(u0))
-    scale = max(norm_l2(u0), 1e-30)
-    if circ > CIRCULATION_TOL * scale:
-        raise ConfigError(
-            "outer-ring circulation %.3e of the initial velocity exceeds "
-            "tolerance; vorticity support must stay inside the annulus" % circ,
-            key="u0")
-    try:
+    # on u0 / max|u0|, so that no square overflows or underflows; an
+    # all-zero field circulates nowhere
+    umax = max(float(np.max(np.abs(c))) for c in (u0.u_r, u0.u_theta))
+    if umax > 0.0:
+        circ = abs(outer_circulation(u0)) / umax
+        scale = float(np.sqrt(weighted_total(
+            g.weights, lambda a, b: np.square(a / umax) + np.square(b / umax),
+            u0)))
+        if circ > CIRCULATION_TOL * scale:
+            raise ConfigError(
+                "outer-ring circulation of the initial velocity is %.3e of "
+                "its L2 norm; vorticity support must stay inside the annulus"
+                % (circ / scale), key="u0")
+    with _fails_as(0.0, "initial", "in the initial state"):
         state = initial_state(params, u0)
-    except (NonFiniteFieldError, EllipticSolveError) as exc:
-        kind = "nan" if isinstance(exc, NonFiniteFieldError) else "solve"
-        raise NumericalFailure("initial state: %s" % exc, kind=kind,
-                               time=0.0, detail="initial") from exc
 
     tail_w = tail_weights(g)
     q0_norm = max(norm_l2(state.q), 1e-30)
     tail_abs = config.tail_threshold * q0_norm
+    eps = END_EPS * max(1.0, t_final)
 
     diags = {k: [] for k in _DIAG_KEYS}
     stream = None
@@ -314,45 +318,31 @@ def run(params: ModelParams, u0: VectorField, t_final: float,
                          + "\n")
 
     try:
-        row = _diag_row(state, 0.0, tail_w)
-        record(row)
+        record(_diag_row(state, 0.0, tail_w))
         snapshots = []
         keep = snapshots.append if on_snapshot is None else on_snapshot
         keep(state)
-        kept_time = state.time
-        snap_idx = 1
-        eps = 1e-9 * max(1.0, t_final)
-        while state.time < t_final - eps:
-            dt = config.dt if config.dt is not None \
-                else cfl_dt(state, config.cfl, config.dt_max)
-            if dt < MIN_DT:
-                raise NumericalFailure(
-                    "admissible dt %.3e collapsed below %.0e" % (dt, MIN_DT),
-                    kind="cfl", time=state.time, detail=dt)
-            target = None
-            if config.snapshot_dt is not None:
-                t_snap = snap_idx * config.snapshot_dt
-                if t_snap < t_final - eps and state.time + dt >= t_snap - eps:
-                    target = t_snap
-            if state.time + dt >= t_final - eps and target is None:
-                target = t_final
-            if target is not None:
-                dt = target - state.time
-            state = step(state, dt, end_time=target)
-            row = _diag_row(state, dt, tail_w)
-            record(row)
-            if row["tail_mass"] > tail_abs:
-                raise NumericalFailure(
-                    "vorticity tail mass %.3e beyond 0.9 r_max exceeds "
-                    "%.3e" % (row["tail_mass"], tail_abs),
-                    kind="tail_mass", time=state.time, detail=row["tail_mass"])
-            hit_snap = (config.snapshot_dt is not None and target is not None
-                        and target != t_final)
-            if hit_snap:
-                keep(state)
-                kept_time = state.time
-                snap_idx += 1
-        if kept_time != state.time:
+        for target in snapshot_times(t_final, config.snapshot_dt)[1:]:
+            while state.time < target:
+                dt = config.dt if config.dt is not None \
+                    else cfl_dt(state, config.cfl, config.dt_max)
+                if dt < MIN_DT:
+                    raise NumericalFailure(
+                        "admissible dt %.3e collapsed below %.0e"
+                        % (dt, MIN_DT), kind="cfl", time=state.time,
+                        detail=dt)
+                end = None
+                if state.time + dt >= target - eps:
+                    dt, end = target - state.time, target
+                state = step(state, dt, end_time=end)
+                row = _diag_row(state, dt, tail_w)
+                record(row)
+                if row["tail_mass"] > tail_abs:
+                    raise NumericalFailure(
+                        "vorticity tail mass %.3e beyond 0.9 r_max exceeds "
+                        "%.3e" % (row["tail_mass"], tail_abs),
+                        kind="tail_mass", time=state.time,
+                        detail=row["tail_mass"])
             keep(state)
     finally:
         if stream is not None:

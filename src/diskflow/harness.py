@@ -15,7 +15,8 @@ study and the batch audit all pair through it.
 Also here: the error-energy audit, which re-evaluates the budget
   1/2 |w(T)|^2 - 1/2 |w(0)|^2 = I1 + I2 + I3 + I4,   w = u - u_euler,
 from snapshots with the same discrete operators the solver uses, one
-snapshot at a time over a three-snapshot window, and the bound-shape
+snapshot at a time over a three-snapshot window on the run's snapshot
+schedule, which it takes before the run starts, and the bound-shape
 helpers for the convergence theorem
   sup_t |u - u_euler| <= K * (err0 + alpha*grad0 + alpha^(1/3)
                               + nu^(1/2) alpha^(-2/3)).
@@ -406,31 +407,41 @@ def _rate_dot(coef, h, l0r, l0t, l1r, l1t, l2r, l2t, w_r, w_t):
 class EnergyBudget:
     """The error-energy budget of one run, fed one snapshot at a time.
 
-    add() takes each snapshot of the regularized run with the Euler
-    velocity it is measured against, as EulerReference.follow pairs them;
-    finish() returns the EnergyAudit.  Only the Laplacian and w of the last
-    three snapshots are held, because d_t of the Laplacian is np.gradient's
-    three-point stencil with edge_order=2.  Each slice of it is evaluated
-    with numpy's own coefficients and operation order, so every term equals
-    the batch formula bit for bit.  numpy takes its uniform-spacing formulas
-    iff every time step equals the first, so f3 is kept under both rules
-    until one step differs from the first, and under the general rule alone
-    from then on.
+    times is the run's snapshot schedule: snapshot_times for a run still
+    to come, or the times of a held trajectory.  add() takes each snapshot
+    of the regularized run, in schedule order, with the Euler velocity it
+    is measured against, as EulerReference.follow pairs them; finish()
+    returns the EnergyAudit once every scheduled snapshot is in.  Only the
+    Laplacian and w of the last three snapshots are held, because d_t of
+    the Laplacian is np.gradient's three-point stencil with edge_order=2.
+    Each slice of it is evaluated with numpy's own coefficients and
+    operation order, so every term equals the batch formula bit for bit.
+    numpy takes its uniform-spacing formulas iff every time step equals the
+    first, so the schedule decides the rule once.
     """
 
-    def __init__(self, delta: float):
+    def __init__(self, delta: float, times):
         check_delta(delta)
         self.delta = delta
-        self._snap_times = []
-        self._f1, self._f2, self._f4 = [], [], []
-        # f3 under each rule still in play, keyed by "times are uniform"
-        self._f3 = {True: [], False: []}
+        self._times = tuple(float(t) for t in times)
+        if len(self._times) < 3:
+            raise ConfigError("need at least 3 snapshots to estimate the time "
+                              "derivative", key="trajectories")
+        steps = np.diff(self._times)
+        # numpy's own test for its uniform-spacing formulas: the step, or None
+        self._h = self._times[1] - self._times[0] \
+            if (steps == steps[0]).all() else None
+        self._f1, self._f2, self._f3, self._f4 = [], [], [], []
         self._window = deque(maxlen=3)       # (lap, w) of the last snapshots
 
     def add(self, state: FlowState, u_ref: VectorField) -> None:
+        n = len(self._f1)
+        if n == len(self._times) or state.time != self._times[n]:
+            raise ConfigError("snapshot at t=%r is not scheduled snapshot %d"
+                              % (state.time, n), key="trajectories")
         u = state.u
         w = difference(u, u_ref)
-        if not self._snap_times:
+        if n == 0:
             self._params, self._grid = state.params, u.grid
             self._e0 = energy(state)
             self._w0_norm = norm_l2(w)
@@ -439,58 +450,46 @@ class EnergyBudget:
         self._f2.append(inner_l2(advect_vector(w, u_ref), w))
         self._f4.append(inner_l2(advect_vector(u, lap), w)
                         + inner_l2(grad_transpose_apply(u, lap), w))
-        t = self._snap_times
-        t.append(state.time)
-        if True in self._f3 and len(t) > 2 and t[-1] - t[-2] != t[1] - t[0]:
-            del self._f3[True]
         self._window.append((lap, w))
-        if len(self._snap_times) == 3:
-            self._keep_slope(0)
-        if len(self._snap_times) >= 3:
-            self._keep_slope(1)
+        if n == 2:
+            self._f3.append(self._slope(0))
+        if n >= 2:
+            self._f3.append(self._slope(1))
 
-    def _keep_slope(self, k: int) -> None:
-        for key, value in self._slope(k).items():
-            self._f3[key].append(value)
-
-    def _slope(self, k: int) -> dict:
-        """f3 of window slice k (0 first, 1 interior, 2 last) under each
-        rule still in play, keyed as self._f3 is."""
+    def _slope(self, k: int) -> float:
+        """f3 of window slice k (0 first, 1 interior, 2 last)."""
         (l0, _), (l1, _), (l2, _) = self._window
-        t0, t1, t2 = self._snap_times[-3:]
+        n = len(self._f1)
+        t0, t1, t2 = self._times[n - 3:n]
         dx1, dx2 = t1 - t0, t2 - t1
-        h = self._snap_times[1] - self._snap_times[0]  # numpy's uniform step
-        if k == 0:
-            uniform = (-1.5 / h, 2. / h, -0.5 / h)
-            general = (-(2. * dx1 + dx2) / (dx1 * (dx1 + dx2)),
-                       (dx1 + dx2) / (dx1 * dx2),
-                       - dx1 / (dx2 * (dx1 + dx2)))
+        h = self._h
+        if h is not None:                     # numpy's uniform formulas
+            coef = ((-1.5 / h, 2. / h, -0.5 / h), None,
+                    (0.5 / h, -2. / h, 1.5 / h))[k]  # None: (f2 - f0) / (2 h)
+        elif k == 0:
+            coef = (-(2. * dx1 + dx2) / (dx1 * (dx1 + dx2)),
+                    (dx1 + dx2) / (dx1 * dx2),
+                    - dx1 / (dx2 * (dx1 + dx2)))
         elif k == 1:
-            uniform = None                    # (f[i+1] - f[i-1]) / (2 h)
-            general = (-(dx2) / (dx1 * (dx1 + dx2)),
-                       (dx2 - dx1) / (dx1 * dx2),
-                       dx1 / (dx2 * (dx1 + dx2)))
+            coef = (-(dx2) / (dx1 * (dx1 + dx2)),
+                    (dx2 - dx1) / (dx1 * dx2),
+                    dx1 / (dx2 * (dx1 + dx2)))
         else:
-            uniform = (0.5 / h, -2. / h, 1.5 / h)
-            general = (dx2 / (dx1 * (dx1 + dx2)),
-                       - (dx2 + dx1) / (dx1 * dx2),
-                       (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
-        w = self._window[k][1]
-        return {key: weighted_total(
-                    self._grid.weights,
-                    partial(_rate_dot, uniform if key else general, h),
-                    l0, l1, l2, w)
-                for key in self._f3}
+            coef = (dx2 / (dx1 * (dx1 + dx2)),
+                    - (dx2 + dx1) / (dx1 * dx2),
+                    (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
+        return weighted_total(self._grid.weights,
+                              partial(_rate_dot, coef, h),
+                              l0, l1, l2, self._window[k][1])
 
     def finish(self) -> EnergyAudit:
-        """The audit of the snapshots added so far; the budget is left as
-        it was, so more snapshots may follow."""
-        t = np.array(self._snap_times, dtype=float)
-        if t.size < 3:
-            raise ConfigError("need at least 3 snapshots to estimate the time "
-                              "derivative", key="trajectories")
-        uniform = True in self._f3
-        f3 = np.array(self._f3[uniform] + [self._slope(2)[uniform]])
+        """The audit of the run; every scheduled snapshot must be in."""
+        if len(self._f1) != len(self._times):
+            raise ConfigError("the budget holds %d of %d scheduled snapshots"
+                              % (len(self._f1), len(self._times)),
+                              key="trajectories")
+        t = np.array(self._times, dtype=float)
+        f3 = np.array(self._f3 + [self._slope(2)])
         a, nu, delta = self._params.alpha, self._params.nu, self.delta
         i1 = nu * float(np.trapezoid(np.array(self._f1), t))
         i2 = -float(np.trapezoid(np.array(self._f2), t))
@@ -515,7 +514,7 @@ def energy_audit(traj_sg: Trajectory, traj_euler: Trajectory,
     least 3 snapshots; EulerReference.follow pairs them and EnergyBudget
     does the sums.
     """
-    budget = EnergyBudget(delta)
+    budget = EnergyBudget(delta, [s.time for s in traj_sg.snapshots])
     reference = EulerReference(
         pairs=[(s.time, s.u) for s in traj_euler.snapshots])
     on_snapshot, done = reference.follow(budget.add)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_layer import TRACE_TOL, collar_resolved
+from .boundary_layer import TRACE_TOL, collar_resolved, ring_trace
 from .errors import ConfigError
 from .fields import (ScalarField, VectorField, _retag, difference, norm_l2,
                      perp_grad, read_snapshot, seminorms_hk, times_profile,
@@ -92,18 +92,21 @@ def canonical_psi(case: InitialCase, grid) -> ScalarField:
             vals = vals * (1.0 + case.eps
                            * np.cos(case.mode * grid.theta_nodes)[None, :])
         psi = ScalarField(grid, vals)
-    scale = max(float(np.max(np.abs(psi.values))), 1e-30)
-    trace = float(np.max(np.abs(psi.values[0])))
-    if trace > TRACE_TOL * scale:
-        raise ConfigError("psi0 has boundary trace %.3e" % trace, key="case")
-    def sq(a):      # of psi / scale, so that no square overflows
-        return np.square(a / scale)
-    total = float(np.sqrt(weighted_total(grid.weights, sq, psi)))
-    tail = float(np.sqrt(weighted_total(tail_weights(grid), sq, psi)))
-    if tail > _TAIL_TOL * max(total, 1e-30):
-        raise ConfigError(
-            "psi0 tail beyond 0.9 r_max is %.3e of its norm; support sits "
-            "too close to the truncation radius" % (tail / total), key="case")
+    trace = ring_trace(psi)
+    if trace > TRACE_TOL:
+        raise ConfigError("psi0 has boundary trace %.3e of its maximum"
+                          % trace, key="case")
+    scale = float(np.max(np.abs(psi.values)))
+    if scale > 0.0:
+        def sq(a):      # of psi / scale, so that no square overflows
+            return np.square(a / scale)
+        total = float(np.sqrt(weighted_total(grid.weights, sq, psi)))
+        tail = float(np.sqrt(weighted_total(tail_weights(grid), sq, psi)))
+        if tail > _TAIL_TOL * total:
+            raise ConfigError(
+                "psi0 tail beyond 0.9 r_max is %.3e of its norm; support "
+                "sits too close to the truncation radius" % (tail / total),
+                key="case")
     return psi
 
 
@@ -138,8 +141,7 @@ def make_initial(psi0: ScalarField, alpha: float) -> VectorField:
     """No-slip family member: perp-grad of the collar-cut stream."""
     check_alpha(alpha)
     g = psi0.grid
-    scale = max(float(np.max(np.abs(psi0.values))), 1e-30)
-    if float(np.max(np.abs(psi0.values[0]))) > TRACE_TOL * scale:
+    if ring_trace(psi0) > TRACE_TOL:
         raise ConfigError("psi0 must vanish on the ring", key="psi0")
     cut = cut_profile((g.r_nodes - 1.0) / alpha)
     u = perp_grad(times_profile(psi0, cut))

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .boundary_layer import CorrectorReport, corrector_scaling_report
-from .dynamics import ModelParams, RunConfig, run
+from .dynamics import ModelParams, RunConfig, run, snapshot_times
 from .elliptic import solve_poisson, solve_stream_helmholtz
 from .errors import ConfigError
 from .fields import ScalarField, laplacian, seminorm_hk
@@ -197,8 +197,8 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
     run_config of which only the velocity per snapshot is kept.  The
     regularized run streams its snapshots through the reference's follow()
     into an EnergyBudget, so the audit holds three snapshots' worth of
-    fields, not the trajectory.
-    Snapshots default to t_final / 8.
+    fields, not the trajectory.  Snapshots default to t_final / 8; the
+    budget takes their schedule first, so fewer than 3 fail before any step.
     """
     g = build_grid(grid_spec)
     psi = canonical_psi(case, g)
@@ -206,7 +206,8 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
     cfg = replace(run_config, snapshot_dt=snapshot_interval(
         run_config.snapshot_dt, t_final))
     budget = EnergyBudget(alpha ** SweepSettings.delta_rule
-                          if delta is None else delta)
+                          if delta is None else delta,
+                          snapshot_times(t_final, cfg.snapshot_dt))
     on_snapshot, done = euler_reference(case, psi, t_final, cfg).follow(
         budget.add)
     run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg,

@@ -306,11 +306,12 @@ def test_overflowing_initial_data_is_a_numerical_failure(tmp_path, capsys,
     assert ("initial state" in err) == (amplitude == 1e306)
 
 
-@pytest.mark.parametrize("amplitude", [1.0, 1e150, 1e160, 1e200])
+@pytest.mark.parametrize("amplitude", [1e-200, 1e-100, 1.0, 1e150, 1e160,
+                                       1e200])
 def test_support_at_the_truncation_ring_is_a_config_error_at_any_amplitude(
         tmp_path, capsys, amplitude):
     # the tail guard sums the squares of psi over its largest value, so no
-    # amplitude overflows them into a NaN that passes the guard
+    # amplitude overflows them into a NaN or underflows them to zero
     doc = {"model": "euler_alpha", "alpha": 0.2,
            "grid": {"n_r": 64, "n_theta": 16, "r_max": 8.0},
            "t_final": 0.02, "dt": 0.01,
@@ -635,6 +636,26 @@ def test_energy_audit_subcommand(tmp_path, capsys):
                          .replace('"nu": 1e-4', '"nu": 0'), "euler.json")
     assert main(["energy-audit", "--config", euler,
                  "--output-dir", str(out)]) == 2
+
+
+@pytest.mark.parametrize("model", ["second_grade", "euler_alpha"])
+def test_energy_audit_of_two_snapshots_exits_before_any_step(
+        tmp_path, capsys, monkeypatch, model):
+    # snapshot_dt = t_final schedules t = 0 and t_final only; euler_alpha
+    # on perturbed data would first run a numerical Euler reference
+    import diskflow.dynamics as dynamics
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+    monkeypatch.setattr(dynamics, "step", no_step)
+    doc = {"model": model, "alpha": 0.2,
+           "nu": 1e-4 if model == "second_grade" else 0.0,
+           "grid": {"n_r": 65, "n_theta": 16}, "t_final": 0.1,
+           "snapshot_dt": 0.1, "case": {"name": "perturbed_vortex"}}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    assert main(["energy-audit", "--config", cfg,
+                 "--output-dir", str(tmp_path / "o")]) == 2
+    assert "config error (trajectories)" in capsys.readouterr().err
 
 
 def test_threads_flag_must_be_nonnegative(tmp_path, capsys):

@@ -12,7 +12,7 @@ from diskflow.elliptic import recover_q, total_mass
 from diskflow.dynamics import (EULER_MASS_TOL, FlowState, ModelParams,
                                RunConfig, Trajectory, cfl_dt, energy,
                                initial_state, make_state, outer_circulation,
-                               rhs, run, step)
+                               rhs, run, snapshot_times, step)
 from diskflow.errors import (CirculationError, ConfigError,
                              EllipticSolveError, NumericalFailure)
 from diskflow.harness import euler_reference_state
@@ -652,6 +652,27 @@ def test_outer_circulation_precheck():
         run(ModelParams("euler"), u0, 0.1)
 
 
+@pytest.mark.parametrize("amp", [1e-200, 1.0, 1e150, 1e160, 1e200])
+def test_outer_circulation_precheck_at_any_amplitude(amp):
+    # the guard compares circulation and L2 norm of u0 / max|u0|, so no
+    # square overflows or underflows at any amplitude
+    g = build_grid(GridSpec(n_r=32, n_theta=16, r_max=8.0))
+    ut = np.repeat(amp * (1.0 - 1.0 / g.r_nodes)[:, None], g.spec.n_theta,
+                   axis=1)
+    u0 = VectorField(g, np.zeros_like(ut), ut, tag="no-slip")
+    with pytest.raises(ConfigError) as exc:
+        run(ModelParams("euler_alpha", alpha=0.2), u0, 0.1)
+    assert exc.value.key == "u0"
+
+
+def test_outer_circulation_precheck_accepts_a_zero_field():
+    g = build_grid(GridSpec(n_r=32, n_theta=16, r_max=8.0))
+    zero = np.zeros((g.spec.n_r, g.spec.n_theta))
+    traj = run(ModelParams("euler_alpha", alpha=0.2),
+               VectorField(g, zero, zero, tag="no-slip"), 0.1)
+    assert [s.time for s in traj.snapshots] == [0.0, 0.1]
+
+
 @pytest.mark.parametrize("case_name", ["radial_vortex", "perturbed_vortex"])
 def test_default_config_runs_euler_from_a_stream_function(case_name):
     # grid vorticity from a stream function has O(h^2) net mass, beyond
@@ -695,6 +716,45 @@ def test_run_rejects_nonpositive_t_final():
 
 
 # ------------------------------------------------------- bookkeeping
+
+@pytest.mark.parametrize("t_final, snapshot_dt, times", [
+    (1.0, None, (0.0, 1.0)),
+    (1.0, 0.25, (0.0, 0.25, 0.5, 0.75, 1.0)),
+    # products k * 0.3, not running sums; 0.8999999999999999 < 0.9
+    (1.0, 0.3, (0.0, 0.3, 0.6, 0.8999999999999999, 1.0)),
+    (1.0, 2.0, (0.0, 1.0)),
+    # 3 * 0.1 lies within 1e-9 of 0.3: t_final is the only end
+    (0.3, 0.1, (0.0, 0.1, 0.2, 0.3)),
+    (1.0, 0.5 - 4e-10, (0.0, 0.5 - 4e-10, 1.0)),
+], ids=["ends-only", "dividing", "not-dividing", "larger", "within-eps",
+        "near-multiple"])
+def test_snapshot_times_table(t_final, snapshot_dt, times):
+    assert snapshot_times(t_final, snapshot_dt) == times
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(cfl=0.4, snapshot_dt=0.03),
+    RunConfig(dt=0.007, snapshot_dt=0.03),
+    RunConfig(dt=0.01, snapshot_dt=0.02),
+], ids=["adaptive", "fixed", "fixed-dividing"])
+def test_run_keeps_its_snapshots_at_the_scheduled_times(config):
+    g = GRID64
+    u0 = velocity_from_stream(radial_stream(g, moded=(0.1, 2)))
+    traj = run(ModelParams("euler_alpha", alpha=0.25), u0, 0.1, config)
+    times = snapshot_times(0.1, config.snapshot_dt)
+    assert tuple(s.time for s in traj.snapshots) == times
+    # every step ends on a scheduled time or short of it, never past it
+    t = traj.diagnostics["t"].tolist()
+    assert not any(a < s < b for a, b in zip(t, t[1:]) for s in times)
+
+
+def test_a_run_shorter_than_eps_takes_one_step_to_t_final():
+    g = GRID64
+    u0 = velocity_from_stream(radial_stream(g))
+    traj = run(ModelParams("euler_alpha", alpha=0.2), u0, 1e-10)
+    assert [s.time for s in traj.snapshots] == [0.0, 1e-10]
+    assert traj.diagnostics["dt"].tolist() == [0.0, 1e-10]
+
 
 def test_snapshots_land_on_exact_times(tmp_path):
     g = GRID64
@@ -843,7 +903,7 @@ def test_radial_state_makes_no_angular_arrays_in_fields(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
     nxt = step(state, 1e-3)
     _diag_row(nxt, 1e-3, tail_weights(u0.grid))
-    EnergyBudget(0.1).add(nxt, u0)
+    EnergyBudget(0.1, (nxt.time, 1.0, 2.0)).add(nxt, u0)
     seminorms_hk(nxt.u, 3)
     assert calls == {"zeros_like": 0, "rfft": 0, "irfft": 0}
 

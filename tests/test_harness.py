@@ -644,8 +644,8 @@ def test_streamed_audit_equals_the_batch_formula(case, spec, alpha, nu,
 @pytest.mark.parametrize("moved", [4, 8], ids=["mid-run", "last"])
 def test_streamed_audit_equals_the_batch_formula_when_spacing_changes(moved):
     # nine snapshots equally spaced in numpy's sense, one of them moved, so
-    # the first unequal step comes mid-run or last: the slices before it
-    # were kept under both rules, those after it under the general one
+    # the first unequal step comes mid-run or last: the budget reads the
+    # moved times and takes numpy's general rule for every slice
     g = build_grid(GridSpec(65, 16, 8.0))
     psi0 = canonical_psi(InitialCase(), g)
     traj = run(ModelParams.regularized(0.2, 1e-4), make_initial(psi0, 0.2),
@@ -698,7 +698,14 @@ def test_audit_study_names_a_reference_it_cannot_compare(monkeypatch, change,
 
 @pytest.mark.parametrize("case", [InitialCase(), PERTURBED],
                          ids=["frozen", "euler"])
-def test_audit_study_needs_three_snapshots(case):
+def test_audit_study_needs_three_snapshots(monkeypatch, case):
+    # the budget reads the schedule before the Euler reference or the run
+    # takes a step
+    import diskflow.dynamics as dynamics
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+    monkeypatch.setattr(dynamics, "step", no_step)
     with pytest.raises(ConfigError, match="at least 3 snapshots") as exc:
         energy_audit_study(case, GridSpec(65, 32, 8.0), alpha=0.3, nu=0.0,
                            t_final=0.01,
@@ -719,28 +726,35 @@ def _radial_audit_pair():
     return traj, ref
 
 
-def test_energy_budget_finish_leaves_the_budget_as_it_was():
+def test_energy_budget_finishes_twice_after_the_last_snapshot():
     traj, ref = _radial_audit_pair()
-    budget = EnergyBudget(0.2 ** (4 / 3))
-    for s, sref in zip(traj.snapshots[:4], ref.snapshots[:4]):
+    delta = 0.2 ** (4 / 3)
+    budget = EnergyBudget(delta, [s.time for s in traj.snapshots])
+    for s, sref in zip(traj.snapshots, ref.snapshots, strict=True):
         budget.add(s, sref.u)
     first = dataclasses.asdict(budget.finish())
     assert dataclasses.asdict(budget.finish()) == first
-    assert first["n_times"] == 4
+    assert first == dataclasses.asdict(energy_audit(traj, ref, delta))
+    assert first["n_times"] == 6
 
 
-def test_energy_budget_takes_snapshots_after_finish():
+def test_energy_budget_takes_only_its_scheduled_snapshots():
     traj, ref = _radial_audit_pair()
-    delta = 0.2 ** (4 / 3)
-    budget = EnergyBudget(delta)
-    pairs = list(zip(traj.snapshots, ref.snapshots))
+    times = [s.time for s in traj.snapshots]
+    pairs = list(zip(traj.snapshots, ref.snapshots, strict=True))
+    budget = EnergyBudget(0.2 ** (4 / 3), times)
     for s, sref in pairs[:4]:
         budget.add(s, sref.u)
-    budget.finish()
+    with pytest.raises(ConfigError, match="holds 4 of 6") as exc:
+        budget.finish()
+    assert exc.value.key == "trajectories"
+    with pytest.raises(ConfigError, match="not scheduled") as exc:
+        budget.add(pairs[5][0], pairs[5][1].u)  # skips scheduled snapshot 4
+    assert exc.value.key == "trajectories"
     for s, sref in pairs[4:]:
         budget.add(s, sref.u)
-    assert dataclasses.asdict(budget.finish()) \
-        == dataclasses.asdict(energy_audit(traj, ref, delta))
+    with pytest.raises(ConfigError, match="not scheduled"):
+        budget.add(pairs[5][0], pairs[5][1].u)  # one past the schedule
 
 
 def test_energy_drift_matches_scipy_cumulative_trapezoid():

@@ -101,6 +101,42 @@ def test_file_case_rejects_nonvanishing_trace(tmp_path):
         canonical_psi(InitialCase(name="file", path=str(path)), GRID)
 
 
+def _trace_guards(psi, tmp_path):
+    """The keys of the three trace guards that reject psi, in the order
+    canonical_psi (file case), make_initial, build_corrector."""
+    from diskflow.boundary_layer import build_corrector
+    path = tmp_path / "psi.snap"
+    write_snapshot(psi, str(path), time=0.0, alpha=0.0, nu=0.0, fmt="binary")
+    keys = []
+    for check in (lambda: canonical_psi(InitialCase(name="file",
+                                                    path=str(path)),
+                                        psi.grid),
+                  lambda: make_initial(psi, 0.2),
+                  lambda: build_corrector(psi, 0.1)):
+        try:
+            check()
+        except ConfigError as exc:
+            keys.append(exc.key)
+    return keys
+
+
+@pytest.mark.parametrize("amp", [1e-200, 1e-100, 1.0, 1e200])
+def test_every_trace_guard_compares_the_trace_with_the_maximum(tmp_path,
+                                                               amp):
+    g = build_grid(GridSpec(n_r=64, n_theta=16, r_max=8.0))
+    base = canonical_psi(InitialCase(), g).values
+    for share, keys in ((1e-9, ["case", "psi0", "psi_bar"]), (1e-11, [])):
+        vals = amp * (base / np.max(np.abs(base)))
+        vals[0] = share * amp
+        assert _trace_guards(ScalarField(g, vals), tmp_path) == keys
+
+
+def test_no_trace_guard_rejects_a_zero_stream(tmp_path):
+    g = build_grid(GridSpec(n_r=64, n_theta=16, r_max=8.0))
+    zero = ScalarField(g, np.zeros((64, 16)))
+    assert _trace_guards(zero, tmp_path) == []
+
+
 # ---------------------------------------------------------------- family
 
 def test_make_initial_rejects_bad_alpha():
