@@ -1,4 +1,4 @@
-"""Elliptic inversions on the log-radial grid, all angular modes at once.
+"""Elliptic inversions on the log-radial grid, all solved modes at once.
 
 Two problems, both reduced to one banded radial system per angular mode
 after the angular FFT:
@@ -18,15 +18,27 @@ returned velocities satisfy the no-slip ring check to roundoff; a velocity
 that fails it is a failed solve.  Every solve re-evaluates its residual and
 rejects the result if it exceeds 1e-10 relative, summed over all modes.
 
-Only the modes whose coefficients carry data are solved.  Each problem
-states its stencil once, as one mode's COO pattern with its values at every
-mode; the block-diagonal matrix of all active modes is assembled from it in
-one vectorized pass (the per-mode matrices are the one-mode case), factored
-once by a sparse LU, and solved with one two-column call (real and imaginary
-parts).
-The grid caches one (matrix, LU) pair per key (kind, alpha, modes), so
-radial data factors and solves mode 0 alone; release_factors drops the
-pairs of one kind and alpha once no later solve needs them.
+Only the modes whose coefficients rise above roundoff are solved: a prefix
+0..M of the spectrum, where M is the largest mode whose largest interior
+coefficient exceeds _MODE_TOL (1e-11) times the largest mode's, rounded up
+to a multiple of 8 and capped at n_theta // 2.  Every mode above M gets
+phi-hat = 0.  The stream solve counts the right-hand side of each dropped
+mode as residual, so the 1e-10 gate sees the whole inversion; the Poisson
+residual is taken in physical space and sees them already.  A mode below
+the cut has no velocity of its own until it grows past it, and q itself
+is never filtered.  (Cutting a series where its coefficients reach their
+roundoff plateau is Chebfun's "chopping".)
+
+Each problem states its stencil once, as one mode's COO pattern with its
+values at every mode; the block-diagonal matrix of the solved modes is
+assembled from it in one vectorized pass (the per-mode matrices are the
+one-mode case), factored once by a sparse LU, and solved with one
+two-column call (real and imaginary parts).
+The grid holds at most one (matrix, LU) pair per (kind, alpha), keyed
+(kind, alpha, modes), and that pair only grows: a solve whose prefix the
+held one covers solves over the held modes, a longer prefix replaces it.
+Radial data factors and solves mode 0 alone; release_factors drops the
+pair of one kind and alpha once no later solve needs it.
 
 A right-hand side held as one column (every row one bit pattern) has a
 one-column spectrum, its mode 0, and that shape alone marks it held.  It
@@ -55,6 +67,9 @@ from .fields import (ScalarField, VectorField, _column, _retag, _scalar,
 from .grid import ExteriorGrid
 
 _RESIDUAL_TOL = 1e-10
+# a mode is solved when its largest interior coefficient exceeds this share
+# of the largest mode's; the angular FFT's roundoff reaches about 1.2e-13
+_MODE_TOL = 1e-11
 
 
 def _per_mode(pieces, count: int) -> np.ndarray:
@@ -134,49 +149,57 @@ def _block_matrix(rows, cols, vals, size: int):
         shape=(size * count, size * count))
 
 
-def _poisson_matrix(grid: ExteriorGrid, m: int):
-    return _block_matrix(*_poisson_stencil(grid, (m,)), grid.spec.n_r)
-
-
-def _stream_matrix(grid: ExteriorGrid, m: int, alpha: float):
-    return _block_matrix(*_stream_stencil(grid, (m,), alpha),
-                         2 * grid.spec.n_r)
-
-
 def _block_factor(grid: ExteriorGrid, kind: str, alpha, modes: tuple):
     """(matrix, LU) of the block-diagonal operator over the given modes.
 
-    Returns the cached pair when the grid already holds one for the key
-    (kind, alpha, modes); the matrix is kept for residual checks.
+    The grid holds at most one pair per kind and alpha, under the key
+    (kind, alpha, held modes).  The held pair serves a request for the same
+    modes and, when it spans a prefix 0..K, a request for any prefix 0..k
+    with k <= K: the solve then spans the held prefix (_solve_prefix).  Any
+    other request factors its own modes and replaces the held pair.  The
+    matrix is kept for residual checks.
     """
-    key = (kind, alpha, modes)
-    cached = grid.solver_cache.get(key)
-    if cached is not None:
-        return cached
+    with grid.cache_lock:
+        for key in grid.solver_cache:
+            k, a, held = key
+            if (k, a) == (kind, alpha) and (
+                    held == modes or held[:len(modes)] == modes
+                    and held == tuple(range(len(held)))):
+                return grid.solver_cache[key]
+        # dropped before the new factor is built, and no name keeps it
+        # here, so the two are never held at once
+        _drop(grid, kind, alpha)
     n = grid.spec.n_r
     if kind == "poisson":
         mat = _block_matrix(*_poisson_stencil(grid, modes), n)
     else:
         mat = _block_matrix(*_stream_stencil(grid, modes, alpha), 2 * n)
     try:
-        factor = mat.tocsr(), spla.splu(mat)
+        lu = spla.splu(mat)
     except RuntimeError as exc:
         raise EllipticSolveError("singular %s operator over modes %s: %s"
                                  % (kind, list(modes), exc))
+    # the CSR copy is made once SuperLU's workspace is freed, not beside it
+    factor = mat.tocsr(), lu
     with grid.cache_lock:
-        grid.solver_cache[key] = factor
+        grid.solver_cache[(kind, alpha, modes)] = factor
     return factor
 
 
-def release_factors(grid: ExteriorGrid, kind: str, alpha=None) -> None:
-    """Drop the grid's cached factors of kind and alpha, for any modes.
+def _drop(grid: ExteriorGrid, kind: str, alpha) -> None:
+    """Delete the factor of kind and alpha; the caller holds cache_lock."""
+    for key in [k for k in grid.solver_cache if k[:2] == (kind, alpha)]:
+        del grid.solver_cache[key]
 
-    alpha is None for the Poisson factor.  A later solve with the same key
-    factors again.
+
+def release_factors(grid: ExteriorGrid, kind: str, alpha=None) -> None:
+    """Drop the grid's cached factor of kind and alpha, whatever its modes.
+
+    alpha is None for the Poisson factor.  A later solve of the same kind
+    and alpha factors again.
     """
     with grid.cache_lock:
-        for key in [k for k in grid.solver_cache if k[:2] == (kind, alpha)]:
-            del grid.solver_cache[key]
+        _drop(grid, kind, alpha)
 
 
 def _solve_modes(factor, parts: np.ndarray):
@@ -229,9 +252,49 @@ def _spectrum(f: ScalarField) -> np.ndarray:
 
 
 def _active_modes(coeff: np.ndarray) -> tuple:
-    """Angular modes whose interior coefficients carry data, for a
-    spectrum coeff from _spectrum: mode 0 at most for one column."""
-    return tuple(int(m) for m in np.flatnonzero(coeff[1:-1].any(axis=0)))
+    """Angular modes to solve for a spectrum coeff from _spectrum.
+
+    One column: mode 0 when its interior coefficients carry data.  A full
+    spectrum: the prefix 0..M, M the largest mode whose largest interior
+    coefficient exceeds _MODE_TOL times the largest mode's, rounded up to a
+    multiple of 8 so that a run asks for few prefixes, and capped at
+    n_theta // 2.  Non-finite data keep every mode, so that the solve
+    fails as it did before any cut.
+    """
+    if coeff.shape[1] == 1:
+        return (0,) if coeff[1:-1].any() else ()
+    peak = np.abs(coeff[1:-1]).max(axis=0)
+    top = len(peak) - 1
+    if np.isfinite(peak.max()):
+        kept = np.flatnonzero(peak > _MODE_TOL * peak.max())
+        if not kept.size:
+            return ()
+        top = min(-(-int(kept[-1]) // 8) * 8, top)
+    return tuple(range(top + 1))
+
+
+def _solve_prefix(grid: ExteriorGrid, kind: str, alpha, coeff: np.ndarray,
+                  rhs: np.ndarray, rows: slice, size: int):
+    """Solve the modes _active_modes picks from coeff, over the factor the
+    grid serves for them (its prefix may be longer).
+
+    rhs holds each mode's interior right-hand side as a column; it goes
+    into the given rows of that mode's block of size rows.  Returns
+    (modes, x, residual^2, rhs^2): the solved prefix, which is never longer
+    than coeff, and x with one column of block unknowns per mode (None for
+    no modes).
+    """
+    modes = _active_modes(coeff)
+    if not modes:
+        return modes, None, 0.0, 0.0
+    factor = _block_factor(grid, kind, alpha, modes)
+    count = factor[1].shape[0] // size
+    k = min(count, coeff.shape[1])
+    parts = np.zeros((2, count, size))
+    parts[0, :k, rows] = rhs.real[:, :k].T
+    parts[1, :k, rows] = rhs.imag[:, :k].T
+    x, res2, rhs2 = _solve_modes(factor, parts.reshape(2, -1))
+    return tuple(range(k)), x.reshape(count, size)[:k].T, res2, rhs2
 
 
 def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, modes: tuple,
@@ -281,19 +344,10 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
             "condition requires zero circulation" % mass, mode=0)
 
     coeff = _spectrum(w)
-    modes = _active_modes(coeff)
-    x = None
-    if modes:
-        n = g.spec.n_r
-        e2s = np.exp(2.0 * g.s_nodes)
-        # the complex product, as the complex system scales it
-        scaled = e2s[1:-1, None] * coeff[1:-1, modes]
-        parts = np.zeros((2, len(modes), n))
-        parts[0, :, 1:-1] = scaled.real.T
-        parts[1, :, 1:-1] = scaled.imag.T
-        x, _, _ = _solve_modes(_block_factor(g, "poisson", None, modes),
-                               parts.reshape(2, -1))
-        x = x.reshape(len(modes), n).T
+    # the complex product, as the complex system scales it
+    rhs = np.exp(2.0 * g.s_nodes)[1:-1, None] * coeff[1:-1]
+    modes, x, _, _ = _solve_prefix(g, "poisson", None, coeff, rhs,
+                                   slice(1, -1), g.spec.n_r)
     phi = _synthesis(g, coeff, modes, x)
 
     res_norm = float(np.sqrt(weighted_total(
@@ -318,19 +372,19 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
             "alpha=%r must be positive; the no-slip Poisson problem is "
             "overdetermined at alpha=0" % (alpha,), key="alpha")
     g = q.grid
-    n = g.spec.n_r
     coeff = _spectrum(q)
-    res2 = 0.0
-    rhs2 = 0.0
-    modes = _active_modes(coeff)
-    x = None
-    if modes:
-        parts = np.zeros((2, len(modes), 2 * n))
-        parts[0, :, 3:-2:2] = coeff.real[1:-1, modes].T
-        parts[1, :, 3:-2:2] = coeff.imag[1:-1, modes].T
-        x, res2, rhs2 = _solve_modes(_block_factor(g, "stream", alpha, modes),
-                                     parts.reshape(2, -1))
-        x = x.reshape(len(modes), 2 * n)[:, 0::2].T
+    modes, x, res2, rhs2 = _solve_prefix(g, "stream", alpha, coeff,
+                                         coeff[1:-1], slice(3, -2, 2),
+                                         2 * g.spec.n_r)
+    if x is not None:
+        x = x[0::2]
+    # a mode above the solved prefix gets phi-hat = 0, so its right-hand
+    # side is residual of the inversion
+    dropped = coeff[1:-1, len(modes):]
+    dropped2 = float(np.sum(np.square(dropped.real))
+                     + np.sum(np.square(dropped.imag)))
+    res2 += dropped2
+    rhs2 += dropped2
     phi = _synthesis(g, coeff, modes, x)
     w = laplacian(phi) if with_w else None
 
@@ -339,8 +393,11 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
     res_norm = float(np.sqrt(res2))
     scale = max(float(np.sqrt(rhs2)), 1e-30)
     if res_norm > _RESIDUAL_TOL * scale:
-        raise EllipticSolveError("stream residual %.3e exceeds %.0e relative"
-                                 % (res_norm, _RESIDUAL_TOL))
+        raise EllipticSolveError(
+            "stream residual %.3e exceeds %.0e relative; %d of %d modes "
+            "solved, the dropped ones %.1e of the right-hand side"
+            % (res_norm, _RESIDUAL_TOL, len(modes), coeff.shape[1],
+               np.sqrt(dropped2) / scale))
     try:
         u = _retag(perp_grad(phi), "no-slip")
     except BoundaryTagError as exc:

@@ -507,6 +507,29 @@ SWEEP_DOC = """
 SWEEP_DOC_2 = SWEEP_DOC.replace("[0.4, 0.2, 0.1]", "[0.4, 0.2]")
 
 
+def test_perturbed_sweep_csv_is_the_same_at_one_and_two_threads(tmp_path):
+    # non-radial data: each solve's prefix and the factor serving it depend
+    # on what the grid's cache holds, and the rows must not depend on the
+    # threads that share the grid
+    doc = {"model": "euler_alpha", "alpha": 0.4,
+           "grid": {"n_r": 65, "n_theta": 64, "r_max": 8.0},
+           "t_final": 0.5,
+           "case": {"name": "perturbed_vortex", "r0": 2.0, "sigma": 0.4,
+                    "mode": 2, "eps": 0.1},
+           "sweep": {"alphas": [0.4, 0.2]}}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    rows = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("t" + threads)
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out),
+                     "--threads", threads]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        at = lines[0].split(",").index("runtime_s")
+        rows.append([line.split(",")[:at] + line.split(",")[at + 1:]
+                     for line in lines])
+    assert rows[0] == rows[1]
+
+
 def test_sweep_writes_csv_and_rates(tmp_path, capsys):
     cfg = write_config(tmp_path, SWEEP_DOC)
     out = tmp_path / "sw"

@@ -248,6 +248,18 @@ def test_mode_solvers_cached_and_pure():
 # ---------------------------------------------------------------------------
 # one block solve over the active modes
 
+def _poisson_matrix(g, m):
+    """One mode's Poisson matrix: the one-mode case of the block assembly."""
+    return elliptic._block_matrix(*elliptic._poisson_stencil(g, (m,)),
+                                  g.spec.n_r)
+
+
+def _stream_matrix(g, m, alpha):
+    """One mode's stream matrix: the one-mode case of the block assembly."""
+    return elliptic._block_matrix(*elliptic._stream_stencil(g, (m,), alpha),
+                                  2 * g.spec.n_r)
+
+
 def _per_mode_reference(g, values, rhs_of, matrix_of, pick):
     """irfft of independent per-mode spsolve solutions."""
     coeff = np.fft.rfft(values, axis=1)
@@ -311,7 +323,7 @@ def test_block_stream_solve_matches_per_mode_spsolve():
         return rhs
 
     ref = _per_mode_reference(
-        g, q, rhs_of, lambda m: elliptic._stream_matrix(g, m, 0.1),
+        g, q, rhs_of, lambda m: _stream_matrix(g, m, 0.1),
         lambda x: x[0::2])
     phi = solve_stream_helmholtz(ScalarField(g, q), 0.1)[0].values
     assert np.abs(phi - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -329,7 +341,7 @@ def test_block_poisson_solve_matches_per_mode_spsolve():
         return rhs
 
     ref = _per_mode_reference(
-        g, w, rhs_of, lambda m: elliptic._poisson_matrix(g, m), lambda x: x)
+        g, w, rhs_of, lambda m: _poisson_matrix(g, m), lambda x: x)
     phi = solve_poisson(ScalarField(g, w)).values
     assert np.abs(phi - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -348,6 +360,124 @@ def test_one_factor_per_alpha_and_mode_set():
     for _ in range(3):
         solve_stream_helmholtz(ScalarField(radial, q0), 0.1)
     assert list(radial.solver_cache) == [("stream", 0.1, (0,))]
+
+
+# ---------------------------------------------------------------------------
+# the solved prefix and the grow-only factor
+
+def _angular(g, weights, noise=0.0, seed=3):
+    """q = bump(r) * sum_m c_m cos(m theta), plus interior noise of the
+    given size relative to max |q|.  Mode 0's largest coefficient is
+    n_theta * c_0 * max bump and mode m's n_theta / 2 * c_m * max bump."""
+    ang = sum(c * np.cos(m * g.theta_nodes) for m, c in weights.items())
+    vals = smooth_bump(g.r_nodes)[:, None] * ang
+    rng = np.random.default_rng(seed)
+    vals[1:-1] += noise * np.abs(vals).max() * rng.normal(
+        size=(g.spec.n_r - 2, g.spec.n_theta))
+    return ScalarField(g, vals)
+
+
+def _held_modes(g):
+    return [k[2] for k in g.solver_cache]
+
+
+def test_noise_at_roundoff_solves_the_nine_mode_prefix(monkeypatch):
+    g = grid(65, 64, 8.0)
+    q = _angular(g, {0: 1.0, 2: 0.5}, noise=1e-14)
+    coeff = np.fft.rfft(q.values, axis=1)
+    assert np.all(np.abs(coeff[1:-1]).max(axis=0) > 0.0)
+    assert elliptic._active_modes(coeff) == tuple(range(9))
+    phi, _, u = solve_stream_helmholtz(q, 0.1)
+    assert _held_modes(g) == [tuple(range(9))]
+
+    everything = grid(65, 64, 8.0)
+    monkeypatch.setattr(elliptic, "_MODE_TOL", 0.0)
+    want, _, u_want = solve_stream_helmholtz(ScalarField(everything,
+                                                         q.values), 0.1)
+    assert _held_modes(everything) == [tuple(range(33))]
+    # the 24 dropped modes carry 1e-14 noise, far below the gate
+    scale = np.abs(want.values).max()
+    assert np.abs(phi.values - want.values).max() <= 1e-12 * scale
+    assert np.abs(u.u_theta - u_want.u_theta).max() \
+        <= 1e-12 * np.abs(u_want.u_theta).max()
+
+
+def test_a_mode_ten_times_the_cut_is_solved():
+    g = grid(65, 64, 8.0)
+    # mode 20 at 10 times _MODE_TOL of mode 0: kept, rounded up to 24
+    q = _angular(g, {0: 1.0, 20: 20.0 * elliptic._MODE_TOL})
+    assert elliptic._active_modes(np.fft.rfft(q.values, axis=1)) \
+        == tuple(range(25))
+    phi = solve_stream_helmholtz(q, 0.1)[0]
+    assert _held_modes(g) == [tuple(range(25))]
+    assert np.abs(np.fft.rfft(phi.values, axis=1)[:, 20]).max() > 0.0
+
+
+def test_a_dropped_mode_counts_in_the_stream_residual(monkeypatch):
+    g = grid(65, 64, 8.0)
+    # mode 20 at a tenth of _MODE_TOL: dropped, and mode 2 sets the prefix
+    q = _angular(g, {0: 1.0, 2: 0.5, 20: 0.2 * elliptic._MODE_TOL})
+    coeff = np.fft.rfft(q.values, axis=1)
+    assert elliptic._active_modes(coeff) == tuple(range(9))
+    share = float(np.sqrt(np.sum(np.abs(coeff[1:-1, 9:]) ** 2)
+                          / np.sum(np.abs(coeff[1:-1]) ** 2)))
+    assert 0.0 < share < elliptic._RESIDUAL_TOL
+    solve_stream_helmholtz(q, 0.1)
+
+    monkeypatch.setattr(elliptic, "_RESIDUAL_TOL", share / 2.0)
+    with pytest.raises(EllipticSolveError,
+                       match=r"9 of 33 modes solved, the dropped ones "
+                             r"%.1e of the right-hand side" % share):
+        solve_stream_helmholtz(q, 0.1)
+    # solving every mode passes the same gate: the drop alone failed it
+    monkeypatch.setattr(elliptic, "_MODE_TOL", 0.0)
+    solve_stream_helmholtz(ScalarField(grid(65, 64, 8.0), q.values), 0.1)
+
+
+def test_a_column_held_right_hand_side_still_keys_mode_zero():
+    g = grid(65, 64, 8.0)
+    held = ScalarField(g, np.repeat(smooth_bump(g.r_nodes)[:, None], 64,
+                                    axis=1))
+    assert elliptic._active_modes(elliptic._spectrum(held)) == (0,)
+    solve_stream_helmholtz(held, 0.1)
+    assert list(g.solver_cache) == [("stream", 0.1, (0,))]
+    zero = ScalarField(g, np.zeros((65, 64)))
+    assert elliptic._active_modes(elliptic._spectrum(zero)) == ()
+
+
+def test_the_factor_of_an_alpha_only_grows(monkeypatch):
+    g = grid(65, 64, 8.0)
+    factored = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting(mat, *args, **kwargs):
+        factored.append(mat.shape[0] // (2 * 65))
+        return splu(mat, *args, **kwargs)
+    monkeypatch.setattr(elliptic.spla, "splu", counting)
+    seventeen = _angular(g, {0: 1.0, 16: 0.5})
+    nine = _angular(g, {0: 1.0, 2: 0.5})
+    twenty_five = _angular(g, {0: 1.0, 24: 0.5})
+
+    solve_stream_helmholtz(seventeen, 0.1)
+    phi = solve_stream_helmholtz(nine, 0.1)[0].values
+    assert factored == [17]
+    assert _held_modes(g) == [tuple(range(17))]
+    # the nine-mode data solved over the held 17 modes agree with a
+    # nine-mode factor to roundoff
+    fresh = grid(65, 64, 8.0)
+    want = solve_stream_helmholtz(ScalarField(fresh, nine.values), 0.1)[0]
+    assert _held_modes(fresh) == [tuple(range(9))]
+    assert np.abs(phi - want.values).max() \
+        <= 1e-13 * np.abs(want.values).max()
+
+    solve_stream_helmholtz(twenty_five, 0.1)
+    solve_stream_helmholtz(seventeen, 0.1)
+    assert factored == [17, 9, 25]
+    assert list(g.solver_cache) == [("stream", 0.1, tuple(range(25)))]
+
+    solve_stream_helmholtz(nine, 0.2)
+    elliptic.release_factors(g, "stream", 0.1)
+    assert list(g.solver_cache) == [("stream", 0.2, tuple(range(9)))]
 
 
 def test_singular_block_names_the_mode_set(monkeypatch):
@@ -372,9 +502,9 @@ def test_one_pass_assembly_equals_block_diag_of_the_modes(kind, n_r, n_theta,
     modes = {"zero": (0,), "even": (0, 2, 4),
              "all": tuple(range(n_theta // 2 + 1))}[mode_set]
     if kind == "poisson":
-        alpha, blocks = None, [elliptic._poisson_matrix(g, m) for m in modes]
+        alpha, blocks = None, [_poisson_matrix(g, m) for m in modes]
     else:
-        alpha, blocks = 0.1, [elliptic._stream_matrix(g, m, 0.1)
+        alpha, blocks = 0.1, [_stream_matrix(g, m, 0.1)
                               for m in modes]
     want = scipy.sparse.block_diag(blocks, format="csc")
     mat, lu = elliptic._block_factor(g, kind, alpha, modes)
