@@ -38,7 +38,9 @@ The grid holds at most one (matrix, LU) pair per (kind, alpha), keyed
 (kind, alpha, modes), and that pair only grows: a solve whose prefix the
 held one covers solves over the held modes, a longer prefix replaces it.
 Radial data factors and solves mode 0 alone; release_factors drops the
-pair of one kind and alpha once no later solve needs it.
+pair of one kind and alpha once no later solve needs it.  Each drop and
+each factorization ends with glibc's malloc_trim (_trim_heap), so that a
+freed factor's pages leave the process in every run alike.
 
 A right-hand side held as one column (every row one bit pattern) has a
 one-column spectrum, its mode 0, and that shape alone marks it held.  It
@@ -55,6 +57,8 @@ into +0.0) and scales by the reciprocal of n_theta.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -70,6 +74,13 @@ _RESIDUAL_TOL = 1e-10
 # a mode is solved when its largest interior coefficient exceeds this share
 # of the largest mode's; the angular FFT's roundoff reaches about 1.2e-13
 _MODE_TOL = 1e-11
+
+# glibc's malloc_trim; None under a C library without one
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 def _per_mode(pieces, count: int) -> np.ndarray:
@@ -181,15 +192,33 @@ def _block_factor(grid: ExteriorGrid, kind: str, alpha, modes: tuple):
                                  % (kind, list(modes), exc))
     # the CSR copy is made once SuperLU's workspace is freed, not beside it
     factor = mat.tocsr(), lu
+    _trim_heap()
     with grid.cache_lock:
         grid.solver_cache[(kind, alpha, modes)] = factor
     return factor
 
 
 def _drop(grid: ExteriorGrid, kind: str, alpha) -> None:
-    """Delete the factor of kind and alpha; the caller holds cache_lock."""
+    """Delete the factor of kind and alpha and hand its pages back to the
+    OS; the caller holds cache_lock."""
     for key in [k for k in grid.solver_cache if k[:2] == (kind, alpha)]:
         del grid.solver_cache[key]
+    _trim_heap()
+
+
+def _trim_heap() -> None:
+    """Return the C heap's free pages to the OS, where the C library can.
+
+    SuperLU works and keeps its factors in the C heap.  glibc hands a freed
+    region back only while it tops its trim threshold, a threshold that
+    follows the largest block freed so far, so whether a dropped or
+    finished factorization left the process depended on the order of earlier
+    frees.  Factors of changing prefixes made that order vary: the peak
+    RSS of one perturbed sweep spread over 9 MB between identical runs.
+    Trimming after each factor is dropped or built holds it within 1 MB.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def release_factors(grid: ExteriorGrid, kind: str, alpha=None) -> None:

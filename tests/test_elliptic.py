@@ -480,6 +480,24 @@ def test_the_factor_of_an_alpha_only_grows(monkeypatch):
     assert list(g.solver_cache) == [("stream", 0.2, tuple(range(9)))]
 
 
+def test_dropped_and_built_factors_hand_the_heap_back(monkeypatch):
+    trims = []
+    monkeypatch.setattr(elliptic, "_malloc_trim", trims.append)
+    g = grid(65, 64, 8.0)
+    q = _angular(g, {0: 1.0, 2: 0.5})
+    phi = solve_stream_helmholtz(q, 0.1)[0].values
+    # once after the drop that precedes a build, once after the build
+    assert trims == [0, 0]
+    solve_stream_helmholtz(q, 0.1)
+    assert trims == [0, 0]
+    elliptic.release_factors(g, "stream", 0.1)
+    assert trims == [0, 0, 0]
+
+    # without the C function the solve is the same
+    monkeypatch.setattr(elliptic, "_malloc_trim", None)
+    assert np.array_equal(solve_stream_helmholtz(q, 0.1)[0].values, phi)
+    assert trims == [0, 0, 0]
+
 def test_singular_block_names_the_mode_set(monkeypatch):
     g = grid(33, 8, 4.0)
     empty = np.zeros(0, dtype=int)
