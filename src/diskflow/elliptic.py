@@ -34,13 +34,13 @@ values at every mode; the block-diagonal matrix of the solved modes is
 assembled from it in one vectorized pass (the per-mode matrices are the
 one-mode case), factored once by a sparse LU, and solved with one
 two-column call (real and imaginary parts).
-The grid holds at most one (matrix, LU) pair per (kind, alpha), keyed
-(kind, alpha, modes), and that pair only grows: a solve whose prefix the
-held one covers solves over the held modes, a longer prefix replaces it.
-Radial data factors and solves mode 0 alone; release_factors drops the
-pair of one kind and alpha once no later solve needs it.  Each drop and
-each factorization ends with glibc's malloc_trim (_trim_heap), so that a
-freed factor's pages leave the process in every run alike.
+The grid holds at most one (matrix, LU) pair per (kind, alpha), and that
+pair only grows: a solve whose prefix the held one covers solves over the
+held modes, a longer prefix replaces it.  Radial data factors and solves
+mode 0 alone; release_factors drops the pair of one kind and alpha once no
+later solve needs it.  Each drop and each factorization ends with glibc's
+malloc_trim (_trim_heap), so that a freed factor's pages leave the process
+in every run alike.
 
 A right-hand side held as one column (every row one bit pattern) has a
 one-column spectrum, its mode 0, and that shape alone marks it held.  It
@@ -160,49 +160,52 @@ def _block_matrix(rows, cols, vals, size: int):
         shape=(size * count, size * count))
 
 
-def _block_factor(grid: ExteriorGrid, kind: str, alpha, modes: tuple):
-    """(matrix, LU) of the block-diagonal operator over the given modes.
+def _block_size(grid: ExteriorGrid, kind: str) -> int:
+    """Unknowns of one mode's block: phi at each radial node for Poisson,
+    the interleaved (phi, Delta phi) pair for the stream problem."""
+    return grid.spec.n_r if kind == "poisson" else 2 * grid.spec.n_r
+
+
+def _block_factor(grid: ExteriorGrid, kind: str, alpha, count: int):
+    """(matrix, LU) of the block-diagonal operator over modes 0..count-1.
 
     The grid holds at most one pair per kind and alpha, under the key
-    (kind, alpha, held modes).  The held pair serves a request for the same
-    modes and, when it spans a prefix 0..K, a request for any prefix 0..k
-    with k <= K: the solve then spans the held prefix (_solve_prefix).  Any
-    other request factors its own modes and replaces the held pair.  The
+    (kind, alpha).  The held pair serves any request its prefix covers:
+    the solve then spans the held prefix (_solve_prefix).  A longer
+    request factors its own prefix and replaces the held pair.  The
     matrix is kept for residual checks.
     """
+    size = _block_size(grid, kind)
     with grid.cache_lock:
-        for key in grid.solver_cache:
-            k, a, held = key
-            if (k, a) == (kind, alpha) and (
-                    held == modes or held[:len(modes)] == modes
-                    and held == tuple(range(len(held)))):
-                return grid.solver_cache[key]
+        factor = grid.solver_cache.get((kind, alpha))
+        if factor is not None and factor[1].shape[0] >= count * size:
+            return factor
         # dropped before the new factor is built, and no name keeps it
         # here, so the two are never held at once
+        factor = None
         _drop(grid, kind, alpha)
-    n = grid.spec.n_r
     if kind == "poisson":
-        mat = _block_matrix(*_poisson_stencil(grid, modes), n)
+        stencil = _poisson_stencil(grid, range(count))
     else:
-        mat = _block_matrix(*_stream_stencil(grid, modes, alpha), 2 * n)
+        stencil = _stream_stencil(grid, range(count), alpha)
+    mat = _block_matrix(*stencil, size)
     try:
         lu = spla.splu(mat)
     except RuntimeError as exc:
-        raise EllipticSolveError("singular %s operator over modes %s: %s"
-                                 % (kind, list(modes), exc))
+        raise EllipticSolveError("singular %s operator over modes 0..%d: %s"
+                                 % (kind, count - 1, exc))
     # the CSR copy is made once SuperLU's workspace is freed, not beside it
     factor = mat.tocsr(), lu
     _trim_heap()
     with grid.cache_lock:
-        grid.solver_cache[(kind, alpha, modes)] = factor
+        grid.solver_cache[(kind, alpha)] = factor
     return factor
 
 
 def _drop(grid: ExteriorGrid, kind: str, alpha) -> None:
     """Delete the factor of kind and alpha and hand its pages back to the
     OS; the caller holds cache_lock."""
-    for key in [k for k in grid.solver_cache if k[:2] == (kind, alpha)]:
-        del grid.solver_cache[key]
+    grid.solver_cache.pop((kind, alpha), None)
     _trim_heap()
 
 
@@ -222,40 +225,13 @@ def _trim_heap() -> None:
 
 
 def release_factors(grid: ExteriorGrid, kind: str, alpha=None) -> None:
-    """Drop the grid's cached factor of kind and alpha, whatever its modes.
+    """Drop the grid's cached factor of kind and alpha, whatever its prefix.
 
     alpha is None for the Poisson factor.  A later solve of the same kind
     and alpha factors again.
     """
     with grid.cache_lock:
         _drop(grid, kind, alpha)
-
-
-def _solve_modes(factor, parts: np.ndarray):
-    """Complex solve of every mode through one real factorization.
-
-    parts holds the real and imaginary parts of the right-hand side as two
-    rows, each the modes' rows laid end to end; they go through the block
-    LU as two columns and are squared in place once solved.  Returns
-    (solution, residual^2, rhs^2), the solution flat and complex, the
-    squares summed over all modes, so callers can enforce the relative
-    residual bound of the whole inversion.
-    """
-    mat, lu = factor
-    out = lu.solve(parts.T).T
-    # one CSR matvec per part: about three times faster than one product
-    # with the two-column block.  np.sum rather than a BLAS dot, which
-    # OpenBLAS spreads over threads at this length and which then stalls
-    # when two sweep workers call it at once
-    r0 = mat @ out[0]
-    r0 -= parts[0]
-    r0 *= r0
-    r1 = mat @ out[1]
-    r1 -= parts[1]
-    r1 *= r1
-    res2 = float(np.sum(r0) + np.sum(r1))
-    parts *= parts
-    return out[0] + 1j * out[1], res2, float(np.sum(parts))
 
 
 def _closed_form(n_theta: int) -> bool:
@@ -280,56 +256,75 @@ def _spectrum(f: ScalarField) -> np.ndarray:
     return coeff
 
 
-def _active_modes(coeff: np.ndarray) -> tuple:
-    """Angular modes to solve for a spectrum coeff from _spectrum.
+def _active_modes(coeff: np.ndarray) -> int:
+    """How many angular modes, a prefix 0..k-1, to solve for a spectrum
+    coeff from _spectrum.
 
-    One column: mode 0 when its interior coefficients carry data.  A full
-    spectrum: the prefix 0..M, M the largest mode whose largest interior
+    One column: 1 when its interior coefficients carry data, else 0.  A
+    full spectrum: M + 1, M the largest mode whose largest interior
     coefficient exceeds _MODE_TOL times the largest mode's, rounded up to a
     multiple of 8 so that a run asks for few prefixes, and capped at
     n_theta // 2.  Non-finite data keep every mode, so that the solve
     fails as it did before any cut.
     """
     if coeff.shape[1] == 1:
-        return (0,) if coeff[1:-1].any() else ()
+        return 1 if coeff[1:-1].any() else 0
     peak = np.abs(coeff[1:-1]).max(axis=0)
     top = len(peak) - 1
     if np.isfinite(peak.max()):
         kept = np.flatnonzero(peak > _MODE_TOL * peak.max())
         if not kept.size:
-            return ()
+            return 0
         top = min(-(-int(kept[-1]) // 8) * 8, top)
-    return tuple(range(top + 1))
+    return top + 1
 
 
 def _solve_prefix(grid: ExteriorGrid, kind: str, alpha, coeff: np.ndarray,
-                  rhs: np.ndarray, rows: slice, size: int):
+                  rhs: np.ndarray, rows: slice):
     """Solve the modes _active_modes picks from coeff, over the factor the
-    grid serves for them (its prefix may be longer).
+    grid serves for them (its prefix may be longer), as one complex solve
+    through one real factorization.
 
     rhs holds each mode's interior right-hand side as a column; it goes
-    into the given rows of that mode's block of size rows.  Returns
-    (modes, x, residual^2, rhs^2): the solved prefix, which is never longer
-    than coeff, and x with one column of block unknowns per mode (None for
-    no modes).
+    into the given rows of that mode's block.  The real and imaginary
+    parts go through the block LU as two columns.  Returns
+    (k, x, residual^2, rhs^2): k the length of the solved prefix, never
+    longer than coeff, x with one column of block unknowns per mode (None
+    for k = 0), and the squares summed over all solved modes, so callers
+    can enforce the relative residual bound of the whole inversion.
     """
-    modes = _active_modes(coeff)
-    if not modes:
-        return modes, None, 0.0, 0.0
-    factor = _block_factor(grid, kind, alpha, modes)
-    count = factor[1].shape[0] // size
-    k = min(count, coeff.shape[1])
-    parts = np.zeros((2, count, size))
+    count = _active_modes(coeff)
+    if not count:
+        return 0, None, 0.0, 0.0
+    mat, lu = _block_factor(grid, kind, alpha, count)
+    size = _block_size(grid, kind)
+    held = lu.shape[0] // size
+    k = min(held, coeff.shape[1])
+    parts = np.zeros((2, held, size))
     parts[0, :k, rows] = rhs.real[:, :k].T
     parts[1, :k, rows] = rhs.imag[:, :k].T
-    x, res2, rhs2 = _solve_modes(factor, parts.reshape(2, -1))
-    return tuple(range(k)), x.reshape(count, size)[:k].T, res2, rhs2
+    parts = parts.reshape(2, -1)
+    out = lu.solve(parts.T).T
+    # one CSR matvec per part: about three times faster than one product
+    # with the two-column block.  np.sum rather than a BLAS dot, which
+    # OpenBLAS spreads over threads at this length and which then stalls
+    # when two sweep workers call it at once
+    r0 = mat @ out[0]
+    r0 -= parts[0]
+    r0 *= r0
+    r1 = mat @ out[1]
+    r1 -= parts[1]
+    r1 *= r1
+    res2 = float(np.sum(r0) + np.sum(r1))
+    parts *= parts
+    x = (out[0] + 1j * out[1]).reshape(held, size)[:k].T
+    return k, x, res2, float(np.sum(parts))
 
 
-def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, modes: tuple,
+def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, k: int,
                x: np.ndarray | None) -> ScalarField:
-    """phi from the solved modes x, one column per entry of modes (None for
-    no modes).
+    """phi from the solved modes x, one column for each of modes 0..k-1
+    (None for k = 0).
 
     coeff, the spectrum of the right-hand side from _spectrum, is
     consumed: its buffer is zeroed and takes the spectrum of phi.  A
@@ -343,8 +338,8 @@ def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, modes: tuple,
     """
     n = grid.spec.n_theta
     coeff.fill(0)
-    if modes:
-        coeff[:, modes] = x
+    if k:
+        coeff[:, :k] = x
     one_column = coeff.shape[1] == 1
     if one_column and _closed_form(n):
         phi = coeff.real + 0.0
@@ -370,14 +365,13 @@ def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:
     if abs(mass) > mass_tol * max(scale, 1.0):
         raise CirculationError(
             "net vorticity mass %.3e exceeds tolerance; the mode-0 far "
-            "condition requires zero circulation" % mass, mode=0)
+            "condition requires zero circulation" % mass)
 
     coeff = _spectrum(w)
     # the complex product, as the complex system scales it
     rhs = np.exp(2.0 * g.s_nodes)[1:-1, None] * coeff[1:-1]
-    modes, x, _, _ = _solve_prefix(g, "poisson", None, coeff, rhs,
-                                   slice(1, -1), g.spec.n_r)
-    phi = _synthesis(g, coeff, modes, x)
+    k, x, _, _ = _solve_prefix(g, "poisson", None, coeff, rhs, slice(1, -1))
+    phi = _synthesis(g, coeff, k, x)
 
     res_norm = float(np.sqrt(weighted_total(
         g.weights[1:-1], lambda lap, a: np.square((lap - a)[1:-1]),
@@ -402,19 +396,18 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
             "overdetermined at alpha=0" % (alpha,), key="alpha")
     g = q.grid
     coeff = _spectrum(q)
-    modes, x, res2, rhs2 = _solve_prefix(g, "stream", alpha, coeff,
-                                         coeff[1:-1], slice(3, -2, 2),
-                                         2 * g.spec.n_r)
+    k, x, res2, rhs2 = _solve_prefix(g, "stream", alpha, coeff, coeff[1:-1],
+                                     slice(3, -2, 2))
     if x is not None:
         x = x[0::2]
     # a mode above the solved prefix gets phi-hat = 0, so its right-hand
     # side is residual of the inversion
-    dropped = coeff[1:-1, len(modes):]
+    dropped = coeff[1:-1, k:]
     dropped2 = float(np.sum(np.square(dropped.real))
                      + np.sum(np.square(dropped.imag)))
     res2 += dropped2
     rhs2 += dropped2
-    phi = _synthesis(g, coeff, modes, x)
+    phi = _synthesis(g, coeff, k, x)
     w = laplacian(phi) if with_w else None
 
     # residual of the banded system itself; recomposing Delta^2 in physical
@@ -425,7 +418,7 @@ def solve_stream_helmholtz(q: ScalarField, alpha: float, with_w: bool = True):
         raise EllipticSolveError(
             "stream residual %.3e exceeds %.0e relative; %d of %d modes "
             "solved, the dropped ones %.1e of the right-hand side"
-            % (res_norm, _RESIDUAL_TOL, len(modes), coeff.shape[1],
+            % (res_norm, _RESIDUAL_TOL, k, coeff.shape[1],
                np.sqrt(dropped2) / scale))
     try:
         u = _retag(perp_grad(phi), "no-slip")

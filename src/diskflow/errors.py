@@ -21,11 +21,7 @@ class GridError(ConfigError):
 
 
 class EllipticSolveError(DiskflowError):
-    """An elliptic solve failed; mode is the angular Fourier index."""
-
-    def __init__(self, message, mode=None):
-        super().__init__(message)
-        self.mode = mode
+    """An elliptic solve failed."""
 
 
 class CirculationError(EllipticSolveError):

@@ -64,7 +64,7 @@ class ExteriorGrid:
     weights: np.ndarray      # (n_r, n_theta), sum = annulus area
 
     # The elliptic module caches one (matrix, LU) pair here per
-    # (kind, alpha, active modes): one block-diagonal factor for all modes.
+    # (kind, alpha): one block-diagonal factor for a prefix of the modes.
     solver_cache: dict = field(default_factory=dict, repr=False)
     cache_lock: threading.Lock = field(default_factory=threading.Lock,
                                        repr=False)

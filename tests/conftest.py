@@ -14,6 +14,13 @@ def one_bit_pattern_column(a):
     return None
 
 
+def held_prefixes(grid):
+    """Each factor the grid holds, by key, and the length of the mode
+    prefix it covers, read from the size of its LU."""
+    return {key: lu.shape[0] // elliptic._block_size(grid, key[0])
+            for key, (_, lu) in grid.solver_cache.items()}
+
+
 def public_arrays(f):
     """The public full-shape arrays of a field, one per component."""
     if isinstance(f, fields.ScalarField):

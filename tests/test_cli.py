@@ -377,7 +377,7 @@ def _failing_solves(monkeypatch, how, fails):
     import diskflow.dynamics as dynamics
     import diskflow.elliptic as elliptic
     real_solve = dynamics.solve_stream_helmholtz
-    real_modes = elliptic._solve_modes
+    real_prefix = elliptic._solve_prefix
     real_perp = elliptic.perp_grad
     calls = {}
     broken = [False]
@@ -390,9 +390,9 @@ def _failing_solves(monkeypatch, how, fails):
         finally:
             broken[0] = False
 
-    def solve_modes(factor, rhs):
-        x, res2, rhs2 = real_modes(factor, rhs)
-        return x, (1e6 * rhs2 if broken[0] else res2), rhs2
+    def solve_prefix(*args):
+        k, x, res2, rhs2 = real_prefix(*args)
+        return k, x, (1e6 * rhs2 if broken[0] else res2), rhs2
 
     def perp_grad(phi):
         u = real_perp(phi)
@@ -403,7 +403,7 @@ def _failing_solves(monkeypatch, how, fails):
         return VectorField(phi.grid, u.u_r, ut)
     monkeypatch.setattr(dynamics, "solve_stream_helmholtz", solve)
     if how == "residual":
-        monkeypatch.setattr(elliptic, "_solve_modes", solve_modes)
+        monkeypatch.setattr(elliptic, "_solve_prefix", solve_prefix)
     else:
         monkeypatch.setattr(elliptic, "perp_grad", perp_grad)
 

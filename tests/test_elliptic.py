@@ -1,12 +1,15 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import one_bit_pattern_column, public_arrays
+from conftest import held_prefixes, one_bit_pattern_column, public_arrays
 from diskflow import elliptic, fields
 from diskflow.errors import CirculationError, ConfigError, EllipticSolveError
 from diskflow.grid import GridSpec, build_grid
@@ -292,21 +295,21 @@ def test_real_right_hand_sides_solve_as_the_complex_staged_ones(kind):
     vals = _random_interior(g, 9)
     vals[4:-4] -= np.sum(g.weights * vals) / np.sum(g.weights[4:-4])
     coeff = np.fft.rfft(vals, axis=1)
-    modes = elliptic._active_modes(coeff)
+    k = elliptic._active_modes(coeff)
     if kind == "poisson":
-        rhs = np.zeros((len(modes), n), dtype=complex)
+        rhs = np.zeros((k, n), dtype=complex)
         rhs[:, 1:-1] = (np.exp(2.0 * g.s_nodes)[1:-1, None]
-                        * coeff[1:-1, modes]).T
-        x = _staged_solve(elliptic._block_factor(g, kind, None, modes), rhs)
+                        * coeff[1:-1, :k]).T
+        x = _staged_solve(elliptic._block_factor(g, kind, None, k), rhs)
         got = solve_poisson(ScalarField(g, vals)).values
     else:
-        rhs = np.zeros((len(modes), 2 * n), dtype=complex)
-        rhs[:, 3:-2:2] = coeff[1:-1, modes].T
-        x = _staged_solve(elliptic._block_factor(g, kind, 0.1, modes), rhs)
+        rhs = np.zeros((k, 2 * n), dtype=complex)
+        rhs[:, 3:-2:2] = coeff[1:-1, :k].T
+        x = _staged_solve(elliptic._block_factor(g, kind, 0.1, k), rhs)
         x = x[:, 0::2]
         got = solve_stream_helmholtz(ScalarField(g, vals), 0.1)[0].values
     phi_hat = np.zeros_like(coeff)
-    phi_hat[:, modes] = x.T
+    phi_hat[:, :k] = x.T
     want = np.fft.irfft(phi_hat, n=g.spec.n_theta, axis=1)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -351,15 +354,13 @@ def test_one_factor_per_alpha_and_mode_set():
     q = ScalarField(g, _random_interior(g, 9))
     for alpha in (0.1, 0.2, 0.1, 0.2):
         solve_stream_helmholtz(q, alpha)
-    all_modes = tuple(range(9))
-    assert sorted(g.solver_cache, key=repr) == [
-        ("stream", 0.1, all_modes), ("stream", 0.2, all_modes)]
+    assert held_prefixes(g) == {("stream", 0.1): 9, ("stream", 0.2): 9}
 
     radial = grid(65, 16, 8.0)
     q0 = np.repeat(smooth_bump(radial.r_nodes)[:, None], 16, axis=1)
     for _ in range(3):
         solve_stream_helmholtz(ScalarField(radial, q0), 0.1)
-    assert list(radial.solver_cache) == [("stream", 0.1, (0,))]
+    assert held_prefixes(radial) == {("stream", 0.1): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -377,24 +378,20 @@ def _angular(g, weights, noise=0.0, seed=3):
     return ScalarField(g, vals)
 
 
-def _held_modes(g):
-    return [k[2] for k in g.solver_cache]
-
-
 def test_noise_at_roundoff_solves_the_nine_mode_prefix(monkeypatch):
     g = grid(65, 64, 8.0)
     q = _angular(g, {0: 1.0, 2: 0.5}, noise=1e-14)
     coeff = np.fft.rfft(q.values, axis=1)
     assert np.all(np.abs(coeff[1:-1]).max(axis=0) > 0.0)
-    assert elliptic._active_modes(coeff) == tuple(range(9))
+    assert elliptic._active_modes(coeff) == 9
     phi, _, u = solve_stream_helmholtz(q, 0.1)
-    assert _held_modes(g) == [tuple(range(9))]
+    assert held_prefixes(g) == {("stream", 0.1): 9}
 
     everything = grid(65, 64, 8.0)
     monkeypatch.setattr(elliptic, "_MODE_TOL", 0.0)
     want, _, u_want = solve_stream_helmholtz(ScalarField(everything,
                                                          q.values), 0.1)
-    assert _held_modes(everything) == [tuple(range(33))]
+    assert held_prefixes(everything) == {("stream", 0.1): 33}
     # the 24 dropped modes carry 1e-14 noise, far below the gate
     scale = np.abs(want.values).max()
     assert np.abs(phi.values - want.values).max() <= 1e-12 * scale
@@ -406,10 +403,9 @@ def test_a_mode_ten_times_the_cut_is_solved():
     g = grid(65, 64, 8.0)
     # mode 20 at 10 times _MODE_TOL of mode 0: kept, rounded up to 24
     q = _angular(g, {0: 1.0, 20: 20.0 * elliptic._MODE_TOL})
-    assert elliptic._active_modes(np.fft.rfft(q.values, axis=1)) \
-        == tuple(range(25))
+    assert elliptic._active_modes(np.fft.rfft(q.values, axis=1)) == 25
     phi = solve_stream_helmholtz(q, 0.1)[0]
-    assert _held_modes(g) == [tuple(range(25))]
+    assert held_prefixes(g) == {("stream", 0.1): 25}
     assert np.abs(np.fft.rfft(phi.values, axis=1)[:, 20]).max() > 0.0
 
 
@@ -418,7 +414,7 @@ def test_a_dropped_mode_counts_in_the_stream_residual(monkeypatch):
     # mode 20 at a tenth of _MODE_TOL: dropped, and mode 2 sets the prefix
     q = _angular(g, {0: 1.0, 2: 0.5, 20: 0.2 * elliptic._MODE_TOL})
     coeff = np.fft.rfft(q.values, axis=1)
-    assert elliptic._active_modes(coeff) == tuple(range(9))
+    assert elliptic._active_modes(coeff) == 9
     share = float(np.sqrt(np.sum(np.abs(coeff[1:-1, 9:]) ** 2)
                           / np.sum(np.abs(coeff[1:-1]) ** 2)))
     assert 0.0 < share < elliptic._RESIDUAL_TOL
@@ -438,11 +434,11 @@ def test_a_column_held_right_hand_side_still_keys_mode_zero():
     g = grid(65, 64, 8.0)
     held = ScalarField(g, np.repeat(smooth_bump(g.r_nodes)[:, None], 64,
                                     axis=1))
-    assert elliptic._active_modes(elliptic._spectrum(held)) == (0,)
+    assert elliptic._active_modes(elliptic._spectrum(held)) == 1
     solve_stream_helmholtz(held, 0.1)
-    assert list(g.solver_cache) == [("stream", 0.1, (0,))]
+    assert held_prefixes(g) == {("stream", 0.1): 1}
     zero = ScalarField(g, np.zeros((65, 64)))
-    assert elliptic._active_modes(elliptic._spectrum(zero)) == ()
+    assert elliptic._active_modes(elliptic._spectrum(zero)) == 0
 
 
 def test_the_factor_of_an_alpha_only_grows(monkeypatch):
@@ -461,23 +457,79 @@ def test_the_factor_of_an_alpha_only_grows(monkeypatch):
     solve_stream_helmholtz(seventeen, 0.1)
     phi = solve_stream_helmholtz(nine, 0.1)[0].values
     assert factored == [17]
-    assert _held_modes(g) == [tuple(range(17))]
+    assert held_prefixes(g) == {("stream", 0.1): 17}
     # the nine-mode data solved over the held 17 modes agree with a
     # nine-mode factor to roundoff
     fresh = grid(65, 64, 8.0)
     want = solve_stream_helmholtz(ScalarField(fresh, nine.values), 0.1)[0]
-    assert _held_modes(fresh) == [tuple(range(9))]
+    assert held_prefixes(fresh) == {("stream", 0.1): 9}
     assert np.abs(phi - want.values).max() \
         <= 1e-13 * np.abs(want.values).max()
 
     solve_stream_helmholtz(twenty_five, 0.1)
     solve_stream_helmholtz(seventeen, 0.1)
     assert factored == [17, 9, 25]
-    assert list(g.solver_cache) == [("stream", 0.1, tuple(range(25)))]
+    assert held_prefixes(g) == {("stream", 0.1): 25}
 
     solve_stream_helmholtz(nine, 0.2)
     elliptic.release_factors(g, "stream", 0.1)
-    assert list(g.solver_cache) == [("stream", 0.2, tuple(range(9)))]
+    assert held_prefixes(g) == {("stream", 0.2): 9}
+
+
+def test_the_held_factor_is_freed_before_a_longer_one_is_built(monkeypatch):
+    g = grid(65, 64, 8.0)
+    solve_stream_helmholtz(_angular(g, {0: 1.0, 2: 0.5}), 0.1)
+    assert held_prefixes(g) == {("stream", 0.1): 9}
+    held = weakref.ref(g.solver_cache[("stream", 0.1)][0])
+    freed = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording(mat, *args, **kwargs):
+        freed.append(held() is None)
+        return splu(mat, *args, **kwargs)
+    monkeypatch.setattr(elliptic.spla, "splu", recording)
+    solve_stream_helmholtz(_angular(g, {0: 1.0, 24: 0.5}), 0.1)
+    assert freed == [True]
+    assert held_prefixes(g) == {("stream", 0.1): 25}
+
+
+@st.composite
+def _spectra(draw):
+    """(n_theta, coeff): a finite spectrum of 6 rows, one column or the
+    n_theta // 2 + 1 of n_theta, each mode zero or at a power of ten."""
+    n_theta = draw(st.sampled_from([16, 64, 100, 128]))
+    width = draw(st.sampled_from([1, n_theta // 2 + 1]))
+    scales = draw(st.lists(
+        st.sampled_from([0.0] + [10.0 ** e for e in range(-20, 6)]),
+        min_size=width, max_size=width))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeff = rng.normal(size=(6, width)) + 1j * rng.normal(size=(6, width))
+    return n_theta, coeff * np.array(scales)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_spectra())
+def test_the_solved_modes_are_a_prefix_of_eights_or_all(spectrum):
+    n_theta, coeff = spectrum
+    k = elliptic._active_modes(coeff)
+    if coeff.shape[1] == 1:
+        assert k in (0, 1)
+    else:
+        cap = n_theta // 2 + 1
+        assert k == 0 or k <= cap and (k % 8 == 1 or k == cap)
+    # the prefix holds every mode above the cut, and the next shorter
+    # prefix of its form would not
+    peak = np.abs(coeff[1:-1]).max(axis=0)
+    above = peak > elliptic._MODE_TOL * peak.max()
+    assert not above[k:].any()
+    assert k == 0 or above[max((k - 2) // 8 * 8 + 1, 0):].any()
+
+
+def test_a_mode_past_the_last_eight_takes_every_mode():
+    # mode 49 rounds up to 56, past the 51 modes of n_theta 100
+    coeff = np.zeros((6, 51), dtype=complex)
+    coeff[2, [0, 49]] = 1.0
+    assert elliptic._active_modes(coeff) == 51
 
 
 def test_dropped_and_built_factors_hand_the_heap_back(monkeypatch):
@@ -506,7 +558,7 @@ def test_singular_block_names_the_mode_set(monkeypatch):
                         lambda grid, modes, alpha:
                         (empty, empty, np.zeros((len(modes), 0))))
     q = ScalarField(g, _random_interior(g, 10))
-    with pytest.raises(EllipticSolveError, match=r"modes \[0, 1, 2, 3, 4\]"):
+    with pytest.raises(EllipticSolveError, match=r"modes 0\.\.4: "):
         solve_stream_helmholtz(q, 0.1)
     assert not g.solver_cache
 
@@ -525,7 +577,14 @@ def test_one_pass_assembly_equals_block_diag_of_the_modes(kind, n_r, n_theta,
         alpha, blocks = 0.1, [_stream_matrix(g, m, 0.1)
                               for m in modes]
     want = scipy.sparse.block_diag(blocks, format="csc")
-    mat, lu = elliptic._block_factor(g, kind, alpha, modes)
+    if modes == tuple(range(len(modes))):
+        mat, lu = elliptic._block_factor(g, kind, alpha, len(modes))
+    else:
+        # not a prefix, which no solve asks for: the assembly alone
+        stencil = (elliptic._poisson_stencil(g, modes) if alpha is None
+                   else elliptic._stream_stencil(g, modes, alpha))
+        csc = elliptic._block_matrix(*stencil, elliptic._block_size(g, kind))
+        mat, lu = csc.tocsr(), scipy.sparse.linalg.splu(csc)
     got = mat.tocsc()
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -568,15 +627,15 @@ def test_stream_solve_without_w_returns_the_same_phi_and_u():
     assert np.array_equal(w.values, laplacian(phi).values)
 
 
-def _fresh_spectrum_synthesis(grid, coeff, modes, x):
+def _fresh_spectrum_synthesis(grid, coeff, k, x):
     """elliptic._synthesis as it was written with a second spectrum: phi
     is synthesized in a fresh np.zeros_like(coeff), and coeff is left as
     it is.  A one-column coeff (mode 0 alone, of a held right-hand side)
     goes through the irfft too, which pads it with zero modes, and phi
     keeps its column 0."""
     phi_hat = np.zeros_like(coeff)
-    if modes:
-        phi_hat[:, modes] = x
+    if k:
+        phi_hat[:, :k] = x
     phi = np.fft.irfft(phi_hat, n=grid.spec.n_theta, axis=1)
     if coeff.shape[1] == 1:
         phi = phi[:, :1].copy()
@@ -741,7 +800,7 @@ def test_closed_form_spectrum_and_synthesis_keep_the_bits(n_theta):
     x = np.empty((len(c), 1), dtype=complex)    # c + 1j * c would lose -0.0
     x.real[:, 0] = c
     x.imag[:, 0] = c[::-1]
-    got = elliptic._synthesis(g, coeff, (0,), x)
+    got = elliptic._synthesis(g, coeff, 1, x)
     full = np.zeros_like(want)
     full[:, :1] = x
     col0 = np.fft.irfft(full, n=n_theta, axis=1)[:, :1]
@@ -763,7 +822,7 @@ def test_held_spectrum_off_the_gate_is_the_rfft_column_0(n_theta):
     x = np.empty((len(c), 1), dtype=complex)
     x.real[:, 0] = c
     x.imag[:, 0] = c[::-1]
-    got = elliptic._synthesis(g, coeff, (0,), x)
+    got = elliptic._synthesis(g, coeff, 1, x)
     full = np.zeros_like(want)
     full[:, :1] = x
     col0 = np.fft.irfft(full, n=n_theta, axis=1)[:, :1]
