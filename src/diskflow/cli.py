@@ -33,8 +33,7 @@ from .harness import (SweepConfig, SweepSettings, euler_reference_state,
 from .initial_data import (InitialCase, canonical_psi, check_alpha,
                            make_initial)
 from .ratefit import fit_rate
-from .verify import (Tolerances, energy_audit_study, report_dict,
-                     verify_corrector, verify_elliptic, verify_initial_data)
+from . import verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,6 +61,8 @@ class RunConfig(dynamics.RunConfig):
     The JSON document mirrors these fields, nested sections included; each
     section's dataclass holds its own defaults and range checks.  The solver
     keys come from dynamics.RunConfig, so run takes the document as it is.
+    The verify-* subcommands read only output_dir; their windows, and the
+    energy audit's pass threshold, are the constants of the verify module.
     """
 
     model: str
@@ -73,7 +74,6 @@ class RunConfig(dynamics.RunConfig):
     case: InitialCase = InitialCase()
     sweep: SweepSettings | None = None
     audit: AuditSettings | None = None
-    tolerances: Tolerances = Tolerances()
 
     def __post_init__(self):
         if self.model not in KINDS:
@@ -275,46 +275,43 @@ def _cmd_sweep(cfg: RunConfig, args, out: str) -> int:
 
 def _finish_verify(name: str, report, out: str) -> int:
     _write_json(os.path.join(out, name.replace("-", "_") + ".json"),
-                report_dict(report))
+                dataclasses.asdict(report))
     print("%s: %s" % (name, "PASS" if report.passed else "FAIL"))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def _cmd_verify_elliptic(cfg: RunConfig, args, out: str) -> int:
-    tol = cfg.tolerances
-    rep = verify_elliptic(tol)
+    rep = verify.verify_elliptic()
     print("poisson order: %.4f (2 +- %g) %s"
-          % (-rep.order_fit.slope, tol.order_window,
+          % (-rep.order_fit.slope, verify.ORDER_WINDOW,
              "ok" if rep.order_ok else "FAIL"))
     print("inverse chain: max rel %.3e (tol %g) %s"
-          % (max(rel for _, rel in rep.chain_rels), tol.chain_rel,
+          % (max(rel for _, rel in rep.chain_rels), verify.CHAIN_REL,
              "ok" if rep.chain_ok else "FAIL"))
     print("D3 probe slope: %.4f (floor %g) %s"
-          % (rep.probe_slope, tol.probe_floor,
+          % (rep.probe_slope, verify.PROBE_FLOOR,
              "ok" if rep.probe_ok else "FAIL"))
     return _finish_verify("verify-elliptic", rep, out)
 
 
 def _cmd_verify_corrector(cfg: RunConfig, args, out: str) -> int:
-    tol = cfg.tolerances
-    rep = verify_corrector(tol)
+    rep = verify.verify_corrector()
     print("corrector |u_b| slope: %.4f (0.5 +- %g) %s"
-          % (rep.report.l2_fit.slope, tol.corrector_window,
+          % (rep.report.l2_fit.slope, verify.CORRECTOR_WINDOW,
              "ok" if rep.l2_ok else "FAIL"))
     print("corrector |grad u_b| slope: %.4f (-0.5 +- %g) %s"
-          % (rep.report.h1_fit.slope, tol.corrector_window,
+          % (rep.report.h1_fit.slope, verify.CORRECTOR_WINDOW,
              "ok" if rep.h1_ok else "FAIL"))
     return _finish_verify("verify-corrector", rep, out)
 
 
 def _cmd_verify_initial_data(cfg: RunConfig, args, out: str) -> int:
-    tol = cfg.tolerances
-    rep = verify_initial_data(tol)
+    rep = verify.verify_initial_data()
     print("family |u0^a - u0| slope: %.4f (0.5 +- %g) %s"
-          % (rep.report.e0_fit.slope, tol.hypothesis_window,
+          % (rep.report.e0_fit.slope, verify.HYPOTHESIS_WINDOW,
              "ok" if rep.e0_ok else "FAIL"))
     print("family |D1 u0^a| slope: %.4f (-0.5 +- %g) %s"
-          % (rep.report.dk_fits[1].slope, tol.hypothesis_window,
+          % (rep.report.dk_fits[1].slope, verify.HYPOTHESIS_WINDOW,
              "ok" if rep.d1_ok else "FAIL"))
     print("family alpha^k |D^k| decreasing: %s"
           % ("ok" if rep.products_ok else "FAIL"))
@@ -326,18 +323,17 @@ def _cmd_energy_audit(cfg: RunConfig, args, out: str) -> int:
         raise ConfigError("energy-audit compares a regularized run against "
                           "Euler; model must be euler_alpha or second_grade",
                           key="model")
-    audit = energy_audit_study(cfg.case, cfg.grid, cfg.alpha, cfg.nu,
-                               cfg.t_final, cfg,
-                               delta=cfg.audit_delta)
-    passed = audit.rel_residual <= cfg.tolerances.audit_rel
-    doc = report_dict(audit)
+    audit = verify.energy_audit_study(cfg.case, cfg.grid, cfg.alpha, cfg.nu,
+                                      cfg.t_final, cfg, delta=cfg.audit_delta)
+    passed = audit.rel_residual <= verify.AUDIT_REL
+    doc = dataclasses.asdict(audit)
     doc["passed"] = passed
-    doc["tolerance"] = cfg.tolerances.audit_rel
+    doc["tolerance"] = verify.AUDIT_REL
     _write_json(os.path.join(out, "energy_audit.json"), doc)
     print("budget terms: i1=%.6e i2=%.6e i3=%.6e i4=%.6e lhs=%.6e"
           % (audit.i1, audit.i2, audit.i3, audit.i4, audit.lhs))
     print("relative residual: %.3e (tol %g)"
-          % (audit.rel_residual, cfg.tolerances.audit_rel))
+          % (audit.rel_residual, verify.AUDIT_REL))
     print("energy-audit: %s" % ("PASS" if passed else "FAIL"))
     return EXIT_OK if passed else EXIT_VERIFY
 

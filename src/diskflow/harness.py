@@ -411,7 +411,9 @@ class EnergyBudget:
     to come, or the times of a held trajectory.  add() takes each snapshot
     of the regularized run, in schedule order, with the Euler velocity it
     is measured against, as EulerReference.follow pairs them; finish()
-    returns the EnergyAudit once every scheduled snapshot is in.  Only the
+    returns the EnergyAudit once every scheduled snapshot is in.  A first
+    snapshot whose E_alpha is 0 (all-zero data, or squares that underflow)
+    is a ConfigError (key "case"): the residual is relative to it.  Only the
     Laplacian and w of the last three snapshots are held, because d_t of
     the Laplacian is np.gradient's three-point stencil with edge_order=2.
     Each slice of it is evaluated with numpy's own coefficients and
@@ -444,6 +446,10 @@ class EnergyBudget:
         if n == 0:
             self._params, self._grid = state.params, u.grid
             self._e0 = energy(state)
+            if not self._e0 > 0.0:      # underflowed or all-zero data
+                raise ConfigError("E_alpha(0) = %r: the initial data has no "
+                                  "energy to scale the budget residual by"
+                                  % (self._e0,), key="case")
             self._w0_norm = norm_l2(w)
         lap = vector_laplacian(u)
         self._f1.append(inner_l2(lap, w))

@@ -1,22 +1,24 @@
 """Pinned verification studies behind the verify-* subcommands.
 
-Each procedure runs a fixed, deterministic study (no configuration beyond
-what the study itself pins), returns a report dataclass whose ``passed``
-flag aggregates the individual checks, and leaves file emission to the
-caller.  The command-line front end maps ``passed=False`` to its
+Each procedure runs a fixed, deterministic study with no configuration:
+its grids, parameters and acceptance windows are the constants of this
+module, read when the study is called.  It returns a report dataclass
+whose ``passed`` flag aggregates the individual checks, and leaves file
+emission to the caller.  The command-line front end prints the windows,
+judges the energy audit by AUDIT_REL and maps ``passed=False`` to its
 verification-failure exit code.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .boundary_layer import CorrectorReport, corrector_scaling_report
 from .dynamics import ModelParams, RunConfig, run, snapshot_times
-from .elliptic import solve_poisson, solve_stream_helmholtz
-from .errors import ConfigError
+from .elliptic import (release_factors, solve_poisson,
+                       solve_stream_helmholtz)
 from .fields import ScalarField, laplacian, seminorm_hk
 from .grid import GridSpec, build_grid
 from .harness import (EnergyAudit, EnergyBudget, SweepSettings,
@@ -26,23 +28,13 @@ from .initial_data import (HypothesisReport, InitialCase, canonical_psi,
 from .ratefit import RateFit, fit_rate
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Acceptance windows of the verify-* subcommands."""
-
-    order_window: float = 0.2        # |fitted order - 2| for the Poisson solve
-    chain_rel: float = 1e-9          # fourth-order inverse consistency
-    probe_floor: float = -2.1        # slope floor of |D^3 u| vs alpha
-    corrector_window: float = 0.05   # both corrector slopes, about +-1/2
-    hypothesis_window: float = 0.1   # family rates, about +-1/2
-    audit_rel: float = 1e-3          # energy-budget residual, relative
-
-    def __post_init__(self):
-        for f in fields(self):
-            if f.name != "probe_floor" and not getattr(self, f.name) > 0.0:
-                raise ConfigError("%s=%r must be positive"
-                                  % (f.name, getattr(self, f.name)),
-                                  key=f.name)
+# acceptance windows of the studies; the contract, never loosened
+ORDER_WINDOW = 0.2         # |fitted order - 2| for the Poisson solve
+CHAIN_REL = 1e-9           # fourth-order inverse consistency
+PROBE_FLOOR = -2.1         # slope floor of |D^3 u| vs alpha
+CORRECTOR_WINDOW = 0.05    # both corrector slopes, about +-1/2
+HYPOTHESIS_WINDOW = 0.1    # family rates, about +-1/2
+AUDIT_REL = 1e-3           # energy-budget residual, relative
 
 
 # ------------------------------------------------------------------ elliptic
@@ -80,7 +72,7 @@ def _manufactured_phi(grid) -> ScalarField:
     return ScalarField(grid, bump[:, None] * ang[None, :])
 
 
-def verify_elliptic(tol: Tolerances = Tolerances()) -> EllipticVerification:
+def verify_elliptic() -> EllipticVerification:
     """Order study, fourth-order inverse consistency, and the D^3 probe."""
     errs = []
     for n_r in _ORDER_NS:
@@ -95,7 +87,7 @@ def verify_elliptic(tol: Tolerances = Tolerances()) -> EllipticVerification:
         exact = (-r ** -3.0 + b / r + a * r) * np.cos(g.theta_nodes)
         errs.append(_weighted_l2(g, phi.values - exact))
     order_fit = fit_rate(_ORDER_NS, errs)
-    order_ok = abs(-order_fit.slope - _ORDER_TARGET) <= tol.order_window
+    order_ok = abs(-order_fit.slope - _ORDER_TARGET) <= ORDER_WINDOW
 
     g = build_grid(GridSpec(128, 16, 8.0))
     phi_star = _manufactured_phi(g)
@@ -106,7 +98,7 @@ def verify_elliptic(tol: Tolerances = Tolerances()) -> EllipticVerification:
         phi, _w, _u = solve_stream_helmholtz(q, alpha)
         rels.append((alpha, _weighted_l2(g, phi.values - phi_star.values)
                      / _weighted_l2(g, phi_star.values)))
-    chain_ok = all(rel <= tol.chain_rel for _, rel in rels)
+    chain_ok = all(rel <= CHAIN_REL for _, rel in rels)
 
     g = build_grid(GridSpec(129, 16, 8.0))
     q = laplacian(_manufactured_phi(g))
@@ -115,7 +107,7 @@ def verify_elliptic(tol: Tolerances = Tolerances()) -> EllipticVerification:
         _phi, _w, u = solve_stream_helmholtz(q, alpha)
         norms.append(seminorm_hk(u, 3))
     probe_slope = fit_rate(_PROBE_ALPHAS, norms).slope
-    probe_ok = probe_slope >= tol.probe_floor
+    probe_ok = probe_slope >= PROBE_FLOOR
 
     return EllipticVerification(
         order_fit=order_fit, order_ok=order_ok, chain_rels=tuple(rels),
@@ -137,14 +129,14 @@ class CorrectorVerification:
     passed: bool
 
 
-def verify_corrector(tol: Tolerances = Tolerances()) -> CorrectorVerification:
+def verify_corrector() -> CorrectorVerification:
     """Layer-width scalings of the wall corrector on a slip profile."""
     g = build_grid(_CORRECTOR_GRID)
     # unit wall slip, single angular mode; vanishes on the ring
     vals = (1.0 - np.exp(1.0 - g.r_nodes[:, None])) * np.cos(g.theta_nodes)
     report = corrector_scaling_report(ScalarField(g, vals), _CORRECTOR_DELTAS)
-    l2_ok = abs(report.l2_fit.slope - 0.5) <= tol.corrector_window
-    h1_ok = abs(report.h1_fit.slope + 0.5) <= tol.corrector_window
+    l2_ok = abs(report.l2_fit.slope - 0.5) <= CORRECTOR_WINDOW
+    h1_ok = abs(report.h1_fit.slope + 0.5) <= CORRECTOR_WINDOW
     return CorrectorVerification(report=report, l2_ok=l2_ok, h1_ok=h1_ok,
                                  passed=l2_ok and h1_ok)
 
@@ -166,14 +158,13 @@ class InitialDataVerification:
     passed: bool
 
 
-def verify_initial_data(tol: Tolerances = Tolerances()
-                        ) -> InitialDataVerification:
+def verify_initial_data() -> InitialDataVerification:
     """Collar rates of the saturating no-slip family."""
     g = build_grid(_HYPOTHESIS_GRID)
     psi = canonical_psi(_HYPOTHESIS_CASE, g)
     report = hypothesis_report(psi, _HYPOTHESIS_ALPHAS)
-    e0_ok = abs(report.e0_fit.slope - 0.5) <= tol.hypothesis_window
-    d1_ok = abs(report.dk_fits[1].slope + 0.5) <= tol.hypothesis_window
+    e0_ok = abs(report.e0_fit.slope - 0.5) <= HYPOTHESIS_WINDOW
+    d1_ok = abs(report.dk_fits[1].slope + 0.5) <= HYPOTHESIS_WINDOW
     products_ok = True
     for k in (1, 2, 3):
         probe = [r.alpha ** k * r.dk_norms[k - 1] for r in report.rows[-3:]]
@@ -194,7 +185,9 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
 
     The reference is harness.euler_reference: the frozen initial state for
     radial cases, otherwise an Euler run at the same resolution with
-    run_config of which only the velocity per snapshot is kept.  The
+    run_config of which only the velocity per snapshot is kept; the grid's
+    Poisson factor is dropped once the reference is built, as run_sweep
+    drops it, since the regularized run solves only its stream pair.  The
     regularized run streams its snapshots through the reference's follow()
     into an EnergyBudget, so the audit holds three snapshots' worth of
     fields, not the trajectory.  Snapshots default to t_final / 8; the
@@ -210,14 +203,8 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
                           snapshot_times(t_final, cfg.snapshot_dt))
     on_snapshot, done = euler_reference(case, psi, t_final, cfg).follow(
         budget.add)
+    release_factors(g, "poisson")
     run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg,
         on_snapshot=on_snapshot)
     done()
     return budget.finish()
-
-
-# ------------------------------------------------------------------- reports
-
-def report_dict(verification) -> dict:
-    """JSON-ready view of any verification dataclass."""
-    return asdict(verification)

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import diskflow
-from diskflow.cli import (RunConfig, SweepSettings, Tolerances,
-                          _sweep_config, config_document, main,
-                          parse_config, serialize_config)
+import diskflow.verify as vf
+from diskflow.cli import (RunConfig, SweepSettings, _sweep_config,
+                          config_document, main, parse_config,
+                          serialize_config)
 from diskflow.errors import ConfigError, EllipticSolveError
-from diskflow.fields import VectorField, read_snapshot
+from diskflow.fields import (ScalarField, VectorField, read_snapshot,
+                             write_snapshot)
 from diskflow.grid import GridSpec, build_grid
 from diskflow.harness import euler_run
 from diskflow.initial_data import canonical_psi
@@ -33,8 +35,7 @@ FULL = """
   "case": {"name": "radial_vortex", "amplitude": 0.4, "r0": 1.0,
            "sigma": 1.5, "boundary_profile": "linear"},
   "sweep": {"alphas": [0.4, 0.2, 0.1], "nu_c": 1.0, "nu_gamma": 2.0},
-  "audit": {"delta": 0.1},
-  "tolerances": {"audit_rel": 0.01}
+  "audit": {"delta": 0.1}
 }
 """
 
@@ -56,7 +57,6 @@ def test_minimal_document_fills_documented_defaults():
     assert cfg.case.name == "radial_vortex"
     assert cfg.dt is None and cfg.snapshot_dt is None
     assert cfg.sweep is None and cfg.audit_delta is None
-    assert cfg.tolerances == Tolerances()
 
 
 def test_full_document_parses():
@@ -64,8 +64,6 @@ def test_full_document_parses():
     assert cfg.sweep == SweepSettings(alphas=(0.4, 0.2, 0.1), nu_c=1.0,
                                       nu_gamma=2.0)
     assert cfg.audit_delta == 0.1
-    assert cfg.tolerances.audit_rel == 0.01
-    assert cfg.tolerances.order_window == 0.2  # untouched default
     assert cfg.case.sigma == 1.5
     assert cfg.output_dir == "out"
 
@@ -135,8 +133,7 @@ def test_alpha_outside_the_model_range_is_rejected(model, alpha, nu):
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
      '"t_final": 1, "audit": {"delta": 1.5}}', "audit.delta"),
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
-     '"t_final": 1, "tolerances": {"audit_rel": 0}}',
-     "tolerances.audit_rel"),
+     '"t_final": 1, "tolerances": {"audit_rel": 0}}', "tolerances"),
     ('{"model": "euler_alpha", "alpha": 1%s, "grid": {"n_r": 64}, '
      '"t_final": 1}' % ("0" * 400), "alpha"),
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
@@ -207,8 +204,7 @@ def test_document_keys_are_the_schema_keys():
     doc = config_document(parse_config(FULL))
     assert set(doc) == {"model", "alpha", "nu", "grid", "t_final", "cfl",
                         "dt", "dt_max", "snapshot_dt", "tail_threshold",
-                        "output_dir", "case", "sweep", "audit",
-                        "tolerances"}
+                        "output_dir", "case", "sweep", "audit"}
 
 
 def test_config_type_is_value_comparable():
@@ -270,6 +266,12 @@ def test_exit_codes_for_config_errors(tmp_path, capsys):
     bad = write_config(tmp_path, MINIMAL.replace("0.2", "-1"), "bad.json")
     assert main(["simulate", "--config", bad]) == 2
     assert "alpha" in capsys.readouterr().err
+    # the verify windows are pinned in code; no document can loosen them
+    loose = write_config(tmp_path, MINIMAL[:-1]
+                         + ', "tolerances": {"audit_rel": 1.0}}', "loose.json")
+    assert main(["energy-audit", "--config", loose]) == 2
+    assert ("config error (tolerances): unknown key 'tolerances'"
+            in capsys.readouterr().err)
     with pytest.raises(SystemExit) as exc:  # argparse: --config is required
         main(["simulate"])
     assert exc.value.code == 2
@@ -623,7 +625,7 @@ def test_sweep_scaling_law_in_the_document_is_a_config_error(
     assert "config error (sweep.%s)" % law in capsys.readouterr().err
 
 
-def test_verify_corrector_pass_and_fail(tmp_path, capsys):
+def test_verify_corrector_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, MINIMAL)
     out = tmp_path / "v"
     assert main(["verify-corrector", "--config", cfg,
@@ -631,22 +633,35 @@ def test_verify_corrector_pass_and_fail(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
     report = json.loads((out / "verify_corrector.json").read_text())
     assert report["passed"] is True
-    # an unreachable window flips the exit code to 4
-    tight = write_config(tmp_path, MINIMAL[:-1]
-                         + ', "tolerances": {"corrector_window": 1e-4}}',
-                         "tight.json")
-    assert main(["verify-corrector", "--config", tight,
-                 "--output-dir", str(out)]) == 4
-    assert "FAIL" in capsys.readouterr().out
+
+
+AUDIT_DOC = """
+{"model": "second_grade", "alpha": 0.2, "nu": 1e-4,
+ "grid": {"n_r": 65, "n_theta": 16}, "t_final": 0.1,
+ "snapshot_dt": 0.02}
+"""
+
+
+@pytest.mark.parametrize("command, window", [
+    ("verify-elliptic", "ORDER_WINDOW"),
+    ("verify-corrector", "CORRECTOR_WINDOW"),
+    ("verify-initial-data", "HYPOTHESIS_WINDOW"),
+    ("energy-audit", "AUDIT_REL")])
+def test_a_pinned_window_out_of_reach_exits_4(tmp_path, capsys, monkeypatch,
+                                              command, window):
+    # no |slope - target| and no residual is <= -1
+    monkeypatch.setattr(vf, window, -1.0)
+    cfg = write_config(tmp_path, AUDIT_DOC)
+    out = tmp_path / "v"
+    assert main([command, "--config", cfg, "--output-dir", str(out)]) == 4
+    assert "%s: FAIL" % command in capsys.readouterr().out
+    report = json.loads((out / (command.replace("-", "_") + ".json"))
+                        .read_text())
+    assert report["passed"] is False
 
 
 def test_energy_audit_subcommand(tmp_path, capsys):
-    text = """
-    {"model": "second_grade", "alpha": 0.2, "nu": 1e-4,
-     "grid": {"n_r": 65, "n_theta": 16}, "t_final": 0.1,
-     "snapshot_dt": 0.02}
-    """
-    cfg = write_config(tmp_path, text)
+    cfg = write_config(tmp_path, AUDIT_DOC)
     out = tmp_path / "au"
     assert main(["energy-audit", "--config", cfg,
                  "--output-dir", str(out)]) == 0
@@ -655,7 +670,8 @@ def test_energy_audit_subcommand(tmp_path, capsys):
     assert report["passed"] is True
     assert report["n_times"] == 6
     # comparing Euler against itself is a config error, not a run
-    euler = write_config(tmp_path, text.replace('"second_grade"', '"euler"')
+    euler = write_config(tmp_path, AUDIT_DOC
+                         .replace('"second_grade"', '"euler"')
                          .replace('"nu": 1e-4', '"nu": 0'), "euler.json")
     assert main(["energy-audit", "--config", euler,
                  "--output-dir", str(out)]) == 2
@@ -679,6 +695,41 @@ def test_energy_audit_of_two_snapshots_exits_before_any_step(
     assert main(["energy-audit", "--config", cfg,
                  "--output-dir", str(tmp_path / "o")]) == 2
     assert "config error (trajectories)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, code", [
+    ({"amplitude": 1e-200}, 2), ({"name": "file"}, 2),
+    ({"amplitude": 1e-150}, 0)])
+def test_energy_audit_of_data_without_energy_is_a_config_error(
+        tmp_path, capsys, monkeypatch, case, code):
+    # the residual is relative to E_alpha(0): at amplitude 1e-200 its
+    # squares underflow to 0, and all-zero data has none; 1e-150 still has
+    import diskflow.dynamics as dynamics
+    real_step, kinds = dynamics.step, []
+
+    def step(state, dt, **kwargs):
+        kinds.append(state.params.kind)
+        return real_step(state, dt, **kwargs)
+
+    monkeypatch.setattr(dynamics, "step", step)
+    zero = tmp_path / "zero.csv"
+    write_snapshot(ScalarField(build_grid(GridSpec(33, 16)),
+                               np.zeros((33, 16))),
+                   zero, time=0.0, alpha=0.0, nu=0.0)
+    if case.get("name") == "file":
+        case = dict(case, path=str(zero))
+    doc = {"model": "euler_alpha", "alpha": 0.4,
+           "grid": {"n_r": 33, "n_theta": 16}, "t_final": 0.1, "case": case}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    assert main(["energy-audit", "--config", cfg,
+                 "--output-dir", str(tmp_path / "o")]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert "config error (case): E_alpha(0) = 0.0" in captured.err
+        assert "euler_alpha" not in kinds  # the regularized run took no step
+    else:
+        assert "energy-audit: PASS" in captured.out
+        assert "euler_alpha" in kinds
 
 
 def test_threads_flag_must_be_nonnegative(tmp_path, capsys):

@@ -37,9 +37,6 @@ def documents(draw):
         "snapshot_dt": st.none() | positive(),
         "tail_threshold": positive(),
         "output_dir": st.text(max_size=8),
-        "tolerances": st.fixed_dictionaries({}, optional={
-            "order_window": positive(), "probe_floor": st.floats(-10, 10),
-            "audit_rel": positive()}),
         "audit": st.none() | st.fixed_dictionaries(
             {}, optional={"delta": st.none() | positive(0.9)}),
         "case": st.fixed_dictionaries({}, optional={
@@ -72,7 +69,7 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12)
 
-SECTIONS = ("grid", "case", "sweep", "audit", "tolerances")
+SECTIONS = ("grid", "case", "sweep", "audit")
 
 
 @SETTINGS
