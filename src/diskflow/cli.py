@@ -56,13 +56,13 @@ class AuditSettings:
 
 @dataclass(frozen=True, kw_only=True)
 class RunConfig(dynamics.RunConfig):
-    """Fully validated configuration for any subcommand.
+    """Fully validated configuration for simulate, sweep and energy-audit.
 
     The JSON document mirrors these fields, nested sections included; each
     section's dataclass holds its own defaults and range checks.  The solver
     keys come from dynamics.RunConfig, so run takes the document as it is.
-    The verify-* subcommands read only output_dir; their windows, and the
-    energy audit's pass threshold, are the constants of the verify module.
+    The energy audit's pass threshold is a constant of the verify module;
+    the verify-* subcommands parse a VerifyConfig instead.
     """
 
     model: str
@@ -95,6 +95,19 @@ class RunConfig(dynamics.RunConfig):
     @property
     def audit_delta(self) -> float | None:
         return None if self.audit is None else self.audit.delta
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    """What a verify-* subcommand reads of its document: output_dir alone.
+    Its study and the windows it is judged by are the constants of the
+    verify module, and the document's other keys are not read."""
+
+    output_dir: str = "."
+
+
+_VERIFY_COMMANDS = ("verify-elliptic", "verify-corrector",
+                    "verify-initial-data")
 
 
 def _type_name(v) -> str:
@@ -174,14 +187,20 @@ def _build(cls, raw, path: str):
         raise ConfigError(str(exc), key=key) from exc
 
 
-def parse_config(text: str) -> RunConfig:
-    """Validate a JSON config document; errors carry the dotted key path."""
+def parse_config(text: str, command: str | None = None):
+    """Validate a JSON config document for command; errors carry the dotted
+    key path.  A verify-* command gets a VerifyConfig from the document's
+    output_dir; any other command, or none, a RunConfig."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ConfigError("config is not valid JSON: %s" % exc,
                           key="document") from exc
-    return _build(RunConfig, doc, "")
+    if command not in _VERIFY_COMMANDS:
+        return _build(RunConfig, doc, "")
+    if isinstance(doc, dict):   # the other keys are not read
+        doc = {k: v for k, v in doc.items() if k == "output_dir"}
+    return _build(VerifyConfig, doc, "")
 
 
 def config_document(cfg: RunConfig) -> dict:
@@ -280,7 +299,7 @@ def _finish_verify(name: str, report, out: str) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _cmd_verify_elliptic(cfg: RunConfig, args, out: str) -> int:
+def _cmd_verify_elliptic(cfg: VerifyConfig, args, out: str) -> int:
     rep = verify.verify_elliptic()
     print("poisson order: %.4f (2 +- %g) %s"
           % (-rep.order_fit.slope, verify.ORDER_WINDOW,
@@ -294,7 +313,7 @@ def _cmd_verify_elliptic(cfg: RunConfig, args, out: str) -> int:
     return _finish_verify("verify-elliptic", rep, out)
 
 
-def _cmd_verify_corrector(cfg: RunConfig, args, out: str) -> int:
+def _cmd_verify_corrector(cfg: VerifyConfig, args, out: str) -> int:
     rep = verify.verify_corrector()
     print("corrector |u_b| slope: %.4f (0.5 +- %g) %s"
           % (rep.report.l2_fit.slope, verify.CORRECTOR_WINDOW,
@@ -305,7 +324,7 @@ def _cmd_verify_corrector(cfg: RunConfig, args, out: str) -> int:
     return _finish_verify("verify-corrector", rep, out)
 
 
-def _cmd_verify_initial_data(cfg: RunConfig, args, out: str) -> int:
+def _cmd_verify_initial_data(cfg: VerifyConfig, args, out: str) -> int:
     rep = verify.verify_initial_data()
     print("family |u0^a - u0| slope: %.4f (0.5 +- %g) %s"
           % (rep.report.e0_fit.slope, verify.HYPOTHESIS_WINDOW,
@@ -382,7 +401,7 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("cannot read config %r: %s"
                               % (args.config, exc), key="config") from exc
-        cfg = parse_config(text)
+        cfg = parse_config(text, args.command)
         if args.output_dir is not None:
             cfg = replace(cfg, output_dir=args.output_dir)
         out = cfg.output_dir

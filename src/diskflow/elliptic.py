@@ -18,12 +18,20 @@ returned velocities satisfy the no-slip ring check to roundoff; a velocity
 that fails it is a failed solve.  Every solve re-evaluates its residual and
 rejects the result if it exceeds 1e-10 relative, summed over all modes.
 
+A right-hand side held as a sector, the first n_theta / m nodes of data
+that repeat m times around the grid, has the modes 0, m, 2m, ... alone,
+and its spectrum is the rfft of the sector: column j holds mode j * m,
+and the last column the grid's Nyquist mode n_theta // 2, so the shape of
+a spectrum gives its mode step m (_mode_step).  The stencils of column j
+are built at mode j * m, and phi is synthesized on the sector.  A full
+array has step 1.
+
 Only the modes whose coefficients rise above roundoff are solved: a prefix
-0..M of the spectrum, where M is the largest mode whose largest interior
-coefficient exceeds _MODE_TOL (1e-11) times the largest mode's, rounded up
-to a multiple of 8 and capped at n_theta // 2.  Every mode above M gets
-phi-hat = 0.  The stream solve counts the right-hand side of each dropped
-mode as residual, so the 1e-10 gate sees the whole inversion; the Poisson
+of the spectrum's columns 0..M, where M is the last column whose largest
+interior coefficient exceeds _MODE_TOL (1e-11) times the largest
+column's, rounded up to a multiple of 8 and capped at the last column.
+Every column above M gets phi-hat = 0.  The stream solve counts the
+right-hand side of each dropped mode as residual, so the 1e-10 gate sees the whole inversion; the Poisson
 residual is taken in physical space and sees them already.  A mode below
 the cut has no velocity of its own until it grows past it, and q itself
 is never filtered.  (Cutting a series where its coefficients reach their
@@ -34,11 +42,11 @@ values at every mode; the block-diagonal matrix of the solved modes is
 assembled from it in one vectorized pass (the per-mode matrices are the
 one-mode case), factored once by a sparse LU, and solved with one
 two-column call (real and imaginary parts).
-The grid holds at most one (matrix, LU) pair per (kind, alpha), and that
-pair only grows: a solve whose prefix the held one covers solves over the
-held modes, a longer prefix replaces it.  Radial data factors and solves
-mode 0 alone; release_factors drops the pair of one kind and alpha once no
-later solve needs it.  Each drop and each factorization ends with glibc's
+The grid holds at most one (matrix, LU, step) factor per (kind, alpha),
+and it only grows: a solve of its step whose prefix the held one covers
+solves over the held modes, a longer prefix or another step replaces it.
+Radial data factors and solves mode 0 alone; release_factors drops the
+factor of one kind and alpha once no later solve needs it.  Each drop and each factorization ends with glibc's
 malloc_trim (_trim_heap), so that a freed factor's pages leave the process
 in every run alike.
 
@@ -65,7 +73,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (BoundaryTagError, CirculationError, ConfigError,
                      EllipticSolveError)
-from .fields import (ScalarField, VectorField, _column, _retag, _scalar,
+from .fields import (ScalarField, VectorField, _retag, _scalar, _sector,
                      curl_perp, laplacian, lincomb, norm_l2, perp_grad,
                      weighted_total)
 from .grid import ExteriorGrid
@@ -166,36 +174,41 @@ def _block_size(grid: ExteriorGrid, kind: str) -> int:
     return grid.spec.n_r if kind == "poisson" else 2 * grid.spec.n_r
 
 
-def _block_factor(grid: ExteriorGrid, kind: str, alpha, count: int):
-    """(matrix, LU) of the block-diagonal operator over modes 0..count-1.
+def _block_factor(grid: ExteriorGrid, kind: str, alpha, count: int,
+                  step: int):
+    """(matrix, LU, step) of the block-diagonal operator over the modes
+    0, step, ..., (count - 1) * step.
 
-    The grid holds at most one pair per kind and alpha, under the key
-    (kind, alpha).  The held pair serves any request its prefix covers:
-    the solve then spans the held prefix (_solve_prefix).  A longer
-    request factors its own prefix and replaces the held pair.  The
-    matrix is kept for residual checks.
+    The grid holds at most one factor per kind and alpha, under the key
+    (kind, alpha).  The held factor serves any request of its step that
+    its prefix covers: the solve then spans the held prefix
+    (_solve_prefix).  A longer
+    request, or one of another step, factors its own prefix and replaces
+    the held factor.  The matrix is kept for residual checks.
     """
     size = _block_size(grid, kind)
     with grid.cache_lock:
         factor = grid.solver_cache.get((kind, alpha))
-        if factor is not None and factor[1].shape[0] >= count * size:
+        if factor is not None and factor[2] == step \
+                and factor[1].shape[0] >= count * size:
             return factor
         # dropped before the new factor is built, and no name keeps it
         # here, so the two are never held at once
         factor = None
         _drop(grid, kind, alpha)
+    modes = range(0, count * step, step)
     if kind == "poisson":
-        stencil = _poisson_stencil(grid, range(count))
+        stencil = _poisson_stencil(grid, modes)
     else:
-        stencil = _stream_stencil(grid, range(count), alpha)
+        stencil = _stream_stencil(grid, modes, alpha)
     mat = _block_matrix(*stencil, size)
     try:
         lu = spla.splu(mat)
     except RuntimeError as exc:
         raise EllipticSolveError("singular %s operator over modes 0..%d: %s"
-                                 % (kind, count - 1, exc))
+                                 % (kind, modes[-1], exc))
     # the CSR copy is made once SuperLU's workspace is freed, not beside it
-    factor = mat.tocsr(), lu
+    factor = mat.tocsr(), lu, step
     _trim_heap()
     with grid.cache_lock:
         grid.solver_cache[(kind, alpha)] = factor
@@ -241,31 +254,42 @@ def _closed_form(n_theta: int) -> bool:
 
 
 def _spectrum(f: ScalarField) -> np.ndarray:
-    """The angular rfft of f.values or, for a column-held f, its mode 0
-    alone as one complex column: n_theta * c + 0j, the rfft's bits, where
-    _closed_form holds, else the rfft's column 0.  Dropping the m >= 1
-    roundoff of a held f keeps radial data radial."""
+    """The angular rfft of the array f keeps: of its sector, whose
+    columns are the grid's modes 0, m, 2m, ... (_mode_step), or of its
+    full array.  For a column-held f, its mode 0 alone as one complex column:
+    n_theta * c + 0j, the rfft's bits, where _closed_form holds, else the
+    rfft's column 0.  Dropping the m >= 1 roundoff of a held f keeps
+    radial data radial."""
     n = f.grid.spec.n_theta
-    col = _column(f)
-    if col is None:
-        return np.fft.rfft(f.values, axis=1)
+    kept = _sector(f)
+    if kept.shape[1] != 1:
+        return np.fft.rfft(kept, axis=1)
     if not _closed_form(n):
         return np.fft.rfft(f.values, axis=1)[:, :1].copy()
-    coeff = np.zeros(col.shape, dtype=complex)
-    np.multiply(col, n, out=coeff.real)
+    coeff = np.zeros(kept.shape, dtype=complex)
+    np.multiply(kept, n, out=coeff.real)
     return coeff
 
 
+def _mode_step(grid: ExteriorGrid, coeff: np.ndarray) -> int:
+    """The mode step m of a spectrum from _spectrum: column j holds mode
+    j * m.  The rfft of a full array or of a sector of even width ends at
+    the grid's Nyquist mode n_theta // 2; a one-column spectrum, mode 0
+    alone, is given the step n_theta // 2."""
+    return (grid.spec.n_theta // 2) // max(coeff.shape[1] - 1, 1)
+
+
 def _active_modes(coeff: np.ndarray) -> int:
-    """How many angular modes, a prefix 0..k-1, to solve for a spectrum
-    coeff from _spectrum.
+    """How many columns of a spectrum coeff from _spectrum, a prefix
+    0..k-1, to solve.
 
     One column: 1 when its interior coefficients carry data, else 0.  A
-    full spectrum: M + 1, M the largest mode whose largest interior
-    coefficient exceeds _MODE_TOL times the largest mode's, rounded up to a
-    multiple of 8 so that a run asks for few prefixes, and capped at
-    n_theta // 2.  Non-finite data keep every mode, so that the solve
-    fails as it did before any cut.
+    spectrum of a full array or a sector: M + 1, M the last column whose
+    largest interior coefficient exceeds _MODE_TOL times the largest
+    column's, rounded up to a multiple of 8 so that a run asks for few
+    prefixes, and capped at the last column (n_theta // 2 at full size).
+    Non-finite data keep every column, so that the solve fails as it did
+    before any cut.
     """
     if coeff.shape[1] == 1:
         return 1 if coeff[1:-1].any() else 0
@@ -296,7 +320,8 @@ def _solve_prefix(grid: ExteriorGrid, kind: str, alpha, coeff: np.ndarray,
     count = _active_modes(coeff)
     if not count:
         return 0, None, 0.0, 0.0
-    mat, lu = _block_factor(grid, kind, alpha, count)
+    mat, lu, _ = _block_factor(grid, kind, alpha, count,
+                               _mode_step(grid, coeff))
     size = _block_size(grid, kind)
     held = lu.shape[0] // size
     k = min(held, coeff.shape[1])
@@ -344,17 +369,17 @@ def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, k: int,
     if one_column and _closed_form(n):
         phi = coeff.real + 0.0
         phi *= 1.0 / n
-    else:
+    elif one_column:
         # irfft pads a one-column spectrum with zeros to n // 2 + 1 modes
-        phi = np.fft.irfft(coeff, n=n, axis=1)
-        if one_column:
-            phi = phi[:, :1].copy()
+        phi = np.fft.irfft(coeff, n=n, axis=1)[:, :1].copy()
+    else:
+        phi = np.fft.irfft(coeff, n=n // _mode_step(grid, coeff), axis=1)
     return _scalar(grid, phi)
 
 
 def total_mass(w: ScalarField) -> float:
     """Quadrature integral of w over the annulus."""
-    return float(np.sum(w.grid.weights * w.values))
+    return weighted_total(w.grid.weights, lambda a: a, w)
 
 
 def solve_poisson(w: ScalarField, mass_tol: float = 1e-6) -> ScalarField:

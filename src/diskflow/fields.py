@@ -25,32 +25,43 @@ Every IEEE operation and its operand order are kept (only a*b -> b*a and
 a+b -> b+a are swapped), so the values are those of the plain
 expressions bit for bit.
 
-An array whose rows are finite and each hold one bit pattern (a
-theta-constant array) is held as its (n_r, 1) column, and that column is
-the only record of theta-constancy.  A field keeps one array per
-component, its column or its full array, decided once when the field is
-built: a caller's array and a full-size operator result are scanned then
-with _bit_column.  The public values, u_r and u_theta are read-only and
-of full shape: the full array, or an np.broadcast_to view of the column
-built when the attribute is read.  An operator whose input arrays are all
-columns runs its kernels on the columns (_inv_r is (n_r, 1) too), so its
-results are columns and every node gets the bits it would get at full
-size.  Otherwise it runs on full-size arrays.  Below _operands an
-input is theta-constant exactly when it is (n_r, 1), so every full-size
-array goes through the transforms, which give zeros (up to the sign of a
-zero) on rows of one bit pattern when n_theta is 2^a 3^b and the row's
-mode-0 sum is finite, and roundoff otherwise.  A row that mixes 0.0 and
--0.0 is not held.  Whole-array sums are taken over a contiguous full-size
-array, because numpy sums a broadcast view in another order.
-_weighted_sum and weighted_total form a product of columns on the
-columns, with column 0 of the weights, and spread it into one contiguous
-array for the sum; that array has the bits of the full-size product
+An array is held narrower than the grid when its rows repeat.  Each
+field keeps one (n_r, w) array per component, decided once when the field
+is built: w = 1, its column, when every row is finite and holds one bit
+pattern (a theta-constant array); w = n_theta / m, a sector, when every
+row repeats bit for bit after its first w nodes, w even (so that the
+sector's rfft ends at the grid's Nyquist mode); else w = n_theta, the
+full array.  The column is the width-1 sector, and the shape is the only
+record of either.  A caller's array (the constructors, read_snapshot) is
+scanned for the column (_bit_column) and then for the least such w
+(_bit_period); an operator result keeps the width of the operator's
+inputs and is scanned for the column alone.  The public values, u_r and
+u_theta are read-only and of full shape, built when the attribute is
+read: the full array, an np.broadcast_to view of the column, or a tiling
+of the sector.  An operator runs its kernels at one width (_operands):
+the kept arrays, the columns among them broadcast to the others' width,
+when no two non-column arrays differ in width, else the full-size
+arrays.  So an operator on columns alone makes columns (_inv_r is
+(n_r, 1) too), and every node gets the bits it would get at full size.
+The angular kernels of a sector take the wavenumbers m k, since the
+sector's rfft holds the grid's modes 0, m, 2m, ...; a rotation by
+2 pi / m is an exact shift of nodes, so the dynamics keep the sector.
+Below _operands an input is theta-constant exactly when it is (n_r, 1),
+so every wider array goes through the transforms, which give zeros (up
+to the sign of a zero) on rows of one bit pattern when n_theta is
+2^a 3^b and the row's mode-0 sum is finite, and roundoff otherwise.  A
+row that mixes 0.0 and -0.0 is not held as a column.
+Whole-array sums are taken over a contiguous full-size array, because
+numpy sums a broadcast view in another order.  _weighted_sum and
+weighted_total form a narrower product at its width,
+with the first columns of the weights, and spread it into one contiguous
+full array for the sum; that array has the bits of the full-size product
 because every weights array the package passes (grid.weights, its
 interior rows grid.weights[1:-1] and tail_weights) holds one bit pattern
 per row.  Other modules combine, sum and bound field values only through
 lincomb, times_profile, weighted_total and transit_time, and the elliptic
-solves take a right-hand side's column through _column, so only this
-module reads columns.
+solves take a right-hand side's kept array through _sector, so only this
+module reads columns and sectors.
 """
 
 from __future__ import annotations
@@ -97,31 +108,80 @@ def _bit_column(a: np.ndarray) -> np.ndarray | None:
     return col
 
 
+def _periodic(a: np.ndarray, p: int) -> bool:
+    """True when every row of a repeats its first p bit patterns.
+
+    Column p is compared with column 0 first, by float ==, which no
+    bit-periodic row fails, so an array without the period is usually
+    rejected without a whole-array scan, as in _bit_column."""
+    if not (a[:, p] == a[:, 0]).all():
+        return False
+    bits = a.view(np.int64)
+    return bool((bits[:, p:] == bits[:, :-p]).all())
+
+
+def _bit_period(a: np.ndarray) -> int | None:
+    """The least even width p < n_theta that divides n_theta and at which
+    every row of the full array a is bit-periodic, else None.
+
+    The periods of a that divide n_theta are the multiples of the least
+    one, so dividing n_theta by each of its prime factors while the
+    quotient stays an even period reaches the least even one."""
+    n = a.shape[1]
+    p, q = n, 2
+    while q <= p:
+        while p % q == 0 and (p // q) % 2 == 0 and _periodic(a, p // q):
+            p //= q
+        q += 1
+    return p if p < n else None
+
+
 def _kept(a: np.ndarray) -> np.ndarray:
-    """What a field keeps for its read-only array a: a's column when a is
-    one already or _bit_column finds one, else a."""
+    """What a field keeps for its read-only full array a: a's column when
+    _bit_column finds one, else its first p columns when _bit_period finds
+    a period p, else a."""
+    col = _bit_column(a)
+    if col is not None:
+        return col
+    p = _bit_period(a)
+    if p is None:
+        return a
+    sector = a[:, :p].copy()
+    sector.flags.writeable = False
+    return sector
+
+
+def _result(a: np.ndarray) -> np.ndarray:
+    """What a field keeps for the fresh result a, of the width of the
+    operator's inputs: a itself, which no one else holds and which is
+    marked read-only without a copy, or its column when _bit_column finds
+    one; NonFiniteFieldError unless a is finite."""
+    a.flags.writeable = False
+    if not np.isfinite(a).all():
+        raise NonFiniteFieldError("field contains NaN or Inf")
     if a.shape[1] == 1:
         return a
     col = _bit_column(a)
     return a if col is None else col
 
 
-def _result(a: np.ndarray) -> np.ndarray:
-    """What a field keeps for the fresh result a, a full array or a column,
-    which no one else holds and which is marked read-only without a copy;
-    NonFiniteFieldError unless a is finite."""
-    a.flags.writeable = False
-    if not np.isfinite(a).all():
-        raise NonFiniteFieldError("field contains NaN or Inf")
-    return _kept(a)
+def _step(grid: ExteriorGrid, a: np.ndarray) -> int:
+    """The angular step m of the kept array a: the grid holds m copies of
+    it side by side (m is n_theta for a column, 1 for a full array)."""
+    return grid.spec.n_theta // a.shape[1]
 
 
 def _full(grid: ExteriorGrid, a: np.ndarray) -> np.ndarray:
-    """The kept array a at full size: a itself, or a read-only view of the
-    column a."""
-    if a.shape[1] != 1:
+    """The kept array a at full size: a itself, a read-only view of the
+    column a, or a read-only tiling of the sector a."""
+    m = _step(grid, a)
+    if m == 1:
         return a
-    return np.broadcast_to(a, (grid.spec.n_r, grid.spec.n_theta))
+    if a.shape[1] == 1:
+        return np.broadcast_to(a, (grid.spec.n_r, grid.spec.n_theta))
+    full = np.tile(a, (1, m))
+    full.flags.writeable = False
+    return full
 
 
 def _public(i: int) -> property:
@@ -129,33 +189,37 @@ def _public(i: int) -> property:
     return property(lambda f: _full(f.grid, f._arrs[i]))
 
 
-def _column(f, i: int = 0) -> np.ndarray | None:
-    """The (n_r, 1) column that component i of f is kept as, or None when
-    f keeps it at full size."""
-    a = f._arrs[i]
-    return a if a.shape[1] == 1 else None
+def _sector(f) -> np.ndarray:
+    """The array the scalar field f is kept as: its (n_r, 1) column, an
+    (n_r, w) sector of even width w, or its full array."""
+    return f._arrs[0]
 
 
 def _operands(*fs) -> list:
     """The arrays an operator takes for the components of the fields fs, in
-    order: the kept columns when every component is a column, else the
-    full-size arrays."""
+    order, at one width: the kept arrays, with the columns among them
+    broadcast to the width of the others, when no two of the others differ
+    in width, else the full-size arrays."""
     arrs = [a for f in fs for a in f._arrs]
-    if all(a.shape[1] == 1 for a in arrs):
+    widths = {a.shape[1] for a in arrs} - {1}
+    if len(widths) > 1:
+        return [_full(f.grid, a) for f in fs for a in f._arrs]
+    if not widths:
         return arrs
-    return [_full(f.grid, a) for f in fs for a in f._arrs]
+    shape = (fs[0].grid.spec.n_r, widths.pop())
+    return [np.broadcast_to(a, shape) if a.shape[1] == 1 else a
+            for a in arrs]
 
 
 def _scalar(grid: ExteriorGrid, values: np.ndarray):
-    """ScalarField of the fresh result values, a full array or a column."""
+    """ScalarField of the fresh result values, of any kept width."""
     f = object.__new__(ScalarField)
     f._set(grid, (_result(values),))
     return f
 
 
 def _vector(grid: ExteriorGrid, u_r: np.ndarray, u_theta: np.ndarray):
-    """Untagged VectorField of fresh results, each a full array or a
-    column."""
+    """Untagged VectorField of fresh results, each of any kept width."""
     u = object.__new__(VectorField)
     u._set(grid, (_result(u_r), _result(u_theta)), None)
     return u
@@ -210,7 +274,8 @@ class VectorField:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_arrs", arrs)
-        # row 0 of a column has the largest |value| of row 0 at full size
+        # row 0 of a column or sector has the largest |value| of row 0 at
+        # full size
         if tag == "no-slip":
             worst = max(np.abs(a[0]).max() for a in arrs)
             if self._off_ring(worst):
@@ -235,7 +300,8 @@ class VectorField:
 
 
 # ---------------------------------------------------------------------------
-# derivative kernels on raw (n_r, n_theta) arrays or (n_r, 1) columns
+# derivative kernels on raw (n_r, n_theta) arrays, sectors or (n_r, 1)
+# columns
 
 def _ds(a: np.ndarray, h: float) -> np.ndarray:
     out = np.empty_like(a)
@@ -260,26 +326,28 @@ def _dss(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _dtheta(a: np.ndarray) -> np.ndarray | None:
-    """d/dtheta of a, or None for an (n_r, 1) column: that derivative is
-    +0.0 at every node, which callers apply without an array."""
+def _dtheta(a: np.ndarray, step: int = 1) -> np.ndarray | None:
+    """d/dtheta of a kept array a whose angular step (_step) is step, or
+    None for an (n_r, 1) column: that derivative is +0.0 at every node,
+    which callers apply without an array.  The rfft of a sector of step m
+    holds the modes 0, m, 2m, ... of the full array."""
     if a.shape[1] == 1:
         return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
-    k = np.arange(n // 2 + 1)
+    k = step * np.arange(n // 2 + 1)
     coeff *= 1j * k
     coeff[:, -1] = 0.0  # Nyquist mode has no well-defined odd derivative
     return np.fft.irfft(coeff, n=n, axis=1)
 
 
-def _dtheta2(a: np.ndarray) -> np.ndarray | None:
+def _dtheta2(a: np.ndarray, step: int = 1) -> np.ndarray | None:
     """d^2/dtheta^2 of a, or None for a column, as _dtheta."""
     if a.shape[1] == 1:
         return None
     n = a.shape[1]
     coeff = np.fft.rfft(a, axis=1)
-    k = np.arange(n // 2 + 1)
+    k = step * np.arange(n // 2 + 1)
     coeff *= -(k.astype(np.float64) ** 2)
     return np.fft.irfft(coeff, n=n, axis=1)
 
@@ -302,7 +370,7 @@ def perp_grad(psi: ScalarField) -> VectorField:
     """u = (-(1/r) dtheta psi, dr psi), the rotated gradient."""
     g = psi.grid
     (a,) = _operands(psi)
-    u_r = _dtheta(a)
+    u_r = _dtheta(a, _step(g, a))
     if u_r is None:         # (+0.0) * (-1/r)
         u_r = np.full((g.spec.n_r, 1), -0.0)
     else:
@@ -319,7 +387,7 @@ def curl_perp(u: VectorField) -> ScalarField:
     # (1/r) d_r(r u_theta) = e^{-2s} d_s(e^s u_theta)
     w = _ds(g.r_nodes[:, None] * u_theta, g.ds)
     w *= inv_r
-    d = _dtheta(u_r)
+    d = _dtheta(u_r, _step(g, u_r))
     if d is not None:       # w - (+0.0) is w
         w -= d
     w *= inv_r
@@ -328,7 +396,7 @@ def curl_perp(u: VectorField) -> ScalarField:
 
 def _laplacian(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
     vals = _dss(a, grid.ds)
-    d = _dtheta2(a)
+    d = _dtheta2(a, _step(grid, a))
     if d is None:
         vals += 0.0
     else:
@@ -343,7 +411,7 @@ def laplacian(f: ScalarField) -> ScalarField:
     return _scalar(f.grid, _laplacian(a, f.grid))
 
 
-def _angular_advection(u_theta: np.ndarray, inv_r: np.ndarray,
+def _angular_advection(grid: ExteriorGrid, u_theta: np.ndarray,
                        a: np.ndarray) -> np.ndarray:
     """(u_theta * inv_r) * dtheta a.
 
@@ -351,10 +419,10 @@ def _angular_advection(u_theta: np.ndarray, inv_r: np.ndarray,
     u_theta * inv_r is finite with the sign of u_theta, as its product with
     +0.0 is.
     """
-    d = _dtheta(a)
+    d = _dtheta(a, _step(grid, a))
     if d is None:
         return u_theta * 0.0
-    ang = u_theta * inv_r
+    ang = u_theta * _inv_r(grid)
     ang *= d
     return ang
 
@@ -367,34 +435,30 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     a, u_r, u_theta = _operands(q, u)
     vals = _dr(a, g)
     vals *= u_r
-    vals += _angular_advection(u_theta, _inv_r(g), a)
+    vals += _angular_advection(g, u_theta, a)
     return _scalar(g, vals)
 
 
-def _spread_sum(col: np.ndarray, shape: tuple) -> float:
+def _spread_sum(part: np.ndarray, shape: tuple) -> float:
     """float(np.sum(a)) for the contiguous array a of shape whose rows each
-    repeat the row of col; the sum of a broadcast view would add in
-    another order."""
+    repeat the row of part, a column or a sector; the sum of a broadcast
+    view would add in another order."""
     full = np.empty(shape)
-    full[...] = col
+    full.reshape(shape[0], -1, part.shape[1])[...] = part[:, None, :]
     return float(np.sum(full))
 
 
 def _weighted_sum(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """float(np.sum(w * a * b)) with one temporary.
-
-    When a and b are both columns the product w[:, :1] * a * b is formed on
-    the columns and spread for the sum.  That has the bits of the
-    full-size sum only if every row of w holds one bit pattern, as in every
-    weights array the package passes; a column with a full array is
-    multiplied at full size."""
-    if a.shape[1] == 1 and b.shape[1] == 1:
-        t = w[:, :1] * a
-        t *= b
-        return _spread_sum(t, w.shape)
-    t = w * a
+    """float(np.sum(w * a * b)) with one temporary, formed at the wider of
+    the widths of a and b with the first columns of w.  A product narrower
+    than w, of columns or sectors, is spread for the sum.  That has the
+    bits of the full-size sum only if every row of w holds one bit
+    pattern, as in every weights array the package passes."""
+    t = w[:, :max(a.shape[1], b.shape[1])] * a
     t *= b
-    return float(np.sum(t))
+    if t.shape[1] == w.shape[1]:
+        return float(np.sum(t))
+    return _spread_sum(t, w.shape)
 
 
 def norm_l2(f) -> float:
@@ -446,7 +510,7 @@ def seminorms_hk(f, k_max: int) -> tuple:
             d = _dr(c, g)
             if c.shape[1] != 1:
                 nxt.append(d)
-                d = _dtheta(c)
+                d = _dtheta(c, _step(g, c))
                 d *= inv_r
                 nxt.append(d)
             elif np.isfinite(d).all():
@@ -481,7 +545,7 @@ def grad_norm_l2(u: VectorField) -> float:
 
 def _grad_tensor(u: VectorField) -> tuple:
     """Physical polar components (rr, rtheta, thetar, thetatheta) of grad u,
-    as columns when u is column-held.
+    at the width _operands gives u's components.
 
     First index is the direction of differentiation.
     """
@@ -490,14 +554,14 @@ def _grad_tensor(u: VectorField) -> tuple:
     u_r, u_theta = _operands(u)
     t_rr = _dr(u_r, g)
     t_rt = _dr(u_theta, g)
-    t_tr = _dtheta(u_r)
+    t_tr = _dtheta(u_r, _step(g, u_r))
     if t_tr is None:        # (+0.0) - inv_r u_theta
         t_tr = inv_r * u_theta
         np.subtract(0.0, t_tr, out=t_tr)
     else:
         t_tr *= inv_r
         t_tr -= inv_r * u_theta
-    t_tt = _dtheta(u_theta)
+    t_tt = _dtheta(u_theta, _step(g, u_theta))
     if t_tt is None:        # (+0.0) + inv_r u_r
         t_tt = inv_r * u_r
         t_tt += 0.0
@@ -520,13 +584,13 @@ def vector_laplacian(u: VectorField) -> VectorField:
     u_r, u_theta = _operands(u)
     lap_r = _laplacian(u_r, g)
     lap_r -= inv_r2 * u_r
-    d = _dtheta(u_theta)
+    d = _dtheta(u_theta, _step(g, u_theta))
     if d is not None:       # lap_r - 2/r^2 (+0.0) is lap_r
         d *= 2.0 * inv_r2
         lap_r -= d
     lap_t = _laplacian(u_theta, g)
     lap_t -= inv_r2 * u_theta
-    d = _dtheta(u_r)
+    d = _dtheta(u_r, _step(g, u_r))
     if d is None:
         lap_t += 0.0
     else:
@@ -544,13 +608,13 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
     a_r, a_t, u_r, u_t = _operands(a, u)
     conv_r = _dr(a_r, g)
     conv_r *= u_r
-    conv_r += _angular_advection(u_t, inv_r, a_r)
+    conv_r += _angular_advection(g, u_t, a_r)
     curv = u_t * a_t
     curv *= inv_r
     conv_r -= curv
     conv_t = _dr(a_t, g)
     conv_t *= u_r
-    conv_t += _angular_advection(u_t, inv_r, a_t)
+    conv_t += _angular_advection(g, u_t, a_t)
     curv = u_t * a_r
     curv *= inv_r
     conv_t += curv
@@ -561,17 +625,21 @@ def grad_transpose_apply(u: VectorField, a: VectorField) -> VectorField:
     """(grad u)^T a in physical polar components."""
     if u.grid is not a.grid:
         raise ValueError("grad_transpose_apply requires fields on the same grid")
-    t_rr, t_rt, t_tr, t_tt = _grad_tensor(u)
-    # a's columns only beside u's: a column tensor meets a full a at full size
+    tensor = _grad_tensor(u)
+    # a's columns only beside u's: a column tensor meets a wider a by
+    # broadcasting, a sector tensor meets a wider a at full size
     a_r, a_t = _operands(u, a)[2:]
+    if tensor[0].shape[1] not in (1, a_r.shape[1]):
+        tensor = [_full(u.grid, t) for t in tensor]
+    t_rr, t_rt, t_tr, t_tt = tensor
     out_r = t_rr * a_r + t_rt * a_t
     out_t = t_tr * a_r + t_tt * a_t
     return _vector(u.grid, out_r, out_t)
 
 
 # ---------------------------------------------------------------------------
-# pointwise combinations, sums and bounds of field values, on columns when
-# every field in them is column-held
+# pointwise combinations, sums and bounds of field values, on the arrays
+# _operands gives
 
 def lincomb(terms, scale: float | None = None,
             base: ScalarField | None = None) -> ScalarField:
@@ -579,7 +647,8 @@ def lincomb(terms, scale: float | None = None,
     ...) of scalar fields, formed in place in that order: f1 * c1, then
     each further f * c added, then the scale, then base.  A coefficient of
     1.0 keeps the bits of its field.  The result is held as a column when
-    every field is held.
+    every field is, and as a sector when the fields are held at one
+    sector width or as columns.
     """
     fs = [f for _, f in terms] + ([] if base is None else [base])
     ops = _operands(*fs)
@@ -603,17 +672,18 @@ def weighted_total(weights: np.ndarray, expr, *fs) -> float:
     """float(np.sum(weights * expr(*arrays))) for the component arrays of
     the fields fs, in order.
 
-    expr must work node by node (row slices included): it gets the columns
-    when every field is column-held, else the full arrays.  A column it
-    returns is multiplied by column 0 of weights and spread into a
-    contiguous full-size array for the sum.  That has the bits of the
-    full-size sum only if every row of weights holds one bit pattern, as
-    in grid.weights, grid.weights[1:-1] and tail_weights.
+    expr must work node by node (row slices included): it gets the arrays
+    of one width that _operands gives, columns, sectors or full arrays.  A
+    narrower array it returns is multiplied by the first columns of
+    weights and spread into a contiguous full-size array for the sum.
+    That has the bits of the full-size sum only if every row of weights
+    holds one bit pattern, as in grid.weights, grid.weights[1:-1] and
+    tail_weights.
     """
     t = expr(*_operands(*fs))
-    if t.shape[1] == 1:
-        return _spread_sum(weights[:, :1] * t, weights.shape)
-    return float(np.sum(weights * t))
+    if t.shape[1] == weights.shape[1]:
+        return float(np.sum(weights * t))
+    return _spread_sum(weights[:, :t.shape[1]] * t, weights.shape)
 
 
 def transit_time(u: VectorField) -> float:

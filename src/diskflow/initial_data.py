@@ -14,6 +14,7 @@ and |D^k u0^a| ~ a^{1/2-k} saturate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,13 @@ def canonical_psi(case: InitialCase, grid) -> ScalarField:
             if case.mode > grid.spec.n_theta // 2:
                 raise ConfigError("mode %d aliases on n_theta %d" % (
                     case.mode, grid.spec.n_theta), key="case.mode")
-            vals = vals * (1.0 + case.eps
-                           * np.cos(case.mode * grid.theta_nodes)[None, :])
+            # cos over one period of nodes, tiled, so that the data repeat
+            # bit for bit with that period and are held as one sector
+            n = grid.spec.n_theta
+            period = n // math.gcd(case.mode, n)
+            ang = np.tile(np.cos(case.mode * grid.theta_nodes[:period]),
+                          n // period)
+            vals = vals * (1.0 + case.eps * ang[None, :])
         psi = ScalarField(grid, vals)
     trace = ring_trace(psi)
     if trace > TRACE_TOL:

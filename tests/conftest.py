@@ -14,11 +14,18 @@ def one_bit_pattern_column(a):
     return None
 
 
+def kept_column(f, i=0):
+    """The (n_r, 1) column that component i of f is kept as, or None when
+    f keeps it as a sector or at full size."""
+    a = f._arrs[i]
+    return a if a.shape[1] == 1 else None
+
+
 def held_prefixes(grid):
     """Each factor the grid holds, by key, and the length of the mode
     prefix it covers, read from the size of its LU."""
     return {key: lu.shape[0] // elliptic._block_size(grid, key[0])
-            for key, (_, lu) in grid.solver_cache.items()}
+            for key, (_, lu, _) in grid.solver_cache.items()}
 
 
 def public_arrays(f):
@@ -30,8 +37,9 @@ def public_arrays(f):
 
 @pytest.fixture
 def full_array_path(monkeypatch):
-    """A switch to the full-array path: fields._bit_column finds no array
-    held, so every operator runs on full-size arrays.  The exact angular
+    """A switch to the full-array path: fields._bit_column and
+    fields._bit_period find no array held, so every field keeps its full
+    array and every operator runs on full-size arrays.  The exact angular
     zeros of rows that hold one bit pattern come from the scan above: the
     angular kernels return them as zero arrays.  With held_solves, the
     elliptic solves also take such a right-hand side's column from that
@@ -39,13 +47,16 @@ def full_array_path(monkeypatch):
     without, they transform it."""
     def switch(held_solves=True):
         monkeypatch.setattr(fields, "_bit_column", lambda a: None)
+        monkeypatch.setattr(fields, "_bit_period", lambda a: None)
         for name in ("_dtheta", "_dtheta2"):
-            def kernel(a, real=getattr(fields, name)):
+            def kernel(a, step=1, real=getattr(fields, name)):
                 if a.shape[1] != 1 and one_bit_pattern_column(a) is not None:
                     return np.zeros_like(a)
-                return real(a)
+                return real(a, step)
             monkeypatch.setattr(fields, name, kernel)
         if held_solves:
-            monkeypatch.setattr(elliptic, "_column",
-                                lambda f: one_bit_pattern_column(f.values))
+            def sector(f):
+                col = one_bit_pattern_column(f.values)
+                return f.values if col is None else col
+            monkeypatch.setattr(elliptic, "_sector", sector)
     return switch

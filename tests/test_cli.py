@@ -1,5 +1,6 @@
 """Config schema, exit codes, and file emission of the command line."""
 
+import csv
 import json
 import math
 import os
@@ -13,8 +14,8 @@ import pytest
 
 import diskflow
 import diskflow.verify as vf
-from diskflow.cli import (RunConfig, SweepSettings, _sweep_config,
-                          config_document, main, parse_config,
+from diskflow.cli import (RunConfig, SweepSettings, VerifyConfig,
+                          _sweep_config, config_document, main, parse_config,
                           serialize_config)
 from diskflow.errors import ConfigError, EllipticSolveError
 from diskflow.fields import (ScalarField, VectorField, read_snapshot,
@@ -625,6 +626,50 @@ def test_sweep_scaling_law_in_the_document_is_a_config_error(
     assert "config error (sweep.%s)" % law in capsys.readouterr().err
 
 
+def test_sector_sweep_matches_the_full_array_path(monkeypatch, tmp_path,
+                                                 full_array_path):
+    # mode-2 data held as half the grid against the same tiled data held
+    # at full size: every sweep.csv column agrees to roundoff, and the
+    # energy drift, already relative to E(0), to 1e-12 of E(0)
+    import diskflow.fields as fields
+    doc = {"model": "euler_alpha", "alpha": 0.4,
+           "grid": {"n_r": 129, "n_theta": 32, "r_max": 8.0},
+           "t_final": 0.1,
+           "case": {"name": "perturbed_vortex", "r0": 2.0, "sigma": 0.4,
+                    "mode": 2, "eps": 0.1},
+           "sweep": {"alphas": [0.4, 0.2]}}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    widths = set()
+    real_result = fields._result
+
+    def result(a):
+        widths.add(a.shape[1])
+        return real_result(a)
+    monkeypatch.setattr(fields, "_result", result)
+
+    def rows(side):
+        out = tmp_path / side
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out),
+                     "--threads", "1"]) == 0
+        with open(out / "sweep.csv") as fh:
+            return list(csv.DictReader(fh))
+    got = rows("sector")
+    assert 16 in widths and 32 not in widths
+    widths.clear()
+    full_array_path()
+    want = rows("full")
+    assert 16 not in widths and 32 in widths
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert a["status"] == b["status"] == "ok"
+        for key in a.keys() - {"status", "runtime_s"}:
+            x, y = float(a[key]), float(b[key])
+            if key == "energy_drift":
+                assert abs(x - y) <= 1e-12, key
+            else:
+                assert abs(x - y) <= 1e-12 * abs(y), key
+
+
 def test_verify_corrector_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, MINIMAL)
     out = tmp_path / "v"
@@ -633,6 +678,39 @@ def test_verify_corrector_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
     report = json.loads((out / "verify_corrector.json").read_text())
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("command", ["verify-elliptic", "verify-corrector",
+                                     "verify-initial-data"])
+def test_verify_commands_parse_output_dir_alone(command):
+    # no run keys are required, and a sweep section that does not fit the
+    # grid is not read
+    assert parse_config('{"output_dir": "v"}', command) \
+        == VerifyConfig(output_dir="v")
+    assert parse_config("{}", command) == VerifyConfig()
+    doc = {"model": "euler_alpha", "alpha": 0.4, "t_final": 0.1,
+           "grid": {"n_r": 16, "n_theta": 8}, "sweep": {"alphas": [0.01]},
+           "output_dir": "w"}
+    assert parse_config(json.dumps(doc), command) == VerifyConfig("w")
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"output_dir": 3}', command)
+    assert exc.value.key == "output_dir"
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[]", command)
+    assert exc.value.key == "document"
+    # the other subcommands still need the run keys
+    with pytest.raises(ConfigError) as exc:
+        parse_config('{"output_dir": "v"}', "simulate")
+    assert exc.value.key == "model"
+
+
+def test_verify_corrector_runs_on_a_document_of_output_dir_alone(tmp_path,
+                                                                 capsys):
+    out = tmp_path / "v"
+    cfg = write_config(tmp_path, json.dumps({"output_dir": str(out)}))
+    assert main(["verify-corrector", "--config", cfg]) == 0
+    assert "verify-corrector: PASS" in capsys.readouterr().out
+    assert json.loads((out / "verify_corrector.json").read_text())["passed"]
 
 
 AUDIT_DOC = """

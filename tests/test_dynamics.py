@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from conftest import held_prefixes
+from conftest import held_prefixes, kept_column
 from diskflow.grid import GridSpec, build_grid
 from diskflow.fields import (ScalarField, VectorField, advect, laplacian,
                              norm_l2, perp_grad, seminorm_hk, write_snapshot)
@@ -922,7 +922,7 @@ def test_radial_step_scans_no_array_for_theta_constancy(monkeypatch, kind):
                         lambda a: scans.append(a.shape) or real(a))
     nxt = step(state, 1e-3)
     assert scans == []
-    held = [fields._column(f, i) is not None
+    held = [kept_column(f, i) is not None
             for f in (nxt.q, nxt.w, nxt.phi, nxt.u)
             for i in range(len(f._arrs))]
     assert scans == [] and held == [True] * 5
@@ -1035,6 +1035,7 @@ def test_radial_step_makes_no_full_size_array(monkeypatch, kind):
     assert lines() == []
     # the same probe finds the full-size arrays of the full-array path
     monkeypatch.setattr(fields, "_bit_column", lambda a: None)
+    monkeypatch.setattr(fields, "_bit_period", lambda a: None)
     assert len(lines()) > 10
 
 
@@ -1046,9 +1047,10 @@ def test_radial_run_matches_the_fft_path(monkeypatch, tmp_path, kind):
     config = RunConfig(snapshot_dt=0.05)
     got = run(params, u0, 0.2, config)
     # every column that no operator makes comes from a _bit_column scan,
-    # so with the scan holding nothing, fields built from fresh inputs take
-    # the transform path throughout
+    # so with that scan and the sector scan holding nothing, fields built
+    # from fresh inputs take the full-size transform path throughout
     monkeypatch.setattr(fields, "_bit_column", lambda a: None)
+    monkeypatch.setattr(fields, "_bit_period", lambda a: None)
     transforms = []
     real_rfft = np.fft.rfft
 
@@ -1077,3 +1079,21 @@ def test_radial_run_matches_the_fft_path(monkeypatch, tmp_path, kind):
     for key in got.diagnostics:
         assert got.diagnostics[key].tobytes() \
             == want.diagnostics[key].tobytes(), key
+
+
+@pytest.mark.parametrize("kind", ["euler_alpha", "second_grade"])
+def test_a_mode_2_run_stays_on_its_sector(kind):
+    # every field of 20 steps of mode-2 data is held as the half of the
+    # grid it repeats, and the stream factor solves the even modes only
+    g = build_grid(GridSpec(n_r=65, n_theta=128, r_max=8.0))
+    psi = canonical_psi(InitialCase("perturbed_vortex", mode=2), g)
+    nu = 1e-3 if kind == "second_grade" else 0.0
+    params = ModelParams(kind, alpha=0.2, nu=nu)
+    state = initial_state(params, make_initial(psi, params.alpha))
+    for _ in range(20):
+        state = step(state, cfl_dt(state, 0.5))
+    for f in (state.q, state.w, state.phi, state.u):
+        assert all(a.shape == (65, 64) for a in f._arrs)
+    assert state.q.values.shape == (65, 128)
+    (_, _, step_held), = g.solver_cache.values()
+    assert step_held == 2

@@ -9,7 +9,8 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import held_prefixes, one_bit_pattern_column, public_arrays
+from conftest import (held_prefixes, kept_column, one_bit_pattern_column,
+                      public_arrays)
 from diskflow import elliptic, fields
 from diskflow.errors import CirculationError, ConfigError, EllipticSolveError
 from diskflow.grid import GridSpec, build_grid
@@ -282,7 +283,7 @@ def _random_interior(g, seed):
 
 def _staged_solve(factor, rhs):
     """A solve from a complex right-hand side stacked into two real columns."""
-    mat, lu = factor
+    mat, lu, _ = factor
     parts = np.stack([rhs.real.ravel(), rhs.imag.ravel()])
     out = lu.solve(parts.T).T
     return (out[0] + 1j * out[1]).reshape(rhs.shape)
@@ -300,12 +301,12 @@ def test_real_right_hand_sides_solve_as_the_complex_staged_ones(kind):
         rhs = np.zeros((k, n), dtype=complex)
         rhs[:, 1:-1] = (np.exp(2.0 * g.s_nodes)[1:-1, None]
                         * coeff[1:-1, :k]).T
-        x = _staged_solve(elliptic._block_factor(g, kind, None, k), rhs)
+        x = _staged_solve(elliptic._block_factor(g, kind, None, k, 1), rhs)
         got = solve_poisson(ScalarField(g, vals)).values
     else:
         rhs = np.zeros((k, 2 * n), dtype=complex)
         rhs[:, 3:-2:2] = coeff[1:-1, :k].T
-        x = _staged_solve(elliptic._block_factor(g, kind, 0.1, k), rhs)
+        x = _staged_solve(elliptic._block_factor(g, kind, 0.1, k, 1), rhs)
         x = x[:, 0::2]
         got = solve_stream_helmholtz(ScalarField(g, vals), 0.1)[0].values
     phi_hat = np.zeros_like(coeff)
@@ -404,8 +405,12 @@ def test_a_mode_ten_times_the_cut_is_solved():
     # mode 20 at 10 times _MODE_TOL of mode 0: kept, rounded up to 24
     q = _angular(g, {0: 1.0, 20: 20.0 * elliptic._MODE_TOL})
     assert elliptic._active_modes(np.fft.rfft(q.values, axis=1)) == 25
+    # q repeats every 16 nodes and is held as that sector, whose modes are
+    # 0, 4, ..., 32: mode 20 is its mode 5, rounded up to 8, the cap
+    assert q._arrs[0].shape == (65, 16)
     phi = solve_stream_helmholtz(q, 0.1)[0]
-    assert held_prefixes(g) == {("stream", 0.1): 25}
+    assert held_prefixes(g) == {("stream", 0.1): 9}
+    assert g.solver_cache[("stream", 0.1)][2] == 4
     assert np.abs(np.fft.rfft(phi.values, axis=1)[:, 20]).max() > 0.0
 
 
@@ -577,14 +582,10 @@ def test_one_pass_assembly_equals_block_diag_of_the_modes(kind, n_r, n_theta,
         alpha, blocks = 0.1, [_stream_matrix(g, m, 0.1)
                               for m in modes]
     want = scipy.sparse.block_diag(blocks, format="csc")
-    if modes == tuple(range(len(modes))):
-        mat, lu = elliptic._block_factor(g, kind, alpha, len(modes))
-    else:
-        # not a prefix, which no solve asks for: the assembly alone
-        stencil = (elliptic._poisson_stencil(g, modes) if alpha is None
-                   else elliptic._stream_stencil(g, modes, alpha))
-        csc = elliptic._block_matrix(*stencil, elliptic._block_size(g, kind))
-        mat, lu = csc.tocsr(), scipy.sparse.linalg.splu(csc)
+    step = modes[1] if len(modes) > 1 else 1
+    mat, lu, held_step = elliptic._block_factor(g, kind, alpha, len(modes),
+                                                step)
+    assert held_step == step
     got = mat.tocsc()
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -684,8 +685,8 @@ def _assert_same_solutions(got, want):
         for i, (x, y) in enumerate(zip(public_arrays(a), public_arrays(b),
                                        strict=True)):
             assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
-            assert (fields._column(a, i) is None) \
-                == (fields._column(b, i) is None), name
+            assert (kept_column(a, i) is None) \
+                == (kept_column(b, i) is None), name
 
 
 @pytest.mark.parametrize("n_theta", [100, 128, 478])
@@ -853,8 +854,8 @@ def test_closed_form_solves_match_the_transform_path(monkeypatch,
         for i, (x, y) in enumerate(zip(public_arrays(a), public_arrays(b),
                                        strict=True)):
             assert np.array_equal(_bits(x), _bits(y)), name
-            assert fields._column(a, i) is not None, name
-            assert fields._column(b, i) is None, name
+            assert kept_column(a, i) is not None, name
+            assert kept_column(b, i) is None, name
 
 
 def test_theta_constant_rows_of_mixed_zeros_take_the_transforms(monkeypatch):
@@ -868,11 +869,11 @@ def test_theta_constant_rows_of_mixed_zeros_take_the_transforms(monkeypatch):
     rhs = ScalarField(g, vals)
     counts = _elliptic_transforms(monkeypatch)
     got = solve_stream_helmholtz(rhs, 0.1)
-    assert fields._column(rhs) is None
+    assert kept_column(rhs) is None
     assert counts == {"rfft": 1, "irfft": 1}
     # phi, from the transforms, is kept as a column exactly where the
     # tests' own scan finds one
-    assert (fields._column(got[0]) is None) \
+    assert (kept_column(got[0]) is None) \
         == (one_bit_pattern_column(got[0].values) is None)
     # the transforms of these constant rows give zeros in every m >= 1
     # mode at this n_theta, so the results equal those of the held

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import one_bit_pattern_column, public_arrays
+from conftest import kept_column, one_bit_pattern_column, public_arrays
 from diskflow import fields
 from diskflow.errors import ConfigError, EllipticSolveError, NonFiniteFieldError
 from diskflow.grid import GridSpec, build_grid, tail_weights
@@ -733,7 +733,7 @@ def test_every_column_equals_a_fresh_scan(kind_a, kind_b, n_theta):
                     assert kept.shape == (33, 1), (name, i)
                 # a column exactly when the tests' own scan finds one
                 fresh = one_bit_pattern_column(comp)
-                col = fields._column(f, i)
+                col = kept_column(f, i)
                 assert (col is None) == (fresh is None), (name, i)
                 if col is not None:
                     assert col is kept and _same_bits(col, fresh), (name, i)
@@ -843,7 +843,7 @@ def test_a_full_size_result_of_one_bit_pattern_rows_is_held_when_built(
     d = fields.difference(u, u)
     assert scans == [(33, 16), (33, 16)]
     for i, comp in enumerate((d.u_r, d.u_theta)):
-        col = fields._column(d, i)
+        col = kept_column(d, i)
         assert col.shape == (33, 1) and _same_bits(col, np.zeros((33, 1)))
         assert comp.shape == (33, 16) and comp.strides[1] == 0
         assert _same_bits(comp, np.zeros((33, 16)))
@@ -870,7 +870,7 @@ def test_threads_finding_one_column_agree():
     def work():
         barrier.wait(timeout=10)
         for f, out in zip(fields_in, seen):
-            out.append((fields._column(f, 0), fields._column(f, 1)))
+            out.append((kept_column(f, 0), kept_column(f, 1)))
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -887,7 +887,7 @@ def test_threads_finding_one_column_agree():
         # a column is kept exactly for finite rows that share their bits
         for i, comp in enumerate((f.u_r, f.u_theta)):
             want = one_bit_pattern_column(comp)
-            for got in [cols[i] for cols in out] + [fields._column(f, i)]:
+            for got in [cols[i] for cols in out] + [kept_column(f, i)]:
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert _same_bits(got, want)
@@ -987,13 +987,14 @@ def test_column_held_arrays_are_full_size_and_cannot_change():
 
 def test_only_bit_identical_rows_are_held_as_a_column(monkeypatch):
     # a row of 0.0 and -0.0 holds one value but not one bit pattern, so
-    # the array is not held and its operators take the transforms
+    # the array is not held as a column and its operators take the
+    # transforms, on the sector of its bit period 2
     g = grid(16, 8, 4.0)
     a = np.repeat(np.linspace(1.0, 2.0, 16)[:, None], 8, axis=1)
     a[5, ::2] = -0.0
     a[5, 1::2] = 0.0
     f = ScalarField(g, a)
-    assert fields._column(f) is None and f._arrs[0].shape == (16, 8)
+    assert kept_column(f) is None and f._arrs[0].shape == (16, 2)
     transforms = []
     real = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft",
@@ -1012,7 +1013,7 @@ def test_only_bit_identical_rows_are_held_as_a_column(monkeypatch):
     # of the held array with +0.0 in row 5 up to the signs of zeros
     a[5] = 0.0
     f0 = ScalarField(g, a)
-    assert fields._column(f0) is not None
+    assert kept_column(f0) is not None
     assert np.array_equal(lap.values, laplacian(f0).values)
     assert np.array_equal(u.u_r, perp_grad(f0).u_r) and not u.u_r.any()
     assert len(transforms) == 2             # the held array takes none
@@ -1063,6 +1064,7 @@ def test_a_mixed_call_gives_the_bits_of_the_full_array_path(monkeypatch,
     u, got = _mixed_call_outputs(g, radial, varying)
     assert u._arrs[0].shape == (33, 1) and u._arrs[1].shape == (33, n_theta)
     monkeypatch.setattr(fields, "_bit_column", lambda a: None)
+    monkeypatch.setattr(fields, "_bit_period", lambda a: None)
     u, want = _mixed_call_outputs(g, radial, varying)
     assert all(c.shape == (33, n_theta) for c in u._arrs)
     for name, x in got.items():
@@ -1138,7 +1140,7 @@ def test_column_sums_equal_the_full_size_expressions(monkeypatch, n_theta):
     # the expressions the tail mass and the Poisson residual use
     fs = [ScalarField(g, a) for a in full[:2]]
     for f in fs:
-        assert fields._column(f) is not None
+        assert kept_column(f) is not None
     w = _package_weights(g)
     cases = [
         (w["weights"], np.square, fs[:1], np.square(full[0])),
@@ -1209,7 +1211,7 @@ def test_combinations_equal_the_plain_expressions(data, theta_constant):
     fs = [ScalarField(g, a) for a in arrays]
     for f, a in zip(fs, arrays):
         # θ-constant ones are kept as columns when built
-        assert (fields._column(f) is None) \
+        assert (kept_column(f) is None) \
             == (one_bit_pattern_column(a) is None)
     q, k1, k2, k3, k4 = arrays
     cases = [
@@ -1233,7 +1235,7 @@ def test_combinations_equal_the_plain_expressions(data, theta_constant):
             # one, and always when every field is held
             column = got._arrs[0].shape[1] == 1
             assert column == (one_bit_pattern_column(want) is not None)
-            assert column or not all(fields._column(f) is not None
+            assert column or not all(kept_column(f) is not None
                                      for f in used)
         assert _same_bits(
             fields.weighted_total(g.weights, np.square, fs[0]),
@@ -1625,3 +1627,90 @@ def test_malformed_snapshot_is_a_config_error(content, tmp_path):
     with pytest.raises(ConfigError) as err:
         read_snapshot(path)
     assert err.value.key == "snapshot"
+
+
+# ---------------------------------------------------------------------------
+# angular sectors: data that repeat with a period of the grid's nodes
+
+def _perturbed_psi(mode, n_theta=128):
+    from diskflow.initial_data import InitialCase, canonical_psi
+    g = grid(64, n_theta, 8.0)
+    return canonical_psi(InitialCase("perturbed_vortex", mode=mode), g)
+
+
+@pytest.mark.parametrize("mode, width", [(2, 64), (4, 32), (6, 64),
+                                         (3, 128), (1, 128)])
+def test_perturbed_data_are_held_at_their_period(mode, width):
+    # n_theta / gcd(mode, n_theta) nodes hold one period of cos(mode theta)
+    psi = _perturbed_psi(mode)
+    assert psi._arrs[0].shape == (64, width)
+    assert kept_column(psi) is None
+
+
+def test_manufactured_and_radial_data_keep_their_holds():
+    from diskflow.initial_data import InitialCase, canonical_psi
+    from diskflow.verify import _manufactured_phi
+    g = grid(64, 128, 8.0)
+    assert _manufactured_phi(g)._arrs[0].shape == (64, 128)
+    psi = canonical_psi(InitialCase("radial_vortex"), g)
+    assert psi._arrs[0].shape == (64, 1)
+
+
+def test_a_sector_field_reads_as_its_tiling():
+    psi = _perturbed_psi(2)
+    u = perp_grad(psi)
+    for f in (psi, u):
+        for kept, comp in zip(f._arrs, public_arrays(f), strict=True):
+            assert kept.shape == (64, 64)
+            assert np.array_equal(comp, np.tile(kept, (1, 2)))
+            assert comp.shape == (64, 128) and not comp.flags.writeable
+            with pytest.raises(ValueError):
+                comp[0, 0] = 1.0
+
+
+def test_the_least_even_bit_period_is_found():
+    g = grid(8, 24, 4.0)
+    rng = np.random.default_rng(5)
+    for period in (2, 4, 6, 8, 12):
+        a = np.tile(rng.normal(size=(8, period)), (1, 24 // period))
+        assert ScalarField(g, a)._arrs[0].shape == (8, period)
+    # an odd period 3 is held at the even width 6
+    a = np.tile(rng.normal(size=(8, 3)), (1, 8))
+    assert ScalarField(g, a)._arrs[0].shape == (8, 6)
+    # one node off its period, or one zero of the other sign, is full size
+    a = np.tile(rng.normal(size=(8, 4)), (1, 6))
+    b = a.copy()
+    b[3, 17] = np.nextafter(b[3, 17], np.inf)
+    assert ScalarField(g, b)._arrs[0].shape == (8, 24)
+    a[:, 1] = 0.0
+    a[5, 13] = -0.0
+    assert ScalarField(g, a)._arrs[0].shape == (8, 24)
+
+
+@pytest.mark.parametrize("mode", [2, 4])
+def test_sector_operators_match_the_full_array_path(full_array_path, mode):
+    # the same data held at full size: every operator agrees to roundoff
+    psi = _perturbed_psi(mode)
+    u = perp_grad(psi)
+    q = laplacian(psi)
+    got = {"u": u, "lap": q, "curl": curl_perp(u), "adv": advect(u, q),
+           "vlap": vector_laplacian(u), "advv": advect_vector(u, u),
+           "gta": grad_transpose_apply(u, u), "norm": norm_l2(u),
+           "grad": grad_norm_l2(u), "hk": seminorms_hk(u, 3)}
+    assert all(c.shape[1] == 128 // mode for c in u._arrs + q._arrs)
+    full_array_path()
+    psi = ScalarField(psi.grid, psi.values)
+    assert psi._arrs[0].shape == (64, 128)
+    u = perp_grad(psi)
+    q = laplacian(psi)
+    want = {"u": u, "lap": q, "curl": curl_perp(u), "adv": advect(u, q),
+            "vlap": vector_laplacian(u), "advv": advect_vector(u, u),
+            "gta": grad_transpose_apply(u, u), "norm": norm_l2(u),
+            "grad": grad_norm_l2(u), "hk": seminorms_hk(u, 3)}
+    for name, x in got.items():
+        y = want[name]
+        if isinstance(x, (ScalarField, VectorField)):
+            for a, b in zip(public_arrays(x), public_arrays(y), strict=True):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+        else:
+            assert np.allclose(x, y, rtol=1e-13, atol=0.0), name
