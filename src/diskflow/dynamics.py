@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, EllipticSolveError, NonFiniteFieldError,
-                     NumericalFailure)
+from .errors import (BoundaryTagError, ConfigError, EllipticSolveError,
+                     NonFiniteFieldError, NumericalFailure)
 from .fields import (ScalarField, VectorField, _retag, advect, grad_norm_l2,
                      laplacian, lincomb, norm_l2, perp_grad, transit_time,
                      weighted_total)
@@ -131,11 +131,17 @@ _DIAG_KEYS = ("t", "dt", "energy", "enstrophy", "tail_mass",
 
 def make_state(params: ModelParams, q: ScalarField, time: float,
                with_w: bool = True) -> FlowState:
-    """Derive (phi, w, u) from q; a filtered model forms w iff with_w."""
+    """Derive (phi, w, u) from q; a filtered model forms w iff with_w.
+
+    A velocity that fails its ring check is a failed solve
+    (EllipticSolveError), for Euler as for the stream solve."""
     if params.kind == "euler":
         w = q
         phi = solve_poisson(w, mass_tol=EULER_MASS_TOL)
-        u = _retag(perp_grad(phi), "non-penetration")
+        try:
+            u = _retag(perp_grad(phi), "non-penetration")
+        except BoundaryTagError as exc:
+            raise EllipticSolveError("poisson solve: %s" % exc) from exc
     else:
         phi, w, u = solve_stream_helmholtz(q, params.alpha, with_w=with_w)
     return FlowState(time=time, q=q, w=w, phi=phi, u=u, params=params)

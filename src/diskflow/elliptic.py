@@ -50,17 +50,11 @@ factor of one kind and alpha once no later solve needs it.  Each drop and each f
 malloc_trim (_trim_heap), so that a freed factor's pages leave the process
 in every run alike.
 
-A right-hand side held as one column (every row one bit pattern) has a
-one-column spectrum, its mode 0, and that shape alone marks it held.  It
-needs no angular transform when n_theta is 2^k or 3 * 2^k: its mode-0
-coefficient is n_theta * c + 0j and the stream function's column is
-(x.real + 0.0) * (1 / n_theta), with the bits numpy's FFT gives.  Its DC
-sum of equal terms is multiplied exactly by 2 or 4 at each radix-2 or
-radix-4 stage and rounded once at a single radix-3 stage, as n_theta * c
-is rounded once; a second odd factor rounds again (n_theta 36, 100), so
-every other n_theta, and every other right-hand side, goes through the
-transforms.  The inverse of a lone DC term adds +0.0 to it (turning -0.0
-into +0.0) and scales by the reciprocal of n_theta.
+A right-hand side held as one column c (radial data) has a one-column
+spectrum, its mode 0 = n_theta * c, and that shape alone marks it held;
+it goes through no angular transform, and the stream function is the
+column x.real / n_theta of the solved mode 0 x.  Its m >= 1 modes are
+exact zeros, so radial data stay radial at every n_theta.
 """
 
 from __future__ import annotations
@@ -247,27 +241,16 @@ def release_factors(grid: ExteriorGrid, kind: str, alpha=None) -> None:
         _drop(grid, kind, alpha)
 
 
-def _closed_form(n_theta: int) -> bool:
-    """True when n_theta is 2^k or 3 * 2^k, the n_theta at which mode 0
-    of a column-held array has its transforms' bits in closed form."""
-    return n_theta // (n_theta & -n_theta) in (1, 3)
-
-
 def _spectrum(f: ScalarField) -> np.ndarray:
     """The angular rfft of the array f keeps: of its sector, whose
     columns are the grid's modes 0, m, 2m, ... (_mode_step), or of its
-    full array.  For a column-held f, its mode 0 alone as one complex column:
-    n_theta * c + 0j, the rfft's bits, where _closed_form holds, else the
-    rfft's column 0.  Dropping the m >= 1 roundoff of a held f keeps
-    radial data radial."""
-    n = f.grid.spec.n_theta
+    full array.  For a column-held f (column c), its mode 0 alone as one
+    complex column, n_theta * c, with no transform."""
     kept = _sector(f)
     if kept.shape[1] != 1:
         return np.fft.rfft(kept, axis=1)
-    if not _closed_form(n):
-        return np.fft.rfft(f.values, axis=1)[:, :1].copy()
     coeff = np.zeros(kept.shape, dtype=complex)
-    np.multiply(kept, n, out=coeff.real)
+    np.multiply(kept, f.grid.spec.n_theta, out=coeff.real)
     return coeff
 
 
@@ -354,24 +337,15 @@ def _synthesis(grid: ExteriorGrid, coeff: np.ndarray, k: int,
     coeff, the spectrum of the right-hand side from _spectrum, is
     consumed: its buffer is zeroed and takes the spectrum of phi.  A
     second spectrum would be handed back to the OS after each solve and
-    faulted in again by the next.
-
-    A one-column spectrum gives phi held as its column 0: where
-    _closed_form holds (x.real + 0.0) * (1 / n_theta), as the irfft gives
-    it, else column 0 of the irfft, whose rows are not always exactly
-    constant (at n_theta = 478 = 2 * 239 they spread by 2.8e-16).
+    faulted in again by the next.  A one-column spectrum, mode 0 alone,
+    gives phi held as the column x.real / n_theta, with no transform.
     """
     n = grid.spec.n_theta
     coeff.fill(0)
     if k:
         coeff[:, :k] = x
-    one_column = coeff.shape[1] == 1
-    if one_column and _closed_form(n):
-        phi = coeff.real + 0.0
-        phi *= 1.0 / n
-    elif one_column:
-        # irfft pads a one-column spectrum with zeros to n // 2 + 1 modes
-        phi = np.fft.irfft(coeff, n=n, axis=1)[:, :1].copy()
+    if coeff.shape[1] == 1:
+        phi = coeff.real * (1.0 / n)
     else:
         phi = np.fft.irfft(coeff, n=n // _mode_step(grid, coeff), axis=1)
     return _scalar(grid, phi)

@@ -1,13 +1,9 @@
 """Fields on the exterior grid and log-polar differential operators.
 
 Angular derivatives are spectral (real FFT, exact for resolved modes, the
-odd-derivative Nyquist coefficient dropped).  For an (n_r, 1) column (see
-below: radial data) the derivative is +0.0 everywhere; _dtheta and
-_dtheta2 then return None, with no transform and no array, and each
-caller applies what multiplying by or adding that +0.0 does to its other
-operand: a product with a finite factor keeps the factor's sign
-(x * 0.0), x - (+0.0) is x, and x + (+0.0) turns -0.0 into +0.0
-(x + 0.0).
+odd-derivative Nyquist coefficient dropped); for an (n_r, 1) column (radial
+data, below) they are zero, and _dtheta and _dtheta2 return None with no
+transform, so each caller skips the term.
 Radial derivatives are 2nd-order centered differences in s = ln r with
 one-sided 2nd-order closures at r = 1 and r = r_max.  Norms use the grid
 quadrature.  H^k seminorms apply k nested first-derivative stencils
@@ -31,37 +27,25 @@ is built: w = 1, its column, when every row is finite and holds one bit
 pattern (a theta-constant array); w = n_theta / m, a sector, when every
 row repeats bit for bit after its first w nodes, w even (so that the
 sector's rfft ends at the grid's Nyquist mode); else w = n_theta, the
-full array.  The column is the width-1 sector, and the shape is the only
-record of either.  A caller's array (the constructors, read_snapshot) is
-scanned for the column (_bit_column) and then for the least such w
-(_bit_period); an operator result keeps the width of the operator's
-inputs and is scanned for the column alone.  The public values, u_r and
-u_theta are read-only and of full shape, built when the attribute is
-read: the full array, an np.broadcast_to view of the column, or a tiling
-of the sector.  An operator runs its kernels at one width (_operands):
-the kept arrays, the columns among them broadcast to the others' width,
-when no two non-column arrays differ in width, else the full-size
-arrays.  So an operator on columns alone makes columns (_inv_r is
-(n_r, 1) too), and every node gets the bits it would get at full size.
-The angular kernels of a sector take the wavenumbers m k, since the
-sector's rfft holds the grid's modes 0, m, 2m, ...; a rotation by
-2 pi / m is an exact shift of nodes, so the dynamics keep the sector.
-Below _operands an input is theta-constant exactly when it is (n_r, 1),
-so every wider array goes through the transforms, which give zeros (up
-to the sign of a zero) on rows of one bit pattern when n_theta is
-2^a 3^b and the row's mode-0 sum is finite, and roundoff otherwise.  A
-row that mixes 0.0 and -0.0 is not held as a column.
-Whole-array sums are taken over a contiguous full-size array, because
-numpy sums a broadcast view in another order.  _weighted_sum and
-weighted_total form a narrower product at its width,
-with the first columns of the weights, and spread it into one contiguous
-full array for the sum; that array has the bits of the full-size product
-because every weights array the package passes (grid.weights, its
-interior rows grid.weights[1:-1] and tail_weights) holds one bit pattern
-per row.  Other modules combine, sum and bound field values only through
-lincomb, times_profile, weighted_total and transit_time, and the elliptic
-solves take a right-hand side's kept array through _sector, so only this
-module reads columns and sectors.
+full array.  The shape is the only record of either.  A caller's array
+(the constructors, read_snapshot) is scanned for the column (_bit_column)
+and then for the least such w (_bit_period); an operator result keeps the
+width of the operator's inputs and is scanned for the column alone.  The
+public values, u_r and u_theta are read-only and of full shape, built
+when the attribute is read: the full array, an np.broadcast_to view of
+the column, or a tiling of the sector.  An operator runs its kernels at
+one width (_operands): the kept arrays, the columns among them broadcast
+to the others' width, when no two non-column arrays differ in width, else
+the full-size arrays.  The angular kernels of a sector take the
+wavenumbers m k, since the sector's rfft holds the grid's modes 0, m, 2m,
+...; a rotation by 2 pi / m is an exact shift of nodes, so the dynamics
+keep the sector.  Whole-grid sums are taken at the kept width and scaled
+by the number of copies the grid holds (_width_sum), against weights that
+do not vary in angle.  So a held field and the same data held at full
+size agree to roundoff, not to the bit.  Other modules combine, sum and
+bound field values only through lincomb, times_profile, weighted_total and
+transit_time, and the elliptic solves take a right-hand side's kept array
+through _sector, so only this module reads columns and sectors.
 """
 
 from __future__ import annotations
@@ -328,9 +312,9 @@ def _dss(a: np.ndarray, h: float) -> np.ndarray:
 
 def _dtheta(a: np.ndarray, step: int = 1) -> np.ndarray | None:
     """d/dtheta of a kept array a whose angular step (_step) is step, or
-    None for an (n_r, 1) column: that derivative is +0.0 at every node,
-    which callers apply without an array.  The rfft of a sector of step m
-    holds the modes 0, m, 2m, ... of the full array."""
+    None for an (n_r, 1) column, whose derivative is zero: callers skip
+    the term.  The rfft of a sector of step m holds the modes 0, m, 2m,
+    ... of the full array."""
     if a.shape[1] == 1:
         return None
     n = a.shape[1]
@@ -371,8 +355,8 @@ def perp_grad(psi: ScalarField) -> VectorField:
     g = psi.grid
     (a,) = _operands(psi)
     u_r = _dtheta(a, _step(g, a))
-    if u_r is None:         # (+0.0) * (-1/r)
-        u_r = np.full((g.spec.n_r, 1), -0.0)
+    if u_r is None:
+        u_r = np.zeros((g.spec.n_r, 1))
     else:
         u_r *= -_inv_r(g)
     u_theta = _dr(a, g)
@@ -388,7 +372,7 @@ def curl_perp(u: VectorField) -> ScalarField:
     w = _ds(g.r_nodes[:, None] * u_theta, g.ds)
     w *= inv_r
     d = _dtheta(u_r, _step(g, u_r))
-    if d is not None:       # w - (+0.0) is w
+    if d is not None:
         w -= d
     w *= inv_r
     return _scalar(g, w)
@@ -397,9 +381,7 @@ def curl_perp(u: VectorField) -> ScalarField:
 def _laplacian(a: np.ndarray, grid: ExteriorGrid) -> np.ndarray:
     vals = _dss(a, grid.ds)
     d = _dtheta2(a, _step(grid, a))
-    if d is None:
-        vals += 0.0
-    else:
+    if d is not None:
         vals += d
     vals *= _inv_r(grid) ** 2
     return vals
@@ -411,20 +393,13 @@ def laplacian(f: ScalarField) -> ScalarField:
     return _scalar(f.grid, _laplacian(a, f.grid))
 
 
-def _angular_advection(grid: ExteriorGrid, u_theta: np.ndarray,
-                       a: np.ndarray) -> np.ndarray:
-    """(u_theta * inv_r) * dtheta a.
-
-    For a column a this is u_theta * 0.0: inv_r lies in (0, 1], so
-    u_theta * inv_r is finite with the sign of u_theta, as its product with
-    +0.0 is.
-    """
+def _add_angular_advection(grid: ExteriorGrid, out: np.ndarray,
+                           u_theta: np.ndarray, a: np.ndarray) -> None:
+    """out += (u_theta * inv_r) * dtheta a; nothing for a column a."""
     d = _dtheta(a, _step(grid, a))
-    if d is None:
-        return u_theta * 0.0
-    ang = u_theta * _inv_r(grid)
-    ang *= d
-    return ang
+    if d is not None:
+        d *= u_theta * _inv_r(grid)
+        out += d
 
 
 def advect(u: VectorField, q: ScalarField) -> ScalarField:
@@ -435,30 +410,23 @@ def advect(u: VectorField, q: ScalarField) -> ScalarField:
     a, u_r, u_theta = _operands(q, u)
     vals = _dr(a, g)
     vals *= u_r
-    vals += _angular_advection(g, u_theta, a)
+    _add_angular_advection(g, vals, u_theta, a)
     return _scalar(g, vals)
 
 
-def _spread_sum(part: np.ndarray, shape: tuple) -> float:
-    """float(np.sum(a)) for the contiguous array a of shape whose rows each
-    repeat the row of part, a column or a sector; the sum of a broadcast
-    view would add in another order."""
-    full = np.empty(shape)
-    full.reshape(shape[0], -1, part.shape[1])[...] = part[:, None, :]
-    return float(np.sum(full))
+def _width_sum(t: np.ndarray, n_theta: int) -> float:
+    """The whole-grid sum of the kept product t: its own sum times the
+    number of copies of it the grid holds."""
+    return float(np.sum(t)) * (n_theta // t.shape[1])
 
 
 def _weighted_sum(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """float(np.sum(w * a * b)) with one temporary, formed at the wider of
-    the widths of a and b with the first columns of w.  A product narrower
-    than w, of columns or sectors, is spread for the sum.  That has the
-    bits of the full-size sum only if every row of w holds one bit
-    pattern, as in every weights array the package passes."""
+    """The sum of w * a * b over the grid, with one temporary formed at the
+    wider of the widths of a and b with the first columns of w, which must
+    not vary in angle."""
     t = w[:, :max(a.shape[1], b.shape[1])] * a
     t *= b
-    if t.shape[1] == w.shape[1]:
-        return float(np.sum(t))
-    return _spread_sum(t, w.shape)
+    return _width_sum(t, w.shape[1])
 
 
 def norm_l2(f) -> float:
@@ -495,7 +463,7 @@ def seminorms_hk(f, k_max: int) -> tuple:
     which add +0.0 to a non-negative sum, and an all-zero column is
     dropped.  Its d/dr is a column too while finite; a non-finite one goes
     on at full size and through the transforms.  The sums are those of
-    every word of derivatives, bit for bit.
+    every word of derivatives.
     """
     if k_max not in (1, 2, 3):
         raise ConfigError("seminorm order k=%r outside 1..3" % (k_max,),
@@ -554,20 +522,13 @@ def _grad_tensor(u: VectorField) -> tuple:
     u_r, u_theta = _operands(u)
     t_rr = _dr(u_r, g)
     t_rt = _dr(u_theta, g)
-    t_tr = _dtheta(u_r, _step(g, u_r))
-    if t_tr is None:        # (+0.0) - inv_r u_theta
-        t_tr = inv_r * u_theta
-        np.subtract(0.0, t_tr, out=t_tr)
-    else:
-        t_tr *= inv_r
-        t_tr -= inv_r * u_theta
-    t_tt = _dtheta(u_theta, _step(g, u_theta))
-    if t_tt is None:        # (+0.0) + inv_r u_r
-        t_tt = inv_r * u_r
-        t_tt += 0.0
-    else:
-        t_tt *= inv_r
-        t_tt += inv_r * u_r
+    t_tr = -inv_r * u_theta
+    t_tt = inv_r * u_r
+    for t, c in ((t_tr, u_r), (t_tt, u_theta)):
+        d = _dtheta(c, _step(g, c))
+        if d is not None:
+            d *= inv_r
+            t += d
     return (t_rr, t_rt, t_tr, t_tt)
 
 
@@ -585,15 +546,13 @@ def vector_laplacian(u: VectorField) -> VectorField:
     lap_r = _laplacian(u_r, g)
     lap_r -= inv_r2 * u_r
     d = _dtheta(u_theta, _step(g, u_theta))
-    if d is not None:       # lap_r - 2/r^2 (+0.0) is lap_r
+    if d is not None:
         d *= 2.0 * inv_r2
         lap_r -= d
     lap_t = _laplacian(u_theta, g)
     lap_t -= inv_r2 * u_theta
     d = _dtheta(u_r, _step(g, u_r))
-    if d is None:
-        lap_t += 0.0
-    else:
+    if d is not None:
         d *= 2.0 * inv_r2
         lap_t += d
     return _vector(g, lap_r, lap_t)
@@ -608,13 +567,13 @@ def advect_vector(u: VectorField, a: VectorField) -> VectorField:
     a_r, a_t, u_r, u_t = _operands(a, u)
     conv_r = _dr(a_r, g)
     conv_r *= u_r
-    conv_r += _angular_advection(g, u_t, a_r)
+    _add_angular_advection(g, conv_r, u_t, a_r)
     curv = u_t * a_t
     curv *= inv_r
     conv_r -= curv
     conv_t = _dr(a_t, g)
     conv_t *= u_r
-    conv_t += _angular_advection(g, u_t, a_t)
+    _add_angular_advection(g, conv_t, u_t, a_t)
     curv = u_t * a_r
     curv *= inv_r
     conv_t += curv
@@ -669,21 +628,17 @@ def times_profile(f: ScalarField, profile: np.ndarray) -> ScalarField:
 
 
 def weighted_total(weights: np.ndarray, expr, *fs) -> float:
-    """float(np.sum(weights * expr(*arrays))) for the component arrays of
-    the fields fs, in order.
+    """The sum of weights * expr(*arrays) over the grid for the component
+    arrays of the fields fs, in order.
 
     expr must work node by node (row slices included): it gets the arrays
-    of one width that _operands gives, columns, sectors or full arrays.  A
-    narrower array it returns is multiplied by the first columns of
-    weights and spread into a contiguous full-size array for the sum.
-    That has the bits of the full-size sum only if every row of weights
-    holds one bit pattern, as in grid.weights, grid.weights[1:-1] and
-    tail_weights.
+    of one width that _operands gives, columns, sectors or full arrays.
+    What it returns is multiplied by the first columns of weights, which
+    must not vary in angle (grid.weights, its interior rows and
+    tail_weights do not), and summed at its own width.
     """
     t = expr(*_operands(*fs))
-    if t.shape[1] == weights.shape[1]:
-        return float(np.sum(weights * t))
-    return _spread_sum(weights[:, :t.shape[1]] * t, weights.shape)
+    return _width_sum(weights[:, :t.shape[1]] * t, weights.shape[1])
 
 
 def transit_time(u: VectorField) -> float:

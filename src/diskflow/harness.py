@@ -417,7 +417,7 @@ class EnergyBudget:
     Laplacian and w of the last three snapshots are held, because d_t of
     the Laplacian is np.gradient's three-point stencil with edge_order=2.
     Each slice of it is evaluated with numpy's own coefficients and
-    operation order, so every term equals the batch formula bit for bit.
+    operation order, so every term is the batch formula's at every node.
     numpy takes its uniform-spacing formulas iff every time step equals the
     first, so the schedule decides the rule once.
     """

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,34 @@ def one_bit_pattern_column(a):
     if (bits == bits[:, :1]).all() and np.isfinite(a[:, 0]).all():
         return a[:, :1].copy()
     return None
+
+
+# a sum over a held (column or sector) field agrees with the same sum over
+# the field held at full size to this share of the sum of the |terms|
+SUM_REL = 1e-13
+
+
+def sum_close(got, want, scale):
+    """True when the held sum got agrees with the full-size sum want within
+    SUM_REL * scale, scale the sum of the |terms| (for a norm, the norm
+    itself); a non-finite want must be matched exactly."""
+    if not np.isfinite(want):
+        return got == want or bool(np.isnan(got) and np.isnan(want))
+    return abs(got - want) <= SUM_REL * scale
+
+
+def audits_agree(got, want, e0):
+    """The EnergyAudit got agrees with want, the same budget summed at full
+    size: i1-i4, lhs and residual within SUM_REL of the sum of the |terms|
+    of the budget (|lhs| + |i1| + ... + |i4|), rel_residual within that
+    over its denominator max(|lhs|, e0), every other field equal."""
+    got, want = dataclasses.asdict(got), dataclasses.asdict(want)
+    scale = sum(abs(want[k]) for k in ("lhs", "i1", "i2", "i3", "i4"))
+    scales = dict.fromkeys(("lhs", "i1", "i2", "i3", "i4", "residual"), scale)
+    scales["rel_residual"] = scale / max(abs(want["lhs"]), e0)
+    return got.keys() == want.keys() and all(
+        sum_close(got[k], want[k], scales[k]) if k in scales
+        else got[k] == want[k] for k in got)
 
 
 def kept_column(f, i=0):
