@@ -1181,6 +1181,45 @@ def test_column_sums_equal_the_full_size_expressions(monkeypatch, n_theta):
     assert widths == [1, 1, 1]
 
 
+@pytest.mark.parametrize("n_theta, width", [(96, 48), (100, 20), (128, 32),
+                                            (478, 2)])
+def test_sector_sums_equal_the_full_size_expressions(monkeypatch, n_theta,
+                                                     width):
+    # a sector-held product is summed at the sector's width and scaled by
+    # the number of sectors the grid holds, with a column broadcast to it
+    g = grid(65, n_theta, 8.0)
+    rng = np.random.default_rng(n_theta + width)
+    cells = np.concatenate([_column_data(rng, 65) for _ in range(2 * width)],
+                           axis=1)
+    sectors = [cells[:, :width], cells[:, width:]]
+    col = _column_data(rng, 65)
+    full = [np.tile(s, (1, n_theta // width)) for s in sectors]
+    full_col = np.repeat(col, n_theta, axis=1)
+    widths = _sum_widths(monkeypatch)
+
+    def close(got, terms):
+        return sum_close(got, float(np.sum(terms)),
+                         float(np.sum(np.abs(terms))))
+    for name, w in _package_weights(g).items():
+        rows = slice(1, -1) if name == "interior" else slice(None)
+        a, b, c = sectors[0][rows], sectors[1][rows], col[rows]
+        fa, fb, fc = full[0][rows], full[1][rows], full_col[rows]
+        assert close(fields._weighted_sum(w, a, b), w * fa * fb), name
+        assert close(fields._weighted_sum(w, a, a), w * fa * fa), name
+        assert close(fields._weighted_sum(w, c, b), w * fc * fb), name
+    assert widths == [width] * 9
+    fs = [ScalarField(g, a) for a in full]
+    assert all(f._arrs[0].shape == (65, width) for f in fs)
+    w = _package_weights(g)
+    del widths[:]
+    assert close(fields.weighted_total(w["weights"], np.square, fs[0]),
+                 w["weights"] * np.square(full[0]))
+    assert close(fields.weighted_total(
+        w["interior"], lambda a, b: np.square((a - b)[1:-1]), *fs),
+        w["interior"] * np.square((full[0] - full[1])[1:-1]))
+    assert widths == [width] * 2
+
+
 @pytest.mark.parametrize("n_theta", [96, 100, 128, 478])
 def test_column_held_norms_equal_the_full_size_expressions(monkeypatch,
                                                            n_theta):
