@@ -3,14 +3,16 @@
 A sweep fixes the grid and the vortex case, walks a geometric list of alpha
 values with nu = c * alpha**gamma, and measures sup-in-time L2 errors of the
 regularized runs against the Euler solution from the same stream function.
-For radial cases the Euler reference is the frozen initial state (any radial
-vorticity is a steady Euler solution, and the discretization preserves that
-exactly); otherwise a numerical Euler run at the same resolution serves as
-reference, so errors conflate discretization error and only trends at fixed
-grid are meaningful.  EulerReference.follow is the one place where a run's
-k-th snapshot meets the reference's k-th velocity and where a reference on
-another grid or at other snapshot times is rejected; sweeps, the audit
-study and the batch audit all pair through it.
+The Euler reference is a list of (time, u) pairs, one per snapshot:
+for data constant in angle the initial velocity at every snapshot time
+(any radial vorticity is a steady Euler solution, and the discretization
+preserves that exactly), otherwise the snapshots of one numerical Euler run
+at the same resolution, so errors conflate discretization error and only
+trends at fixed grid are meaningful.  euler_reference is the one place that
+decides and builds it, and follow the one place where a run's k-th snapshot
+meets the k-th pair and where pairs on another grid or at other snapshot
+times are rejected; sweeps, the audit study and the batch audit all pair
+through it.
 
 Also here: the error-energy audit, which re-evaluates the budget
   1/2 |w(T)|^2 - 1/2 |w(0)|^2 = I1 + I2 + I3 + I4,   w = u - u_euler,
@@ -36,7 +38,7 @@ import numpy as np
 
 from .boundary_layer import MIN_CELLS, check_delta, collar_resolved
 from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
-                       _diag_row, energy, run)
+                       _diag_row, energy, run, snapshot_times)
 from .elliptic import release_factors
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
                      NumericalFailure)
@@ -199,74 +201,63 @@ def euler_run(psi0, t_final: float, config: RunConfig,
                t_final, config, on_snapshot=on_snapshot)
 
 
-class EulerReference:
-    """The Euler velocity each snapshot of a run is measured against.
+def follow(pairs, measure):
+    """(on_snapshot, done) for one run measured against the Euler reference
+    pairs, a list of (time, u), of which the k-th stands for the run's k-th
+    snapshot.
 
-    Either one frozen velocity, which stands for every snapshot time, or
-    the (time, u) pairs of one Euler run, of which the k-th stands for the
-    run's k-th snapshot.  Built by euler_reference, or from a held Euler
-    trajectory by energy_audit.
+    on_snapshot(state) calls measure(state, u) with the velocity of that
+    snapshot's pair, after checking on the first one that both live on one
+    grid; a snapshot past the last pair is only counted.  done() rejects a
+    run whose snapshot times are not the pairs'.  Both mismatches raise
+    ConfigError(key="trajectories").
     """
+    times = []
 
-    def __init__(self, u_frozen: VectorField | None = None, pairs=None):
-        self._u_frozen = u_frozen
-        self._pairs = pairs
+    def on_snapshot(state: FlowState) -> None:
+        k = len(times)
+        times.append(state.time)
+        if k >= len(pairs):
+            return                  # done() rejects the run
+        u_ref = pairs[k][1]
+        if k == 0 and state.u.grid.spec != u_ref.grid.spec:
+            raise ConfigError(
+                "trajectories live on different grids: %r vs %r"
+                % (state.u.grid.spec, u_ref.grid.spec),
+                key="trajectories")
+        measure(state, u_ref)
 
-    def follow(self, measure):
-        """(on_snapshot, done) for one run measured by this reference.
+    def done() -> None:
+        ta = np.array(times, dtype=float)
+        tb = np.array([t for t, _ in pairs], dtype=float)
+        scale = max(1.0, float(ta[-1]) if ta.size else 1.0)
+        if ta.size != tb.size or np.max(
+                np.abs(ta - tb), initial=0.0) > _TIME_MATCH_TOL * scale:
+            raise ConfigError("snapshot time grids do not match",
+                              key="trajectories")
 
-        on_snapshot(state) calls measure(state, u_ref) with the reference
-        velocity of that snapshot, after checking on the first one that both
-        live on one grid; a snapshot past the reference's last is only
-        counted.  done() rejects a run whose snapshot times are not the
-        reference's.  Both mismatches raise ConfigError(key="trajectories").
-        """
-        times = []
-
-        def on_snapshot(state: FlowState) -> None:
-            k = len(times)
-            times.append(state.time)
-            if self._pairs is None:
-                u_ref = self._u_frozen
-            elif k < len(self._pairs):
-                u_ref = self._pairs[k][1]
-            else:
-                return              # done() rejects the run
-            if k == 0 and state.u.grid.spec != u_ref.grid.spec:
-                raise ConfigError(
-                    "trajectories live on different grids: %r vs %r"
-                    % (state.u.grid.spec, u_ref.grid.spec),
-                    key="trajectories")
-            measure(state, u_ref)
-
-        def done() -> None:
-            if self._pairs is None:
-                return              # a frozen velocity fits every time
-            ta = np.array(times, dtype=float)
-            tb = np.array([t for t, _ in self._pairs], dtype=float)
-            scale = max(1.0, float(ta[-1]) if ta.size else 1.0)
-            if ta.size != tb.size or np.max(
-                    np.abs(ta - tb), initial=0.0) > _TIME_MATCH_TOL * scale:
-                raise ConfigError("snapshot time grids do not match",
-                                  key="trajectories")
-
-        return on_snapshot, done
+    return on_snapshot, done
 
 
-def euler_reference(case: InitialCase, psi0, t_final: float,
-                    config: RunConfig) -> EulerReference:
-    """The Euler solution that regularized runs from psi0 are measured by.
+def euler_reference(psi0, t_final: float, config: RunConfig) -> list:
+    """The (time, u) pairs that regularized runs from psi0 are measured by,
+    one per snapshot time of config.
 
-    Radial cases get the frozen initial velocity, since any radial
-    vorticity is discretely steady; other cases one Euler run with config,
-    of which only (time, u) per snapshot is kept.
+    Data constant in angle get the frozen initial velocity at every time,
+    since any radial vorticity is discretely steady; other data one Euler
+    run with config, of which only (time, u) per snapshot is kept, and
+    then the grid's Poisson factor is dropped: the regularized runs solve
+    only their stream pairs.
     """
-    if case.name == "radial_vortex":
-        return EulerReference(u_frozen=euler_reference_state(psi0).u)
+    v = psi0.values
+    if (v == v[:, :1]).all():
+        u = euler_reference_state(psi0).u
+        return [(t, u) for t in snapshot_times(t_final, config.snapshot_dt)]
     pairs = []
     euler_run(psi0, t_final, config,
               on_snapshot=lambda s: pairs.append((s.time, s.u)))
-    return EulerReference(pairs=pairs)
+    release_factors(psi0.grid, "poisson")
+    return pairs
 
 
 def _energy_drift(traj: Trajectory, nu: float) -> float:
@@ -286,19 +277,18 @@ def _energy_drift(traj: Trajectory, nu: float) -> float:
 def run_sweep(cfg: SweepConfig, threads: int = 0):
     """One SweepRecord per alpha, in input order; failures marked, not fatal.
 
-    Each alpha run hands its snapshots, paired by EulerReference.follow,
-    to a callback that keeps only the error and the seminorms of each, and
-    the grid's factors are dropped as soon as no later run needs them: the
-    Poisson factor after the Euler reference, each stream factor after its
-    alpha's run.  Snapshots default to t_final / 8.
+    Each alpha run hands its snapshots, paired with euler_reference's by
+    follow, to a callback that keeps only the error and the seminorms of
+    each, and each stream factor is dropped after its alpha's run, as
+    euler_reference drops the Poisson factor.  Snapshots default to
+    t_final / 8.
     """
     grid = build_grid(cfg.grid)
     psi0 = canonical_psi(cfg.case, grid)
     u0 = perp_grad(psi0)
     run_cfg = replace(cfg, snapshot_dt=snapshot_interval(cfg.snapshot_dt,
                                                          cfg.t_final))
-    reference = euler_reference(cfg.case, psi0, cfg.t_final, run_cfg)
-    release_factors(grid, "poisson")
+    reference = euler_reference(psi0, cfg.t_final, run_cfg)
 
     def one(alpha: float) -> SweepRecord:
         # CPU time of this run's thread: unlike wall time it does not grow
@@ -316,7 +306,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
             errs.append(norm_l2(difference(state.u, u_ref)))
             norms.append(seminorms_hk(state.u, 3))
 
-        on_snapshot, done = reference.follow(measure)
+        on_snapshot, done = follow(reference, measure)
 
         def failed(kind: str) -> SweepRecord:
             return SweepRecord(alpha=alpha, nu=nu, delta=delta,
@@ -391,16 +381,12 @@ class EnergyAudit:
     n_times: int
 
 
-def _rate_dot(coef, h, l0r, l0t, l1r, l1t, l2r, l2t, w_r, w_t):
+def _rate_dot(coef, l0r, l0t, l1r, l1t, l2r, l2t, w_r, w_t):
     """dl/dt . w node by node, dl/dt from three snapshots l0, l1, l2 by the
-    weights coef, or by (l2 - l0) / (2 h) where coef is None."""
-    if coef is None:
-        dl_r = (l2r - l0r) / (2. * h)
-        dl_t = (l2t - l0t) / (2. * h)
-    else:
-        a, b, c = coef
-        dl_r = a * l0r + b * l1r + c * l2r
-        dl_t = a * l0t + b * l1t + c * l2t
+    weights coef."""
+    a, b, c = coef
+    dl_r = a * l0r + b * l1r + c * l2r
+    dl_t = a * l0t + b * l1t + c * l2t
     return dl_r * w_r + dl_t * w_t
 
 
@@ -410,16 +396,14 @@ class EnergyBudget:
     times is the run's snapshot schedule: snapshot_times for a run still
     to come, or the times of a held trajectory.  add() takes each snapshot
     of the regularized run, in schedule order, with the Euler velocity it
-    is measured against, as EulerReference.follow pairs them; finish()
-    returns the EnergyAudit once every scheduled snapshot is in.  A first
-    snapshot whose E_alpha is 0 (all-zero data, or squares that underflow)
-    is a ConfigError (key "case"): the residual is relative to it.  Only the
+    is measured against, as follow pairs them; finish() returns the
+    EnergyAudit once every scheduled snapshot is in.  A first snapshot
+    whose E_alpha is 0 (all-zero data, or squares that underflow) is a
+    ConfigError (key "case"): the residual is relative to it.  Only the
     Laplacian and w of the last three snapshots are held, because d_t of
-    the Laplacian is np.gradient's three-point stencil with edge_order=2.
-    Each slice of it is evaluated with numpy's own coefficients and
-    operation order, so every term is the batch formula's at every node.
-    numpy takes its uniform-spacing formulas iff every time step equals the
-    first, so the schedule decides the rule once.
+    the Laplacian is np.gradient's three-point stencil with edge_order=2,
+    evaluated slice by slice with numpy's coefficients for unequal steps,
+    which cover equal ones.
     """
 
     def __init__(self, delta: float, times):
@@ -429,10 +413,6 @@ class EnergyBudget:
         if len(self._times) < 3:
             raise ConfigError("need at least 3 snapshots to estimate the time "
                               "derivative", key="trajectories")
-        steps = np.diff(self._times)
-        # numpy's own test for its uniform-spacing formulas: the step, or None
-        self._h = self._times[1] - self._times[0] \
-            if (steps == steps[0]).all() else None
         self._f1, self._f2, self._f3, self._f4 = [], [], [], []
         self._window = deque(maxlen=3)       # (lap, w) of the last snapshots
 
@@ -468,11 +448,7 @@ class EnergyBudget:
         n = len(self._f1)
         t0, t1, t2 = self._times[n - 3:n]
         dx1, dx2 = t1 - t0, t2 - t1
-        h = self._h
-        if h is not None:                     # numpy's uniform formulas
-            coef = ((-1.5 / h, 2. / h, -0.5 / h), None,
-                    (0.5 / h, -2. / h, 1.5 / h))[k]  # None: (f2 - f0) / (2 h)
-        elif k == 0:
+        if k == 0:
             coef = (-(2. * dx1 + dx2) / (dx1 * (dx1 + dx2)),
                     (dx1 + dx2) / (dx1 * dx2),
                     - dx1 / (dx2 * (dx1 + dx2)))
@@ -485,7 +461,7 @@ class EnergyBudget:
                     - (dx2 + dx1) / (dx1 * dx2),
                     (2. * dx2 + dx1) / (dx2 * (dx1 + dx2)))
         return weighted_total(self._grid.weights,
-                              partial(_rate_dot, coef, h),
+                              partial(_rate_dot, coef),
                               l0, l1, l2, self._window[k][1])
 
     def finish(self) -> EnergyAudit:
@@ -498,7 +474,8 @@ class EnergyBudget:
         f3 = np.array(self._f3 + [self._slope(2)])
         a, nu, delta = self._params.alpha, self._params.nu, self.delta
         i1 = nu * float(np.trapezoid(np.array(self._f1), t))
-        i2 = -float(np.trapezoid(np.array(self._f2), t))
+        # 0.0 - x, unlike -x, reads 0.0 where x is 0.0
+        i2 = 0.0 - float(np.trapezoid(np.array(self._f2), t))
         i3 = a * a * float(np.trapezoid(f3, t))
         i4 = a * a * float(np.trapezoid(np.array(self._f4), t))
         lhs = 0.5 * (norm_l2(self._window[-1][1]) ** 2 - self._w0_norm ** 2)
@@ -517,13 +494,11 @@ def energy_audit(traj_sg: Trajectory, traj_euler: Trajectory,
     """Evaluate the four-term budget of the error energy between two runs.
 
     The trajectories must share their grid and snapshot times, with at
-    least 3 snapshots; EulerReference.follow pairs them and EnergyBudget
-    does the sums.
+    least 3 snapshots; follow pairs them and EnergyBudget does the sums.
     """
     budget = EnergyBudget(delta, [s.time for s in traj_sg.snapshots])
-    reference = EulerReference(
-        pairs=[(s.time, s.u) for s in traj_euler.snapshots])
-    on_snapshot, done = reference.follow(budget.add)
+    on_snapshot, done = follow([(s.time, s.u) for s in traj_euler.snapshots],
+                               budget.add)
     for s in traj_sg.snapshots:
         on_snapshot(s)
     done()

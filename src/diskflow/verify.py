@@ -17,12 +17,11 @@ import numpy as np
 
 from .boundary_layer import CorrectorReport, corrector_scaling_report
 from .dynamics import ModelParams, RunConfig, run, snapshot_times
-from .elliptic import (release_factors, solve_poisson,
-                       solve_stream_helmholtz)
+from .elliptic import solve_poisson, solve_stream_helmholtz
 from .fields import ScalarField, laplacian, seminorm_hk
 from .grid import GridSpec, build_grid
 from .harness import (EnergyAudit, EnergyBudget, SweepSettings,
-                      euler_reference, snapshot_interval)
+                      euler_reference, follow, snapshot_interval)
 from .initial_data import (HypothesisReport, InitialCase, canonical_psi,
                            hypothesis_report, make_initial)
 from .ratefit import RateFit, fit_rate
@@ -183,15 +182,13 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
                        delta: float | None = None) -> EnergyAudit:
     """Run a regularized trajectory and audit it against its Euler twin.
 
-    The reference is harness.euler_reference: the frozen initial state for
-    radial cases, otherwise an Euler run at the same resolution with
-    run_config of which only the velocity per snapshot is kept; the grid's
-    Poisson factor is dropped once the reference is built, as run_sweep
-    drops it, since the regularized run solves only its stream pair.  The
-    regularized run streams its snapshots through the reference's follow()
-    into an EnergyBudget, so the audit holds three snapshots' worth of
-    fields, not the trajectory.  Snapshots default to t_final / 8; the
-    budget takes their schedule first, so fewer than 3 fail before any step.
+    The reference is harness.euler_reference, as in run_sweep: the frozen
+    initial velocity for data constant in angle, otherwise one Euler run at
+    the same resolution with run_config.  The regularized run streams its
+    snapshots through harness.follow into an EnergyBudget, so the audit
+    holds three snapshots' worth of fields, not the trajectory.  Snapshots
+    default to t_final / 8; the budget takes their schedule first, so fewer
+    than 3 fail before any step.
     """
     g = build_grid(grid_spec)
     psi = canonical_psi(case, g)
@@ -201,9 +198,8 @@ def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
     budget = EnergyBudget(alpha ** SweepSettings.delta_rule
                           if delta is None else delta,
                           snapshot_times(t_final, cfg.snapshot_dt))
-    on_snapshot, done = euler_reference(case, psi, t_final, cfg).follow(
-        budget.add)
-    release_factors(g, "poisson")
+    on_snapshot, done = follow(euler_reference(psi, t_final, cfg),
+                               budget.add)
     run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg,
         on_snapshot=on_snapshot)
     done()

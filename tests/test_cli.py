@@ -24,7 +24,7 @@ from diskflow.fields import (ScalarField, VectorField, read_snapshot,
                              write_snapshot)
 from diskflow.grid import GridSpec, build_grid
 from diskflow.harness import euler_run
-from diskflow.initial_data import canonical_psi
+from diskflow.initial_data import InitialCase, canonical_psi
 
 MINIMAL = ('{"model": "euler_alpha", "alpha": 0.2, '
            '"grid": {"n_r": 64}, "t_final": 0.1}')
@@ -597,6 +597,43 @@ def test_column_outputs_are_byte_identical_across_runs_and_threads(
         outputs.append(files)
     assert len([n for n in outputs[0] if n.startswith("snapshot_")]) == 5
     assert all(files == outputs[0] for files in outputs[1:])
+
+
+@pytest.mark.parametrize("case", [
+    {"name": "perturbed_vortex", "mode": 2, "eps": 0.0},
+    {"name": "file"},
+], ids=["eps-0", "file"])
+def test_radial_data_get_the_radial_sweep_whatever_the_case_name(tmp_path,
+                                                                 case):
+    # a perturbation of eps 0, or a file that holds the radial vortex's
+    # stream, gives the radial vortex's psi0 bit for bit; the Euler
+    # reference is chosen from the data, so the sweeps read the same
+    vortex = {"amplitude": 0.4, "r0": 2.0, "sigma": 0.4,
+              "boundary_profile": "linear"}
+    doc = {"model": "euler_alpha", "alpha": 0.4,
+           "grid": {"n_r": 65, "n_theta": 32, "r_max": 8.0}, "t_final": 0.1,
+           "sweep": {"alphas": [0.4, 0.2]}}
+    radial = dict(vortex, name="radial_vortex")
+    if case["name"] == "file":
+        psi = canonical_psi(InitialCase(**radial),
+                            build_grid(GridSpec(65, 32, 8.0)))
+        path = tmp_path / "psi0.bin"
+        write_snapshot(psi, path, time=0.0, alpha=0.0, nu=0.0, fmt="binary")
+        case = dict(case, path=str(path))
+    else:
+        case = dict(vortex, **case)
+    rows = []
+    for name, c in (("radial", radial), ("other", case)):
+        cfg = write_config(tmp_path, json.dumps(dict(doc, case=c)),
+                           name + ".json")
+        out = tmp_path / name
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out),
+                     "--threads", "1"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        at = lines[0].split(",").index("runtime_s")
+        rows.append([line.split(",")[:at] + line.split(",")[at + 1:]
+                     for line in lines])
+    assert rows[1] == rows[0]
 
 
 def test_sweep_writes_csv_and_rates(tmp_path, capsys):

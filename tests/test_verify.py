@@ -79,14 +79,23 @@ def test_audit_study_holds_a_window_not_the_trajectory():
 
 def test_audit_study_frees_the_poisson_factor_before_the_regularized_run(
         monkeypatch):
-    # the numerical Euler reference factors the Poisson problem; the
-    # regularized run only solves its stream pair, as in run_sweep
-    real_reference, real_run, held = vf.euler_reference, vf.run, {}
+    # the numerical Euler reference factors the Poisson problem and
+    # euler_reference drops the factor before it returns: the regularized
+    # run only solves its stream pair, as in run_sweep
+    import diskflow.harness as hz
+    real_euler_run, real_reference, real_run = (hz.euler_run,
+                                                vf.euler_reference, vf.run)
+    held = {}
 
-    def reference(case, psi, t_final, config):
-        ref = real_reference(case, psi, t_final, config)
+    def euler_run(psi0, t_final, config, on_snapshot):
+        traj = real_euler_run(psi0, t_final, config, on_snapshot=on_snapshot)
+        held["euler run"] = set(psi0.grid.solver_cache)
+        return traj
+
+    def reference(psi, t_final, config):
+        pairs = real_reference(psi, t_final, config)
         held["reference"] = set(psi.grid.solver_cache)
-        return ref
+        return pairs
 
     def run(params, u0, t_final, config, on_snapshot):
         def first(state):
@@ -94,10 +103,12 @@ def test_audit_study_frees_the_poisson_factor_before_the_regularized_run(
             on_snapshot(state)
         return real_run(params, u0, t_final, config, on_snapshot=first)
 
+    monkeypatch.setattr(hz, "euler_run", euler_run)
     monkeypatch.setattr(vf, "euler_reference", reference)
     monkeypatch.setattr(vf, "run", run)
     energy_audit_study(InitialCase(name="perturbed_vortex"),
                        GridSpec(65, 32, 8.0), alpha=0.3, nu=0.0, t_final=0.05,
                        run_config=RunConfig(snapshot_dt=0.01))
-    assert ("poisson", None) in held["reference"]
-    assert not any(kind == "poisson" for kind, _ in held["first snapshot"])
+    assert ("poisson", None) in held["euler run"]
+    for when in ("reference", "first snapshot"):
+        assert not any(kind == "poisson" for kind, _ in held[when]), when
