@@ -45,6 +45,11 @@ def check_delta(delta: float) -> None:
                           key="delta")
 
 
+def corrector_width(alpha: float) -> float:
+    """The layer width delta = alpha^(4/3) that sweeps and audits report."""
+    return alpha ** (4.0 / 3.0)
+
+
 def ring_trace(psi: ScalarField) -> float:
     """max|psi| on the ring over max|psi|; 0 for an all-zero psi."""
     scale = float(np.max(np.abs(psi.values)))

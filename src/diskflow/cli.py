@@ -21,7 +21,6 @@ import types
 import typing
 from dataclasses import dataclass, replace
 
-from .boundary_layer import check_delta
 from . import dynamics
 from .dynamics import KINDS, ModelParams, run
 from .errors import (ConfigError, DegenerateFitError, DiskflowError,
@@ -43,17 +42,6 @@ EXIT_VERIFY = 4
 
 # ------------------------------------------------------------ config schema
 
-@dataclass(frozen=True)
-class AuditSettings:
-    """The energy-audit section."""
-
-    delta: float | None = None       # corrector width; None = alpha**(4/3)
-
-    def __post_init__(self):
-        if self.delta is not None:
-            check_delta(self.delta)
-
-
 @dataclass(frozen=True, kw_only=True)
 class RunConfig(dynamics.RunConfig):
     """Fully validated configuration for simulate, sweep and energy-audit.
@@ -61,8 +49,10 @@ class RunConfig(dynamics.RunConfig):
     The JSON document mirrors these fields, nested sections included; each
     section's dataclass holds its own defaults and range checks.  The solver
     keys come from dynamics.RunConfig, so run takes the document as it is.
-    The energy audit's pass threshold is a constant of the verify module;
-    the verify-* subcommands parse a VerifyConfig instead.
+    No key sets the corrector width that sweeps and the energy audit
+    report: it is boundary_layer.corrector_width(alpha).  The audit's pass
+    threshold is a constant of the verify module; the verify-* subcommands
+    parse a VerifyConfig instead.
     """
 
     model: str
@@ -73,7 +63,6 @@ class RunConfig(dynamics.RunConfig):
     output_dir: str = "."
     case: InitialCase = InitialCase()
     sweep: SweepSettings | None = None
-    audit: AuditSettings | None = None
 
     def __post_init__(self):
         if self.model not in KINDS:
@@ -91,10 +80,6 @@ class RunConfig(dynamics.RunConfig):
         super().__post_init__()
         if self.sweep is not None:
             _sweep_config(self)  # fail fast: validates alphas against the grid
-
-    @property
-    def audit_delta(self) -> float | None:
-        return None if self.audit is None else self.audit.delta
 
 
 @dataclass(frozen=True)
@@ -343,7 +328,7 @@ def _cmd_energy_audit(cfg: RunConfig, args, out: str) -> int:
                           "Euler; model must be euler_alpha or second_grade",
                           key="model")
     audit = verify.energy_audit_study(cfg.case, cfg.grid, cfg.alpha, cfg.nu,
-                                      cfg.t_final, cfg, delta=cfg.audit_delta)
+                                      cfg.t_final, cfg)
     passed = audit.rel_residual <= verify.AUDIT_REL
     doc = dataclasses.asdict(audit)
     doc["passed"] = passed

@@ -36,7 +36,8 @@ from functools import partial
 
 import numpy as np
 
-from .boundary_layer import MIN_CELLS, check_delta, collar_resolved
+from .boundary_layer import (MIN_CELLS, check_delta, collar_resolved,
+                             corrector_width)
 from .dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
                        _diag_row, energy, run, snapshot_times)
 from .elliptic import release_factors
@@ -61,12 +62,12 @@ def snapshot_interval(snapshot_dt: float | None, t_final: float) -> float:
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """The alpha list and the scaling laws nu(alpha) and delta(alpha)."""
+    """The alpha list and the scaling law nu(alpha); each run reports the
+    corrector width boundary_layer.corrector_width(alpha)."""
 
     alphas: tuple[float, ...]
     nu_c: float = 0.0                # nu = nu_c * alpha**nu_gamma
     nu_gamma: float = 2.0
-    delta_rule: float = 4.0 / 3.0    # delta = alpha**delta_rule
 
     def __post_init__(self):
         avals = tuple(float(a) for a in self.alphas)
@@ -82,10 +83,7 @@ class SweepSettings:
         if not self.nu_c >= 0.0:
             raise ConfigError("nu_c=%r must be nonnegative" % (self.nu_c,),
                               key="nu_c")
-        if not self.delta_rule > 0.0:
-            raise ConfigError("delta_rule=%r must be positive"
-                              % (self.delta_rule,), key="delta_rule")
-        for a in avals:     # each run must get a finite nu and a valid delta
+        for a in avals:     # each run must get a finite nu
             try:
                 nu = self.nu_of(a)
             except OverflowError:
@@ -94,11 +92,6 @@ class SweepSettings:
                 raise ConfigError(
                     "nu = nu_c * alpha**nu_gamma is %r at alpha=%r" % (nu, a),
                     key="nu_c" if math.isinf(self.nu_c) else "nu_gamma")
-            try:
-                check_delta(a ** self.delta_rule)
-            except ConfigError as exc:
-                raise ConfigError("delta_rule=%r at alpha=%r: %s" % (
-                    self.delta_rule, a, exc), key="delta_rule") from exc
 
     def nu_of(self, alpha: float) -> float:
         return self.nu_c * alpha ** self.nu_gamma
@@ -295,7 +288,7 @@ def run_sweep(cfg: SweepConfig, threads: int = 0):
         # while other workers hold the cores
         start = _time.thread_time()
         nu = cfg.nu_of(alpha)
-        delta = alpha ** cfg.delta_rule
+        delta = corrector_width(alpha)
         u0a = make_initial(psi0, alpha)
         err0 = norm_l2(difference(u0a, u0))
         agrad0 = alpha * seminorm_hk(u0a, 1)

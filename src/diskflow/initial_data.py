@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_layer import TRACE_TOL, collar_resolved, ring_trace
-from .errors import ConfigError
+from .errors import BoundaryTagError, ConfigError
 from .fields import (ScalarField, VectorField, _retag, difference, norm_l2,
                      perp_grad, read_snapshot, seminorms_hk, times_profile,
                      weighted_total)
@@ -82,7 +82,10 @@ def canonical_psi(case: InitialCase, grid) -> ScalarField:
     """Vortex stream for the case; rejects support leaking past 0.9 r_max
     and a perturbation mode the grid aliases."""
     if case.name == "file":
-        psi, _meta = read_snapshot(case.path, grid=grid)
+        try:
+            psi, _meta = read_snapshot(case.path, grid=grid)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), key="case.path") from exc
     else:
         prof = _radial_profile(case, grid.r_nodes)
         vals = np.repeat(prof[:, None], grid.spec.n_theta, axis=1)
@@ -151,7 +154,11 @@ def make_initial(psi0: ScalarField, alpha: float) -> VectorField:
         raise ConfigError("psi0 must vanish on the ring", key="psi0")
     cut = cut_profile((g.r_nodes - 1.0) / alpha)
     u = perp_grad(times_profile(psi0, cut))
-    return _retag(u, "no-slip")
+    try:
+        return _retag(u, "no-slip")
+    except BoundaryTagError as exc:     # the wall stencils reach the ramp
+        raise ConfigError("collar of alpha=%r is not resolved on this grid: "
+                          "%s" % (alpha, exc), key="alpha") from exc
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boundary_layer import CorrectorReport, corrector_scaling_report
+from .boundary_layer import (CorrectorReport, corrector_scaling_report,
+                             corrector_width)
 from .dynamics import ModelParams, RunConfig, run, snapshot_times
 from .elliptic import solve_poisson, solve_stream_helmholtz
+from .errors import ConfigError
 from .fields import ScalarField, laplacian, seminorm_hk
 from .grid import GridSpec, build_grid
-from .harness import (EnergyAudit, EnergyBudget, SweepSettings,
-                      euler_reference, follow, snapshot_interval)
+from .harness import (EnergyAudit, EnergyBudget, euler_reference, follow,
+                      snapshot_interval)
 from .initial_data import (HypothesisReport, InitialCase, canonical_psi,
                            hypothesis_report, make_initial)
 from .ratefit import RateFit, fit_rate
@@ -178,26 +180,30 @@ def verify_initial_data() -> InitialDataVerification:
 
 def energy_audit_study(case: InitialCase, grid_spec: GridSpec, alpha: float,
                        nu: float, t_final: float,
-                       run_config: RunConfig = RunConfig(),
-                       delta: float | None = None) -> EnergyAudit:
+                       run_config: RunConfig = RunConfig()) -> EnergyAudit:
     """Run a regularized trajectory and audit it against its Euler twin.
 
     The reference is harness.euler_reference, as in run_sweep: the frozen
     initial velocity for data constant in angle, otherwise one Euler run at
     the same resolution with run_config.  The regularized run streams its
-    snapshots through harness.follow into an EnergyBudget, so the audit
-    holds three snapshots' worth of fields, not the trajectory.  Snapshots
-    default to t_final / 8; the budget takes their schedule first, so fewer
-    than 3 fail before any step.
+    snapshots through harness.follow into an EnergyBudget of corrector width
+    boundary_layer.corrector_width(alpha), so the audit holds three
+    snapshots' worth of fields, not the trajectory.  Snapshots default to
+    t_final / 8; a schedule of fewer than 3 is a ConfigError before any
+    step, keyed snapshot_dt when run_config sets it and t_final otherwise.
     """
+    cfg = replace(run_config, snapshot_dt=snapshot_interval(
+        run_config.snapshot_dt, t_final))
+    times = snapshot_times(t_final, cfg.snapshot_dt)
+    if len(times) < 3:
+        raise ConfigError(
+            "the energy audit needs at least 3 snapshots; t_final=%r with "
+            "snapshot_dt=%r keeps %d" % (t_final, cfg.snapshot_dt, len(times)),
+            key="t_final" if run_config.snapshot_dt is None else "snapshot_dt")
     g = build_grid(grid_spec)
     psi = canonical_psi(case, g)
     u0a = make_initial(psi, alpha)
-    cfg = replace(run_config, snapshot_dt=snapshot_interval(
-        run_config.snapshot_dt, t_final))
-    budget = EnergyBudget(alpha ** SweepSettings.delta_rule
-                          if delta is None else delta,
-                          snapshot_times(t_final, cfg.snapshot_dt))
+    budget = EnergyBudget(corrector_width(alpha), times)
     on_snapshot, done = follow(euler_reference(psi, t_final, cfg),
                                budget.add)
     run(ModelParams.regularized(alpha, nu), u0a, t_final, cfg,

@@ -1,9 +1,11 @@
 import dataclasses
+import types
+import typing
 
 import numpy as np
 import pytest
 
-from diskflow import elliptic, fields
+from diskflow import cli, elliptic, fields
 
 
 def one_bit_pattern_column(a):
@@ -42,6 +44,22 @@ def audits_agree(got, want, e0):
     return got.keys() == want.keys() and all(
         sum_close(got[k], want[k], scales[k]) if k in scales
         else got[k] == want[k] for k in got)
+
+
+def document_keys(cls=cli.RunConfig, prefix=""):
+    """Every dotted key of a config document: the fields of cli.RunConfig
+    and, recursively, of each section dataclass it nests."""
+    keys = set()
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        key = prefix + f.name
+        keys.add(key)
+        hint = hints[f.name]
+        if isinstance(hint, types.UnionType):       # Section | None
+            hint, = (a for a in typing.get_args(hint) if a is not type(None))
+        if dataclasses.is_dataclass(hint):
+            keys |= document_keys(hint, key + ".")
+    return keys
 
 
 def kept_column(f, i=0):

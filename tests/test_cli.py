@@ -15,7 +15,7 @@ import pytest
 
 import diskflow
 import diskflow.verify as vf
-from conftest import kept_column
+from conftest import document_keys, kept_column
 from diskflow.cli import (RunConfig, SweepSettings, VerifyConfig,
                           _sweep_config, config_document, main, parse_config,
                           serialize_config)
@@ -37,8 +37,7 @@ FULL = """
   "snapshot_dt": 0.05, "tail_threshold": 1e-5, "output_dir": "out",
   "case": {"name": "radial_vortex", "amplitude": 0.4, "r0": 1.0,
            "sigma": 1.5, "boundary_profile": "linear"},
-  "sweep": {"alphas": [0.4, 0.2, 0.1], "nu_c": 1.0, "nu_gamma": 2.0},
-  "audit": {"delta": 0.1}
+  "sweep": {"alphas": [0.4, 0.2, 0.1], "nu_c": 1.0, "nu_gamma": 2.0}
 }
 """
 
@@ -59,14 +58,13 @@ def test_minimal_document_fills_documented_defaults():
     assert (cfg.grid.n_theta, cfg.grid.r_max) == (128, 8.0)
     assert cfg.case.name == "radial_vortex"
     assert cfg.dt is None and cfg.snapshot_dt is None
-    assert cfg.sweep is None and cfg.audit_delta is None
+    assert cfg.sweep is None
 
 
 def test_full_document_parses():
     cfg = parse_config(FULL)
     assert cfg.sweep == SweepSettings(alphas=(0.4, 0.2, 0.1), nu_c=1.0,
                                       nu_gamma=2.0)
-    assert cfg.audit_delta == 0.1
     assert cfg.case.sigma == 1.5
     assert cfg.output_dir == "out"
 
@@ -132,9 +130,10 @@ def test_alpha_outside_the_model_range_is_rejected(model, alpha, nu):
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
      '"t_final": 1, "sweep": {"alphas": [0.2, 0.4]}}', "sweep.alphas"),
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
-     '"t_final": 1, "audit": {"delta": 0}}', "audit.delta"),
+     '"t_final": 1, "audit": {"delta": 0.1}}', "audit"),
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
-     '"t_final": 1, "audit": {"delta": 1.5}}', "audit.delta"),
+     '"t_final": 1, "sweep": {"alphas": [0.4], "delta_rule": 1.5}}',
+     "sweep.delta_rule"),
     ('{"model": "euler_alpha", "alpha": 0.2, "grid": {"n_r": 64}, '
      '"t_final": 1, "tolerances": {"audit_rel": 0}}', "tolerances"),
     ('{"model": "euler_alpha", "alpha": 1%s, "grid": {"n_r": 64}, '
@@ -207,7 +206,7 @@ def test_document_keys_are_the_schema_keys():
     doc = config_document(parse_config(FULL))
     assert set(doc) == {"model", "alpha", "nu", "grid", "t_final", "cfl",
                         "dt", "dt_max", "snapshot_dt", "tail_threshold",
-                        "output_dir", "case", "sweep", "audit"}
+                        "output_dir", "case", "sweep"}
 
 
 def test_config_type_is_value_comparable():
@@ -768,6 +767,45 @@ def test_sweep_scaling_law_in_the_document_is_a_config_error(
     assert "config error (sweep.%s)" % law in capsys.readouterr().err
 
 
+# documents that parse but cannot run: alpha = 0.02 puts the collar's ramp
+# inside the wall stencils of a 64-cell grid, t_final = 1e-9 leaves the
+# audit two snapshots, and the case names no readable snapshot
+COLLAR_DOC = {"model": "euler_alpha", "alpha": 0.02,
+              "grid": {"n_r": 64, "n_theta": 16}, "t_final": 0.01}
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("simulate", COLLAR_DOC, "alpha"),
+    ("energy-audit", COLLAR_DOC, "alpha"),
+    ("energy-audit", {**COLLAR_DOC, "alpha": 0.2, "t_final": 1e-9},
+     "t_final"),
+    ("energy-audit", {**COLLAR_DOC, "alpha": 0.2, "snapshot_dt": 0.01},
+     "snapshot_dt"),
+    ("simulate", {**COLLAR_DOC, "alpha": 0.2,
+                  "case": {"name": "file", "path": "no-such-snapshot.csv"}},
+     "case.path"),
+])
+def test_run_subcommands_exit_2_naming_a_document_key(tmp_path, capsys,
+                                                      command, doc, key):
+    cfg = write_config(tmp_path, json.dumps(doc))
+    assert main([command, "--config", cfg,
+                 "--output-dir", str(tmp_path / "o")]) == 2
+    printed = re.match(r"config error \(([^)]*)\)",
+                       capsys.readouterr().err).group(1)
+    assert printed == key and printed in document_keys()
+
+
+def test_an_audit_section_in_the_document_is_an_unknown_key(tmp_path,
+                                                            capsys):
+    # the corrector width is alpha**(4/3); no section sets it
+    doc = json.loads(AUDIT_DOC)
+    doc["audit"] = {"delta": 0.1}
+    cfg = write_config(tmp_path, json.dumps(doc))
+    assert main(["energy-audit", "--config", cfg,
+                 "--output-dir", str(tmp_path / "o")]) == 2
+    assert "config error (audit)" in capsys.readouterr().err
+
+
 def test_sector_sweep_matches_the_full_array_path(monkeypatch, tmp_path,
                                                  full_array_path):
     # mode-2 data held as half the grid against the same tiled data held
@@ -914,7 +952,7 @@ def test_energy_audit_of_two_snapshots_exits_before_any_step(
     cfg = write_config(tmp_path, json.dumps(doc))
     assert main(["energy-audit", "--config", cfg,
                  "--output-dir", str(tmp_path / "o")]) == 2
-    assert "config error (trajectories)" in capsys.readouterr().err
+    assert "config error (snapshot_dt)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case, code", [

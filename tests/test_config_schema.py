@@ -37,8 +37,6 @@ def documents(draw):
         "snapshot_dt": st.none() | positive(),
         "tail_threshold": positive(),
         "output_dir": st.text(max_size=8),
-        "audit": st.none() | st.fixed_dictionaries(
-            {}, optional={"delta": st.none() | positive(0.9)}),
         "case": st.fixed_dictionaries({}, optional={
             "name": st.sampled_from(["radial_vortex", "perturbed_vortex"]),
             "amplitude": st.floats(0.1, 10.0), "r0": st.floats(1.0, 4.0),
@@ -69,7 +67,7 @@ JSON = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12)
 
-SECTIONS = ("grid", "case", "sweep", "audit")
+SECTIONS = ("grid", "case", "sweep")
 
 
 @SETTINGS
@@ -124,4 +122,4 @@ def test_malformed_file_case_exits_with_config_error(tmp_path, capsys):
         "case": {"name": "file", "path": str(snap)}}))
     assert main(["simulate", "--config", str(cfg),
                  "--output-dir", str(tmp_path / "out")]) == 2
-    assert "config error (snapshot)" in capsys.readouterr().err
+    assert "config error (case.path)" in capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from conftest import audits_agree, held_prefixes
+from diskflow.boundary_layer import corrector_width
 from diskflow.dynamics import (FlowState, ModelParams, RunConfig, Trajectory,
                                energy, run)
 from diskflow.errors import (ConfigError, DegenerateFitError, DiskflowError,
@@ -42,7 +43,7 @@ GRID_H = GridSpec(n_r=129, n_theta=16, r_max=10.0)
     dict(alphas=(0.6, 0.3)),
     dict(alphas=(0.4, 0.2), nu_c=-1.0),
     dict(alphas=(0.4, 0.2), t_final=0.0),
-    dict(alphas=(0.4, 0.2), delta_rule=0.0),
+    dict(alphas=(0.4, 0.2), tail_threshold=0.0),
     dict(alphas=(0.4, 0.2), snapshot_dt=0.0),
     dict(alphas=(0.4, 0.2), dt=-0.1),
     dict(alphas=(0.4, 0.2), cfl=1.5),
@@ -59,8 +60,6 @@ def test_sweep_config_rejects(kw):
     (dict(nu_gamma=math.nan), "nu_gamma"),
     (dict(nu_c=math.inf), "nu_c"),
     (dict(nu_c=math.nan), "nu_c"),
-    (dict(delta_rule=1000.0), "delta_rule"),           # delta underflows to 0
-    (dict(delta_rule=math.inf), "delta_rule"),
 ])
 def test_sweep_scaling_laws_are_checked_at_every_alpha(kw, key):
     with pytest.raises(ConfigError) as err:
@@ -122,7 +121,7 @@ def test_inviscid_radial_sweep_is_steady_and_monotone():
     for r in recs:
         assert r.status == "ok"
         assert r.nu == 0.0
-        assert r.delta == pytest.approx(r.alpha ** (4 / 3), rel=1e-15)
+        assert r.delta == r.alpha ** (4.0 / 3.0)
         # radial data is a discrete steady state: every snapshot is bitwise
         # the recovered initial state, so sup and final coincide exactly;
         # against err0 (built from u0^a directly, not the recovered u) the
@@ -360,7 +359,7 @@ def batch_sweep_records(cfg):
                 for a, b in zip(traj.snapshots, ref.snapshots, strict=True)]
         norms = [seminorms_hk(s.u, 3) for s in traj.snapshots]
         out.append(dict(
-            alpha=alpha, nu=nu, delta=alpha ** cfg.delta_rule,
+            alpha=alpha, nu=nu, delta=corrector_width(alpha),
             sup_err_l2=max(errs), final_err_l2=errs[-1],
             err0=norm_l2(VectorField(g, u0a.u_r - u0.u_r,
                                      u0a.u_theta - u0.u_theta)),
@@ -705,11 +704,15 @@ def test_audit_study_names_a_reference_it_cannot_compare(monkeypatch, change,
     assert exc.value.key == "trajectories"
 
 
+@pytest.mark.parametrize("t_final, snapshot_dt, key", [
+    (0.01, 0.01, "snapshot_dt"), (1e-9, None, "t_final")])
 @pytest.mark.parametrize("case", [InitialCase(), PERTURBED],
                          ids=["frozen", "euler"])
-def test_audit_study_needs_three_snapshots(monkeypatch, case):
-    # the budget reads the schedule before the Euler reference or the run
-    # takes a step
+def test_audit_study_needs_three_snapshots(monkeypatch, case, t_final,
+                                           snapshot_dt, key):
+    # the study reads the schedule before the Euler reference or the run
+    # takes a step, and names the key that set it: snapshot_dt, or t_final
+    # when the default t_final / 8 falls inside the end tolerance
     import diskflow.dynamics as dynamics
 
     def no_step(*args, **kwargs):
@@ -717,9 +720,9 @@ def test_audit_study_needs_three_snapshots(monkeypatch, case):
     monkeypatch.setattr(dynamics, "step", no_step)
     with pytest.raises(ConfigError, match="at least 3 snapshots") as exc:
         energy_audit_study(case, GridSpec(65, 32, 8.0), alpha=0.3, nu=0.0,
-                           t_final=0.01,
-                           run_config=RunConfig(snapshot_dt=0.01))
-    assert exc.value.key == "trajectories"
+                           t_final=t_final,
+                           run_config=RunConfig(snapshot_dt=snapshot_dt))
+    assert exc.value.key == key
 
 
 def _radial_audit_pair():
